@@ -110,7 +110,7 @@ SERVE_CODECS = ("json", "binary")
 SERVE_REPEATS = {"quick": 7, "full": 3, "large": 1}
 
 #: Workload sizes for the speculation (out-of-order policy) rows.  The
-#: REVISE run rebuilds its speculative engine on every late arrival, so
+#: REVISE run repairs its speculative engine on every late arrival, so
 #: these are deliberately smaller than the wire-row scales — the ratio
 #: being measured stabilises quickly and a full-size run would just
 #: burn CI minutes re-measuring it.

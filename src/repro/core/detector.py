@@ -130,6 +130,9 @@ class EngineStats:
     revised: int = 0
     retracted: int = 0
     sealed: int = 0
+    #: Buffered observations re-run through the speculative clone by
+    #: REVISE repairs (the work a late arrival costs).
+    replayed: int = 0
     gc_removed: int = 0
     #: detections per rule id.
     per_rule: dict = field(default_factory=dict)

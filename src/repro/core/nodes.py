@@ -27,7 +27,6 @@ guarantees those bindings.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Iterable, Optional
@@ -120,6 +119,17 @@ class RuntimeNode:
                 continue
             results.append(instance)
         return results
+
+    def copy_from(self, other: "RuntimeNode") -> None:
+        """Take over ``other``'s runtime state (same node, another engine).
+
+        Containers are copied; the immutable event instances, pending
+        matches and pseudo-event payloads inside them are shared.  This
+        is how the REVISE speculative clone is handed the sealed
+        engine's state (:mod:`repro.core.speculate`).
+        """
+        self.history = list(other.history)
+        self._history_ends = list(other._history_ends)
 
     # -- hooks -------------------------------------------------------------
 
@@ -252,7 +262,7 @@ class AndState(RuntimeNode):
     semantics of the paper's Fig. 8.
     """
 
-    __slots__ = ("positives", "negatives", "buffers", "pending", "_pending_ids")
+    __slots__ = ("positives", "negatives", "buffers", "pending", "_next_pending")
 
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
@@ -262,7 +272,15 @@ class AndState(RuntimeNode):
             index: deque() for index in self.positives
         }
         self.pending: dict[int, _PendingMatch] = {}
-        self._pending_ids = itertools.count()
+        self._next_pending = 0
+
+    def copy_from(self, other: "AndState") -> None:
+        super().copy_from(other)
+        self.buffers = {
+            index: deque(buffer) for index, buffer in other.buffers.items()
+        }
+        self.pending = dict(other.pending)
+        self._next_pending = other._next_pending
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
         group = self._complete(child_index, instance)
@@ -360,7 +378,8 @@ class AndState(RuntimeNode):
             if not certificates:
                 self.engine.record_kill(self.node)
                 return  # an occurrence inside the lookback kills the match
-        pending_id = next(self._pending_ids)
+        pending_id = self._next_pending
+        self._next_pending = pending_id + 1
         pending = _PendingMatch(
             pending_id, tuple(positives), bindings, t_end, t_begin + within
         )
@@ -438,7 +457,7 @@ class SeqState(RuntimeNode):
     """
 
     __slots__ = ("init_is_not", "term_is_not", "join_vars", "buckets",
-                 "pending", "_pending_ids", "label")
+                 "pending", "_next_pending", "label")
 
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
@@ -447,8 +466,16 @@ class SeqState(RuntimeNode):
         self.join_vars = _join_key_vars(node)
         self.buckets: dict[tuple, Deque[EventInstance]] = {}
         self.pending: dict[int, _PendingMatch] = {}
-        self._pending_ids = itertools.count()
+        self._next_pending = 0
         self.label = "TSEQ" if node.kind == "tseq" else "SEQ"
+
+    def copy_from(self, other: "SeqState") -> None:
+        super().copy_from(other)
+        self.buckets = {
+            key: deque(bucket) for key, bucket in other.buckets.items()
+        }
+        self.pending = dict(other.pending)
+        self._next_pending = other._next_pending
 
     # -- dispatch ----------------------------------------------------------
 
@@ -544,7 +571,8 @@ class SeqState(RuntimeNode):
             window_end = initiator.t_begin + self.node.within
         if window_end <= window_start:
             return  # degenerate window: nothing can be confirmed
-        pending_id = next(self._pending_ids)
+        pending_id = self._next_pending
+        self._next_pending = pending_id + 1
         self.pending[pending_id] = _PendingMatch(
             pending_id,
             (initiator,),
@@ -626,6 +654,11 @@ class _Chain:
         self.members: list[EventInstance] = [first]
         self.generation = generation
 
+    def copy(self) -> "_Chain":
+        clone = _Chain(self.members[0], self.generation)
+        clone.members = list(self.members)
+        return clone
+
     @property
     def last(self) -> EventInstance:
         return self.members[-1]
@@ -646,12 +679,17 @@ class TSeqPlusState(RuntimeNode):
     this is the non-spontaneity the paper's mixed mode captures.
     """
 
-    __slots__ = ("chains", "_generations")
+    __slots__ = ("chains", "_next_generation")
 
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
         self.chains: dict[tuple, _Chain] = {}
-        self._generations = itertools.count()
+        self._next_generation = 0
+
+    def copy_from(self, other: "TSeqPlusState") -> None:
+        super().copy_from(other)
+        self.chains = {key: chain.copy() for key, chain in other.chains.items()}
+        self._next_generation = other._next_generation
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
         key = project(instance.bindings, self.node.group_by)
@@ -664,11 +702,13 @@ class TSeqPlusState(RuntimeNode):
                 <= self.node.upper + TIME_EPSILON
             ):
                 chain.members.append(instance)
-                chain.generation = next(self._generations)
+                chain.generation = self._next_generation
+                self._next_generation += 1
                 self._schedule_close(key, chain)
                 return
             self._close(key, chain)
-        chain = _Chain(instance, next(self._generations))
+        chain = _Chain(instance, self._next_generation)
+        self._next_generation += 1
         self.chains[key] = chain
         self._schedule_close(key, chain)
 
@@ -714,6 +754,10 @@ class SeqPlusState(RuntimeNode):
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
         self.runs: dict[tuple, _Chain] = {}
+
+    def copy_from(self, other: "SeqPlusState") -> None:
+        super().copy_from(other)
+        self.runs = {key: run.copy() for key, run in other.runs.items()}
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
         if self.node.mode is not Mode.MIXED:
@@ -793,15 +837,21 @@ class PeriodicState(RuntimeNode):
     interval check anyway; the state simply stops rescheduling.
     """
 
-    __slots__ = ("_anchors", "_anchor_ids")
+    __slots__ = ("_anchors", "_next_anchor")
 
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
         self._anchors: dict[int, EventInstance] = {}
-        self._anchor_ids = itertools.count()
+        self._next_anchor = 0
+
+    def copy_from(self, other: "PeriodicState") -> None:
+        super().copy_from(other)
+        self._anchors = dict(other._anchors)
+        self._next_anchor = other._next_anchor
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
-        anchor_id = next(self._anchor_ids)
+        anchor_id = self._next_anchor
+        self._next_anchor = anchor_id + 1
         self._anchors[anchor_id] = instance
         self._schedule_tick(anchor_id, instance, tick=1)
 

@@ -24,7 +24,6 @@ the paper's prose, both load-bearing for correctness:
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Optional
 
 
@@ -73,7 +72,8 @@ class PseudoQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, PseudoEvent]] = []
-        self._counter = itertools.count()
+        #: Next tie-break number (a plain int: readable and copyable).
+        self._counter = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -82,7 +82,9 @@ class PseudoQueue:
         return bool(self._heap)
 
     def schedule(self, event: PseudoEvent) -> None:
-        heapq.heappush(self._heap, (event.t_execute, next(self._counter), event))
+        tie = self._counter
+        self._counter = tie + 1
+        heapq.heappush(self._heap, (event.t_execute, tie, event))
 
     def peek_time(self) -> Optional[float]:
         """Execution time of the earliest pending pseudo event, if any."""

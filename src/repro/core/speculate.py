@@ -25,8 +25,22 @@ released, in canonical stream order, so its detections — and its rule
 **actions**, which run exactly once — are byte-identical to an in-order
 run.  A *speculative clone* (same compiled graph, shadow rules whose
 actions are no-ops) runs ahead over sealed + buffered observations and
-produces the provisional view; on a late arrival it is rebuilt from a
-cached checkpoint of the sealed engine plus a replay of the buffer.
+produces the provisional view.
+
+A late arrival is repaired in memory and *in scope*.  The compiled graph
+splits into independent components — nodes joined by child edges,
+primitive events joined by reader literal; every wildcard- or
+group-reader primitive pulls its rules into one catch-all component that
+all observations feed.  A late reading dirties only the components its
+reader feeds.  The repair hands those nodes' sealed state (containers
+copied, immutable instances shared) and pending pseudo events to the
+clone, replays only the buffered observations routed to them, reseeds
+their occurrence ordinals and diffs the result against the live view of
+their rules: ids that vanished are retracted, ids whose content changed
+are revised, new ids appear as provisionals.  The whole-window rebuild
+(first use, after ``restore``, after ``finish``) is the same repair
+with every component dirty.  ``stats.replayed`` counts the observations
+repairs re-ran.
 
 Canonical stream order is ``(timestamp, reader, obj)`` — both the
 buffer and the "in-order baseline" that REVISE converges to are defined
@@ -44,11 +58,14 @@ sealed engine has provably passed.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from .instances import Observation
+from .temporal import INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover
     from .detector import Detection, Engine, RuleLike
@@ -91,7 +108,7 @@ def _make_speculative(base: "Detection", detection_id: str,
     )
 
 
-def _identity_of(detection: "Detection") -> tuple:
+def _identity_of(rule_id: str, instance: Any) -> tuple:
     """The occurrence anchor a detection id hashes over (sans ordinal).
 
     Anchored on the rule plus the *trigger* leaf — the canonically last
@@ -100,13 +117,12 @@ def _identity_of(detection: "Detection") -> tuple:
     distinct occurrences get distinct ids.  Leafless instances (pure
     negation windows) anchor on the window itself.
     """
-    leaves = list(detection.instance.observations())
-    rule_id = detection.rule.rule_id
+    leaves = list(instance.observations())
     if leaves:
         trigger = max(leaves, key=canonical_key)
         return (rule_id, str(trigger.reader), str(trigger.obj),
                 trigger.timestamp)
-    return (rule_id, detection.instance.t_begin, detection.instance.t_end)
+    return (rule_id, instance.t_begin, instance.t_end)
 
 
 def _content_of(detection: "Detection") -> str:
@@ -148,8 +164,8 @@ class _ShadowRule:
     """A rule clone that detects but never acts.
 
     Shares the original's ``rule_id``/``name``/``event`` (so the clone
-    engine's checkpoint fingerprint matches the sealed engine's) and
-    delegates the condition, but :meth:`execute_actions` is a no-op —
+    compiles the same graph, node id for node id, as the sealed engine)
+    and delegates the condition, but :meth:`execute_actions` is a no-op —
     speculative re-runs must not re-fire side effects, store writes or
     watch callbacks.  ``enabled`` tracks the original live.
     """
@@ -171,6 +187,110 @@ class _ShadowRule:
 
     def execute_actions(self, context: Any) -> None:
         return None
+
+
+class _Component:
+    """One independent part of the compiled graph: its node ids, plus the
+    occurrence ordinals of its rules' detections."""
+
+    __slots__ = ("nodes", "occ", "sealed_occ")
+
+    def __init__(self) -> None:
+        self.nodes: list[int] = []
+        #: identity -> next ordinal, current speculative generation.
+        self.occ: dict[tuple, int] = {}
+        #: identity -> next ordinal over sealed (final) detections only;
+        #: ``occ`` reseeds from this on every repair so ordinals (and
+        #: therefore ids) stay stable across generations.
+        self.sealed_occ: dict[tuple, int] = {}
+
+
+class _Scope:
+    """How the compiled graph splits into independently repairable parts.
+
+    Two nodes share a component when a child edge joins them, when both
+    are primitive events on the same reader literal, or when their rules
+    share a rule id (and therefore detection identities).  Primitives
+    with a wildcard or group reader can match any observation, so they
+    all land in one ``catch_all`` component that every observation feeds.
+    """
+
+    __slots__ = ("components", "by_reader", "by_rule", "catch_all",
+                 "open_primitives", "retention")
+
+    def __init__(self, graph: Any) -> None:
+        from .sharding import _UnionFind
+
+        sets = _UnionFind()
+
+        def join(nodes: list) -> None:
+            for node in nodes[1:]:
+                sets.union(node.node_id, nodes[0].node_id)
+
+        #: Group-reader then wildcard primitives, in dispatch order.
+        self.open_primitives: list = [
+            node for nodes in graph.primitives_by_group.values()
+            for node in nodes
+        ] + graph.primitive_wildcards
+        join(self.open_primitives)
+        for nodes in graph.primitives_by_reader.values():
+            join(nodes)
+        roots: dict[str, list] = {}
+        for node in graph.nodes:
+            join([node, *node.children])
+            for rule in node.rules:
+                roots.setdefault(rule.rule_id, []).append(node)
+        for nodes in roots.values():
+            join(nodes)
+
+        self.components: list[_Component] = []
+        index_of: dict[int, int] = {}
+        for node in graph.nodes:
+            root = sets.find(node.node_id)
+            if root not in index_of:
+                index_of[root] = len(self.components)
+                self.components.append(_Component())
+            self.components[index_of[root]].nodes.append(node.node_id)
+
+        def component_of(node: Any) -> int:
+            return index_of[sets.find(node.node_id)]
+
+        #: reader literal -> index of the one component it feeds.
+        self.by_reader = {
+            reader: component_of(nodes[0])
+            for reader, nodes in graph.primitives_by_reader.items()
+        }
+        self.by_rule = {
+            rule_id: component_of(nodes[0]) for rule_id, nodes in roots.items()
+        }
+        self.catch_all: Optional[int] = (
+            component_of(self.open_primitives[0])
+            if self.open_primitives else None
+        )
+        # How long after its trigger observation a detection can still be
+        # emitted: each level of nesting waits at most its own largest
+        # finite bound (a chain's tau_u, a negation window) on top of its
+        # slowest constituent.
+        lag = [0.0] * len(graph.nodes)
+        for node in graph.nodes:  # children are compiled before parents
+            if node.is_primitive:
+                continue
+            bounds = [bound for bound in (node.within, node.upper)
+                      if bound != INFINITY]
+            lag[node.node_id] = max(bounds, default=0.0) + max(
+                (lag[child.node_id] for child in node.children), default=0.0
+            )
+        self.retention = max(lag, default=0.0)
+
+    def everything(self) -> set[int]:
+        """Every component's index: the whole-window dirty set."""
+        return set(range(len(self.components)))
+
+    def fed_by(self, reader: Any) -> set[int]:
+        """Indexes of the components an observation from ``reader`` feeds."""
+        fed = {self.by_reader.get(reader), self.catch_all}
+        fed.discard(None)
+        return fed
 
 
 @dataclass(frozen=True)
@@ -225,22 +345,22 @@ class SpeculationManager:
         self.buffer: list[Observation] = []
         self._keys: list[tuple] = []
         self.max_ts = float("-inf")
-        #: Explicit advance_to() high-water mark, replayed after rebuilds.
+        #: Explicit advance_to() high-water mark, replayed by repairs.
         self._advanced_to = float("-inf")
-        #: detection_id -> latest emitted revision record.
+        #: detection_id -> latest emitted revision record.  Finals leave
+        #: once nothing acceptable can produce their identity again.
         self.records: dict[str, _Record] = {}
         #: Unsealed ids currently present in the speculative view.
         self._live: dict[str, str] = {}
-        #: Occurrence counters for the current speculative generation.
-        self._occ: dict[tuple, int] = {}
-        #: Occurrence counters covering only sealed (final) detections —
-        #: the generation counters reseed from this on every rebuild so
-        #: ordinals (and therefore ids) stay stable across generations.
-        self._sealed_occ: dict[tuple, int] = {}
+        #: Final records in sealing (= detection time) order:
+        #: ``(time, detection_id, identity, component)``.
+        self._finals: deque = deque()
         self._spec_engine: Optional["Engine"] = None
-        self._spec_dirty = True
-        self._sealed_snapshot: Optional[dict] = None
-        self._sealed_dirty = True
+        #: Built from the graph at first use (rules may still be added
+        #: until the first observation).
+        self._scope_cache: Optional[_Scope] = None
+        #: Indexes of the components whose speculative state is stale.
+        self._dirty: set[int] = set()
 
     # -- watermark ----------------------------------------------------------
 
@@ -274,20 +394,24 @@ class SpeculationManager:
                 engine._instr.dropped_out_of_order.inc()
                 engine._instr.dropped_too_late.inc()
             return []
-        # Canonical insertion; arriving in canonical order means the
-        # speculative engine can be fed incrementally instead of rebuilt.
+        scope = self._scope()
+        # Canonical insertion; arriving in canonical order, and not behind
+        # an advance() the clone already made, means the speculative
+        # engine can be fed incrementally instead of repaired.
         position = self._insort(key, observation)
-        in_order = position == len(self.buffer) - 1
+        in_order = (
+            position == len(self.buffer) - 1 and key[0] >= self._advanced_to
+        )
         self.max_ts = max(self.max_ts, key[0])
         out: list = []
-        if in_order and not self._spec_dirty and self._spec_engine is not None:
-            out.extend(self._absorb(self._spec_engine.submit(observation)))
-        elif not in_order:
-            self._spec_dirty = True
-        # else: spec already dirty; the rebuild below covers this arrival.
+        if not in_order:
+            self._dirty |= scope.fed_by(observation.reader)
+        elif not self._dirty:
+            out.extend(self._absorb(self._clone().submit(observation)))
+        # else: the whole window is stale; the repair below covers this arrival.
         out.extend(self._release())
-        if self._spec_dirty:
-            out.extend(self._rebuild())
+        if self._dirty:
+            out.extend(self._repair())
         return out
 
     def advance(self, time: float) -> list:
@@ -298,13 +422,14 @@ class SpeculationManager:
         advances to ``time`` so expiry-driven detections surface as
         provisionals immediately.
         """
+        self._scope()
         self.max_ts = max(self.max_ts, time)
         self._advanced_to = max(self._advanced_to, time)
         out = list(self._release())
-        if self._spec_dirty:
-            out.extend(self._rebuild())
-        elif self._spec_engine is not None:
-            out.extend(self._absorb(self._spec_engine.advance_to(time)))
+        if self._dirty:
+            out.extend(self._repair())
+        else:
+            out.extend(self._absorb(self._clone().advance_to(time)))
         return out
 
     def finish(self) -> list:
@@ -322,18 +447,15 @@ class SpeculationManager:
             self._keys = []
             for observation in released:
                 engine._process(observation)
-            self._sealed_dirty = True
             out.extend(self._seal(engine._take_output()))
         while engine._pseudo_queue:
             event = engine._pseudo_queue.pop_due(float("inf"))
             assert event is not None
             engine._execute_pseudo(event)
-        self._sealed_dirty = True
         out.extend(self._seal(engine._take_output()))
         for detection_id in list(self._live):
             out.append(self._emit_retract(detection_id))
-        self._spec_dirty = True
-        self._sealed_snapshot = None
+        self._dirty = self._scope().everything()
         if self._spec_engine is not None:
             self._spec_engine.reset()
         return out
@@ -346,8 +468,15 @@ class SpeculationManager:
         self.buffer.insert(position, observation)
         return position
 
-    def _spec_clone(self) -> "Engine":
-        """The speculative engine, built once and recycled via reset()."""
+    def _scope(self) -> _Scope:
+        """The graph's independent components; all start out dirty."""
+        if self._scope_cache is None:
+            self._scope_cache = _Scope(self._clone().graph)
+            self._dirty = self._scope_cache.everything()
+        return self._scope_cache
+
+    def _clone(self) -> "Engine":
+        """The speculative engine, built once over the same rule graph."""
         if self._spec_engine is None:
             from .detector import Engine, OutOfOrderPolicy
 
@@ -363,49 +492,32 @@ class SpeculationManager:
             )
         return self._spec_engine
 
-    def _sealed_state(self) -> dict:
-        if self._sealed_dirty or self._sealed_snapshot is None:
-            from ..resilience.checkpoint import checkpoint_engine
+    def _repair(self) -> list:
+        """Re-run the dirty components' unsealed window and diff the result.
 
-            self._sealed_snapshot = checkpoint_engine(
-                self.engine, include_speculation=False
-            )
-            self._sealed_dirty = False
-        return self._sealed_snapshot
-
-    def _rebuild(self) -> list:
-        """Re-run the unsealed window and diff it against the last view.
-
-        Restores the clone from the sealed engine's snapshot, replays
-        the buffer in canonical order, then compares: ids that vanished
-        are retracted, ids whose content changed (or that had been
+        For the dirty components' rules only: ids that vanished are
+        retracted, ids whose content changed (or that had been
         retracted) are revised, new ids appear as provisionals.
         """
-        from ..resilience.checkpoint import restore_engine
-
-        spec = self._spec_clone()
-        spec.reset()
-        restore_engine(spec, self._sealed_state())
-        outputs: list = []
-        for observation in self.buffer:
-            outputs.extend(spec.submit(observation))
-        if self._advanced_to > float("-inf"):
-            outputs.extend(spec.advance_to(self._advanced_to))
-        self._spec_dirty = False
-        self._occ = dict(self._sealed_occ)
+        scope = self._scope()
+        dirty, self._dirty = self._dirty, set()
+        outputs = self._replay(scope, dirty)
+        for index in dirty:
+            component = scope.components[index]
+            component.occ = dict(component.sealed_occ)
         fresh: dict[str, tuple[str, Any]] = {}
         for detection in outputs:
-            identity = _identity_of(detection)
-            ordinal = self._occ.get(identity, 0)
-            self._occ[identity] = ordinal + 1
-            detection_id = _hash_identity(identity, ordinal)
+            detection_id = self._next_id(detection)
             record = self.records.get(detection_id)
             if record is not None and record.status == FINAL:
                 continue
             fresh[detection_id] = (_content_of(detection), detection)
         out: list = []
         for detection_id in list(self._live):
-            if detection_id not in fresh:
+            if (
+                detection_id not in fresh
+                and scope.by_rule[self.records[detection_id].rule_id] in dirty
+            ):
                 out.append(self._emit_retract(detection_id))
         for detection_id, (content, detection) in fresh.items():
             emitted = self._note_live(detection_id, content, detection)
@@ -413,14 +525,86 @@ class SpeculationManager:
                 out.append(emitted)
         return out
 
+    def _replay(self, scope: _Scope, dirty: set[int]) -> list:
+        """Hand the dirty components to the clone and re-run their window.
+
+        The clone takes the sealed state and pending pseudo events of the
+        dirty components' nodes, replays the buffered observations routed
+        to them (canonical order, clock rewound to the sealed clock) and
+        fires what the rest of the window would have fired.  The other
+        components' pseudo events sit out the replay, so their state is
+        untouched.  Returns the detections the re-run produced.
+        """
+        host = self.engine
+        spec = self._clone()
+        nodes = {
+            node_id
+            for index in dirty
+            for node_id in scope.components[index].nodes
+        }
+        for node_id in nodes:
+            spec.states[node_id].copy_from(host.states[node_id])
+        queue = spec._pseudo_queue
+        bystanders = [
+            entry for entry in queue._heap
+            if entry[2].target_node_id not in nodes
+        ]
+        queue._heap = []
+        # Re-scheduling in (time, tie) order keeps the sealed firing
+        # order under tie numbers that are unique in the clone's heap.
+        for entry in sorted(
+            entry for entry in host._pseudo_queue._heap
+            if entry[2].target_node_id in nodes
+        ):
+            queue.schedule(entry[2])
+        spec._clock = host._clock
+
+        # Engine._dispatch, restricted to the dirty components' primitives
+        # (a group-reader primitive filters on its group when it matches).
+        replay_open = scope.catch_all in dirty
+        by_reader = scope.by_reader
+        literals = spec.graph.primitives_by_reader
+        replayed = 0
+        for observation in self.buffer:
+            reader = observation.reader
+            targets = literals[reader] if by_reader.get(reader) in dirty else ()
+            if replay_open:
+                targets = [*targets, *scope.open_primitives]
+            if not targets:
+                continue
+            spec._fire_due_pseudo(observation.timestamp, inclusive=False)
+            spec._clock = max(spec._clock, observation.timestamp)
+            for node in targets:
+                spec._try_primitive(node, observation)
+            replayed += 1
+        window_end = (
+            self.buffer[-1].timestamp if self.buffer else float("-inf")
+        )
+        spec._fire_due_pseudo(window_end, inclusive=False)
+        spec._fire_due_pseudo(self._advanced_to, inclusive=True)
+        spec._clock = max(spec._clock, window_end, self._advanced_to)
+        queue._heap.extend(bystanders)
+        heapq.heapify(queue._heap)
+        host.stats.replayed += replayed
+        if host._instr is not None:
+            host._instr.replayed.inc(replayed)
+        return spec._take_output()
+
+    def _next_id(self, detection: "Detection") -> str:
+        """Id of the next speculative occurrence of ``detection``'s identity."""
+        rule_id = detection.rule.rule_id
+        scope = self._scope()
+        occ = scope.components[scope.by_rule[rule_id]].occ
+        identity = _identity_of(rule_id, detection.instance)
+        ordinal = occ.get(identity, 0)
+        occ[identity] = ordinal + 1
+        return _hash_identity(identity, ordinal)
+
     def _absorb(self, detections: list) -> list:
         """Fold incremental clone output into the live view."""
         out: list = []
         for detection in detections:
-            identity = _identity_of(detection)
-            ordinal = self._occ.get(identity, 0)
-            self._occ[identity] = ordinal + 1
-            detection_id = _hash_identity(identity, ordinal)
+            detection_id = self._next_id(detection)
             record = self.records.get(detection_id)
             if record is not None and record.status == FINAL:
                 continue
@@ -511,24 +695,26 @@ class SpeculationManager:
             advanced = True
         if not advanced:
             return []
-        self._sealed_dirty = True
         return self._seal(engine._take_output())
 
     def _seal(self, detections: list) -> list:
         """Finalize what the sealed engine emitted (see module docstring)."""
         out: list = []
         engine = self.engine
+        scope = self._scope()
         for detection in detections:
-            identity = _identity_of(detection)
-            ordinal = self._sealed_occ.get(identity, 0)
-            self._sealed_occ[identity] = ordinal + 1
+            rule_id = detection.rule.rule_id
+            component = scope.components[scope.by_rule[rule_id]]
+            identity = _identity_of(rule_id, detection.instance)
+            ordinal = component.sealed_occ.get(identity, 0)
+            component.sealed_occ[identity] = ordinal + 1
             detection_id = _hash_identity(identity, ordinal)
             content = _content_of(detection)
             record = self.records.get(detection_id)
             if record is None:
                 # Sealed before it was ever speculated (e.g. horizon 0,
                 # or a flush-time expiry): final is the first revision.
-                record = _Record(0, FINAL, content, detection.rule.rule_id,
+                record = _Record(0, FINAL, content, rule_id,
                                  detection.instance, detection.time)
                 self.records[detection_id] = record
             elif record.status == FINAL:
@@ -540,27 +726,56 @@ class SpeculationManager:
                 record.instance = detection.instance
                 record.time = detection.time
             self._live.pop(detection_id, None)
+            self._finals.append(
+                (detection.time, detection_id, identity, component)
+            )
             engine.stats.sealed += 1
             if engine._instr is not None:
                 engine._instr.sealed.inc()
             out.append(_make_speculative(
                 detection, detection_id, record.revision, FINAL
             ))
+        self._forget_settled()
         return out
+
+    def _forget_settled(self) -> None:
+        """Drop final records, and their ordinals, that nothing can reach.
+
+        A detection is emitted at most ``retention`` after its trigger
+        observation, and the sealed engine has emitted everything up to
+        the watermark.  So once a final's detection time is older than
+        ``watermark - retention``, every detection sharing its trigger —
+        its identity — is already sealed, and neither the sealed engine
+        nor a repair (which only sees arrivals above the watermark) can
+        produce that identity again.
+        """
+        cutoff = self.watermark - self._scope().retention
+        finals = self._finals
+        while finals and finals[0][0] < cutoff:
+            _time, detection_id, identity, component = finals.popleft()
+            del self.records[detection_id]
+            component.occ.pop(identity, None)
+            component.sealed_occ.pop(identity, None)
 
     # -- checkpoint/restore -------------------------------------------------
 
     def encode(self, table: Any) -> dict:
         """Speculation state for a checkpoint (shares the instance table)."""
+        # Not _scope(): a checkpoint must not freeze the rule set.
+        scope = self._scope_cache
+        components = scope.components if scope is not None else ()
         return {
             "horizon": self.horizon,
             "max_ts": self.max_ts,
             "advanced_to": self._advanced_to,
             "buffer": [table.obs_ref(observation)
                        for observation in self.buffer],
-            "occ": [[list(key), count] for key, count in self._occ.items()],
+            "occ": [[list(key), count]
+                    for component in components
+                    for key, count in component.occ.items()],
             "sealed_occ": [[list(key), count]
-                           for key, count in self._sealed_occ.items()],
+                           for component in components
+                           for key, count in component.sealed_occ.items()],
             "records": [
                 {
                     "id": detection_id,
@@ -579,17 +794,25 @@ class SpeculationManager:
 
     def restore(self, section: dict, observations: list,
                 instances: list) -> None:
-        """Load an :meth:`encode` section (tables already decoded)."""
+        """Load an :meth:`encode` section (tables already decoded).
+
+        The manager is fresh (``restore_engine`` resets the engine
+        first), so every component starts dirty and the first arrival
+        repairs the whole window from the restored sealed state.
+        """
         self.horizon = float(section["horizon"])
         self.max_ts = section["max_ts"]
         self._advanced_to = section.get("advanced_to", float("-inf"))
         self.buffer = [observations[index] for index in section["buffer"]]
         self._keys = [canonical_key(observation)
                       for observation in self.buffer]
-        self._occ = {tuple(key): count for key, count in section["occ"]}
-        self._sealed_occ = {
-            tuple(key): count for key, count in section["sealed_occ"]
-        }
+        if not self.engine._started:
+            return  # nothing speculated or sealed yet; rules may still be added
+        scope = self._scope()
+        for field in ("occ", "sealed_occ"):
+            for key, count in section[field]:
+                component = scope.components[scope.by_rule[key[0]]]
+                getattr(component, field)[tuple(key)] = count
         self.records = {
             entry["id"]: _Record(
                 entry["rev"], entry["status"], entry["content"],
@@ -600,6 +823,13 @@ class SpeculationManager:
         self._live = {
             detection_id: content for detection_id, content in section["live"]
         }
-        self._spec_dirty = True
-        self._sealed_dirty = True
-        self._sealed_snapshot = None
+        self._finals = deque(sorted(
+            (
+                (record.time, detection_id,
+                 _identity_of(record.rule_id, record.instance),
+                 scope.components[scope.by_rule[record.rule_id]])
+                for detection_id, record in self.records.items()
+                if record.status == FINAL
+            ),
+            key=lambda final: final[0],
+        ))

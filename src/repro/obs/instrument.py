@@ -33,6 +33,7 @@ name                                            type       labels
 ``rceda_revisions_total``                       counter    engine
 ``rceda_retractions_total``                     counter    engine
 ``rceda_sealed_final_total``                    counter    engine
+``rceda_speculation_replayed_total``            counter    engine
 ``rceda_reorder_occupancy``                     gauge      engine
 ``rceda_reorder_lateness_seconds``              histogram  engine
 ``rceda_reorder_dropped_late_total``            counter    engine
@@ -92,6 +93,7 @@ class EngineInstruments:
         "revised",
         "retracted",
         "sealed",
+        "replayed",
         "_match_family",
         "_emit_family",
     )
@@ -194,6 +196,11 @@ class EngineInstruments:
             "Detections sealed final by watermark passage.",
             labelnames=("engine",),
         ).labels(engine=label)
+        self.replayed = registry.counter(
+            "rceda_speculation_replayed_total",
+            "Buffered observations re-run by speculation repairs.",
+            labelnames=("engine",),
+        ).labels(engine=label)
 
     def observe_match(self, kind: str, seconds: float) -> None:
         """Record match time for a node kind (lazy-binding fallback path)."""
@@ -227,6 +234,7 @@ class EngineInstruments:
             self.revised,
             self.retracted,
             self.sealed,
+            self.replayed,
         ):
             handle.reset()
         for child in self.match_seconds.values():

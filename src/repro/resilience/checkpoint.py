@@ -37,7 +37,6 @@ Checkpoint a snapshot with :meth:`repro.Engine.checkpoint`, restore with
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from collections import deque
 from typing import TYPE_CHECKING, Any
@@ -216,18 +215,7 @@ def _decode_pending(record: dict, instances: list[EventInstance]) -> _PendingMat
     )
 
 
-def _next_id(existing: "set[int]", engine: "Engine", node_id: int, field: str) -> int:
-    """Next safe counter value: above every live id *and* every id still
-    referenced from the pseudo queue (a stale pseudo event must never
-    collide with a freshly allocated id after restore)."""
-    ids = set(existing)
-    for _time, _tie, event in engine._pseudo_queue._heap:
-        if event.target_node_id == node_id and field in event.payload:
-            ids.add(event.payload[field])
-    return max(ids, default=-1) + 1
-
-
-def _encode_state(state: RuntimeNode, engine: "Engine", table: _InstanceTable) -> dict:
+def _encode_state(state: RuntimeNode, table: _InstanceTable) -> dict:
     node = state.node
     record: dict[str, Any] = {
         "node": node.node_id,
@@ -242,9 +230,7 @@ def _encode_state(state: RuntimeNode, engine: "Engine", table: _InstanceTable) -
         record["pending"] = [
             _encode_pending(pending, table) for pending in state.pending.values()
         ]
-        record["next_pending"] = _next_id(
-            set(state.pending), engine, node.node_id, "pending"
-        )
+        record["next_pending"] = state._next_pending
     elif isinstance(state, SeqState):
         record["buckets"] = [
             {"key": list(key), "items": [table.ref(instance) for instance in bucket]}
@@ -253,9 +239,7 @@ def _encode_state(state: RuntimeNode, engine: "Engine", table: _InstanceTable) -
         record["pending"] = [
             _encode_pending(pending, table) for pending in state.pending.values()
         ]
-        record["next_pending"] = _next_id(
-            set(state.pending), engine, node.node_id, "pending"
-        )
+        record["next_pending"] = state._next_pending
     elif isinstance(state, TSeqPlusState):
         record["chains"] = [
             {
@@ -265,10 +249,7 @@ def _encode_state(state: RuntimeNode, engine: "Engine", table: _InstanceTable) -
             }
             for key, chain in state.chains.items()
         ]
-        record["next_gen"] = _next_id(
-            {chain.generation for chain in state.chains.values()},
-            engine, node.node_id, "generation",
-        )
+        record["next_gen"] = state._next_generation
     elif isinstance(state, SeqPlusState):
         record["runs"] = [
             {
@@ -283,9 +264,7 @@ def _encode_state(state: RuntimeNode, engine: "Engine", table: _InstanceTable) -
             {"id": anchor_id, "inst": table.ref(instance)}
             for anchor_id, instance in state._anchors.items()
         ]
-        record["next_anchor"] = _next_id(
-            set(state._anchors), engine, node.node_id, "anchor"
-        )
+        record["next_anchor"] = state._next_anchor
     return record
 
 
@@ -310,7 +289,7 @@ def _restore_state(
             pending["id"]: _decode_pending(pending, instances)
             for pending in record["pending"]
         }
-        state._pending_ids = itertools.count(record["next_pending"])
+        state._next_pending = record["next_pending"]
     elif isinstance(state, SeqState):
         state.buckets = {
             tuple(bucket["key"]): deque(instances[item] for item in bucket["items"])
@@ -320,13 +299,13 @@ def _restore_state(
             pending["id"]: _decode_pending(pending, instances)
             for pending in record["pending"]
         }
-        state._pending_ids = itertools.count(record["next_pending"])
+        state._next_pending = record["next_pending"]
     elif isinstance(state, TSeqPlusState):
         state.chains = {
             tuple(chain["key"]): _decode_chain(chain, instances)
             for chain in record["chains"]
         }
-        state._generations = itertools.count(record["next_gen"])
+        state._next_generation = record["next_gen"]
     elif isinstance(state, SeqPlusState):
         state.runs = {
             tuple(run["key"]): _decode_chain(run, instances)
@@ -337,7 +316,7 @@ def _restore_state(
             anchor["id"]: instances[anchor["inst"]]
             for anchor in record["anchors"]
         }
-        state._anchor_ids = itertools.count(record["next_anchor"])
+        state._next_anchor = record["next_anchor"]
 
 
 # -- pseudo queue --------------------------------------------------------------
@@ -371,8 +350,7 @@ def _encode_pseudo_queue(engine: "Engine") -> dict:
             engine._pseudo_queue._heap, key=lambda entry: entry[:2]
         )
     ]
-    next_tie = max((entry["tie"] for entry in entries), default=-1) + 1
-    return {"entries": entries, "next_tie": next_tie}
+    return {"entries": entries, "next_tie": engine._pseudo_queue._counter}
 
 
 def _restore_pseudo_queue(engine: "Engine", record: dict) -> None:
@@ -392,26 +370,18 @@ def _restore_pseudo_queue(engine: "Engine", record: dict) -> None:
         for entry in record["entries"]
     ]
     # Entries were written in sorted order, which is a valid heap.
-    queue._counter = itertools.count(record["next_tie"])
+    queue._counter = record["next_tie"]
 
 
 # -- engine-level entry points -------------------------------------------------
 
 
-def checkpoint_engine(
-    engine: "Engine", *, include_speculation: bool = True
-) -> dict:
-    """Serialize ``engine``'s full runtime state to a plain-data snapshot.
-
-    ``include_speculation=False`` omits the REVISE-mode speculation
-    section (reorder buffer, revision records, watermark): the
-    :class:`~repro.core.speculate.SpeculationManager` uses it to
-    snapshot just the *sealed* engine state its clone rebuilds from.
-    """
+def checkpoint_engine(engine: "Engine") -> dict:
+    """Serialize ``engine``'s full runtime state to a plain-data snapshot."""
     from dataclasses import asdict
 
     table = _InstanceTable()
-    nodes = [_encode_state(state, engine, table) for state in engine.states]
+    nodes = [_encode_state(state, table) for state in engine.states]
     out = [
         {
             "rule": detection.rule.rule_id,
@@ -421,7 +391,7 @@ def checkpoint_engine(
         for detection in engine._out
     ]
     speculation = None
-    if include_speculation and engine._spec is not None:
+    if engine._spec is not None:
         # Encoded before the tables are read out below: speculation
         # records and buffered observations share the instance table.
         speculation = engine._spec.encode(table)

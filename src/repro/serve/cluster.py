@@ -477,8 +477,9 @@ class WorkerProcess:
         with open(spec_path, "w", encoding="utf-8") as handle:
             json.dump(spec, handle)
         env = dict(os.environ)
+        # src/repro/serve/cluster.py -> src/, the directory holding `repro`.
         src_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""

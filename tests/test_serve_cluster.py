@@ -251,6 +251,30 @@ class TestClusterRecovery:
         assert report["ok"], failed
 
 
+class TestWorkerProcess:
+    def test_subprocess_worker_starts_without_parent_pythonpath(
+        self, tmp_path, monkeypatch
+    ):
+        # The worker runs `python -m repro ...`; start() itself must put
+        # the directory holding `repro` on the child's path.
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        program, _stream = build_workload()
+
+        async def scenario():
+            cluster = Cluster(
+                program,
+                workers=1,
+                directory=str(tmp_path / "cluster"),
+                inprocess=False,
+            )
+            try:
+                return await asyncio.wait_for(cluster.start(), timeout=60)
+            finally:
+                await cluster.stop()
+
+        assert asyncio.run(scenario()) > 0
+
+
 class TestClusterMigration:
     def test_migration_keeps_detections_exactly_once(self, tmp_path):
         program, stream = build_workload(cases_per_line=8)
