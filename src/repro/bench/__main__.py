@@ -124,7 +124,12 @@ def _cmd_metrics(full: bool) -> None:
 
 
 def _cmd_wal(full: bool) -> None:
-    from .wal import run_wal_bench, wal_table
+    from .wal import (
+        record_costs_line,
+        run_record_costs,
+        run_wal_bench,
+        wal_table,
+    )
 
     results = run_wal_bench(full_scale=full)
     print(
@@ -132,6 +137,7 @@ def _cmd_wal(full: bool) -> None:
         f"(baseline: bare engine, {results[0].baseline_seconds * 1000:.1f} ms)"
     )
     print(wal_table(results))
+    print(record_costs_line(run_record_costs(full_scale=full)))
 
 
 def _cmd_serve(

@@ -7,6 +7,11 @@ workload goes through a :class:`~repro.resilience.durability.DurableEngine`
 under ``never``, ``batch:64`` and ``always`` fsync.  The durable runs
 must produce the same detection count as the baseline — the benchmark
 raises if they diverge.
+
+Beside the policy table it prints what *producing* one durable record
+costs with fsync out of the picture (:func:`run_record_costs`): µs per
+WAL record appended and µs per outbox delivery, the two per-event
+prices of ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,11 @@ from typing import List, Sequence
 
 from ..core.detector import Engine
 from ..core.instances import Observation
-from ..resilience.durability import DurableEngine, FsyncPolicy
+from ..resilience.durability import (
+    DurableEngine,
+    FsyncPolicy,
+    encode_observation,
+)
 from ..rules import Rule
 from .harness import run_detection
 from .workloads import build_events_axis_workload
@@ -91,15 +100,18 @@ def _run_durable(
             )
 
 
+def _n_events(full_scale: bool) -> int:
+    """Stream size; modest because ``always`` pays one fsync per observation."""
+    return 20_000 if full_scale else 2_000
+
+
 def run_wal_bench(full_scale: bool = False) -> List[WalBenchResult]:
     """Measure durable-engine overhead per fsync policy.
 
     Returns one :class:`WalBenchResult` per policy (``never``,
     ``batch:64``, ``always``), each carrying the shared baseline time.
-    The event count stays modest because ``always`` pays one fsync per
-    observation.
     """
-    n_events = 20_000 if full_scale else 2_000
+    n_events = _n_events(full_scale)
     workload = build_events_axis_workload(n_events, n_rules=10)
     baseline = run_detection(workload.rules, workload.observations, label="bare")
     results = []
@@ -118,6 +130,81 @@ def run_wal_bench(full_scale: bool = False) -> List[WalBenchResult]:
             )
         results.append(result)
     return results
+
+
+@dataclass(frozen=True)
+class RecordCosts:
+    """CPU price of one durable record (``FsyncPolicy.NEVER``, no-op sink)."""
+
+    appends: int
+    append_us: float
+    deliveries: int
+    delivery_us: float
+
+
+#: Records per ``append_many`` in :func:`run_record_costs` — the serving
+#: layer's default batch, so the write is amortized as it is in production.
+APPEND_BATCH = 256
+
+
+def run_record_costs(full_scale: bool = False) -> RecordCosts:
+    """Time the WAL append and the outbox delivery on their own.
+
+    The workload's observations are appended through a
+    :class:`DurableEngine`'s own WAL in ``APPEND_BATCH``-record
+    ``append_many`` calls, then the detections a bare engine finds are
+    delivered through its outbox to a no-op sink — no detection, no
+    checkpoint, no fsync inside either timed loop.
+    """
+    workload = build_events_axis_workload(_n_events(full_scale), n_rules=10)
+
+    def factory() -> Engine:
+        return Engine(workload.rules, context="chronicle")
+
+    engine = factory()
+    records = []
+    deliveries = []
+    for seq, observation in enumerate(workload.observations):
+        records.append((seq, encode_observation(observation)))
+        for ordinal, detection in enumerate(engine.submit(observation)):
+            deliveries.append((detection, seq, ordinal))
+    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as directory:
+        with DurableEngine(
+            factory,
+            directory,
+            checkpoint_every=0,
+            sink=lambda _detection, _seq, _ordinal: None,
+        ) as durable:
+            started = time.perf_counter()
+            for start in range(0, len(records), APPEND_BATCH):
+                durable.wal.append_many(records[start : start + APPEND_BATCH])
+            append_seconds = time.perf_counter() - started
+            deliver = durable.outbox.deliver
+            started = time.perf_counter()
+            for detection, seq, ordinal in deliveries:
+                deliver(detection, seq, ordinal)
+            deliver_seconds = time.perf_counter() - started
+            if durable.outbox.delivered != len(deliveries):
+                raise AssertionError(
+                    f"outbox ran {durable.outbox.delivered} of "
+                    f"{len(deliveries)} deliveries"
+                )
+    return RecordCosts(
+        appends=len(records),
+        append_us=append_seconds / max(1, len(records)) * 1e6,
+        deliveries=len(deliveries),
+        delivery_us=deliver_seconds / max(1, len(deliveries)) * 1e6,
+    )
+
+
+def record_costs_line(costs: RecordCosts) -> str:
+    """The one line ``python -m repro.bench wal`` prints under its table."""
+    return (
+        f"per record, fsync never: WAL append {costs.append_us:.2f} µs "
+        f"({costs.appends:,} records, {APPEND_BATCH} per append_many) | "
+        f"outbox delivery {costs.delivery_us:.2f} µs "
+        f"({costs.deliveries:,} deliveries, no-op sink)"
+    )
 
 
 def wal_table(results: Sequence[WalBenchResult]) -> str:

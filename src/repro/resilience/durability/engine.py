@@ -426,16 +426,23 @@ class DurableEngine:
         if client is not None:
             _note_client(self.client_frontiers, records[-1][1])
         self._next_seq = first_seq + len(records)
-        for seq, _payload in records:
-            self._fire("append", seq)
+        # The failpoint is a test hook: checked once per batch, so the
+        # production loop is detect -> deliver with nothing in between.
+        fire = self._fire if self.failpoint is not None else None
+        if fire is not None:
+            for seq, _payload in records:
+                fire("append", seq)
         detections = SubmitResult(accepted=len(records))
-        for index, observation in enumerate(observations):
-            seq = first_seq + index
-            batch_out = self.engine.submit(observation, seq=seq)
-            self._fire("detect", seq)
-            self._deliver(batch_out, seq)
-            self._fire("deliver", seq)
-            detections.extend(batch_out)
+        submit = self.engine.submit
+        for seq, observation in enumerate(observations, first_seq):
+            batch_out = submit(observation, seq=seq)
+            if fire is not None:
+                fire("detect", seq)
+            if batch_out:
+                self._deliver(batch_out, seq)
+                detections.extend(batch_out)
+            if fire is not None:
+                fire("deliver", seq)
         self._since_checkpoint += len(records)
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint_now()
@@ -856,15 +863,22 @@ class DurableShardedEngine:
                 {CLIENT_KEY: [client_id, client_seqs[-1]]},
             )
         self._next_seq = first_seq + len(observations)
-        for seq, _observation in routed_targets:
-            self._fire("append", seq)
+        # As in DurableEngine.submit_many: one failpoint check per batch.
+        fire = self._fire if self.failpoint is not None else None
+        if fire is not None:
+            for seq, _observation in routed_targets:
+                fire("append", seq)
         detections = SubmitResult(accepted=len(observations))
+        submit = self.coordinator.submit
         for seq, observation in routed_targets:
-            batch_out = self.coordinator.submit(observation, seq=seq)
-            self._fire("detect", seq)
-            self._deliver(batch_out, seq)
-            self._fire("deliver", seq)
-            detections.extend(batch_out)
+            batch_out = submit(observation, seq=seq)
+            if fire is not None:
+                fire("detect", seq)
+            if batch_out:
+                self._deliver(batch_out, seq)
+                detections.extend(batch_out)
+            if fire is not None:
+                fire("deliver", seq)
         self._since_checkpoint += len(observations)
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint_now()

@@ -17,8 +17,16 @@ operations:
 * ``a`` — *ack*: it succeeded;
 * ``d`` — *dead*: it exhausted its retries and went to the dead-letter
   queue (counts as resolved — recovery does not retry dead entries);
-* ``m`` — *memo*: the detection ids already delivered, rewritten at
-  compaction so id-level dedup survives journal pruning.
+* ``m`` — *memo*: the delivered detection ids a later ``final`` may
+  still have to be checked against (``dids``; ``finals`` holds, in the
+  same order, the sequence number of each id's ``final`` or ``null``
+  while it has not been seen), rewritten at compaction so id-level
+  dedup survives journal pruning.
+
+Intent and ack lines are formatted from templates, not by a JSON
+encoder — two per delivery make them the hot path — and must stay
+byte-for-byte what ``json.dumps(record, separators=(",", ":"))`` gives,
+so anything holding ``json.loads`` reads them.
 
 The delivery key is ``(seq, ordinal)``: the durable sequence number of
 the observation (or flush marker) that produced the detection, plus the
@@ -50,9 +58,10 @@ import os
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..supervise import DeadLetterEntry, DeadLetterQueue, RetryPolicy
+from .wal import compact_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...obs.instrument import DurabilityInstruments
@@ -72,9 +81,65 @@ class OutboxEntry:
     detail: dict
 
 
-def _format_line(record: dict) -> bytes:
-    body = json.dumps(record, separators=(",", ":")).encode()
+def _checksummed(body: bytes) -> bytes:
     return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _format_line(record: dict) -> bytes:
+    return _checksummed(compact_json(record).encode())
+
+
+def _did_field(detection_id: str) -> bytes:
+    """The optional trailing ``,"did":...`` of an intent or ack line."""
+    if not detection_id:
+        return b""
+    return b',"did":' + compact_json(detection_id).encode()
+
+
+def _intent_line(
+    seq: int, ordinal: int, rule_json: bytes, did_field: bytes = b""
+) -> bytes:
+    """``_format_line`` of an intent; ``rule_json`` is the encoded rule id."""
+    return _checksummed(
+        b'{"op":"i","seq":%d,"ord":%d,"rule":%s%s}'
+        % (seq, ordinal, rule_json, did_field)
+    )
+
+
+def _marker_line(
+    op: bytes, seq: int, ordinal: int, did_field: bytes = b""
+) -> bytes:
+    """``_format_line`` of ``{"op", "seq", "ord"[, "did"]}``.
+
+    An ack as :meth:`ActionOutbox._execute` writes it, and every line
+    :meth:`ActionOutbox.compact` keeps (``op`` is ``a``, ``d`` or ``i``).
+    """
+    return _checksummed(
+        b'{"op":"%s","seq":%d,"ord":%d%s}' % (op, seq, ordinal, did_field)
+    )
+
+
+def _journal_records(path: str) -> Iterator[tuple[dict, int]]:
+    """``(record, line_length)`` over a journal's valid prefix.
+
+    Ends silently at the first torn or checksum-failing line — the one
+    rule for what a journal line is, shared by every reader.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError:
+        return
+    for line in lines:
+        if not line.endswith(b"\n") or len(line) < 10:
+            return  # torn tail
+        crc_hex, _, body = line[:-1].partition(b" ")
+        try:
+            if zlib.crc32(body) != int(crc_hex, 16):
+                return
+        except ValueError:
+            return
+        yield json.loads(body.decode()), len(line)
 
 
 def read_journal(path: str) -> list[OutboxEntry]:
@@ -83,26 +148,10 @@ def read_journal(path: str) -> list[OutboxEntry]:
     Stops silently at the first torn or checksum-failing line, mirroring
     what :class:`ActionOutbox` accepts when it re-opens the journal.
     """
-    entries: list[OutboxEntry] = []
-    try:
-        with open(path, "rb") as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        return entries
-    for line in lines:
-        if not line.endswith(b"\n") or len(line) < 10:
-            break
-        crc_hex, _, body = line[:-1].partition(b" ")
-        try:
-            if zlib.crc32(body) != int(crc_hex, 16):
-                break
-        except ValueError:
-            break
-        record = json.loads(body.decode())
-        entries.append(
-            OutboxEntry(record["op"], record["seq"], record["ord"], record)
-        )
-    return entries
+    return [
+        OutboxEntry(record["op"], record["seq"], record["ord"], record)
+        for record, _length in _journal_records(path)
+    ]
 
 
 class ActionOutbox:
@@ -168,35 +217,30 @@ class ActionOutbox:
         #: detection_id -> (detection, seq, ordinal, parked_at_monotonic):
         #: provisional intents awaiting their final (confidence="final").
         self._pending: dict[str, tuple[object, int, int, float]] = {}
-        #: detection ids whose delivery resolved (timeout-vs-final dedup).
-        self._delivered_ids: set[str] = set()
+        #: delivered detection id -> seq of its ``final``, ``None`` until
+        #: that final has been seen (timeout-vs-final dedup).  An id is
+        #: only needed while its final can still arrive or be replayed, so
+        #: :meth:`compact` drops it once a checkpoint covers that seq.
+        self._delivered_ids: dict[str, Optional[int]] = {}
+        #: a suppressed final told us an id's seq since the last memo.
+        self._memo_stale = False
+        #: rule id -> its JSON fragment, see :meth:`_rule_field`.
+        self._rule_json: dict[str, bytes] = {}
         self._load()
         self._handle = open(self.path, "ab")
 
     # -- journal ------------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return
         valid_bytes = 0
-        for line in lines:
-            if not line.endswith(b"\n") or len(line) < 10:
-                break  # torn tail
-            crc_hex, _, body = line[:-1].partition(b" ")
-            try:
-                expected = int(crc_hex, 16)
-            except ValueError:
-                break
-            if zlib.crc32(body) != expected:
-                break
-            record = json.loads(body.decode())
+        for record, length in _journal_records(self.path):
+            valid_bytes += length
             operation = record["op"]
             if operation == "m":
-                self._delivered_ids.update(record.get("dids", ()))
-                valid_bytes += len(line)
+                dids = record.get("dids", ())
+                # A memo from before ids were dropped has no "finals".
+                finals = record.get("finals") or [None] * len(dids)
+                self._delivered_ids.update(zip(dids, finals))
                 continue
             key = (record["seq"], record["ord"])
             if operation == "i":
@@ -205,19 +249,33 @@ class ActionOutbox:
                 self._resolved[key] = operation
                 self._in_flight.discard(key)
                 if record.get("did"):
-                    self._delivered_ids.add(record["did"])
-            valid_bytes += len(line)
-        total = sum(len(line) for line in lines)
-        if valid_bytes < total:
-            # Self-heal the torn tail so appends start on a clean line.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
+                    # The line does not say whether a final resolved the
+                    # id: keep it until replay shows that final again.
+                    self._delivered_ids.setdefault(record["did"], None)
+        try:
+            if valid_bytes < os.path.getsize(self.path):
+                # Self-heal the torn tail so appends start on a clean line.
+                os.truncate(self.path, valid_bytes)
+        except FileNotFoundError:
+            pass
 
-    def _append(self, record: dict) -> None:
-        self._handle.write(_format_line(record))
+    def _append_line(self, line: bytes) -> None:
+        self._handle.write(line)
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
+
+    def _append(self, record: dict) -> None:
+        self._append_line(_format_line(record))
+
+    def _rule_field(self, rule_id: object) -> bytes:
+        """The rule id as JSON, cached: intents repeat a handful of ids."""
+        if type(rule_id) is not str:  # no rule, or a foreign type of id
+            return compact_json(rule_id).encode()
+        rule_json = self._rule_json.get(rule_id)
+        if rule_json is None:
+            rule_json = self._rule_json[rule_id] = compact_json(rule_id).encode()
+        return rule_json
 
     def close(self) -> None:
         if self._handle is not None:
@@ -259,8 +317,10 @@ class ActionOutbox:
         """
         self._flush_timed_out()
         detection_id = getattr(detection, "detection_id", "")
-        if self.confidence == "final" and detection_id:
-            status = getattr(detection, "status", "final")
+        if not detection_id:
+            return self._execute(detection, seq, ordinal)
+        status = getattr(detection, "status", "final")
+        if self.confidence == "final":
             if status in ("provisional", "revise"):
                 parked = self._pending.get(detection_id)
                 parked_at = parked[3] if parked is not None else _time.monotonic()
@@ -281,13 +341,19 @@ class ActionOutbox:
             # final at the same (seq, ordinal), so key-level dedup works
             # across lives without consulting the (volatile) parked map.
             self._pending.pop(detection_id, None)
-        if detection_id and detection_id in self._delivered_ids:
-            # Timed-out release already ran this id under another key.
+        if detection_id in self._delivered_ids:
+            # An earlier revision (a timed-out release) already ran this
+            # id under another key, or this is its own final replayed.
+            if status == "final" and self._delivered_ids[detection_id] != seq:
+                self._delivered_ids[detection_id] = seq
+                self._memo_stale = True
             self.suppressed += 1
             if self.instruments is not None:
                 self.instruments.outbox_suppressed.inc()
             return False
-        return self._execute(detection, seq, ordinal, detection_id)
+        return self._execute(
+            detection, seq, ordinal, detection_id, status == "final"
+        )
 
     def _flush_timed_out(self) -> None:
         """Release parked intents older than ``provisional_timeout``."""
@@ -305,11 +371,21 @@ class ActionOutbox:
                 self.instruments.outbox_timed_out.inc()
             if did in self._delivered_ids or (seq, ordinal) in self._resolved:
                 continue
-            self._execute(detection, seq, ordinal, did)
+            self._execute(detection, seq, ordinal, did, False)
 
     def _execute(
-        self, detection: object, seq: int, ordinal: int, detection_id: str
+        self,
+        detection: object,
+        seq: int,
+        ordinal: int,
+        detection_id: str = "",
+        final: bool = True,
     ) -> bool:
+        """Intent, sink (with retries), ack — for a key not yet resolved.
+
+        ``final`` says the detection is its id's sealed revision, so the
+        id's dedup duty ends at ``seq`` (see :attr:`_delivered_ids`).
+        """
         key = (seq, ordinal)
         if key in self._resolved:
             self.suppressed += 1
@@ -317,11 +393,11 @@ class ActionOutbox:
                 self.instruments.outbox_suppressed.inc()
             return False
         rule_id = getattr(getattr(detection, "rule", None), "rule_id", None)
+        did_field = _did_field(detection_id)
         if key not in self._in_flight:
-            record = {"op": "i", "seq": seq, "ord": ordinal, "rule": rule_id}
-            if detection_id:
-                record["did"] = detection_id
-            self._append(record)
+            self._append_line(
+                _intent_line(seq, ordinal, self._rule_field(rule_id), did_field)
+            )
             self._in_flight.add(key)
         policy = self.retry
         attempt = 0
@@ -341,7 +417,7 @@ class ActionOutbox:
                     if detection_id:
                         record["did"] = detection_id
                     self._append(record)
-                    self._resolve(key, "d", detection_id)
+                    self._resolve(key, "d", detection_id, final)
                     self.dead_letters.push(
                         DeadLetterEntry(
                             kind="delivery",
@@ -368,23 +444,20 @@ class ActionOutbox:
                 policy.sleep(policy.delay(attempt))
                 continue
             break
-        record = {"op": "a", "seq": seq, "ord": ordinal}
-        if detection_id:
-            record["did"] = detection_id
-        self._append(record)
-        self._resolve(key, "a", detection_id)
+        self._append_line(_marker_line(b"a", seq, ordinal, did_field))
+        self._resolve(key, "a", detection_id, final)
         self.delivered += 1
         if self.instruments is not None:
             self.instruments.outbox_delivered.inc()
         return True
 
     def _resolve(
-        self, key: tuple[int, int], op: str, detection_id: str = ""
+        self, key: tuple[int, int], op: str, detection_id: str, final: bool
     ) -> None:
         self._resolved[key] = op
         self._in_flight.discard(key)
         if detection_id:
-            self._delivered_ids.add(detection_id)
+            self._delivered_ids[detection_id] = key[0] if final else None
 
     # -- maintenance --------------------------------------------------------
 
@@ -393,8 +466,9 @@ class ActionOutbox:
 
         Checkpoint pruning makes resolutions at or below the checkpoint
         sequence unreachable by any future replay, so their journal lines
-        are dead weight.  Returns the number of entries dropped.  The
-        rewrite is atomic (temp file + ``os.replace``).
+        are dead weight — and so is a delivered detection id whose
+        ``final`` sits at or below it.  Returns the number of entries
+        dropped.  The rewrite is atomic (temp file + ``os.replace``).
         """
         kept_resolved = {
             key: op for key, op in self._resolved.items() if key[0] > up_to_seq
@@ -403,28 +477,32 @@ class ActionOutbox:
         dropped = (len(self._resolved) - len(kept_resolved)) + (
             len(self._in_flight) - len(kept_in_flight)
         )
-        if not dropped:
+        if not dropped and not self._memo_stale:
             return 0
+        # A final at or below the checkpoint is never replayed, and no
+        # later detection shares its id: the id has nothing left to guard.
+        self._delivered_ids = {
+            did: final_seq
+            for did, final_seq in self._delivered_ids.items()
+            if final_seq is None or final_seq > up_to_seq
+        }
         temp_path = self.path + ".compact"
         with open(temp_path, "wb") as handle:
             if self._delivered_ids:
-                # Dropped lines may carry the only record of a delivered
-                # detection id; the memo keeps id-level dedup intact.
+                # The kept lines are rewritten without their ids, and the
+                # dropped ones may have carried an id still waiting for
+                # its final; the memo keeps id-level dedup intact.
+                dids = sorted(self._delivered_ids)
                 handle.write(_format_line({
                     "op": "m", "seq": -1, "ord": 0,
-                    "dids": sorted(self._delivered_ids),
+                    "dids": dids,
+                    "finals": [self._delivered_ids[did] for did in dids],
                 }))
             for seq, ordinal in sorted(kept_in_flight):
-                handle.write(
-                    _format_line({"op": "i", "seq": seq, "ord": ordinal})
-                )
+                handle.write(_marker_line(b"i", seq, ordinal))
             for (seq, ordinal), op in sorted(kept_resolved.items()):
-                handle.write(
-                    _format_line({"op": "i", "seq": seq, "ord": ordinal})
-                )
-                handle.write(
-                    _format_line({"op": op, "seq": seq, "ord": ordinal})
-                )
+                handle.write(_marker_line(b"i", seq, ordinal))
+                handle.write(_marker_line(op.encode(), seq, ordinal))
             handle.flush()
             os.fsync(handle.fileno())
         self._handle.close()
@@ -432,6 +510,7 @@ class ActionOutbox:
         self._handle = open(self.path, "ab")
         self._resolved = kept_resolved
         self._in_flight = kept_in_flight
+        self._memo_stale = False
         return dropped
 
     def entries(self) -> list[OutboxEntry]:

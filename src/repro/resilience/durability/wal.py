@@ -49,6 +49,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from time import perf_counter
 from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence
 
@@ -62,6 +63,8 @@ __all__ = [
     "WalRecord",
     "WalWriter",
     "SegmentInfo",
+    "compact_json",
+    "encode_payload",
     "read_wal",
     "scan_segment",
     "scan_wal",
@@ -74,6 +77,72 @@ _SEQ = struct.Struct("<Q")
 
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a
+#: ``JSONEncoder`` per call: the one encoder behind every compact-JSON
+#: record this package writes that has no template of its own.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+_OBSERVATION_KEYS = ("k", "r", "o", "t")
+_CLIENT_OBSERVATION_KEYS = ("k", "r", "o", "t", "c")
+_float_repr = float.__repr__
+
+
+def encode_payload(payload: dict) -> bytes:
+    """Record body for one payload: exactly ``json.dumps``'s compact bytes.
+
+    Nearly every record is a well-typed observation — ``{"k":"o","r":
+    str,"o":str,"t":finite float}``, optionally followed by ``"c":[str,
+    int]`` client provenance — so that shape is formatted straight from
+    a template with the two primitives the C encoder itself calls
+    (``encode_basestring_ascii`` and ``float.__repr__``).  Anything else
+    — extras, markers, poison records, ``int``/``bool``/non-finite
+    timestamps, tuple provenance, subclasses — goes through
+    :data:`compact_json`.  ``tests/test_durable_encoding.py`` holds the
+    two to byte identity.
+    """
+    keys = tuple(payload)
+    if keys == _OBSERVATION_KEYS or keys == _CLIENT_OBSERVATION_KEYS:
+        reader = payload["r"]
+        obj = payload["o"]
+        timestamp = payload["t"]
+        if (
+            payload["k"] == "o"
+            and type(reader) is str
+            and type(obj) is str
+            and type(timestamp) is float
+            # nan and +-inf spell differently in JSON than in repr().
+            and timestamp - timestamp == 0.0
+        ):
+            body = (
+                f'{{"k":"o","r":{_json_str(reader)},"o":{_json_str(obj)},'
+                f'"t":{_float_repr(timestamp)}'
+            )
+            if len(keys) == 4:
+                return (body + "}").encode("ascii")
+            client = payload["c"]
+            if (
+                type(client) is list
+                and len(client) == 2
+                and type(client[0]) is str
+                and type(client[1]) is int
+            ):
+                return (
+                    f'{body},"c":[{_json_str(client[0])},{client[1]}]}}'
+                ).encode("ascii")
+    return compact_json(payload).encode()
+
+
+def _encode_record(seq: int, payload: dict) -> bytes:
+    """Header + body of one record, as it sits in a segment."""
+    try:
+        body = encode_payload(payload)
+    except (TypeError, ValueError) as exc:
+        raise WalError(
+            f"record payload for seq {seq} is not JSON-encodable: {exc}"
+        ) from exc
+    crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
+    return _HEADER.pack(len(body), crc, seq) + body
 
 
 @dataclass(frozen=True)
@@ -372,14 +441,7 @@ class WalWriter:
                 f"sequence {seq} does not advance past {self._last_seq}; "
                 "the log already covers it"
             )
-        try:
-            body = json.dumps(payload, separators=(",", ":")).encode()
-        except (TypeError, ValueError) as exc:
-            raise WalError(
-                f"record payload for seq {seq} is not JSON-encodable: {exc}"
-            ) from exc
-        crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
-        record = _HEADER.pack(len(body), crc, seq) + body
+        record = _encode_record(seq, payload)
         if self._handle is None or (
             self._segment_size > 0
             and self._segment_size + len(record) > self.segment_max_bytes
@@ -432,14 +494,7 @@ class WalWriter:
                     "the log already covers it"
                 )
             last = seq
-            try:
-                body = json.dumps(payload, separators=(",", ":")).encode()
-            except (TypeError, ValueError) as exc:
-                raise WalError(
-                    f"record payload for seq {seq} is not JSON-encodable: {exc}"
-                ) from exc
-            crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
-            encoded.append((seq, _HEADER.pack(len(body), crc, seq) + body))
+            encoded.append((seq, _encode_record(seq, payload)))
         total = 0
         pending: list[bytes] = []
         pending_bytes = 0

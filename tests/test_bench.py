@@ -153,6 +153,14 @@ class TestWalBench:
         out = capsys.readouterr().out
         assert "fsync policy" in out
         assert "batch:64" in out
+        assert "WAL append" in out and "outbox delivery" in out
+
+    def test_record_costs_cover_every_record_and_delivery(self):
+        from repro.bench.wal import run_record_costs
+
+        costs = run_record_costs(full_scale=False)
+        assert costs.appends == 1980 and costs.deliveries == 330
+        assert costs.append_us > 0 and costs.delivery_us > 0
 
 
 class TestServeBench:

@@ -1,0 +1,280 @@
+"""Byte identity of the template-encoded durable records.
+
+WAL bodies and outbox intent/ack lines are formatted from templates
+instead of by ``json.dumps`` (see ``repro.resilience.durability``); the
+files they produce must not change by a byte.  Three layers of proof:
+
+* ``encode_payload`` equals ``json.dumps(payload, separators=(",", ":"))``
+  over every payload shape the durable layer writes, template-eligible
+  or not;
+* the outbox line formatters equal ``_format_line`` of the dict they
+  replaced;
+* a fixed ``DurableEngine`` run produces WAL segments and an
+  ``outbox.log`` whose SHA-256 was pinned from the commit before the
+  templates existed.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import Engine, Observation
+from repro.bench.workloads import build_events_axis_workload
+from repro.core.errors import WalError
+from repro.resilience.durability import DurableEngine, WalWriter
+from repro.resilience.durability import outbox as outbox_module
+from repro.resilience.durability import wal as wal_module
+from repro.resilience.durability.engine import encode_observation
+from repro.resilience.durability.outbox import (
+    _did_field,
+    _format_line,
+    _intent_line,
+    _marker_line,
+)
+from repro.resilience.durability.wal import compact_json, encode_payload
+
+
+def reference(payload) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
+# Ids as hostile as a reader can make them: NUL, quotes, backslashes,
+# non-ASCII, astral planes and lone surrogates all take the escape path.
+ids = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\n", "é", " ", "\ud800", "😀"]),
+    ),
+    max_size=12,
+)
+timestamps = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e22, 1e-7, 5e-324, 1.7976931348623157e308]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    ids,
+)
+provenance = st.one_of(
+    st.tuples(ids, st.integers(min_value=-(2**70), max_value=2**70)).map(list),
+    st.tuples(ids, st.integers()),  # a tuple, as submit(client=...) takes it
+    st.tuples(ids, st.booleans()).map(list),
+    st.tuples(st.integers(), st.integers()).map(list),
+    st.lists(ids, max_size=3),
+    st.none(),
+)
+scalars = st.one_of(
+    ids, st.integers(), st.floats(), st.booleans(), st.none()
+)
+extras = st.dictionaries(
+    ids, st.one_of(scalars, st.lists(scalars, max_size=3)), max_size=3
+)
+
+
+@st.composite
+def payloads(draw):
+    """Every shape the durable layer hands the WAL, and near misses."""
+    shape = draw(
+        st.sampled_from(["observation", "poison", "marker", "shuffled"])
+    )
+    if shape == "marker":
+        payload = {"k": draw(st.sampled_from(["f", "n"]))}
+    elif shape == "poison":
+        payload = {
+            "k": "m",
+            "r": draw(scalars),
+            "o": draw(scalars),
+            "t": draw(timestamps),
+        }
+    else:
+        payload = {
+            "k": "o",
+            "r": draw(st.one_of(ids, st.none(), st.integers())),
+            "o": draw(ids),
+            "t": draw(timestamps),
+        }
+        if draw(st.booleans()):
+            payload["x"] = draw(extras)
+    if draw(st.booleans()):
+        payload["c"] = draw(provenance)
+    if shape == "shuffled":
+        payload = dict(draw(st.permutations(list(payload.items()))))
+    return payload
+
+
+class TestEncodePayload:
+    @given(payloads())
+    @example({"k": "o", "r": "r1", "o": "urn:epc:id:sgtin:1.2.3", "t": 12.5})
+    @example({"k": "o", "r": "r\x00\"é", "o": "\ud800", "t": -0.0, "c": ["c", 7]})
+    @example({"k": "o", "r": "r", "o": "x", "t": 1e22, "c": ["c", True]})
+    @example({"k": "o", "r": "r", "o": "x", "t": float("nan")})
+    @example({"k": "o", "r": "r", "o": "x", "t": float("-inf"), "c": ["c", 1]})
+    @example({"k": "o", "r": "r", "o": "x", "t": True})
+    @example({"k": "o", "r": "r", "o": "x", "t": 3, "c": ("c", 1)})
+    @example({"k": "f", "c": ["c", 4]})
+    @example({"k": "n", "c": ["c", 4]})
+    @settings(max_examples=400, deadline=None)
+    def test_equals_json_dumps(self, payload):
+        assert encode_payload(payload) == reference(payload)
+
+    @given(ids, ids, st.floats(allow_nan=False, allow_infinity=False), ids,
+           st.integers(min_value=0, max_value=2**63))
+    @settings(max_examples=200, deadline=None)
+    def test_observation_payloads_equal_json_dumps(
+        self, reader, obj, timestamp, client_id, client_seq
+    ):
+        payload = encode_observation(Observation(reader, obj, timestamp))
+        assert encode_payload(payload) == reference(payload)
+        payload["c"] = [client_id, client_seq]
+        assert encode_payload(payload) == reference(payload)
+
+    def test_hot_shapes_never_reach_the_general_encoder(self, monkeypatch):
+        def general(_payload):
+            raise AssertionError("template-eligible payload fell back")
+
+        monkeypatch.setattr(wal_module, "compact_json", general)
+        payload = encode_observation(Observation("r1", "tag-é", 12.5))
+        assert encode_payload(payload) == reference(payload)
+        payload["c"] = ["client-1", 41]
+        assert encode_payload(payload) == reference(payload)
+
+    def test_subclassed_values_fall_back(self):
+        class Reader(str):
+            pass
+
+        class Stamp(float):
+            def __repr__(self):
+                return "not-a-number"
+
+        payload = {"k": "o", "r": Reader("r1"), "o": "x", "t": Stamp(2.5)}
+        assert encode_payload(payload) == reference(payload)
+
+    @pytest.mark.parametrize("many", [False, True])
+    def test_unencodable_payload_names_its_seq(self, tmp_path, many):
+        poison = {"k": "m", "r": object(), "o": "x", "t": 1.0}
+        with WalWriter(str(tmp_path / "wal")) as wal:
+            wal.append(0, {"k": "f"})
+            with pytest.raises(WalError, match="seq 5 is not JSON-encodable"):
+                if many:
+                    wal.append_many([(4, {"k": "f"}), (5, poison)])
+                else:
+                    wal.append(5, poison)
+            # Nothing of the failed call reached the log.
+            assert wal.last_seq == 0
+
+
+rule_ids = st.one_of(st.none(), ids, st.integers())
+detection_ids = st.one_of(st.just(""), ids.filter(bool))
+seqs = st.integers(min_value=-1, max_value=2**63)
+ordinals = st.integers(min_value=0, max_value=2**31)
+
+
+class TestOutboxFormatters:
+    @given(seqs, ordinals, rule_ids, detection_ids)
+    @example(0, 0, None, "")
+    @example(7, 2, "r\"é\x00", "d\ud800")
+    @settings(max_examples=200, deadline=None)
+    def test_intent_line(self, seq, ordinal, rule_id, detection_id):
+        record = {"op": "i", "seq": seq, "ord": ordinal, "rule": rule_id}
+        if detection_id:
+            record["did"] = detection_id
+        line = _intent_line(
+            seq, ordinal, compact_json(rule_id).encode(), _did_field(detection_id)
+        )
+        assert line == _format_line(record)
+
+    @given(st.sampled_from([b"a", b"d", b"i"]), seqs, ordinals, detection_ids)
+    @settings(max_examples=200, deadline=None)
+    def test_marker_line(self, op, seq, ordinal, detection_id):
+        record = {"op": op.decode(), "seq": seq, "ord": ordinal}
+        if detection_id:
+            record["did"] = detection_id
+        line = _marker_line(op, seq, ordinal, _did_field(detection_id))
+        assert line == _format_line(record)
+
+    def test_format_line_is_the_old_encoding(self):
+        record = {"op": "d", "seq": 3, "ord": 1, "rule": "ré", "error": 'E: "x"'}
+        body = reference(record)
+        assert _format_line(record).endswith(b" " + body + b"\n")
+
+    def test_delivery_never_reaches_the_general_encoder(
+        self, tmp_path, monkeypatch
+    ):
+        class Detection:
+            class rule:
+                rule_id = "r4"
+
+        with outbox_module.ActionOutbox(
+            str(tmp_path), lambda *_: None
+        ) as outbox:
+            outbox.deliver(Detection(), 0, 0)  # fills the rule-id cache
+
+            def general(_record):
+                raise AssertionError("intent/ack line fell back")
+
+            monkeypatch.setattr(outbox_module, "compact_json", general)
+            assert outbox.deliver(Detection(), 1, 0) is True
+        entries = outbox_module.read_journal(str(tmp_path / "outbox.log"))
+        assert [(e.op, e.seq, e.detail.get("rule")) for e in entries] == [
+            ("i", 0, "r4"), ("a", 0, None), ("i", 1, "r4"), ("a", 1, None),
+        ]
+
+
+# -- golden run -----------------------------------------------------------------
+
+#: SHA-256 over (name, bytes) of the files the run below leaves behind,
+#: pinned from commit 271955d — the last one that wrote every record
+#: with ``json.dumps``.  If a change to the *format* is intended, say so
+#: and re-pin; an encoder change must never need to.
+GOLDEN_WAL_SHA256 = (
+    "1a306683f518ee18eeb5a9ad12885a5556fc6ac5b2a33b632b97c9de0885864d"
+)
+GOLDEN_OUTBOX_SHA256 = (
+    "ef98cb8be10f8a886277baa91f6587a175d0bbba78d37a918e95e06d5175a25f"
+)
+
+
+def _digest(directory, names):
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as handle:
+            data = handle.read()
+        digest.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0")
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def test_golden_run_is_byte_identical_to_the_json_dumps_writers(tmp_path):
+    workload = build_events_axis_workload(2_000, n_rules=10)
+    observations = workload.observations
+    assert len(observations) == 1980
+    delivered = []
+    directory = str(tmp_path / "state")
+    with DurableEngine(
+        lambda: Engine(workload.rules, context="chronicle"),
+        directory,
+        checkpoint_every=700,
+        segment_max_bytes=48 * 1024,
+        sink=lambda detection, seq, ordinal: delivered.append((seq, ordinal)),
+    ) as durable:
+        # Mixed entry points: provenance-carrying batches (the served
+        # path), one bare batch, per-observation submits, a flush.
+        for start in range(0, 1536, 256):
+            durable.submit_many(
+                observations[start : start + 256], client=("golden-é", start)
+            )
+        durable.submit_many(observations[1536:1792])
+        for index, observation in enumerate(observations[1792:], 1792):
+            durable.submit(observation, client=("golden-é", index))
+        durable.flush(client=("golden-é", len(observations)))
+        assert durable.checkpoints_written == 2
+    assert len(delivered) == workload.expected_detections == 330
+    wal_dir = os.path.join(directory, "wal")
+    segments = sorted(os.listdir(wal_dir))
+    assert len(segments) >= 2
+    assert _digest(wal_dir, segments) == GOLDEN_WAL_SHA256
+    assert _digest(directory, ["outbox.log"]) == GOLDEN_OUTBOX_SHA256
