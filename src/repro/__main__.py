@@ -112,9 +112,26 @@ def _cmd_scenario_info(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _print_checks(report: dict) -> None:
+    """One line per invariant of a drill/oracle report."""
+    for name, check in sorted(report["checks"].items()):
+        status = "ok  " if check["ok"] else "FAIL"
+        detail = f" ({check['detail']})" if check["detail"] else ""
+        print(f"  [{status}] {name}{detail}")
+
+
+def _verdict(report: dict, report_path: str | None, label: str) -> int:
+    """Print where the report went and the verdict; the exit status."""
+    if report_path:
+        print(f"report written to {report_path}")
+    print(f"{label} PASSED" if report["ok"] else f"{label} FAILED")
+    return 0 if report["ok"] else 1
+
+
 def _cmd_scenario_run(arguments: argparse.Namespace) -> int:
     """Build one seeded realization, run it, audit it against its oracle."""
     from .scenarios import execute_run, get_pack
+    from .serve.drill import write_report
 
     try:
         pack = get_pack(arguments.pack)
@@ -128,19 +145,9 @@ def _cmd_scenario_run(arguments: argparse.Namespace) -> int:
         f"({len(run.observations)} observations)"
     )
     report = execute_run(run)
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
-    if arguments.report:
-        import json
-
-        with open(arguments.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {arguments.report}")
-    print("oracle PASSED" if report["ok"] else "oracle FAILED")
-    return 0 if report["ok"] else 1
+    _print_checks(report)
+    write_report(report, arguments.report)
+    return _verdict(report, arguments.report, "oracle")
 
 
 def _cmd_smoke(arguments: argparse.Namespace) -> int:
@@ -185,10 +192,7 @@ def _cmd_smoke(arguments: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"smoke: {exc.args[0]}")
         return 2
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
+    _print_checks(report)
     print(
         f"throughput: {report['observations']} observations "
         f"({report['distinct_epcs']} distinct EPCs) in "
@@ -198,10 +202,7 @@ def _cmd_smoke(arguments: argparse.Namespace) -> int:
     )
     if report.get("chaos"):
         print(f"chaos: {report['chaos']}")
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("smoke PASSED" if report["ok"] else "smoke FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict(report, arguments.report, "smoke")
 
 
 def _load_rules(path: str):
@@ -446,10 +447,7 @@ def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
         report_path=arguments.report,
         scenario=arguments.scenario,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
+    _print_checks(report)
     faults = report["faults"]
     print(
         f"faults: {faults['fragments']} fragments, "
@@ -463,10 +461,7 @@ def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
         f"v2 reconnects={clients['v2']['reconnects']} "
         f"heartbeats={clients['v2']['heartbeats']}"
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict(report, arguments.report, "drill")
 
 
 def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
@@ -494,10 +489,7 @@ def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
+    _print_checks(report)
     engine = report["engine"]
     print(
         f"speculation: {engine['speculative']} provisional, "
@@ -509,10 +501,7 @@ def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
         f"outbox: {outbox['held']} held, {outbox['cancelled']} cancelled, "
         f"{outbox['timed_out']} timed out"
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict(report, arguments.report, "drill")
 
 
 def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
@@ -540,10 +529,7 @@ def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    for name, check in sorted(report["checks"].items()):
-        status = "ok  " if check["ok"] else "FAIL"
-        detail = f" ({check['detail']})" if check["detail"] else ""
-        print(f"  [{status}] {name}{detail}")
+    _print_checks(report)
     router = report["router"]
     print(
         f"router: {router['routed']} routed over {router['epochs']} epochs, "
@@ -554,10 +540,7 @@ def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
         f"victim: {report['victim']} (shards {report['victim_shards']}), "
         f"assignment {report['assignment']}"
     )
-    if arguments.report:
-        print(f"report written to {arguments.report}")
-    print("drill PASSED" if report["ok"] else "drill FAILED")
-    return 0 if report["ok"] else 1
+    return _verdict(report, arguments.report, "drill")
 
 
 def _cmd_cluster(arguments: argparse.Namespace) -> int:
@@ -713,6 +696,7 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     from .resilience import tear_wal_tail
     from .resilience.durability import DurableEngine
     from .resilience.durability.engine import WAL_SUBDIR
+    from .scenarios.pack import canon_detections as canon
 
     observations = _packing_stream(arguments.cases, arguments.seed)
     kill_at = (
@@ -723,11 +707,6 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     if not 0 <= kill_at <= len(observations):
         print(f"--kill-at {kill_at} outside stream (0..{len(observations)})")
         return 2
-
-    def canon(detections):
-        return [
-            (d.rule.rule_id, d.time, sorted(d.bindings.items())) for d in detections
-        ]
 
     def build():
         return _build_engine([containment_rule(), location_rule()])

@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
 
 from ..obs.instrument import EngineInstruments, ReorderInstruments
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import CallableObserver, EngineObserver, as_observer
+from ..obs.tracing import EngineObserver, as_observer
 from .contexts import ParameterContext, get_context
 from .errors import ActionError, ConditionError, TimeOrderError
 from .expressions import EventExpr
@@ -162,10 +162,9 @@ class SubmitResult(list):
 
     Historically each layer returned a bare ``list[Detection]`` with no
     way to tell how much of the batch was actually applied.  The
-    contract now: engine-side ``submit_many`` (:class:`Engine`,
-    ``ShardedEngine``, ``SupervisedEngine``, ``DurableEngine``,
-    ``DurableShardedEngine``) returns a :class:`SubmitResult` carrying
-    batch accounting —
+    contract now: ``submit_many`` of every :class:`DetectionBackend`,
+    and of the ``DurableEngine`` wrapped around one, returns a
+    :class:`SubmitResult` carrying batch accounting —
 
     - :attr:`accepted` — observations the engine processed;
     - :attr:`dropped` — rejected by the out-of-order policy;
@@ -208,6 +207,37 @@ class SubmitResult(list):
             f"SubmitResult(accepted={self.accepted}, dropped={self.dropped}, "
             f"quarantined={self.quarantined}, detections={list.__repr__(self)})"
         )
+
+
+class DetectionBackend(Protocol):
+    """What every detection engine offers the layers wrapped around it.
+
+    :class:`Engine`, ``ShardedEngine`` and ``SupervisedEngine`` satisfy
+    it.  ``DurableEngine`` wraps any of them through exactly these
+    methods; ``CepServer`` serves one directly, or durably wrapped.
+
+    ``seq``/``first_seq`` tag observations with the durable sequence
+    numbers of a write-ahead log; the latest one rides inside
+    :meth:`checkpoint`, so a snapshot says which log prefix it covers.
+    :meth:`restore` loads a snapshot into a freshly built backend with
+    the same rules.
+    """
+
+    def submit(
+        self, observation: Observation, seq: Optional[int] = None
+    ) -> list: ...
+
+    def submit_many(
+        self,
+        observations: Iterable[Observation],
+        first_seq: Optional[int] = None,
+    ) -> SubmitResult: ...
+
+    def flush(self) -> list: ...
+
+    def checkpoint(self) -> dict: ...
+
+    def restore(self, snapshot: dict) -> None: ...
 
 
 class ActivationContext:
@@ -327,10 +357,6 @@ class Engine:
     metrics_label:
         The ``engine`` label value for this engine's metrics — distinct
         per shard when several engines share a registry.
-    trace:
-        Deprecated: a bare ``(event_kind, payload)`` callable, the
-        pre-observer API.  Wrapped in a back-compat shim that emits a
-        ``DeprecationWarning``; implement ``EngineObserver`` instead.
     """
 
     def __init__(
@@ -348,7 +374,6 @@ class Engine:
         observer: Optional[EngineObserver] = None,
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: str = "main",
-        trace: Optional[Callable[[str, dict], None]] = None,
     ) -> None:
         self.context = get_context(context)
         self.functions = functions if functions is not None else FunctionRegistry()
@@ -365,9 +390,7 @@ class Engine:
         self._gc_every = max(1, int(gc_every))
         self._started = False
         self._watch_counter = 0
-        if trace is not None and observer is not None:
-            raise ValueError("pass either observer or the deprecated trace")
-        self._observer = as_observer(observer if observer is not None else trace)
+        self._observer = as_observer(observer)
         self._instr: Optional[EngineInstruments] = None
         self._reorder = None
         if reorder_delay is not None:
@@ -447,17 +470,6 @@ class Engine:
 
     @observer.setter
     def observer(self, value: Optional[EngineObserver]) -> None:
-        self._observer = as_observer(value)
-
-    @property
-    def trace(self) -> Optional[Callable[[str, dict], None]]:
-        """Deprecated accessor for a legacy trace callable (shim-wrapped)."""
-        if isinstance(self._observer, CallableObserver):
-            return self._observer.callback
-        return None
-
-    @trace.setter
-    def trace(self, value: Optional[Callable[[str, dict], None]]) -> None:
         self._observer = as_observer(value)
 
     def add_rule(self, rule: RuleLike) -> None:

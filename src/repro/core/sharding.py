@@ -204,26 +204,6 @@ def plan_shards(
     )
 
 
-def shard_placement(shards: Mapping[str, Any]) -> dict[str, list[str]]:
-    """shard name -> rule ids, for any mapping of name to engine.
-
-    The one implementation behind :meth:`ShardedEngine.placement` and
-    the durable fleet's delegation — keeping the two views from
-    drifting apart (the cluster router keys its routing on this shape).
-    """
-    return {
-        name: [rule.rule_id for rule in engine.rules]
-        for name, engine in shards.items()
-    }
-
-
-def shard_traffic(shards: Mapping[str, Any]) -> dict[str, int]:
-    """shard name -> observations processed, for any name→engine mapping."""
-    return {
-        name: engine.stats.observations for name, engine in shards.items()
-    }
-
-
 class ShardedEngine:
     """Partition rules and observation traffic across engines.
 
@@ -301,9 +281,7 @@ class ShardedEngine:
         """The shard names one observation fans out to, in submit order.
 
         Reader-pinned shards first (routing-table order), then the
-        catch-all shard when one exists.  The durable sharded engine uses
-        this to append each observation to exactly the per-shard
-        write-ahead logs that will process it.
+        catch-all shard when one exists.
         """
         targets = list(self._routes.get(observation.reader, ()))
         if self._has_catch_all:
@@ -440,9 +418,15 @@ class ShardedEngine:
     # -- introspection -----------------------------------------------------------
 
     def placement(self) -> dict[str, list[str]]:
-        """shard name -> rule ids, for inspection."""
-        return shard_placement(self.shards)
+        """shard name -> rule ids (the shape the cluster router keys on)."""
+        return {
+            name: [rule.rule_id for rule in engine.rules]
+            for name, engine in self.shards.items()
+        }
 
     def traffic_summary(self) -> dict[str, int]:
         """Observations each shard actually processed."""
-        return shard_traffic(self.shards)
+        return {
+            name: engine.stats.observations
+            for name, engine in self.shards.items()
+        }

@@ -11,8 +11,8 @@ Two halves, both dependency-free:
   when no registry is attached.
 
 * **Tracing** (:mod:`repro.obs.tracing`): the typed
-  :class:`EngineObserver` protocol replacing the legacy ``(kind, dict)``
-  trace callable, plus :class:`Span` timers and testing helpers.
+  :class:`EngineObserver` protocol, plus :class:`Span` timers and
+  testing helpers.
 
 See ``docs/observability.md`` for the full tour.
 
@@ -44,7 +44,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .tracing import (
-    CallableObserver,
     EngineObserver,
     MulticastObserver,
     RecordingObserver,
@@ -53,7 +52,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "CallableObserver",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",

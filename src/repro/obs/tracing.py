@@ -1,11 +1,7 @@
 """Typed engine tracing: the :class:`EngineObserver` protocol and helpers.
 
-Earlier versions exposed engine internals through ``Engine(trace=fn)``
-where ``fn`` received ``(event_kind, payload_dict)`` — stringly typed,
-and every call allocated a fresh payload dict even when the consumer
-only wanted one field.  The observer API replaces it with one method per
-engine event, called with the live objects and no intermediate
-allocation:
+The engine exposes its internals through one method per engine event,
+called with the live objects and no intermediate allocation:
 
 * ``on_observation(observation)`` — an observation enters the main loop;
 * ``on_emit(node, instance)`` — a node emitted an event occurrence;
@@ -15,22 +11,18 @@ allocation:
 * ``on_gc(removed, cutoff)`` — a garbage-collection sweep finished.
 
 :class:`EngineObserver` is both the protocol and a no-op base class:
-subclass it and override only the hooks you care about.  Legacy
-``(kind, payload)`` callables still work — :func:`as_observer` wraps
-them in :class:`CallableObserver` and emits a ``DeprecationWarning``.
+subclass it and override only the hooks you care about.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Callable, Optional, Union
 
 from .metrics import Histogram, MetricFamily
 
 __all__ = [
     "EngineObserver",
-    "CallableObserver",
     "MulticastObserver",
     "RecordingObserver",
     "Span",
@@ -76,38 +68,6 @@ class EngineObserver:
 
     def on_gc(self, removed: int, cutoff: float) -> None:
         """A GC sweep reclaimed ``removed`` items older than ``cutoff``."""
-
-
-class CallableObserver(EngineObserver):
-    """Adapter giving a legacy ``(kind, payload)`` callable observer form.
-
-    Reproduces the historical payload shapes exactly, so pre-observer
-    trace consumers keep working unchanged — at the historical cost of a
-    dict allocation per event, which is why this path is deprecated.
-    """
-
-    __slots__ = ("callback",)
-
-    def __init__(self, callback: Callable[[str, dict], None]) -> None:
-        self.callback = callback
-
-    def on_observation(self, observation) -> None:
-        self.callback("observation", {"observation": observation})
-
-    def on_emit(self, node, instance) -> None:
-        self.callback("emit", {"node": node.node_id, "instance": instance})
-
-    def on_pseudo(self, event) -> None:
-        self.callback("pseudo", {"event": event})
-
-    def on_kill(self, node) -> None:
-        self.callback("kill", {"node": node.node_id})
-
-    def on_detection(self, detection) -> None:
-        self.callback("detection", {"detection": detection})
-
-    def on_gc(self, removed: int, cutoff: float) -> None:
-        self.callback("gc", {"removed": removed, "cutoff": cutoff})
 
 
 class MulticastObserver(EngineObserver):
@@ -213,31 +173,17 @@ class Span:
             self.sink(self.elapsed)
 
 
-def as_observer(
-    trace: Union[EngineObserver, Callable[[str, dict], None], None],
-) -> Optional[EngineObserver]:
-    """Normalise a trace argument into an :class:`EngineObserver`.
+def as_observer(observer: Any) -> Optional[EngineObserver]:
+    """Check an ``observer=`` argument; returns it, or None for None.
 
-    ``None`` passes through; an :class:`EngineObserver` (or any object
-    with every observer hook) is used as-is; a bare callable gets the
-    deprecated :class:`CallableObserver` wrapper plus a
-    ``DeprecationWarning``.
+    An :class:`EngineObserver`, or any object with every observer hook,
+    is used as-is; anything else is a ``TypeError``.
     """
-    if trace is None:
-        return None
-    if isinstance(trace, EngineObserver):
-        return trace
-    if all(callable(getattr(trace, hook, None)) for hook in OBSERVER_HOOKS):
-        return trace  # structural match: duck-typed observer
-    if callable(trace):
-        warnings.warn(
-            "passing a bare (kind, payload) callable as Engine trace is "
-            "deprecated; implement repro.obs.EngineObserver instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return CallableObserver(trace)
+    if observer is None or isinstance(observer, EngineObserver):
+        return observer
+    if all(callable(getattr(observer, hook, None)) for hook in OBSERVER_HOOKS):
+        return observer  # structural match: duck-typed observer
     raise TypeError(
-        f"trace must be an EngineObserver or a (kind, payload) callable, "
-        f"got {type(trace).__name__}"
+        f"observer must be an EngineObserver (or have every on_* hook), "
+        f"got {type(observer).__name__}"
     )

@@ -42,7 +42,6 @@ from .chaos import (
 from .durability import (
     ActionOutbox,
     DurableEngine,
-    DurableShardedEngine,
     FsyncPolicy,
     RecoveryReport,
     WalWriter,
@@ -78,7 +77,6 @@ __all__ = [
     "DeadLetterEntry",
     "DeadLetterQueue",
     "DurableEngine",
-    "DurableShardedEngine",
     "FORMAT",
     "FsyncPolicy",
     "MalformedObservation",

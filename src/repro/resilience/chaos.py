@@ -334,10 +334,8 @@ def kill_and_restore_run(
 ) -> tuple[list, Any]:
     """Run an engine, kill it after ``kill_at`` observations, restore, finish.
 
-    ``factory`` builds the engine (anything with ``submit`` / ``flush`` /
-    ``checkpoint`` / ``restore``: :class:`~repro.core.detector.Engine`,
-    :class:`~repro.core.sharding.ShardedEngine` or
-    :class:`~repro.resilience.supervise.SupervisedEngine`).  The first
+    ``factory`` builds the engine (any
+    :class:`~repro.core.detector.DetectionBackend`).  The first
     engine processes ``observations[:kill_at]`` and is checkpointed and
     discarded — with ``via_json`` (default) the snapshot additionally
     round-trips through ``json.dumps``/``loads``, proving it survives

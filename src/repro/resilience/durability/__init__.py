@@ -8,11 +8,11 @@ Three modules, one guarantee:
 * :mod:`~repro.resilience.durability.outbox` — a journaled action outbox
   giving detection side effects exactly-once semantics across replays;
 * :mod:`~repro.resilience.durability.engine` —
-  :class:`DurableEngine` / :class:`DurableShardedEngine`, which compose
-  the two with the existing checkpoint layer: log, detect, deliver,
-  checkpoint periodically, and :meth:`DurableEngine.recover` from any
-  crash point with detections and external deliveries identical to an
-  uninterrupted run.
+  :class:`DurableEngine`, which composes the two with the existing
+  checkpoint layer over any detection backend (sharded included): log,
+  detect, deliver, checkpoint periodically, and
+  :meth:`DurableEngine.recover` from any crash point with detections
+  and external deliveries identical to an uninterrupted run.
 
 See the "Durability & recovery" section of ``docs/resilience.md`` and
 ``python -m repro wal drill`` for a self-contained demonstration.
@@ -20,7 +20,6 @@ See the "Durability & recovery" section of ``docs/resilience.md`` and
 
 from .engine import (
     DurableEngine,
-    DurableShardedEngine,
     RecoveryReport,
     checkpoint_files,
     checkpoint_seq,
@@ -42,7 +41,6 @@ from .wal import (
 __all__ = [
     "ActionOutbox",
     "DurableEngine",
-    "DurableShardedEngine",
     "FsyncPolicy",
     "OutboxEntry",
     "RecoveryReport",

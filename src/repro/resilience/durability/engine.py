@@ -1,7 +1,9 @@
-"""Durable engines: log-ahead detection with recover-anywhere semantics.
+"""The durable engine: log-ahead detection with recover-anywhere semantics.
 
-:class:`DurableEngine` wraps any checkpointable engine (bare
-:class:`~repro.core.detector.Engine` or
+:class:`DurableEngine` wraps any
+:class:`~repro.core.detector.DetectionBackend` (bare
+:class:`~repro.core.detector.Engine`,
+:class:`~repro.core.sharding.ShardedEngine`,
 :class:`~repro.resilience.supervise.SupervisedEngine`) behind three
 cooperating pieces of storage under one directory::
 
@@ -26,15 +28,6 @@ the same detections), already-acked deliveries suppressed by the outbox.
 The recovery tests assert the strong form — for a kill after *any*
 observation, detections plus external deliveries equal the uninterrupted
 run's, exactly once each.
-
-:class:`DurableShardedEngine` extends the same protocol to a
-:class:`~repro.core.sharding.ShardedEngine`: each observation is logged
-to the WAL of *every* shard it routes to (same global sequence number),
-checkpoints snapshot every shard and become visible atomically through a
-``manifest.json`` replace — the manifest entry is the commit point, so
-recovery always sees a consistent cut across shards.  Replay merges the
-per-shard logs by sequence number (multicast copies deduplicate) and
-re-submits through the coordinator, which re-routes deterministically.
 
 Test hook: assign :attr:`DurableEngine.failpoint` a callable
 ``(stage, seq)`` and it is invoked at ``"append"`` (logged, not yet
@@ -64,16 +57,12 @@ from .wal import FsyncPolicy, WalWriter, read_wal, segment_files
 
 __all__ = [
     "DurableEngine",
-    "DurableShardedEngine",
     "RecoveryReport",
     "checkpoint_files",
     "checkpoint_seq",
 ]
 
 CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{16})\.json$")
-MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT = "rceda-durable-manifest"
-MANIFEST_VERSION = 1
 
 WAL_SUBDIR = "wal"
 
@@ -115,11 +104,6 @@ def encode_observation(observation: Any) -> dict:
 
 
 FLUSH_MARKER = {"k": "f"}
-
-#: WAL payload kind for a record that carries *only* client provenance —
-#: written when a serving client's observation routed to no shard, so the
-#: client's ack frontier is still durable.  Replay applies nothing for it.
-NOOP_KIND = "n"
 
 #: Reserved payload key for client provenance: ``[client_id, client_seq]``.
 #: The serving layer passes it via ``submit(..., client=...)`` so that a
@@ -175,9 +159,7 @@ def _resolve_client_seqs(client, count: int):
 def decode_payload(payload: dict) -> Optional[Any]:
     """Inverse of :func:`encode_observation`.
 
-    Returns ``None`` for the two markers that carry no observation:
-    flush records and frontier-only no-ops (distinguish them by
-    ``payload["k"]`` — ``"f"`` vs ``"n"`` — when it matters).
+    Returns ``None`` for a flush marker, which carries no observation.
     """
     kind = payload.get("k")
     if kind == "o":
@@ -188,7 +170,7 @@ def decode_payload(payload: dict) -> Optional[Any]:
         return MalformedObservation(
             payload.get("r"), payload.get("o"), payload.get("t")
         )
-    if kind in ("f", NOOP_KIND):
+    if kind == "f":
         return None
     raise WalError(f"unknown WAL payload kind {kind!r}")
 
@@ -236,15 +218,47 @@ class RecoveryReport:
     next_seq: int
 
 
+def _refuse_retired_layout(directory: str, wal_dir: str) -> None:
+    """Fail closed on a directory in the retired per-shard layout.
+
+    Earlier versions kept a sharded deployment as ``manifest.json`` plus
+    one log per shard under ``wal/<shard>/``.  Nothing here reads that:
+    the top-level log would look empty, and the engine would start cold
+    at sequence 0 over state that is still live.
+    """
+    shard_logs = os.path.isdir(wal_dir) and any(
+        os.path.isdir(path) and segment_files(path)
+        for path in (os.path.join(wal_dir, name) for name in os.listdir(wal_dir))
+    )
+    if shard_logs or os.path.exists(os.path.join(directory, "manifest.json")):
+        raise WalError(
+            f"directory {directory!r} holds the retired per-shard durable "
+            "layout (manifest.json, wal/<shard>/ logs), which this version "
+            "cannot resume; sharded durability is one log and one snapshot: "
+            "DurableEngine(lambda: ShardedEngine(...), fresh_directory)"
+        )
+
+
 class DurableEngine:
-    """Crash-consistent wrapper around one detection engine.
+    """Crash-consistent wrapper around one detection backend.
 
     ``factory`` builds the underlying engine from scratch (same rules,
     same order — the checkpoint fingerprint enforces it); the wrapper
-    owns ``directory``.  A fresh ``DurableEngine`` refuses a directory
-    that already holds a log or checkpoints: that state belongs to a
-    previous life and silently appending to it would corrupt sequence
-    numbering — call :meth:`recover` instead.
+    owns ``directory``.  What it wraps is exactly the
+    :class:`~repro.core.detector.DetectionBackend` contract —
+    ``submit(observation, seq=)``, ``flush()``, ``checkpoint()``,
+    ``restore(snapshot)`` — so a
+    :class:`~repro.core.sharding.ShardedEngine` factory gives sharded
+    durability with no further code: one log (a multicast reading is
+    logged once), one ``checkpoint-<seq>.json`` whose atomic replace is
+    the consistent cut across shards.  On top of the contract it adds
+    ``client=`` provenance on ``submit``/``submit_many``/``flush`` and
+    the recovered :attr:`client_frontiers` map.
+
+    A fresh ``DurableEngine`` refuses a directory that already holds a
+    log or checkpoints: that state belongs to a previous life and
+    silently appending to it would corrupt sequence numbering — call
+    :meth:`recover` instead.
 
     ``sink(detection, seq, ordinal)``, when given, is the external
     effect; it runs under ``retry`` with exactly-once replay protection
@@ -290,6 +304,7 @@ class DurableEngine:
         self.keep_checkpoints = keep_checkpoints
         os.makedirs(directory, exist_ok=True)
         wal_dir = os.path.join(directory, WAL_SUBDIR)
+        _refuse_retired_layout(directory, wal_dir)
         if not _existing and (
             checkpoint_files(directory)
             or segment_files(wal_dir)
@@ -606,14 +621,11 @@ class DurableEngine:
                 )
             first_record = False
             _note_client(self.client_frontiers, record.payload)
-            if record.payload.get("k") == NOOP_KIND:
-                detections = []
+            observation = decode_payload(record.payload)
+            if observation is None:
+                detections = self.engine.flush()
             else:
-                observation = decode_payload(record.payload)
-                if observation is None:
-                    detections = self.engine.flush()
-                else:
-                    detections = self.engine.submit(observation, seq=record.seq)
+                detections = self.engine.submit(observation, seq=record.seq)
             replayed += 1
             if self.instruments is not None:
                 self.instruments.wal_replayed.inc()
@@ -647,462 +659,3 @@ class DurableEngine:
     @property
     def clock(self) -> float:
         return self.engine.clock
-
-
-class DurableShardedEngine:
-    """Consistent-cut durability for a sharded deployment.
-
-    ``factory`` builds the :class:`~repro.core.sharding.ShardedEngine`
-    (placement is deterministic, so every life sees the same shard set).
-    Each observation is appended — under one global sequence number — to
-    the WAL of every shard it routes to, *then* submitted through the
-    coordinator.  A checkpoint snapshots every shard to its own file and
-    commits them together by atomically replacing ``manifest.json``; a
-    crash between the snapshot writes and the manifest replace leaves
-    orphan files and a manifest still pointing at the previous complete
-    cut, which is exactly what recovery uses.
-
-    Replay merges all per-shard logs by sequence number.  Multicast
-    observations appear once per target shard; the merge deduplicates
-    them and re-submits once through the coordinator, whose routing
-    re-derives the same fan-out.  Deliveries share one outbox keyed by
-    global sequence, so the exactly-once guarantee is fleet-wide.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], Any],
-        directory: str,
-        *,
-        fsync: "FsyncPolicy | str" = FsyncPolicy.NEVER,
-        checkpoint_every: int = 100,
-        keep_checkpoints: int = 2,
-        segment_max_bytes: int = 1 << 20,
-        sink: Optional[Callable[[Any, int, int], None]] = None,
-        retry: Optional[RetryPolicy] = None,
-        dead_letter_capacity: int = 1000,
-        confidence: str = "immediate",
-        provisional_timeout: Optional[float] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        metrics_label: str = "durable-fleet",
-        _existing: bool = False,
-    ) -> None:
-        if keep_checkpoints < 1:
-            raise ValueError("keep_checkpoints must be >= 1")
-        self._factory = factory
-        self.directory = directory
-        self.checkpoint_every = checkpoint_every
-        self.keep_checkpoints = keep_checkpoints
-        os.makedirs(directory, exist_ok=True)
-        manifest_path = os.path.join(directory, MANIFEST_NAME)
-        if not _existing and (
-            os.path.exists(manifest_path)
-            or os.path.isdir(os.path.join(directory, WAL_SUBDIR))
-            or os.path.exists(os.path.join(directory, JOURNAL_NAME))
-        ):
-            raise WalError(
-                f"directory {directory!r} already holds durable state; "
-                "use DurableShardedEngine.recover() to resume it"
-            )
-        self.instruments: Optional[DurabilityInstruments] = (
-            DurabilityInstruments(metrics, engine_label=metrics_label)
-            if metrics is not None
-            else None
-        )
-        self.coordinator = factory()
-        policy = FsyncPolicy.parse(fsync)
-        self.wals: dict[str, WalWriter] = {
-            name: WalWriter(
-                os.path.join(directory, WAL_SUBDIR, name),
-                fsync=policy,
-                segment_max_bytes=segment_max_bytes,
-                instruments=self.instruments,
-            )
-            for name in self.coordinator.shards
-        }
-        self.outbox: Optional[ActionOutbox] = (
-            ActionOutbox(
-                directory,
-                sink,
-                retry=retry,
-                dead_letter_capacity=dead_letter_capacity,
-                fsync=policy.mode == "always",
-                instruments=self.instruments,
-                confidence=confidence,
-                provisional_timeout=provisional_timeout,
-            )
-            if sink is not None
-            else None
-        )
-        self._manifest_path = manifest_path
-        self._history: list[dict] = []
-        self._next_seq = (
-            max(wal.last_seq for wal in self.wals.values()) + 1
-            if self.wals
-            else 0
-        )
-        self._since_checkpoint = 0
-        self.checkpoints_written = 0
-        #: Per serving client id, as in :attr:`DurableEngine.client_frontiers`
-        #: — committed with every WAL append and every manifest cut.
-        self.client_frontiers: dict[str, int] = {}
-        self.failpoint: Optional[Callable[[str, int], None]] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        for wal in self.wals.values():
-            wal.close()
-        if self.outbox is not None:
-            self.outbox.close()
-
-    def __enter__(self) -> "DurableShardedEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _fire(self, stage: str, seq: int) -> None:
-        if self.failpoint is not None:
-            self.failpoint(stage, seq)
-
-    # -- streaming ----------------------------------------------------------
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    def submit(
-        self, observation: Any, *, client: Optional[tuple[str, int]] = None
-    ) -> list:
-        """Log to every target shard's WAL, then route through them."""
-        seq = self._next_seq
-        targets = self.coordinator.routes_for(observation)
-        if targets:
-            payload = encode_observation(observation)
-            if client is not None:
-                payload[CLIENT_KEY] = list(client)
-            for name in targets:
-                self.wals[name].append(seq, payload)
-        elif client is not None and self.wals:
-            # An unrouted observation touches no shard state, but its
-            # client's ack frontier must still survive a crash: log a
-            # frontier-only no-op (replay applies nothing for it).
-            self.wals[next(iter(self.wals))].append(
-                seq, {"k": NOOP_KIND, CLIENT_KEY: list(client)}
-            )
-        # An unrouted observation without provenance consumes its sequence
-        # number with no record anywhere — it touched no shard state, so
-        # replay skipping it is exact (the merge tolerates the gap).
-        if client is not None:
-            _note_client(
-                self.client_frontiers, {CLIENT_KEY: list(client)}
-            )
-        self._next_seq = seq + 1
-        self._fire("append", seq)
-        detections = self.coordinator.submit(observation, seq=seq)
-        self._fire("detect", seq)
-        self._deliver(detections, seq)
-        self._fire("deliver", seq)
-        self._since_checkpoint += 1
-        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint_now()
-        return detections
-
-    def submit_many(
-        self,
-        observations: Iterable[Any],
-        *,
-        client: Optional[tuple[str, int]] = None,
-    ) -> SubmitResult:
-        """Log a whole batch with one WAL call per shard, then route.
-
-        The multicast analogue of :meth:`DurableEngine.submit_many`:
-        each observation still reaches the WAL of every shard it routes
-        to (same global seq, same record bytes as a submit loop — an
-        unrouted observation with provenance becomes the usual
-        frontier no-op), but each shard's records for the batch are
-        committed with one ``append_many``, so the fsync count per
-        batch is the number of *touched shards*, not the number of
-        observations.  ``client`` is ``(client_id, first_seq)`` or
-        ``(client_id, per-observation seqs)`` — see
-        :func:`_resolve_client_seqs`.
-        """
-        observations = list(observations)
-        if not observations:
-            return SubmitResult()
-        if client is not None:
-            client_id, client_seqs = _resolve_client_seqs(
-                client, len(observations)
-            )
-        first_seq = self._next_seq
-        per_wal: dict[str, list[tuple[int, dict]]] = {}
-        routed_targets: list[tuple[int, Any]] = []
-        for index, observation in enumerate(observations):
-            seq = first_seq + index
-            provenance = (
-                None if client is None else [client_id, client_seqs[index]]
-            )
-            targets = self.coordinator.routes_for(observation)
-            routed_targets.append((seq, observation))
-            if targets:
-                payload = encode_observation(observation)
-                if provenance is not None:
-                    payload[CLIENT_KEY] = provenance
-                for name in targets:
-                    per_wal.setdefault(name, []).append((seq, payload))
-            elif provenance is not None and self.wals:
-                per_wal.setdefault(next(iter(self.wals)), []).append(
-                    (seq, {"k": NOOP_KIND, CLIENT_KEY: provenance})
-                )
-        for name, records in per_wal.items():
-            self.wals[name].append_many(records)
-        if client is not None:
-            _note_client(
-                self.client_frontiers,
-                {CLIENT_KEY: [client_id, client_seqs[-1]]},
-            )
-        self._next_seq = first_seq + len(observations)
-        # As in DurableEngine.submit_many: one failpoint check per batch.
-        fire = self._fire if self.failpoint is not None else None
-        if fire is not None:
-            for seq, _observation in routed_targets:
-                fire("append", seq)
-        detections = SubmitResult(accepted=len(observations))
-        submit = self.coordinator.submit
-        for seq, observation in routed_targets:
-            batch_out = submit(observation, seq=seq)
-            if fire is not None:
-                fire("detect", seq)
-            if batch_out:
-                self._deliver(batch_out, seq)
-                detections.extend(batch_out)
-            if fire is not None:
-                fire("deliver", seq)
-        self._since_checkpoint += len(observations)
-        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint_now()
-        return detections
-
-    def flush(self, *, client: Optional[tuple[str, int]] = None) -> list:
-        seq = self._next_seq
-        marker = dict(FLUSH_MARKER)
-        if client is not None:
-            marker[CLIENT_KEY] = list(client)
-        for wal in self.wals.values():
-            wal.append(seq, marker)
-        if client is not None:
-            _note_client(self.client_frontiers, marker)
-        self._next_seq = seq + 1
-        self._fire("append", seq)
-        detections = self.coordinator.flush()
-        self._fire("detect", seq)
-        self._deliver(detections, seq)
-        self._fire("deliver", seq)
-        return detections
-
-    def run(self, observations: Iterable[Any], flush: bool = True) -> Iterator:
-        for observation in observations:
-            yield from self.submit(observation)
-        if flush:
-            yield from self.flush()
-
-    def _deliver(self, detections: list, seq: int) -> None:
-        if self.outbox is None:
-            return
-        for ordinal, detection in enumerate(detections):
-            self.outbox.deliver(detection, seq, ordinal)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def checkpoint_now(self) -> Optional[dict]:
-        """Write a consistent cut: all shard snapshots, one manifest commit."""
-        seq = self._next_seq - 1
-        if seq < 0:
-            return None
-        for wal in self.wals.values():
-            wal.sync()
-        ckpt_dir = os.path.join(self.directory, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        paths: dict[str, str] = {}
-        for name, engine in self.coordinator.shards.items():
-            file_name = f"{name}-{seq:016d}.json"
-            save_checkpoint(
-                engine.checkpoint(), os.path.join(ckpt_dir, file_name)
-            )
-            paths[name] = file_name
-        if self.instruments is not None:
-            self.instruments.checkpoints.inc()
-        self._fire("checkpoint", seq)
-        entry = {
-            "seq": seq,
-            "checkpoints": paths,
-            "routed": self.coordinator.routed,
-            "multicast": self.coordinator.multicast,
-            "clients": dict(self.client_frontiers),
-        }
-        history = (self._history + [entry])[-self.keep_checkpoints :]
-        save_checkpoint(
-            {
-                "format": MANIFEST_FORMAT,
-                "version": MANIFEST_VERSION,
-                "history": history,
-            },
-            self._manifest_path,
-        )
-        self._history = history
-        self._since_checkpoint = 0
-        self.checkpoints_written += 1
-        # Prune: the manifest replace above made the new cut durable.
-        oldest_covered = history[0]["seq"]
-        for wal in self.wals.values():
-            wal.prune(oldest_covered)
-        if self.outbox is not None:
-            self.outbox.compact(oldest_covered)
-        referenced = {
-            file_name
-            for item in history
-            for file_name in item["checkpoints"].values()
-        }
-        for name in os.listdir(ckpt_dir):
-            if name.endswith(".json") and name not in referenced:
-                os.unlink(os.path.join(ckpt_dir, name))
-        return entry
-
-    # -- recovery -----------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        factory: Callable[[], Any],
-        directory: str,
-        **kwargs: Any,
-    ) -> tuple["DurableShardedEngine", RecoveryReport]:
-        """Resume a sharded deployment from its newest consistent cut."""
-        durable = cls(factory, directory, _existing=True, **kwargs)
-        report = durable._replay()
-        return durable, report
-
-    def _load_manifest(self) -> list[dict]:
-        try:
-            manifest = load_checkpoint(self._manifest_path)
-        except FileNotFoundError:
-            return []
-        except CheckpointError:
-            # A torn manifest write never happens (atomic replace), but a
-            # corrupted file reduces to "no usable cuts": cold replay.
-            return []
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise CheckpointError(
-                f"{self._manifest_path!r} is not a durable-fleet manifest"
-            )
-        history = manifest.get("history", [])
-        return history if isinstance(history, list) else []
-
-    def _replay(self) -> RecoveryReport:
-        ckpt_dir = os.path.join(self.directory, "checkpoints")
-        history = self._load_manifest()
-        ckpt_seq = -1
-        tried = 0
-        restored_index = -1
-        for index in range(len(history) - 1, -1, -1):
-            entry = history[index]
-            tried += 1
-            coordinator = self._factory()
-            try:
-                if set(entry["checkpoints"]) != set(coordinator.shards):
-                    raise CheckpointError("manifest shard set mismatch")
-                for name, engine in coordinator.shards.items():
-                    engine.restore(
-                        load_checkpoint(
-                            os.path.join(ckpt_dir, entry["checkpoints"][name])
-                        )
-                    )
-            except (CheckpointError, FileNotFoundError, KeyError, TypeError):
-                continue
-            self.coordinator = coordinator
-            self.coordinator.routed = entry.get("routed", 0)
-            self.coordinator.multicast = entry.get("multicast", 0)
-            self.coordinator._last_seq = entry["seq"]
-            ckpt_seq = entry["seq"]
-            restored_index = index
-            clients = entry.get("clients")
-            if isinstance(clients, dict):
-                self.client_frontiers = {
-                    str(key): int(value) for key, value in clients.items()
-                }
-            break
-        self._history = history[: restored_index + 1] if restored_index >= 0 else []
-
-        # Merge per-shard logs by global sequence (multicast deduplicates).
-        merged: dict[int, dict] = {}
-        torn = 0
-        for name, wal in self.wals.items():
-            torn += wal.truncated_tail_bytes
-            for record in read_wal(
-                os.path.join(self.directory, WAL_SUBDIR, name),
-                start_after=ckpt_seq,
-            ):
-                merged.setdefault(record.seq, record.payload)
-        if merged and ckpt_seq == -1 and min(merged) > 0:
-            raise WalError(
-                f"logs start at sequence {min(merged)} but no manifest cut "
-                "could be restored; the stream prefix is unrecoverable"
-            )
-        replayed = 0
-        suppressed_before = (
-            self.outbox.suppressed if self.outbox is not None else 0
-        )
-        redelivered = 0
-        for seq in sorted(merged):
-            _note_client(self.client_frontiers, merged[seq])
-            if merged[seq].get("k") == NOOP_KIND:
-                detections = []
-            else:
-                observation = decode_payload(merged[seq])
-                if observation is None:
-                    detections = self.coordinator.flush()
-                else:
-                    detections = self.coordinator.submit(observation, seq=seq)
-            replayed += 1
-            if self.instruments is not None:
-                self.instruments.wal_replayed.inc()
-            if self.outbox is not None:
-                for ordinal, detection in enumerate(detections):
-                    if self.outbox.deliver(detection, seq, ordinal):
-                        redelivered += 1
-        floor = max(
-            (wal.last_seq for wal in self.wals.values()), default=-1
-        )
-        self._next_seq = max(ckpt_seq, floor) + 1
-        self._since_checkpoint = 0
-        suppressed = (
-            self.outbox.suppressed - suppressed_before
-            if self.outbox is not None
-            else 0
-        )
-        return RecoveryReport(
-            checkpoint_seq=ckpt_seq,
-            checkpoints_tried=tried,
-            replayed_records=replayed,
-            suppressed_deliveries=suppressed,
-            redelivered=redelivered,
-            torn_bytes_truncated=torn,
-            next_seq=self._next_seq,
-        )
-
-    # -- passthrough --------------------------------------------------------
-    #
-    # Introspection is delegated to the coordinator, whose implementation
-    # lives in repro.core.sharding (shard_placement / shard_traffic) — the
-    # cluster router keys its routing on these views, so there is exactly
-    # one source of truth for their shape.
-
-    def placement(self) -> dict[str, list[str]]:
-        return self.coordinator.placement()
-
-    def traffic_summary(self) -> dict[str, int]:
-        return self.coordinator.traffic_summary()
-
-    def routes_for(self, observation) -> list[str]:
-        return self.coordinator.routes_for(observation)

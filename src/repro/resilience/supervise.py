@@ -487,21 +487,30 @@ class SupervisedEngine:
             self._quarantine_observation(observation, exc)
             return self.engine._take_output()
 
-    def submit_many(self, observations: Iterable[Any]) -> SubmitResult:
+    def submit_many(
+        self,
+        observations: Iterable[Any],
+        first_seq: "Optional[int]" = None,
+    ) -> SubmitResult:
         """Batch submit with per-observation isolation.
 
         Unlike ``Engine.submit_many``, one poison observation does not
         abort the rest of the batch.  Returns a
         :class:`~repro.core.detector.SubmitResult` (a ``list`` of
         detections) whose ``quarantined`` counter says how many of the
-        batch were poison.
+        batch were poison.  With ``first_seq`` given, the batch is
+        numbered ``first_seq, first_seq + 1, ...`` as in
+        ``Engine.submit_many``.
         """
         quarantined_before = self.failures.quarantined
         detections: list[Detection] = []
+        seq = first_seq
         count = 0
         for observation in observations:
-            detections.extend(self.submit(observation))
+            detections.extend(self.submit(observation, seq=seq))
             count += 1
+            if seq is not None:
+                seq += 1
         quarantined = self.failures.quarantined - quarantined_before
         return SubmitResult(
             detections,

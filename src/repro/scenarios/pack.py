@@ -38,6 +38,7 @@ __all__ = [
     "OracleCheck",
     "ScenarioPack",
     "ScenarioRun",
+    "canon_detection",
     "canon_detections",
     "execute_run",
 ]
@@ -158,15 +159,16 @@ class ScenarioPack:
         return None
 
 
+def canon_detection(rule_id: str, time: float, bindings: dict) -> tuple:
+    """One detection in canonical form, whatever carried it: a
+    ``Detection``, a wire frame or a sink journal line."""
+    return (rule_id, round(time, 9), tuple(sorted(bindings.items())))
+
+
 def canon_detections(detections: Sequence) -> list:
     """The canonical detection form shared with the serve drills."""
     return [
-        (
-            d.rule.rule_id,
-            round(d.time, 9),
-            tuple(sorted(d.bindings.items())),
-        )
-        for d in detections
+        canon_detection(d.rule.rule_id, d.time, d.bindings) for d in detections
     ]
 
 

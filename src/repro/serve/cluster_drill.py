@@ -39,13 +39,12 @@ reproducible from the seed echoed in its report.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import tempfile
-from typing import Any, Optional
+from typing import Optional
 
 from .client import AsyncClient, tcp_connector
-from .cluster import SINK_FILENAME, Cluster
+from .cluster import Cluster
 
 __all__ = ["cluster_program", "run_cluster_drill"]
 
@@ -105,39 +104,11 @@ def cluster_program(
     return "\n".join(lines)
 
 
-def _canon(detections) -> list:
-    return [
-        (
-            d.rule.rule_id,
-            round(d.time, 9),
-            tuple(sorted(d.bindings.items())),
-        )
-        for d in detections
-    ]
-
-
-def _canon_payload(payload: dict) -> tuple:
-    return (
-        payload["rule"],
-        round(payload["time"], 9),
-        tuple(sorted(payload["bindings"].items())),
-    )
-
-
-def _obs_key(observation: Any) -> tuple:
-    extra = getattr(observation, "extra", None)
-    return (
-        observation.reader,
-        observation.obj,
-        observation.timestamp,
-        tuple(sorted(extra.items())) if extra else None,
-    )
-
-
 def _build_workload(seed: int, lines: int, cases_per_line: int):
     """(program text, stream, canonical baseline detections)."""
     from ..core.detector import Engine
     from ..lang import parse_rules
+    from ..scenarios.pack import canon_detections
     from ..simulator import simulate_multi_packing
     from ..store import RfidStore
 
@@ -150,7 +121,7 @@ def _build_workload(seed: int, lines: int, cases_per_line: int):
     program = cluster_program(trace.reader_pairs)
     stream = list(trace.observations)
     engine = Engine(parse_rules(program), store=RfidStore())
-    baseline = _canon(engine.run(stream))
+    baseline = canon_detections(engine.run(stream))
     return program, stream, baseline
 
 
@@ -164,6 +135,8 @@ async def _drill(
 ) -> dict:
     from ..resilience.durability import decode_payload, read_wal
     from ..resilience.durability.engine import CLIENT_KEY, WAL_SUBDIR
+    from ..scenarios.pack import canon_detection
+    from .drill import Checks, close_quietly, obs_key, read_worker_sinks
 
     program, stream, baseline = _build_workload(seed, lines, cases_per_line)
     cluster = Cluster(
@@ -214,10 +187,7 @@ async def _drill(
         # same ordered queue, give the transport a beat to deliver them.
         await asyncio.sleep(0.2)
 
-        checks: list = []
-
-        def check(name: str, ok: bool, detail: str = "") -> None:
-            checks.append((name, bool(ok), detail))
+        check = Checks()
 
         router = cluster.router
         stats = router.stats
@@ -234,7 +204,7 @@ async def _drill(
         }
         for seq, observation in enumerate(stream):
             for shard in routes(observation.reader):
-                expected[shard].append((seq, _obs_key(observation)))
+                expected[shard].append((seq, obs_key(observation)))
         for shard, node in sorted(cluster.plan.assignment.items()):
             shard_dir = os.path.join(directory, node, shard)
             got = []
@@ -244,7 +214,7 @@ async def _drill(
                     continue
                 client_prov = record.payload.get(CLIENT_KEY)
                 source_seq = client_prov[1] if client_prov else None
-                got.append((source_seq, _obs_key(decoded)))
+                got.append((source_seq, obs_key(decoded)))
             check(
                 f"wal_{shard}",
                 got == expected[shard],
@@ -252,20 +222,17 @@ async def _drill(
             )
 
         # 2. Exactly-once detections at the worker sinks.
-        deliveries: list = []
-        for shard, node in cluster.plan.assignment.items():
-            sink_path = os.path.join(directory, node, shard, SINK_FILENAME)
-            if not os.path.exists(sink_path):
-                continue
-            with open(sink_path, encoding="utf-8") as handle:
-                for line in handle:
-                    payload = json.loads(line)
-                    deliveries.append(
-                        (
-                            (shard, payload["seq"], payload["ordinal"]),
-                            _canon_payload(payload),
-                        )
-                    )
+        deliveries = [
+            (
+                (shard, payload["seq"], payload["ordinal"]),
+                canon_detection(
+                    payload["rule"], payload["time"], payload["bindings"]
+                ),
+            )
+            for shard, payload in read_worker_sinks(
+                directory, cluster.plan.assignment
+            )
+        ]
         keys = [key for key, _ in deliveries]
         check(
             "sink_no_duplicates",
@@ -281,7 +248,7 @@ async def _drill(
 
         # 3. Pushes: at-most-once, no duplicates, no inventions.
         pushed = [
-            (frame.rule, round(frame.time, 9), tuple(sorted(frame.bindings.items())))
+            canon_detection(frame.rule, frame.time, frame.bindings)
             for frame in pushes
         ]
         check(
@@ -322,7 +289,7 @@ async def _drill(
         )
 
         return {
-            "ok": all(ok for _, ok, _ in checks),
+            "ok": check.ok,
             "seed": seed,
             "workers": workers,
             "lines": lines,
@@ -332,10 +299,7 @@ async def _drill(
             "victim": victim,
             "victim_shards": victim_shards,
             "assignment": dict(cluster.plan.assignment),
-            "checks": {
-                name: {"ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            },
+            "checks": dict(check),
             "router": {
                 "routed": stats.routed,
                 "multicast": stats.multicast,
@@ -348,14 +312,8 @@ async def _drill(
         }
     finally:
         if client is not None:
-            try:
-                await asyncio.wait_for(client.close(), 2)
-            except Exception:
-                pass
-        try:
-            await cluster.stop()
-        except Exception:
-            pass
+            await close_quietly(client.close, timeout=2)
+        await close_quietly(cluster.stop)
 
 
 def run_cluster_drill(
@@ -379,15 +337,13 @@ def run_cluster_drill(
     """
     if directory is None:
         directory = tempfile.mkdtemp(prefix="chaos-cluster-")
-    report = asyncio.run(
-        asyncio.wait_for(
-            _drill(seed, lines, cases_per_line, workers, directory, inprocess),
-            timeout,
-        )
+    # .drill is imported here, not at module level: repro.serve imports
+    # this module eagerly, and a worker process should not load the rest.
+    from .drill import run_bounded, write_report
+
+    report = run_bounded(
+        _drill(seed, lines, cases_per_line, workers, directory, inprocess),
+        timeout,
     )
     report["directory"] = directory
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
+    return write_report(report, report_path)

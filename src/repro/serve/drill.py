@@ -40,14 +40,111 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import tempfile
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
+from ..scenarios.pack import canon_detections
 from .client import AsyncClient, RetryConfig, tcp_connector
+from .cluster import SINK_FILENAME
 from .faults import ChaosProxy, NetworkFaultPlan
 from .server import CepServer, ServeConfig
 
 __all__ = ["default_fault_plan", "run_chaos_serve_drill"]
+
+
+# -- shared by skew_drill, cluster_drill and repro.workload.smoke --------------
+
+#: Patient reconnects: a client must outlive a server kill and rebirth.
+DRILL_RETRY = RetryConfig(
+    max_attempts=80, backoff_base=0.01, backoff_max=0.2, op_timeout=30.0
+)
+
+
+def obs_key(observation: Any) -> tuple:
+    """One observation as a comparable tuple (for WAL == stream audits)."""
+    extra = getattr(observation, "extra", None)
+    return (
+        observation.reader,
+        observation.obj,
+        observation.timestamp,
+        tuple(sorted(extra.items())) if extra else None,
+    )
+
+
+def split_slices(stream: list, parts: int) -> list:
+    """``stream`` cut into exactly ``parts`` consecutive slices."""
+    size = max(1, (len(stream) + parts - 1) // parts)
+    slices = [stream[i : i + size] for i in range(0, len(stream), size)]
+    slices.extend([] for _ in range(parts - len(slices)))
+    return slices
+
+
+async def submit_slice(client: AsyncClient, observations: list) -> None:
+    """Submit one slice observation by observation, then wait for its acks
+    (small writes keep a proxy fed with many distinct chunks, which is
+    what fault rates act on)."""
+    for observation in observations:
+        await client.submit(observation)
+    await client.drain()
+
+
+class Checks(dict):
+    """A drill's invariant checks, in the shape its report carries them:
+    call it to record one, read ``ok`` for the verdict."""
+
+    def __call__(self, name: str, ok: bool, detail: str = "") -> None:
+        self[name] = {"ok": bool(ok), "detail": detail}
+
+    @property
+    def ok(self) -> bool:
+        return all(check["ok"] for check in self.values())
+
+
+def recovery_summary(recovery: Any) -> dict:
+    """The part of a ``RecoveryReport`` the drill reports carry."""
+    return {
+        "replayed_records": recovery.replayed_records,
+        "suppressed_deliveries": recovery.suppressed_deliveries,
+        "redelivered": recovery.redelivered,
+        "torn_bytes_truncated": recovery.torn_bytes_truncated,
+    }
+
+
+def read_worker_sinks(directory: str, assignment: dict) -> Iterator[tuple]:
+    """``(shard, payload)`` for every line the cluster's worker sinks wrote."""
+    for shard, node in sorted(assignment.items()):
+        sink_path = os.path.join(directory, node, shard, SINK_FILENAME)
+        if not os.path.exists(sink_path):
+            continue
+        with open(sink_path, encoding="utf-8") as handle:
+            for line in handle:
+                yield shard, json.loads(line)
+
+
+async def close_quietly(*closers, timeout: Optional[float] = None) -> None:
+    """Await each ``close()`` in turn; one that fails or hangs past
+    ``timeout`` must not keep the rest of a drill's teardown from running."""
+    for close in closers:
+        try:
+            await asyncio.wait_for(close(), timeout)
+        except Exception:
+            pass
+
+
+def run_bounded(drill, timeout: float):
+    """Run a drill coroutine to completion under a wall-clock bound."""
+    return asyncio.run(asyncio.wait_for(drill, timeout))
+
+
+def write_report(report: dict, report_path: Optional[str]) -> dict:
+    """Write ``report`` as JSON when a path is given; returns it."""
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        report["report_path"] = report_path
+    return report
 
 
 def default_fault_plan(seed: int = 7) -> NetworkFaultPlan:
@@ -81,42 +178,8 @@ def _build_workload(cases: int, seed: int, scenario: str = "packing"):
     run = get_pack(scenario).build(seed=seed, size=cases)
     factory = run.engine_factory()
     stream = list(run.observations)
-    baseline = _canon(factory().run(stream))
+    baseline = canon_detections(factory().run(stream))
     return factory, stream, baseline
-
-
-def _canon(detections) -> list:
-    return [
-        (
-            d.rule.rule_id,
-            round(d.time, 9),
-            tuple(sorted(d.bindings.items())),
-        )
-        for d in detections
-    ]
-
-
-def _obs_key(observation: Any) -> tuple:
-    extra = getattr(observation, "extra", None)
-    return (
-        observation.reader,
-        observation.obj,
-        observation.timestamp,
-        tuple(sorted(extra.items())) if extra else None,
-    )
-
-
-def _split(stream: list, parts: int) -> list:
-    size = max(1, (len(stream) + parts - 1) // parts)
-    return [stream[i : i + size] for i in range(0, len(stream), size)]
-
-
-async def _submit_slice(client: AsyncClient, observations: list) -> None:
-    """Submit one slice chunk-by-chunk (small writes keep the proxy fed
-    with many distinct chunks, which is what the fault rates act on)."""
-    for observation in observations:
-        await client.submit(observation)
-    await client.drain()
 
 
 async def _drill(
@@ -137,14 +200,12 @@ async def _drill(
     )
 
     factory, stream, baseline = _build_workload(cases, seed, scenario)
-    slices = _split(stream, 4)
-    while len(slices) < 4:
-        slices.append([])
+    slices = split_slices(stream, 4)
 
     deliveries: list[tuple[int, int, tuple]] = []
 
     def sink(detection, seq, ordinal):
-        deliveries.append((seq, ordinal, _canon([detection])[0]))
+        deliveries.append((seq, ordinal, canon_detections([detection])[0]))
 
     config = ServeConfig(
         heartbeat_interval=heartbeat_interval,
@@ -161,28 +222,21 @@ async def _drill(
     proxy = ChaosProxy(plan, "127.0.0.1", port)
     proxy_port = await proxy.start()
 
-    retry = RetryConfig(
-        max_attempts=80,
-        backoff_base=0.01,
-        backoff_max=0.2,
-        op_timeout=30.0,
-    )
     v1 = AsyncClient(
         tcp_connector("127.0.0.1", proxy_port),
         client_id=f"drill-v1-{seed}",
         batch_size=4,
-        retry=retry,
+        retry=DRILL_RETRY,
         protocol_version=1,
     )
     v2 = AsyncClient(
         tcp_connector("127.0.0.1", proxy_port),
         client_id=f"drill-v2-{seed}",
         batch_size=4,
-        retry=retry,
+        retry=DRILL_RETRY,
         codec="binary",
     )
 
-    recovery = None
     server2 = server
     durable2 = durable
     try:
@@ -192,15 +246,15 @@ async def _drill(
         # Phases are serialized (each slice fully acked before the next
         # client starts) so the backend applies the baseline order even
         # though two clients share the stream.
-        await _submit_slice(v1, slices[0])
-        await _submit_slice(v2, slices[1])
+        await submit_slice(v1, slices[0])
+        await submit_slice(v2, slices[1])
 
         # Phase 3: kill the server while v2 is mid-slice.  Whatever sat
         # unapplied in the submit queue vanishes with the process; the
         # client keeps it in its unacked buffer and resends after the
         # recovered server (on a brand-new port) tells it the durable
         # frontier at WELCOME.
-        pump = asyncio.ensure_future(_submit_slice(v2, slices[2]))
+        pump = asyncio.ensure_future(submit_slice(v2, slices[2]))
         await asyncio.sleep(0.05)
         await server.abort()
         durable2, recovery = DurableEngine.recover(
@@ -211,7 +265,7 @@ async def _drill(
         proxy.retarget(port=new_port)
         await pump
 
-        await _submit_slice(v1, slices[3])
+        await submit_slice(v1, slices[3])
 
         # Let the link go quiet so the server's liveness loop probes the
         # idle v2 session; a chaos reset can kill the session mid-wait,
@@ -227,10 +281,7 @@ async def _drill(
         await v2.flush()
         await v1.drain()
 
-        checks: list[tuple[str, bool, str]] = []
-
-        def check(name: str, ok: bool, detail: str = "") -> None:
-            checks.append((name, bool(ok), detail))
+        check = Checks()
 
         # 1. WAL == stream, byte for byte, in order.
         wal_obs = []
@@ -244,7 +295,7 @@ async def _drill(
                 wal_obs.append(decoded)
         check(
             "wal_matches_stream",
-            [_obs_key(o) for o in wal_obs] == [_obs_key(o) for o in stream],
+            [obs_key(o) for o in wal_obs] == [obs_key(o) for o in stream],
             f"wal={len(wal_obs)} stream={len(stream)}",
         )
         contiguous = all(
@@ -307,70 +358,47 @@ async def _drill(
         )
 
         report = {
-            "ok": all(ok for _, ok, _ in checks),
+            "ok": check.ok,
             "seed": seed,
             "scenario": scenario,
             "cases": cases,
             "observations": len(stream),
             "plan": plan.describe(),
-            "checks": {
-                name: {"ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            },
+            "checks": dict(check),
             "faults": stats.as_dict(),
             "proxy": {
                 "connections_accepted": proxy.connections_accepted,
                 "connections_refused": proxy.connections_refused,
             },
             "clients": {
-                "v1": {
-                    "client_id": v1.client_id,
-                    "reconnects": v1.reconnects,
-                    "heartbeats": v1.heartbeats,
-                    "frame_errors": v1.frame_errors,
-                    "last_acked": v1.last_acked,
-                },
-                "v2": {
-                    "client_id": v2.client_id,
-                    "reconnects": v2.reconnects,
-                    "heartbeats": v2.heartbeats,
-                    "frame_errors": v2.frame_errors,
-                    "last_acked": v2.last_acked,
-                },
+                label: {
+                    "client_id": client.client_id,
+                    "reconnects": client.reconnects,
+                    "heartbeats": client.heartbeats,
+                    "frame_errors": client.frame_errors,
+                    "last_acked": client.last_acked,
+                }
+                for label, client in (("v1", v1), ("v2", v2))
             },
+            # Both lives of the server, summed.
             "server": {
-                "reconnects": server.stats.reconnects
-                + server2.stats.reconnects,
-                "pings_sent": server.stats.pings_sent
-                + server2.stats.pings_sent,
-                "pongs_received": server.stats.pongs_received
-                + server2.stats.pongs_received,
-                "sessions_reaped": server.stats.sessions_reaped
-                + server2.stats.sessions_reaped,
-                "duplicates_skipped": server.stats.duplicates_skipped
-                + server2.stats.duplicates_skipped,
-                "errors_sent": server.stats.errors_sent
-                + server2.stats.errors_sent,
+                name: getattr(server.stats, name) + getattr(server2.stats, name)
+                for name in (
+                    "reconnects",
+                    "pings_sent",
+                    "pongs_received",
+                    "sessions_reaped",
+                    "duplicates_skipped",
+                    "errors_sent",
+                )
             },
-            "recovery": {
-                "replayed_records": recovery.replayed_records,
-                "suppressed_deliveries": recovery.suppressed_deliveries,
-                "redelivered": recovery.redelivered,
-                "torn_bytes_truncated": recovery.torn_bytes_truncated,
-            },
+            "recovery": recovery_summary(recovery),
         }
         return report
     finally:
-        for client in (v1, v2):
-            try:
-                await asyncio.wait_for(client.close(), 2.0)
-            except Exception:
-                pass
+        await close_quietly(v1.close, v2.close, timeout=2.0)
         await proxy.close()
-        try:
-            await server2.close()
-        except Exception:
-            pass
+        await close_quietly(server2.close)
         durable2.close()
 
 
@@ -400,24 +428,17 @@ def run_chaos_serve_drill(
         plan = plan.reseeded(seed)
     if directory is None:
         directory = tempfile.mkdtemp(prefix="chaos-serve-")
-    report = asyncio.run(
-        asyncio.wait_for(
-            _drill(
-                seed,
-                cases,
-                plan,
-                directory,
-                heartbeat_interval,
-                idle_deadline,
-                scenario,
-            ),
-            timeout,
-        )
+    report = run_bounded(
+        _drill(
+            seed,
+            cases,
+            plan,
+            directory,
+            heartbeat_interval,
+            idle_deadline,
+            scenario,
+        ),
+        timeout,
     )
     report["directory"] = directory
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report["report_path"] = report_path
-    return report
+    return write_report(report, report_path)

@@ -293,11 +293,13 @@ class CepServer:
     Parameters
     ----------
     backend:
-        ``Engine``, ``ShardedEngine``, ``SupervisedEngine``,
-        ``DurableEngine`` or ``DurableShardedEngine`` — anything with
-        ``submit(observation) -> list[Detection]`` and ``flush()``.
-        With a durable backend, acks imply the observation reached the
-        write-ahead log (``DurableEngine.submit`` appends before it
+        A :class:`~repro.core.detector.DetectionBackend`, or a
+        ``DurableEngine`` wrapped around one.  The server calls
+        ``submit_many(observations)`` and ``flush()``; a backend
+        without them is a ``TypeError`` here, not a failed session
+        later.  A backend with ``client_frontiers`` is durable: it is
+        passed ``client=`` provenance, and acks imply the observation
+        reached the write-ahead log (``DurableEngine`` appends before it
         detects).
     config:
         Queue bounds and slow-consumer policy (:class:`ServeConfig`).
@@ -314,26 +316,19 @@ class CepServer:
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: str = "serve",
     ) -> None:
+        for method in ("submit_many", "flush"):
+            if not callable(getattr(backend, method, None)):
+                raise TypeError(
+                    f"backend {type(backend).__name__!r} has no {method}(): "
+                    "CepServer serves a DetectionBackend or a DurableEngine "
+                    "over one"
+                )
         self.backend = backend
         self.config = config or ServeConfig()
         # A durable backend keeps per-client ack frontiers in its WAL and
         # exposes the recovered map; consult it so exactly-once survives
         # server restarts, not just client reconnects.
         self._durable = hasattr(backend, "client_frontiers")
-        # The vectorized apply path needs a submit_many — and, when the
-        # backend is durable, one that accepts per-batch client
-        # provenance; anything else falls back to the per-observation
-        # loop (same semantics, one backend call per observation).
-        self._batch_submit = callable(getattr(backend, "submit_many", None))
-        if self._durable and self._batch_submit:
-            import inspect
-
-            try:
-                parameters = inspect.signature(backend.submit_many).parameters
-            except (TypeError, ValueError):  # pragma: no cover - C callables
-                self._batch_submit = False
-            else:
-                self._batch_submit = "client" in parameters
         self._push_policy = SlowConsumerPolicy.coerce(self.config.push_policy)
         self.stats = ServeStats()
         self._instr = None
@@ -886,45 +881,25 @@ class CepServer:
             first += skip
         if observations:
             count = len(observations)
-            if item.prov is not None and self._durable and self._batch_submit:
+            if not self._durable:
+                detections = self.backend.submit_many(observations)
+            elif item.prov is not None:
                 detections = self._apply_relayed(
                     item.prov[0], observations, prov_seqs
                 )
-                record.last_acked = first + count - 1
-                self.stats.submitted += count
-                if self._instr is not None:
-                    self._instr.submitted.inc(count)
-                self._fan_out(detections, record.last_acked)
-            elif self._batch_submit:
-                if self._durable:
-                    # Provenance rides in the WAL records themselves, so
-                    # the ack frontier is durable exactly when the
-                    # observations are — and the whole batch commits
-                    # under one fsync.
-                    detections = self.backend.submit_many(
-                        observations, client=(record.client_id, first)
-                    )
-                else:
-                    detections = self.backend.submit_many(observations)
-                record.last_acked = first + count - 1
-                self.stats.submitted += count
-                if self._instr is not None:
-                    self._instr.submitted.inc(count)
-                self._fan_out(detections, record.last_acked)
             else:
-                for index, observation in enumerate(observations):
-                    seq = first + index
-                    if self._durable:
-                        detections = self.backend.submit(
-                            observation, client=(record.client_id, seq)
-                        )
-                    else:
-                        detections = self.backend.submit(observation)
-                    record.last_acked = seq
-                    self.stats.submitted += 1
-                    if self._instr is not None:
-                        self._instr.submitted.inc()
-                    self._fan_out(detections, seq)
+                # Provenance rides in the WAL records themselves, so
+                # the ack frontier is durable exactly when the
+                # observations are — and the whole batch commits
+                # under one fsync.
+                detections = self.backend.submit_many(
+                    observations, client=(record.client_id, first)
+                )
+            record.last_acked = first + count - 1
+            self.stats.submitted += count
+            if self._instr is not None:
+                self._instr.submitted.inc(count)
+            self._fan_out(detections, record.last_acked)
         self._queue_ack(session, record.last_acked)
 
     def _apply_relayed(

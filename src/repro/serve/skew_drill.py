@@ -45,11 +45,21 @@ failing run is reproducible from the seed echoed in its report.
 from __future__ import annotations
 
 import asyncio
-import json
 import tempfile
-from typing import Any, Optional
+from typing import Optional
 
-from .client import AsyncClient, RetryConfig, tcp_connector
+from ..scenarios.pack import canon_detections
+from .client import AsyncClient, tcp_connector
+from .drill import (
+    DRILL_RETRY,
+    Checks,
+    close_quietly,
+    recovery_summary,
+    run_bounded,
+    split_slices,
+    submit_slice,
+    write_report,
+)
 from .server import CepServer, ServeConfig
 
 __all__ = ["run_chaos_skew_drill"]
@@ -142,32 +152,10 @@ def _build_workload(cases: int, seed: int, horizon: float):
     oracle_engine = Engine(
         rules(), store=RfidStore(), functions=FunctionRegistry()
     )
-    oracle = _canon(
+    oracle = canon_detections(
         oracle_engine.run(sorted(arrival, key=canonical_key))
     )
     return factory, arrival, oracle, injector.counts
-
-
-def _canon(detections) -> list:
-    return [
-        (
-            d.rule.rule_id,
-            round(d.time, 9),
-            tuple(sorted(d.bindings.items())),
-        )
-        for d in detections
-    ]
-
-
-def _split(stream: list, parts: int) -> list:
-    size = max(1, (len(stream) + parts - 1) // parts)
-    return [stream[i : i + size] for i in range(0, len(stream), size)]
-
-
-async def _submit_slice(client: AsyncClient, observations: list) -> None:
-    for observation in observations:
-        await client.submit(observation)
-    await client.drain()
 
 
 async def _drill(
@@ -178,9 +166,7 @@ async def _drill(
     factory, arrival, oracle, fault_counts = _build_workload(
         cases, seed, horizon
     )
-    slices = _split(arrival, 4)
-    while len(slices) < 4:
-        slices.append([])
+    slices = split_slices(arrival, 4)
 
     deliveries: list[tuple[int, int, str, str, tuple]] = []
 
@@ -191,7 +177,7 @@ async def _drill(
                 ordinal,
                 getattr(detection, "detection_id", ""),
                 getattr(detection, "status", ""),
-                _canon([detection])[0],
+                canon_detections([detection])[0],
             )
         )
 
@@ -213,47 +199,36 @@ async def _drill(
         connector,
         client_id=f"skew-{seed}",
         batch_size=8,
-        retry=RetryConfig(
-            max_attempts=80,
-            backoff_base=0.01,
-            backoff_max=0.2,
-            op_timeout=30.0,
-        ),
+        retry=DRILL_RETRY,
         codec="binary",
     )
 
-    recovery = None
-    server2 = server
-    durable2 = durable
     try:
         await client.connect()
-        await _submit_slice(client, slices[0])
-        await _submit_slice(client, slices[1])
+        await submit_slice(client, slices[0])
+        await submit_slice(client, slices[1])
 
         # Hard-kill the server while a slice is in flight *and*
         # speculation is live: the reorder buffer holds readings, the
         # outbox holds parked provisionals.  Recovery must rebuild both
         # from the WAL alone.
-        pump = asyncio.ensure_future(_submit_slice(client, slices[2]))
+        pump = asyncio.ensure_future(submit_slice(client, slices[2]))
         await asyncio.sleep(0.05)
         await server.abort()
-        durable2, recovery = DurableEngine.recover(
+        durable, recovery = DurableEngine.recover(
             factory, directory, **durable_kwargs
         )
-        server2 = CepServer(durable2, config=ServeConfig())
-        target["port"] = await server2.serve_tcp("127.0.0.1", 0)
+        server = CepServer(durable, config=ServeConfig())
+        target["port"] = await server.serve_tcp("127.0.0.1", 0)
         await pump
 
-        await _submit_slice(client, slices[3])
+        await submit_slice(client, slices[3])
 
         # End of stream: the flush seals every surviving speculation,
         # exactly like the oracle run's own flush.
         await client.flush()
 
-        checks: list[tuple[str, bool, str]] = []
-
-        def check(name: str, ok: bool, detail: str = "") -> None:
-            checks.append((name, bool(ok), detail))
+        check = Checks()
 
         delivered = [canon for _, _, _, _, canon in deliveries]
         check(
@@ -276,7 +251,7 @@ async def _drill(
             f"{len(set(dids))} unique detection ids",
         )
 
-        stats = durable2.engine.stats
+        stats = durable.engine.stats
         check(
             "nothing_outside_horizon",
             stats.dropped_too_late == 0,
@@ -297,7 +272,7 @@ async def _drill(
             f"speculative={stats.speculative} revised={stats.revised} "
             f"retracted={stats.retracted} sealed={stats.sealed}",
         )
-        outbox = durable2.outbox
+        outbox = durable.outbox
         check(
             "outbox_held_the_line",
             outbox.held > 0 and not outbox.pending,
@@ -306,15 +281,12 @@ async def _drill(
         )
 
         report = {
-            "ok": all(ok for _, ok, _ in checks),
+            "ok": check.ok,
             "seed": seed,
             "cases": cases,
             "horizon": horizon,
             "observations": len(arrival),
-            "checks": {
-                name: {"ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            },
+            "checks": dict(check),
             "faults": dict(fault_counts),
             "engine": {
                 "speculative": stats.speculative,
@@ -333,24 +305,13 @@ async def _drill(
                 "reconnects": client.reconnects,
                 "last_acked": client.last_acked,
             },
-            "recovery": {
-                "replayed_records": recovery.replayed_records,
-                "suppressed_deliveries": recovery.suppressed_deliveries,
-                "redelivered": recovery.redelivered,
-                "torn_bytes_truncated": recovery.torn_bytes_truncated,
-            },
+            "recovery": recovery_summary(recovery),
         }
         return report
     finally:
-        try:
-            await asyncio.wait_for(client.close(), 2.0)
-        except Exception:
-            pass
-        try:
-            await server2.close()
-        except Exception:
-            pass
-        durable2.close()
+        await close_quietly(client.close, timeout=2.0)
+        await close_quietly(server.close)
+        durable.close()
 
 
 def run_chaos_skew_drill(
@@ -373,13 +334,6 @@ def run_chaos_skew_drill(
     """
     if directory is None:
         directory = tempfile.mkdtemp(prefix="chaos-skew-")
-    report = asyncio.run(
-        asyncio.wait_for(_drill(seed, cases, horizon, directory), timeout)
-    )
+    report = run_bounded(_drill(seed, cases, horizon, directory), timeout)
     report["directory"] = directory
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report["report_path"] = report_path
-    return report
+    return write_report(report, report_path)

@@ -27,8 +27,6 @@ artifact upload.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -127,21 +125,35 @@ def build_workload(
 
 
 class _SinkAudit:
-    """O(1)-memory exactly-once audit: keys must strictly increase."""
+    """O(1)-memory exactly-once audit: each journal's keys must strictly
+    increase (one journal for a single server, one per shard in a cluster)."""
 
     def __init__(self) -> None:
         self.count = 0
         self.per_rule: dict[str, int] = {}
         self.monotonic = True
-        self._last = (-1, -1)
+        self._last: dict = {}
 
-    def record(self, rule_id: str, seq: int, ordinal: int) -> None:
+    def record(
+        self, rule_id: str, seq: int, ordinal: int, journal: str = ""
+    ) -> None:
         key = (seq, ordinal)
-        if key <= self._last:
+        if key <= self._last.get(journal, (-1, -1)):
             self.monotonic = False
-        self._last = key
+        self._last[journal] = key
         self.count += 1
         self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + 1
+
+
+async def _stream_all(client, workload: GeneratedWorkload, timeout=None) -> int:
+    """Connect, submit the whole workload, flush; returns the count sent."""
+    await client.connect()
+    submitted = 0
+    for observation in workload:
+        await client.submit(observation)
+        submitted += 1
+    await client.flush(timeout=timeout)
+    return submitted
 
 
 async def _serve_drill(
@@ -154,6 +166,7 @@ async def _serve_drill(
     from ..core.detector import Engine, FunctionRegistry
     from ..resilience.durability import DurableEngine
     from ..serve import AsyncClient, CepServer, ServeConfig, tcp_connector
+    from ..serve.drill import close_quietly
     from ..store import RfidStore
 
     placements = tuple(workload.source.placements())
@@ -193,14 +206,8 @@ async def _serve_drill(
             batch_size=profile.batch_size,
             codec="binary",
         )
-        await client.connect()
-        submitted = 0
-        for observation in workload:
-            await client.submit(observation)
-            submitted += 1
-        await client.flush()
         frontiers = {
-            "submitted": submitted,
+            "submitted": await _stream_all(client, workload),
             "client": client.last_acked,
             "server": server.client_frontier(client.client_id),
             "durable": durable.client_frontiers.get(client.client_id, -1),
@@ -208,14 +215,8 @@ async def _serve_drill(
         return audit, frontiers
     finally:
         if client is not None:
-            try:
-                await asyncio.wait_for(client.close(), 5.0)
-            except Exception:
-                pass
-        try:
-            await server.close()
-        except Exception:
-            pass
+            await close_quietly(client.close, timeout=5.0)
+        await close_quietly(server.close)
         durable.close()
 
 
@@ -228,7 +229,8 @@ async def _cluster_drill(
 ) -> tuple[_SinkAudit, dict]:
     """Stream through a multi-process shard cluster instead."""
     from ..serve import AsyncClient, tcp_connector
-    from ..serve.cluster import SINK_FILENAME, Cluster
+    from ..serve.cluster import Cluster
+    from ..serve.drill import close_quietly, read_worker_sinks
 
     program = workload.source.program
     if program is None:
@@ -247,14 +249,8 @@ async def _cluster_drill(
             client_id=f"smoke-{profile.name}-{seed}",
             batch_size=profile.batch_size,
         )
-        await client.connect()
-        submitted = 0
-        for observation in workload:
-            await client.submit(observation)
-            submitted += 1
-        await client.flush(timeout=profile.timeout)
         frontiers = {
-            "submitted": submitted,
+            "submitted": await _stream_all(client, workload, profile.timeout),
             "client": client.last_acked,
             "server": client.last_acked,
             "durable": client.last_acked,
@@ -263,29 +259,13 @@ async def _cluster_drill(
         client = None
     finally:
         if client is not None:
-            try:
-                await asyncio.wait_for(client.close(), 5.0)
-            except Exception:
-                pass
+            await close_quietly(client.close, timeout=5.0)
         await cluster.stop()
 
     # Audit the worker sinks on disk: per-shard exactly-once keys.
     audit = _SinkAudit()
-    seen_per_shard: dict[str, tuple[int, int]] = {}
-    for shard, node in sorted(cluster.plan.assignment.items()):
-        sink_path = os.path.join(directory, node, shard, SINK_FILENAME)
-        if not os.path.exists(sink_path):
-            continue
-        with open(sink_path, encoding="utf-8") as handle:
-            for line in handle:
-                payload = json.loads(line)
-                key = (payload["seq"], payload["ordinal"])
-                if key <= seen_per_shard.get(shard, (-1, -1)):
-                    audit.monotonic = False
-                seen_per_shard[shard] = key
-                audit.count += 1
-                rule_id = payload["rule"]
-                audit.per_rule[rule_id] = audit.per_rule.get(rule_id, 0) + 1
+    for shard, payload in read_worker_sinks(directory, cluster.plan.assignment):
+        audit.record(payload["rule"], payload["seq"], payload["ordinal"], shard)
     return audit, frontiers
 
 
@@ -324,32 +304,24 @@ def run_smoke_drill(
     if directory is None:
         directory = tempfile.mkdtemp(prefix=f"smoke-{profile}-")
 
+    # Imported here: repro.scenarios imports this package, and
+    # repro.serve.drill imports repro.scenarios.
+    from ..serve.drill import Checks, run_bounded, write_report
+
     started = time.perf_counter()
-    if cluster:
-        audit, frontiers = asyncio.run(
-            asyncio.wait_for(
-                _cluster_drill(workload, prof, seed, directory, workers),
-                timeout if timeout is not None else prof.timeout,
-            )
-        )
-    else:
-        audit, frontiers = asyncio.run(
-            asyncio.wait_for(
-                _serve_drill(workload, prof, seed, directory),
-                timeout if timeout is not None else prof.timeout,
-            )
-        )
+    audit, frontiers = run_bounded(
+        _cluster_drill(workload, prof, seed, directory, workers)
+        if cluster
+        else _serve_drill(workload, prof, seed, directory),
+        timeout if timeout is not None else prof.timeout,
+    )
     elapsed = time.perf_counter() - started
 
     stats = workload.stats
     distinct = workload.tags.distinct_epcs()
     clean = chaos is None
 
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, bool(ok), detail))
-
+    check = Checks()
     check(
         "sink_exactly_once",
         audit.monotonic,
@@ -380,7 +352,7 @@ def run_smoke_drill(
     )
 
     report = {
-        "ok": all(ok for _, ok, _ in checks),
+        "ok": check.ok,
         "profile": prof.name,
         "pack": pack,
         "seed": seed,
@@ -399,14 +371,7 @@ def run_smoke_drill(
         "expected": dict(sorted(stats.expected.items())),
         "delivered": dict(sorted(audit.per_rule.items())),
         "chaos": workload.chaos_counts,
-        "checks": {
-            name: {"ok": ok, "detail": detail} for name, ok, detail in checks
-        },
+        "checks": dict(check),
         "directory": directory,
     }
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report["report_path"] = report_path
-    return report
+    return write_report(report, report_path)

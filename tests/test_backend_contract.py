@@ -1,0 +1,188 @@
+"""Conformance of every detection backend to one contract.
+
+:class:`repro.core.DetectionBackend` is what ``DurableEngine`` wraps and
+what ``CepServer`` serves.  One parametrised fixture builds each backend
+— the three engines, and ``DurableEngine`` over each of them — and the
+tests feed all six the same seeded stream: same canonical detections,
+same ``submit_many`` accounting, same answer after a mid-stream restore,
+same detections over the wire.  A differential fleet over more wrappers
+(cluster, REVISE finals) extends ``BACKENDS`` and nothing else.
+"""
+
+import asyncio
+import inspect
+import json
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from repro import Engine, Observation, SubmitResult, Var, obs
+from repro.core import DetectionBackend, ShardedEngine
+from repro.core.expressions import TSeq
+from repro.resilience import DurableEngine, SupervisedEngine
+from repro.rules import Rule
+from repro.scenarios.pack import canon_detections
+from repro.serve import AsyncClient, CepServer, loopback_connector
+
+
+def rules():
+    """Two reader-pinned rules and a wildcard one: three shards."""
+
+    def pair(rule_id, first, second):
+        return Rule(
+            rule_id,
+            rule_id,
+            TSeq(obs(first, Var("x")), obs(second, Var("x")), 0.0, 10.0),
+            actions=[],
+        )
+
+    return [pair("ab", "a", "b"), pair("cd", "c", "d"), pair("any", None, "b")]
+
+
+def stream(count=80, seed=3):
+    rng = random.Random(seed)
+    return [
+        Observation(rng.choice("abcdz"), f"o{rng.randrange(6)}", 0.5 * tick)
+        for tick in range(count)
+    ]
+
+
+def canon(detections):
+    # Shards emit one submit's detections shard by shard, a single engine
+    # in graph order: compare as a multiset.
+    return sorted(canon_detections(detections))
+
+
+BACKENDS = {
+    "engine": lambda: Engine(rules()),
+    "sharded": lambda: ShardedEngine(rules(), max_shards=3),
+    "supervised": lambda: SupervisedEngine(rules()),
+}
+
+
+@pytest.fixture(
+    params=[(kind, durable) for durable in (False, True) for kind in BACKENDS],
+    ids=lambda param: ("durable-" if param[1] else "") + param[0],
+)
+def case(request, tmp_path):
+    """``build()`` a fresh backend; ``revive(backend)`` what a kill leaves."""
+    kind, durable = request.param
+    factory = BACKENDS[kind]
+    directory = str(tmp_path / "state")
+    lives = []
+
+    def build():
+        backend = (
+            DurableEngine(factory, directory, checkpoint_every=7)
+            if durable
+            else factory()
+        )
+        lives.append(backend)
+        return backend
+
+    def revive(backend):
+        if durable:  # the directory is all that survives
+            revived, _report = DurableEngine.recover(
+                factory, directory, checkpoint_every=7
+            )
+        else:  # the snapshot, through JSON, is all that survives
+            revived = factory()
+            revived.restore(json.loads(json.dumps(backend.checkpoint())))
+        lives.append(revived)
+        return revived
+
+    yield SimpleNamespace(build=build, revive=revive, durable=durable)
+    for backend in lives:
+        if durable:
+            backend.close()
+
+
+def test_reference_detects_something():
+    assert len(canon(Engine(rules()).run(stream()))) > 5
+    assert len(ShardedEngine(rules(), max_shards=3).shards) == 3
+
+
+def test_same_stream_same_detections(case):
+    observations = stream()
+    expected = canon(Engine(rules()).run(observations))
+    backend = case.build()
+    found = []
+    for observation in observations[:30]:
+        found.extend(backend.submit(observation))
+    found.extend(backend.submit_many(observations[30:]))
+    found.extend(backend.flush())
+    assert canon(found) == expected
+
+
+def test_submit_many_accounts_for_the_batch(case):
+    observations = stream()
+    result = case.build().submit_many(observations)
+    assert isinstance(result, SubmitResult)
+    assert result.accepted == len(observations)
+    assert (result.dropped, result.quarantined) == (0, 0)
+    assert result.detections is result
+
+
+@pytest.mark.parametrize("cut", [0, 1, 37, 80])
+def test_restore_mid_stream_equals_uninterrupted(case, cut):
+    observations = stream()
+    expected = canon(Engine(rules()).run(observations))
+    first = case.build()
+    found = list(first.submit_many(observations[:cut]))
+    revived = case.revive(first)
+    found.extend(revived.submit_many(observations[cut:]))
+    found.extend(revived.flush())
+    assert canon(found) == expected
+
+
+def test_served_over_the_wire(case):
+    observations = stream()
+    expected = canon(Engine(rules()).run(observations))
+
+    async def scenario():
+        async with CepServer(case.build()) as server:
+            client = AsyncClient(
+                loopback_connector(server), subscribe=True, batch_size=9
+            )
+            async with client:
+                await client.submit_many(observations)
+                await client.flush(timeout=10)
+                for _ in range(500):
+                    if len(client.detections) >= len(expected):
+                        break
+                    await asyncio.sleep(0.01)
+                return sorted(
+                    (f.rule, round(f.time, 9), tuple(sorted(f.bindings.items())))
+                    for f in client.detections
+                )
+
+    assert asyncio.run(scenario()) == expected
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_engines_take_the_contract_arguments(kind):
+    """``seq``/``first_seq`` are how a log numbers what it hands down."""
+    backend = BACKENDS[kind]()
+    for name, member in inspect.getmembers(DetectionBackend, inspect.isfunction):
+        if name.startswith("_"):
+            continue
+        assert list(inspect.signature(member).parameters)[1:] == list(
+            inspect.signature(getattr(backend, name)).parameters
+        ), name
+    backend.submit_many(stream(10), first_seq=100)
+    assert backend.last_seq == 109
+    backend.submit(stream(11)[10], seq=110)
+    assert backend.last_seq == 110
+
+
+def test_cepserver_names_the_missing_method():
+    class NoBatch:
+        def submit(self, observation, seq=None):
+            return []
+
+        def flush(self):
+            return []
+
+    with pytest.raises(TypeError, match=r"NoBatch.*submit_many\(\)"):
+        CepServer(NoBatch())

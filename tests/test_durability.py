@@ -7,7 +7,7 @@ external deliveries equal an uninterrupted run's, exactly once each.
 
 The quick matrix here runs on the small pair workload; the exhaustive
 dirty-stream sweep (every index × every protocol stage on a
-duplicate-injected simulator trace, supervised engine, sharded variant)
+duplicate-injected simulator trace, supervised engine, sharded engine)
 is marked ``slow`` and runs via ``pytest -m slow`` in CI.
 """
 
@@ -22,7 +22,6 @@ from repro.core.sharding import ShardedEngine
 from repro.readers import inject_duplicates, sort_stream
 from repro.resilience import (
     DurableEngine,
-    DurableShardedEngine,
     RetryPolicy,
     SimulatedCrash,
     SupervisedEngine,
@@ -361,7 +360,7 @@ class TestDurableSharded:
     def test_boundary_kill_at_every_index(self, tmp_path):
         stream = self._stream()
         deliveries0 = []
-        with DurableShardedEngine(
+        with DurableEngine(
             self._factory,
             str(tmp_path / "base"),
             sink=make_sink(deliveries0),
@@ -374,12 +373,12 @@ class TestDurableSharded:
             deliveries = []
             sink = make_sink(deliveries)
             detections, revived = kill_and_restore_run(
-                lambda: DurableShardedEngine(
+                lambda: DurableEngine(
                     self._factory, directory, sink=sink, checkpoint_every=3
                 ),
                 stream,
                 kill_at,
-                recover=lambda: DurableShardedEngine.recover(
+                recover=lambda: DurableEngine.recover(
                     self._factory, directory, sink=sink, checkpoint_every=3
                 )[0],
             )
@@ -387,51 +386,28 @@ class TestDurableSharded:
             assert canon(detections) == expected, f"kill_at={kill_at}"
             assert sorted(deliveries) == expected_deliveries, f"kill_at={kill_at}"
 
-    def test_crash_between_shard_snapshots_and_manifest(self, tmp_path):
-        """The manifest replace is the commit point: a crash after the
-        shard snapshot files are written but before the manifest points
-        at them must recover from the PREVIOUS cut, not the torso."""
-        stream = self._stream()
-        expected = canon(
-            list(
-                DurableShardedEngine(
-                    self._factory, str(tmp_path / "base")
-                ).run(stream)
-            )
-        )
-        directory = str(tmp_path / "d")
-        durable = DurableShardedEngine(
-            self._factory, directory, checkpoint_every=3
-        )
-        crashed_at = None
-        calls = 0
+    @pytest.mark.parametrize("marker", ["manifest", "shard-log"])
+    def test_retired_per_shard_layout_refused(self, tmp_path, marker):
+        """A directory in the retired sharded layout (``manifest.json``
+        + ``wal/<shard>/`` logs) has no top-level log: resuming it would
+        start cold at seq 0 over live state.  Both the fresh and the
+        recovering constructor must refuse it instead."""
+        import os
 
-        def failpoint(stage, seq):
-            nonlocal crashed_at, calls
-            if stage == "checkpoint":
-                calls += 1
-                if calls == 2:  # let the first checkpoint commit
-                    crashed_at = seq
-                    raise SimulatedCrash(f"checkpoint at seq {seq}")
+        from repro.resilience.durability import WalWriter
 
-        durable.failpoint = failpoint
-        detections = []
-        with pytest.raises(SimulatedCrash):
-            for observation in stream:
-                detections.extend(durable.submit(observation))
-        del durable
-        revived, report = DurableShardedEngine.recover(
-            self._factory, directory, checkpoint_every=3
-        )
-        # The aborted second cut was not committed...
-        assert report.checkpoint_seq < crashed_at
-        # ...but the WAL still covers everything that was submitted.
-        assert report.next_seq == crashed_at + 1
-        for observation in stream[report.next_seq :]:
-            detections.extend(revived.submit(observation))
-        detections.extend(revived.flush())
-        revived.close()
-        assert canon(detections) == expected
+        directory = str(tmp_path / "old")
+        if marker == "manifest":
+            os.makedirs(directory)
+            with open(os.path.join(directory, "manifest.json"), "w") as handle:
+                handle.write('{"format": "rceda-durable-manifest"}')
+        else:
+            with WalWriter(os.path.join(directory, "wal", "s0")) as writer:
+                writer.append(0, {"k": "f"})
+        with pytest.raises(WalError, match="retired per-shard"):
+            DurableEngine.recover(self._factory, directory)
+        with pytest.raises(WalError, match="retired per-shard"):
+            DurableEngine(self._factory, directory)
 
 
 def containment_rule_raw():
@@ -506,6 +482,69 @@ class TestExhaustiveDirtyStreamMatrix:
                 detections.extend(revived.flush())
                 revived.close()
                 key = f"stage={stage} seq={crash_seq}"
+                assert sorted(deliveries) == expected_deliveries, key
+                assert is_ordered_subset(canon(detections), expected), key
+
+    def test_sharded_failpoint_kill_everywhere(self, tmp_path):
+        """The same matrix over a 3-shard ``ShardedEngine`` with a
+        catch-all rule, plus a crash right after a snapshot became
+        visible (``"checkpoint"``): one log and one snapshot file are
+        the consistent cut across shards."""
+        import os
+
+        from repro.resilience.durability import read_wal
+
+        factory = TestDurableSharded()._factory
+        rng = random.Random(5)
+        stream = [
+            Observation(rng.choice("abcdz"), f"o{rng.randrange(6)}", 0.5 * tick)
+            for tick in range(40)
+        ]
+        assert len(factory().shards) == 3
+        expected = canon(list(factory().run(stream)))
+        assert expected
+        deliveries0 = []
+        base_dir = str(tmp_path / "base")
+        with DurableEngine(
+            factory, base_dir, sink=make_sink(deliveries0), checkpoint_every=0
+        ) as base:
+            assert canon(list(base.run(stream))) == expected
+        expected_deliveries = sorted(deliveries0)
+        # Every reading is logged once, however many shards it fans out to.
+        logged = [r.seq for r in read_wal(os.path.join(base_dir, "wal"))]
+        assert logged == list(range(len(stream) + 1))  # + the flush marker
+
+        for stage in STAGES + ("checkpoint",):
+            for crash_seq in range(len(stream)):
+                if stage == "checkpoint" and (crash_seq + 1) % 5:
+                    continue  # checkpoint_every=5: cuts land on seq 4, 9, ...
+                directory = str(tmp_path / f"{stage}{crash_seq}")
+                deliveries = []
+                sink = make_sink(deliveries)
+                detections = []
+                durable = DurableEngine(
+                    factory, directory, sink=sink, checkpoint_every=5
+                )
+                durable.failpoint = crash_failpoint(stage, crash_seq)
+                with pytest.raises(SimulatedCrash):
+                    for index, observation in enumerate(stream):
+                        detections.extend(
+                            durable.submit(observation, client=("edge", index))
+                        )
+                del durable
+                revived, report = DurableEngine.recover(
+                    factory, directory, sink=sink, checkpoint_every=5
+                )
+                key = f"stage={stage} seq={crash_seq}"
+                assert report.next_seq == crash_seq + 1, key
+                assert revived.client_frontiers == {"edge": crash_seq}, key
+                for index in range(report.next_seq, len(stream)):
+                    detections.extend(
+                        revived.submit(stream[index], client=("edge", index))
+                    )
+                detections.extend(revived.flush(client=("edge", len(stream))))
+                assert revived.client_frontiers == {"edge": len(stream)}, key
+                revived.close()
                 assert sorted(deliveries) == expected_deliveries, key
                 assert is_ordered_subset(canon(detections), expected), key
 
@@ -633,18 +672,18 @@ class TestClientFrontiers:
                 max_shards=2,
             )
 
-        durable = DurableShardedEngine(factory, directory)
-        assert durable.coordinator.routes_for(
+        durable = DurableEngine(factory, directory)
+        assert durable.engine.routes_for(
             Observation("nobody", "x", 0.0)
         ) == []
         durable.submit(Observation("a", "o1", 0.0), client=("edge", 0))
-        # Routes nowhere — a frontier-only no-op record must keep the
-        # client's ack durable anyway.
+        # Routes nowhere — it is logged like any other observation, so
+        # the client's ack stays durable anyway.
         durable.submit(Observation("nobody", "x", 1.0), client=("edge", 1))
         durable.submit(Observation("b", "o1", 2.0), client=("edge", 2))
         assert durable.client_frontiers == {"edge": 2}
         durable.close()
-        revived, _report = DurableShardedEngine.recover(factory, directory)
+        revived, _report = DurableEngine.recover(factory, directory)
         assert revived.client_frontiers == {"edge": 2}
         revived.close()
 
@@ -670,16 +709,14 @@ class TestClientFrontiers:
                 max_shards=2,
             )
 
-        durable = DurableShardedEngine(
-            factory, directory, keep_checkpoints=1
-        )
+        durable = DurableEngine(factory, directory, keep_checkpoints=1)
         for index, reader in enumerate(("a", "c", "b", "d")):
             durable.submit(
                 Observation(reader, "o1", float(index)), client=("edge", index)
             )
-        durable.checkpoint_now()  # prunes the per-shard WALs behind the cut
+        durable.checkpoint_now()  # prunes the WAL behind the cut
         durable.close()
-        revived, report = DurableShardedEngine.recover(factory, directory)
+        revived, report = DurableEngine.recover(factory, directory)
         assert report.replayed_records == 0
         assert revived.client_frontiers == {"edge": 3}
         revived.close()

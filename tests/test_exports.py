@@ -52,3 +52,42 @@ def test_star_import_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
         assert hasattr(module, name), f"{package}.{name} does not resolve"
+
+
+@pytest.mark.parametrize(
+    "package, deleted",
+    [
+        ("repro.resilience", "DurableShardedEngine"),
+        ("repro.resilience.durability", "DurableShardedEngine"),
+        ("repro.obs", "CallableObserver"),
+    ],
+)
+def test_deleted_names_stay_deleted(package, deleted):
+    """One durable engine, one observer API: no alias may bring back the
+    sharded durable class or the ``trace=`` callable shim."""
+    module = importlib.import_module(package)
+    assert deleted not in module.__all__
+    assert not hasattr(module, deleted)
+
+
+#: ``repro.serve.__all__`` as of the PR that deleted the names above;
+#: the serving surface is not part of that change.
+SERVE_SURFACE = """
+Ack AsyncClient Batch BinaryBatch BinaryCodec Bye CepRouter CepServer
+ChaosProxy Client ClientError Cluster ClusterPlan DetectionBatch
+DetectionFrame ErrorFrame FaultSchedule FaultStats FaultyTransport
+FaultyWriter Flush Frame FrameDecoder FrameError HashRing Hello JsonCodec
+LoopbackReader LoopbackWriter MAX_FRAME_BYTES MIN_PROTOCOL_VERSION
+NetworkFaultPlan PROTOCOL_VERSION Ping Pong RetryConfig RouterStats
+ServeConfig ServeError ShardWorker SlowConsumerPolicy Submit Subscribe
+Welcome WireCodec WorkerLink WorkerProcess cluster_program codec_names
+decode_frame encode_frame encode_frame_into file_sink get_codec
+loopback_connector loopback_pair negotiate_codec plan_cluster
+register_codec run_cluster_drill run_worker tcp_connector
+""".split()
+
+
+def test_serve_surface_unchanged():
+    import repro.serve
+
+    assert sorted(repro.serve.__all__) == sorted(SERVE_SURFACE)

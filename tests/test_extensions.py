@@ -289,27 +289,27 @@ class TestTrace:
     def test_trace_receives_lifecycle_events(self):
         from repro.core.expressions import And, Not, Within
 
-        events = []
-        with pytest.warns(DeprecationWarning):
-            engine = Engine(trace=lambda kind, payload: events.append(kind))
+        from repro.obs import RecordingObserver
+
+        recorder = RecordingObserver()
+        engine = Engine(observer=recorder)
         engine.watch(Within(And(obs("A"), Not(obs("B"))), 10))
         engine.submit(Observation("B", "x", 0.0))
         engine.submit(Observation("A", "y", 5.0))   # killed by lookback
         engine.submit(Observation("A", "y", 50.0))  # pending, confirmed
         engine.flush()
-        kinds = set(events)
+        kinds = set(recorder.kinds())
         assert {"observation", "emit", "kill", "pseudo", "detection"} <= kinds
 
     def test_trace_detection_payload(self):
-        captured = []
-        with pytest.warns(DeprecationWarning):
-            engine = Engine(
-                trace=lambda kind, payload: captured.append((kind, payload))
-            )
+        from repro.obs import RecordingObserver
+
+        recorder = RecordingObserver()
+        engine = Engine(observer=recorder)
         engine.watch(obs("r"))
         engine.submit(Observation("r", "a", 1.0))
-        detections = [p for k, p in captured if k == "detection"]
-        assert detections and detections[0]["detection"].time == 1.0
+        detections = recorder.of_kind("detection")
+        assert detections and detections[0][0].time == 1.0
 
 
 class TestEngineReset:

@@ -9,7 +9,6 @@ import pytest
 from repro import Engine, Observation, OutOfOrderPolicy, TSeq, TSeqPlus, Var, obs
 from repro.core.sharding import ShardedEngine
 from repro.obs import (
-    CallableObserver,
     EngineObserver,
     MetricsRegistry,
     MulticastObserver,
@@ -256,40 +255,9 @@ class TestObserverProtocol:
         engine.submit(Observation("r", "a", 1.0))
         assert first.kinds() == second.kinds() != []
 
-    def test_observer_and_trace_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            Engine(observer=RecordingObserver(), trace=lambda kind, payload: None)
-
 
 class TestLegacyTraceShim:
-    def test_bare_callable_warns_and_wraps(self):
-        events = []
-        with pytest.warns(DeprecationWarning, match="EngineObserver"):
-            engine = Engine(trace=lambda kind, payload: events.append(kind))
-        assert isinstance(engine.observer, CallableObserver)
-        engine.watch(obs("r"))
-        engine.submit(Observation("r", "a", 1.0))
-        assert events == ["observation", "emit", "detection"]
-
-    def test_shim_reproduces_legacy_payload_shapes(self):
-        captured = []
-        with pytest.warns(DeprecationWarning):
-            engine = Engine(trace=lambda kind, payload: captured.append((kind, payload)))
-        engine.watch(obs("r"))
-        engine.submit(Observation("r", "a", 1.0))
-        payloads = dict(captured)
-        assert payloads["observation"]["observation"].obj == "a"
-        assert payloads["emit"]["node"] == 0
-        assert payloads["detection"]["detection"].time == 1.0
-
-    def test_trace_property_round_trips(self):
-        def callback(kind, payload):
-            pass
-
-        with pytest.warns(DeprecationWarning):
-            engine = Engine(trace=callback)
-        assert engine.trace is callback
-        assert Engine().trace is None
+    """The ``trace=`` callable shim is gone; what ``as_observer`` still does."""
 
     def test_as_observer_passthrough_and_rejection(self):
         recorder = RecordingObserver()
@@ -297,6 +265,10 @@ class TestLegacyTraceShim:
         assert as_observer(None) is None
         with pytest.raises(TypeError):
             as_observer(42)
+        with pytest.raises(TypeError):  # a bare (kind, payload) callable
+            Engine(observer=lambda kind, payload: None)
+        with pytest.raises(TypeError):
+            Engine(trace=lambda kind, payload: None)
 
     def test_engine_observer_instances_never_warn(self):
         with warnings.catch_warnings():

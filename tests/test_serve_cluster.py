@@ -242,6 +242,7 @@ class TestClusterRecovery:
             directory=str(tmp_path / "drill"),
             inprocess=True,
             timeout=60.0,
+            report_path=str(tmp_path / "drill.json"),
         )
         failed = {
             name: entry
@@ -249,6 +250,9 @@ class TestClusterRecovery:
             if not entry["ok"]
         }
         assert report["ok"], failed
+        # Like the other drills, it says where it wrote the report.
+        with open(report["report_path"], encoding="utf-8") as handle:
+            assert json.load(handle)["checks"] == report["checks"]
 
 
 class TestWorkerProcess:

@@ -254,8 +254,8 @@ class TestIntrospectionParity:
     """One source of truth for placement/traffic across the engines.
 
     ``ShardedEngine``, the standalone ``plan_shards`` plan, and the
-    durable fleet's passthroughs must all report identical views — the
-    cluster router derives worker placement from the plan while the
+    engine inside a ``DurableEngine`` must all report identical views —
+    the cluster router derives worker placement from the plan while the
     engines report their own, and any drift would desynchronize them.
     """
 
@@ -282,22 +282,22 @@ class TestIntrospectionParity:
         assert sharded.placement() == plan.placement()
 
     def test_durable_fleet_reports_same_views(self, tmp_path):
-        from repro.resilience.durability import DurableShardedEngine
+        from repro.resilience.durability import DurableEngine
 
         sharded = ShardedEngine(self._rules(), max_shards=2)
         for observation in self._stream():
             sharded.submit(observation)
-        durable = DurableShardedEngine(
+        durable = DurableEngine(
             lambda: ShardedEngine(self._rules(), max_shards=2),
             str(tmp_path / "fleet"),
         )
         try:
             for observation in self._stream():
                 durable.submit(observation)
-            assert durable.placement() == sharded.placement()
-            assert durable.traffic_summary() == sharded.traffic_summary()
+            assert durable.engine.placement() == sharded.placement()
+            assert durable.engine.traffic_summary() == sharded.traffic_summary()
             assert [
-                durable.routes_for(observation)
+                durable.engine.routes_for(observation)
                 for observation in self._stream()
             ] == [
                 sharded.routes_for(observation)
