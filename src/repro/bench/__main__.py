@@ -8,15 +8,11 @@ Usage::
     python -m repro.bench contexts
     python -m repro.bench merge
     python -m repro.bench incremental
+    python -m repro.bench latency [--full]   # per-observation latency percentiles
     python -m repro.bench metrics [--full]   # instrumented run, Prometheus dump
     python -m repro.bench wal [--full]       # WAL durability overhead per fsync policy
-    python -m repro.bench serve [--scale quick|full|large] [--max-overhead PCT]
-                                             # serving layer vs direct, per codec
-    python -m repro.bench cluster [--scale quick|full|large] [--min-speedup X]
-                                             # shard-worker scaling at 1/2/4 workers
-    python -m repro.bench smoke [--scale quick|full|large] [--pack NAME]
-                                             # open-world workload: events/s vs
-                                             # EPC cardinality and Zipf skew
+    python -m repro.bench report [--full] [--out FILE]
+                                             # every experiment, one markdown document
     python -m repro.bench all [--full]
 
 ``--full`` runs the paper-scale axes (250k events / 500 rules); the
@@ -140,105 +136,6 @@ def _cmd_wal(full: bool) -> None:
     print(record_costs_line(run_record_costs(full_scale=full)))
 
 
-def _cmd_serve(
-    full: bool,
-    scale: "str | None" = None,
-    max_overhead: "float | None" = None,
-) -> int:
-    from .serve import (
-        check_overhead,
-        run_serve_bench,
-        run_speculation_bench,
-        serve_table,
-        write_serve_json,
-    )
-
-    if scale is None:
-        scale = "full" if full else "quick"
-    results = run_serve_bench(scale=scale)
-    # Speculation rows ride along in the same table/JSON: what REVISE's
-    # watermark-buffered retraction machinery costs over the deprecated
-    # ACCEPT policy on a seeded disordered arrival order.  Direct
-    # transport only — they never touch the loopback/binary CI gate.
-    results = list(results) + run_speculation_bench(scale=scale)
-    print(
-        f"Serving layer overhead over {results[0].n_events:,} events "
-        f"(baseline: direct submit_many, "
-        f"{results[0].baseline_seconds * 1000:.1f} ms)"
-    )
-    print(serve_table(results))
-    write_serve_json(results, "BENCH_serve.json", scale=scale)
-    print("machine-readable results written to BENCH_serve.json")
-    if max_overhead is not None:
-        failure = check_overhead(results, max_overhead)
-        if failure is not None:
-            print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"overhead gate passed (binary loopback <= {max_overhead:.0f}%)")
-    return 0
-
-
-def _cmd_cluster(
-    full: bool,
-    scale: "str | None" = None,
-    min_speedup: "float | None" = None,
-) -> int:
-    from .cluster import (
-        check_speedup,
-        cluster_table,
-        merge_cluster_json,
-        run_cluster_bench,
-    )
-
-    if scale is None:
-        scale = "full" if full else "quick"
-    results = run_cluster_bench(scale=scale)
-    print(
-        f"Cluster scaling over {results[0].n_events:,} events, "
-        f"{results[0].n_rules} rules (baseline: 1 worker, "
-        f"{results[0].baseline_seconds * 1000:.1f} ms)"
-    )
-    print(cluster_table(results))
-    merge_cluster_json(results, "BENCH_serve.json", scale=scale)
-    print("cluster rows merged into BENCH_serve.json")
-    if min_speedup is not None:
-        failure = check_speedup(results, min_speedup)
-        if failure is not None:
-            print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"scaling gate passed (2 workers >= {min_speedup:.2f}x)")
-    return 0
-
-
-def _cmd_smoke(
-    full: bool,
-    scale: "str | None" = None,
-    pack: str = "returns-fraud",
-) -> int:
-    from .smoke import (
-        check_oracle,
-        merge_smoke_json,
-        run_smoke_bench,
-        smoke_table,
-    )
-
-    if scale is None:
-        scale = "full" if full else "quick"
-    results = run_smoke_bench(scale=scale, pack=pack)
-    print(
-        f"Open-world workload throughput ({pack}, {results[0].n_events:,} "
-        f"events per cell, direct chronicle engine)"
-    )
-    print(smoke_table(results))
-    merge_smoke_json(results, "BENCH_serve.json", scale=scale)
-    print("smoke rows merged into BENCH_serve.json")
-    failure = check_oracle(results)
-    if failure is not None:
-        print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_report(full: bool, out: "str | None" = None) -> None:
     from .report import generate_report
 
@@ -261,9 +158,6 @@ _COMMANDS = {
     "latency": _cmd_latency,
     "metrics": _cmd_metrics,
     "wal": _cmd_wal,
-    "serve": _cmd_serve,
-    "cluster": _cmd_cluster,
-    "smoke": _cmd_smoke,
 }
 
 
@@ -285,52 +179,10 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--out", help="(report only) write the markdown report to this file"
     )
-    parser.add_argument(
-        "--scale",
-        choices=("quick", "full", "large"),
-        help="(serve/cluster/smoke only) workload size; overrides --full "
-        "(quick=2k, full=20k, large=100k events)",
-    )
-    parser.add_argument(
-        "--pack",
-        default="returns-fraud",
-        help="(smoke only) workload-capable scenario pack "
-        "(default: returns-fraud)",
-    )
-    parser.add_argument(
-        "--max-overhead",
-        type=float,
-        metavar="PCT",
-        help="(serve only) fail with exit code 1 if binary-codec loopback "
-        "overhead vs direct exceeds this percentage",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        metavar="X",
-        help="(cluster only) fail with exit code 1 if the 2-worker run's "
-        "speedup over 1 worker is below this factor",
-    )
     arguments = parser.parse_args(argv)
     if arguments.command == "report":
         _cmd_report(arguments.full, arguments.out)
         return 0
-    if arguments.command == "serve":
-        return _cmd_serve(
-            arguments.full,
-            scale=arguments.scale,
-            max_overhead=arguments.max_overhead,
-        )
-    if arguments.command == "cluster":
-        return _cmd_cluster(
-            arguments.full,
-            scale=arguments.scale,
-            min_speedup=arguments.min_speedup,
-        )
-    if arguments.command == "smoke":
-        return _cmd_smoke(
-            arguments.full, scale=arguments.scale, pack=arguments.pack
-        )
     if arguments.command == "all":
         for name in (
             "fig4",
@@ -341,7 +193,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "incremental",
             "latency",
             "wal",
-            "serve",
         ):
             _COMMANDS[name](arguments.full)
             print()

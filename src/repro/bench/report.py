@@ -1,8 +1,9 @@
 """One-shot evaluation report: every experiment, one markdown document.
 
 ``python -m repro.bench report [--full] [--out FILE]`` runs the complete
-evaluation — Fig. 4, both Fig. 9 axes, the three ablations and the
-latency profile — and renders a self-contained markdown report with the
+evaluation — Fig. 4, both Fig. 9 axes, the three ablations, the latency
+profile, the WAL overhead per fsync policy and an instrumented run's
+engine metrics — and renders a self-contained markdown report with the
 measured numbers, suitable for updating EXPERIMENTS.md after a change.
 """
 
@@ -17,8 +18,6 @@ from .ablations import (
 )
 from .fig9 import linearity_ratio, run_fig9a, run_fig9b
 from .harness import run_detection, run_with_latency
-from .serve import measure_drop_loss, run_serve_bench, run_speculation_bench
-from .smoke import run_smoke_bench
 from .wal import run_wal_bench
 from .workloads import build_events_axis_workload
 
@@ -150,82 +149,6 @@ def generate_report(full_scale: bool = False) -> str:
             f"{result.rotations} | {result.fsyncs} |"
         )
     sections.append("")
-
-    serve_results = run_serve_bench(full_scale=full_scale)
-    sections += [
-        "## Serving layer overhead",
-        "",
-        f"Same detection workload ({serve_results[0].n_events:,} events) "
-        f"streamed through `repro.serve` (`CepServer` + `AsyncClient`, "
-        f"batched SUBMITs, detection push) per transport; baseline is "
-        f"direct `submit_many` at "
-        f"{serve_results[0].baseline_seconds * 1000:.1f} ms.  Every "
-        f"transport/codec run received exactly the baseline's detections.",
-        "",
-        "| transport | codec | total ms | events/s | overhead | frames out "
-        "| bytes in |",
-        "|---|---|---:|---:|---:|---:|---:|",
-    ]
-    for result in serve_results:
-        sections.append(
-            f"| {result.transport} | {result.codec} | {result.total_ms:.1f} | "
-            f"{result.events_per_second:,.0f} | {result.overhead_pct:.1f}% | "
-            f"{result.frames_out:,} | {result.bytes_in:,} |"
-        )
-    sections.append("")
-
-    smoke_results = run_smoke_bench(scale="full" if full_scale else "quick")
-    sections += [
-        "## Open-world workload (cardinality x skew)",
-        "",
-        f"Generated episode workload ({smoke_results[0].pack}, "
-        f"{smoke_results[0].n_events:,} events per cell) through a direct "
-        f"chronicle engine; every cell asserts the generator's exact "
-        f"per-rule oracle, so a fast-but-wrong run cannot post a number.",
-        "",
-        "| cardinality | theta | distinct EPCs | detections | events/s "
-        "| oracle |",
-        "|---:|---:|---:|---:|---:|---|",
-    ]
-    for result in smoke_results:
-        sections.append(
-            f"| {result.cardinality:,} | {result.theta:.2f} | "
-            f"{result.distinct_epcs:,} | {result.detections:,} | "
-            f"{result.events_per_second:,.0f} | "
-            f"{'ok' if result.oracle_ok else 'FAIL'} |"
-        )
-    sections.append("")
-
-    spec_results = run_speculation_bench(full_scale=full_scale)
-    drop_loss = measure_drop_loss(full_scale=full_scale)
-    sections += [
-        "## Out-of-order handling",
-        "",
-        f"Seeded bounded disorder ({spec_results[0].n_events:,} readings, "
-        f"same arrival order for every policy).  `ooo-revise` is "
-        f"watermark-buffered speculation (provisional detections, "
-        f"retract/revise on late data, sealed finals asserted equal to "
-        f"the in-order oracle); `ooo-accept` is the deprecated "
-        f"process-stale-data-anyway policy it is priced against.",
-        "",
-        "| policy | detections | total ms | events/s | overhead |",
-        "|---|---:|---:|---:|---:|",
-    ]
-    for result in spec_results:
-        sections.append(
-            f"| {result.codec} | {result.detections:,} | "
-            f"{result.total_ms:.1f} | {result.events_per_second:,.0f} | "
-            f"{result.overhead_pct:.1f}% |"
-        )
-    sections += [
-        "",
-        f"`DROP` on the same arrival order discards "
-        f"**{drop_loss['ooo_dropped']:,}** late readings "
-        f"(`ooo_dropped`), losing {drop_loss['detections_lost']:,} of "
-        f"the oracle's {drop_loss['oracle_detections']:,} detections — "
-        f"loss that was previously invisible.",
-        "",
-    ]
 
     registry = MetricsRegistry()
     instrumented = run_detection(

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness: workloads, measurements, ablations."""
 
+import pytest
+
 from repro.bench import (
     EVENTS_PER_CASE,
     build_events_axis_workload,
@@ -97,13 +99,43 @@ class TestAblations:
 
 
 class TestCli:
+    #: Every remaining command and a string only its output contains.
+    #: A loop, not ``pytest.mark.parametrize``: the test id is pinned.
+    EXPECTED_OUTPUT = {
+        "contexts": "only chronicle should recover",
+        "fig4": "RCEDA matches",
+        "fig9a": "per-event cost drift",
+        "fig9b": "rules axis",
+        "incremental": "results match: True",
+        "latency": "p99",
+        "merge": "node reduction",
+        "metrics": "# instrumented run",
+        "wal": "fsync policy",
+    }
+
     def test_main_runs_each_command(self, capsys):
+        from repro.bench.__main__ import _COMMANDS, main
+
+        assert sorted(_COMMANDS) == sorted(self.EXPECTED_OUTPUT)
+        for command, expected in self.EXPECTED_OUTPUT.items():
+            assert main([command]) == 0
+            assert expected in capsys.readouterr().out, command
+
+    # Options by argparse dest, so the retired spellings appear nowhere.
+    @pytest.mark.parametrize(
+        "argv",
+        [[command] for command in ("serve", "cluster", "smoke")]
+        + [
+            ["fig4", "--" + dest.replace("_", "-"), "1"]
+            for dest in ("scale", "pack", "max_overhead", "min_speedup")
+        ],
+    )
+    def test_retired_commands_and_options_are_rejected(self, argv):
         from repro.bench.__main__ import main
 
-        for command in ("fig4", "merge", "incremental"):
-            assert main([command]) == 0
-        output = capsys.readouterr().out
-        assert "RCEDA matches" in output
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestLatency:
@@ -117,8 +149,6 @@ class TestLatency:
         assert result.mean_us > 0
 
     def test_latency_rejects_empty_stream(self):
-        import pytest
-
         from repro.bench import run_with_latency
 
         with pytest.raises(ValueError):
@@ -163,155 +193,6 @@ class TestWalBench:
         assert costs.append_us > 0 and costs.delivery_us > 0
 
 
-class TestServeBench:
-    def test_serve_bench_matches_baseline_detections(self):
-        from repro.bench.serve import run_serve_bench
-
-        results = run_serve_bench(full_scale=False)
-        assert [(r.transport, r.codec) for r in results] == [
-            ("direct", "-"),
-            ("loopback", "json"),
-            ("tcp", "json"),
-            ("loopback", "binary"),
-            ("tcp", "binary"),
-            ("loopback", "binary+hb"),
-        ]
-        direct = results[0]
-        assert direct.detections > 0
-        assert all(r.detections == direct.detections for r in results)
-        assert direct.frames_in == 0 and direct.overhead_pct == 0.0
-        assert all(r.frames_in > 0 and r.bytes_in > 0 for r in results[1:])
-        by_key = {(r.transport, r.codec): r for r in results}
-        # The binary codec's whole point: fewer bytes on the wire than
-        # the JSON layout for the same workload.
-        assert (
-            by_key[("loopback", "binary")].bytes_in
-            < by_key[("loopback", "json")].bytes_in
-        )
-
-    def test_serve_bench_single_codec_and_overhead_gate(self):
-        from repro.bench.serve import check_overhead, run_serve_bench
-
-        results = run_serve_bench(codecs=("binary",))
-        assert [(r.transport, r.codec) for r in results] == [
-            ("direct", "-"),
-            ("loopback", "binary"),
-            ("tcp", "binary"),
-            ("loopback", "binary+hb"),
-        ]
-        # A generous bound always passes; an impossible one always fails.
-        assert check_overhead(results, 1e9) is None
-        failure = check_overhead(results, -200.0)
-        assert failure is not None and "loopback/binary" in failure
-        assert "no loopback/binary row" in check_overhead(results[:1], 1e9)
-
-    def test_serve_bench_rejects_unknown_scale(self):
-        import pytest
-
-        from repro.bench.serve import run_serve_bench
-
-        with pytest.raises(ValueError, match="unknown scale"):
-            run_serve_bench(scale="galactic")
-
-    def test_speculation_bench_rows(self):
-        from repro.bench.serve import check_overhead, run_speculation_bench
-
-        results = run_speculation_bench(repeats=1)
-        assert [(r.transport, r.codec) for r in results] == [
-            ("direct", "ooo-accept"),
-            ("direct", "ooo-revise"),
-        ]
-        accept, revise = results
-        # The function only returns after asserting the revise run's
-        # sealed finals equal the in-order oracle, so a non-zero count
-        # here is a count of *correct* answers.
-        assert revise.detections > 0
-        assert accept.overhead_pct == 0.0
-        # Speculation is never free: every late arrival forces a
-        # rebuild, so the revise row must cost more than accept.
-        assert revise.elapsed_seconds > accept.elapsed_seconds
-        assert revise.overhead_pct > 0.0
-        # Engine-layer rows: nothing crossed the wire.
-        assert accept.frames_in == 0 and revise.bytes_in == 0
-        # The CI gate must be blind to these rows.
-        assert "no loopback/binary row" in check_overhead(results, 1e9)
-
-    def test_measure_drop_loss_surfaces_late_data_loss(self):
-        from repro.bench.serve import measure_drop_loss
-
-        loss = measure_drop_loss()
-        # The whole point: drops are counted and the answers they cost
-        # are named, instead of DROP silently shrinking the output.
-        assert loss["ooo_dropped"] > 0
-        assert loss["detections_lost"] >= 0
-        assert (
-            loss["detections"] + loss["detections_lost"]
-            == loss["oracle_detections"]
-        )
-
-    def test_speculation_bench_rejects_unknown_scale(self):
-        import pytest
-
-        from repro.bench.serve import run_speculation_bench
-
-        with pytest.raises(ValueError, match="unknown scale"):
-            run_speculation_bench(scale="galactic")
-
-    def test_serve_cli_writes_json(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        from repro.bench.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["serve"]) == 0
-        out = capsys.readouterr().out
-        assert "transport" in out and "loopback" in out and "binary" in out
-        with open(tmp_path / "BENCH_serve.json") as handle:
-            document = json.load(handle)
-        assert document["schema"] == {"name": "repro-bench-serve", "version": 2}
-        assert document["scale"] == "quick"
-        assert [(r["transport"], r["codec"]) for r in document["results"]] == [
-            ("direct", "-"),
-            ("loopback", "json"),
-            ("tcp", "json"),
-            ("loopback", "binary"),
-            ("tcp", "binary"),
-            ("loopback", "binary+hb"),
-            ("direct", "ooo-accept"),
-            ("direct", "ooo-revise"),
-        ]
-
-    def test_serve_cli_overhead_gate_exit_code(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.serve as serve_bench
-        from repro.bench.__main__ import main
-        from repro.bench.serve import ServeBenchResult
-
-        def fake_bench(*args, **kwargs):
-            rows = [("direct", "-", 1.0), ("loopback", "binary", 2.0)]
-            return [
-                ServeBenchResult(
-                    transport=transport,
-                    codec=codec,
-                    n_events=100,
-                    n_rules=1,
-                    detections=5,
-                    elapsed_seconds=elapsed,
-                    baseline_seconds=1.0,
-                )
-                for transport, codec, elapsed in rows
-            ]
-
-        monkeypatch.setattr(serve_bench, "run_serve_bench", fake_bench)
-        monkeypatch.setattr(serve_bench, "run_speculation_bench", lambda *a, **k: [])
-        monkeypatch.chdir(tmp_path)
-        # Fake binary loopback overhead is 100%: over a 40% bound it
-        # must fail with exit code 1, under a 150% bound it must pass.
-        assert main(["serve", "--max-overhead", "40"]) == 1
-        assert "exceeds the 40% bound" in capsys.readouterr().err
-        assert main(["serve", "--max-overhead", "150"]) == 0
-        assert "overhead gate passed" in capsys.readouterr().out
-
-
 class TestReport:
     def test_generate_report_contains_all_sections(self):
         from repro.bench.report import generate_report
@@ -326,15 +207,11 @@ class TestReport:
             "re-evaluation",
             "latency",
             "WAL durability overhead",
-            "Serving layer overhead",
-            "Out-of-order handling",
+            "Engine metrics",
         ):
             assert heading in text, heading
+        assert text.count("\n## ") == 9
         assert "RCEDA matches: **2**" in text
-        # Late-data loss is part of the report now: the DROP policy's
-        # discards are named and counted, never silent.
-        assert "ooo_dropped" in text
-        assert "ooo-revise" in text
 
     def test_report_cli_writes_file(self, tmp_path, capsys):
         from repro.bench.__main__ import main

@@ -91,3 +91,29 @@ def test_serve_surface_unchanged():
     import repro.serve
 
     assert sorted(repro.serve.__all__) == sorted(SERVE_SURFACE)
+
+
+@pytest.mark.parametrize("module", ["serve", "cluster", "smoke"])
+def test_retired_bench_modules_stay_deleted(module):
+    """Served-path numbers come from ``benchmarks/stack`` only."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"repro.bench.{module}")
+
+
+#: ``repro.bench.__all__`` as of the PR that retired those modules; none
+#: of them ever exported through the package.
+BENCH_SURFACE = """
+BenchResult ContextResult EVENTS_PER_CASE Fig4Result Fig9Workload
+IncrementalResult LatencyResult MergeResult PAPER_EVENT_POINTS
+PAPER_RULE_POINTS SMALL_EVENT_POINTS SMALL_RULE_POINTS
+build_events_axis_workload build_rules_axis_workload
+containment_rule_for_pair context_ablation fig4_comparison fig9a_table
+fig9b_table format_table incremental_ablation linearity_ratio
+merge_ablation run_detection run_fig9a run_fig9b run_with_latency
+""".split()
+
+
+def test_bench_surface_unchanged():
+    import repro.bench
+
+    assert sorted(repro.bench.__all__) == sorted(BENCH_SURFACE)
