@@ -1,21 +1,31 @@
 """Micro-benchmark: instrumentation must be near-free when switched off.
 
 The acceptance bar for the observability subsystem: with no observer and
-no metrics registry attached, the per-observation fast path performs no
-allocations on behalf of ``repro.obs`` (verified with ``tracemalloc``
-filtered to the obs package) and the guard overhead stays in the noise.
-A second check quantifies the cost of running instrumented, which is
-allowed to cost real time (two clock reads per node propagation) but
-must stay within a small constant factor.
+no metrics registry attached, the per-observation fast path of the
+engine, the durable engine and the served stack performs no allocations
+on behalf of ``repro.obs`` (verified with ``tracemalloc`` filtered to
+the obs package) and the guard overhead stays in the noise.  With a
+registry attached, metric children are bound when a layer attaches it,
+never per event: the number of ``MetricFamily.labels`` calls is the same
+for 1k and 2k observations (a count, so it holds on any host).  A last
+check quantifies the cost of running instrumented, which is allowed to
+cost real time (two clock reads per node propagation) but must stay
+within a small constant factor.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 import tracemalloc
 
+import pytest
+
+from repro import Engine
 from repro.bench import run_detection
-from repro.obs import MetricsRegistry
+from repro.obs import MetricFamily, MetricsRegistry
+from repro.resilience.durability import DurableEngine
+from repro.serve import AsyncClient, CepServer, loopback_connector
 
 
 def _time_run(workload, registry=None):
@@ -26,8 +36,45 @@ def _time_run(workload, registry=None):
     return time.perf_counter() - started
 
 
+def _engine_run(rules, observations, directory, registry=None):
+    run_detection(rules, observations, label="alloc", registry=registry)
+
+
+def _durable_run(rules, observations, directory, registry=None):
+    with DurableEngine(
+        lambda: Engine(rules),
+        str(directory / f"durable-{len(observations)}"),
+        checkpoint_every=500,
+        sink=lambda detection, seq, ordinal: None,
+        metrics=registry,
+    ) as durable:
+        durable.submit_many(observations)
+        durable.flush()
+
+
+def _served_run(rules, observations, directory, registry=None):
+    async def scenario():
+        async with CepServer(Engine(rules), metrics=registry) as server:
+            client = AsyncClient(
+                loopback_connector(server), subscribe=True, batch_size=256
+            )
+            async with client:
+                await client.submit_many(observations)
+                await client.flush(timeout=60)
+
+    asyncio.run(scenario())
+
+
+LAYERS = pytest.mark.parametrize(
+    "run", [_engine_run, _durable_run, _served_run], ids=["engine", "durable", "served"]
+)
+
+
 class TestFastPathAllocations:
-    def test_uninstrumented_run_allocates_nothing_in_obs(self, small_workload):
+    @LAYERS
+    def test_uninstrumented_run_allocates_nothing_in_obs(
+        self, run, small_workload, tmp_path
+    ):
         """No registry, no observer → zero allocations from repro.obs."""
         # NB: the repro.obs package shares its name with the repro.obs()
         # expression helper; from-imports are the supported access path.
@@ -40,7 +87,7 @@ class TestFastPathAllocations:
 
         tracemalloc.start(5)
         try:
-            run_detection(small_workload.rules, observations, label="alloc")
+            run(small_workload.rules, observations, tmp_path)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -54,6 +101,27 @@ class TestFastPathAllocations:
             "fast path allocated inside repro.obs: "
             f"{[(s.traceback[0].filename, s.count) for s in obs_allocations]}"
         )
+
+    @LAYERS
+    def test_children_are_bound_at_attach_not_per_event(
+        self, run, small_workload, tmp_path, monkeypatch
+    ):
+        """Twice the observations, the same number of label resolutions."""
+        calls = []
+        original = MetricFamily.labels
+
+        def counting(family, **labels):
+            calls.append(family.name)
+            return original(family, **labels)
+
+        monkeypatch.setattr(MetricFamily, "labels", counting)
+        counts = []
+        for n_observations in (1000, 2000):
+            calls.clear()
+            observations = small_workload.observations[:n_observations]
+            run(small_workload.rules, observations, tmp_path, MetricsRegistry())
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_instrumented_overhead_bounded(self, small_workload):
         """Metrics on vs off: slowdown stays within a small constant factor."""

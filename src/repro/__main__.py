@@ -1040,10 +1040,9 @@ def main(argv: "list[str] | None" = None) -> int:
     chaos.add_argument("--skew-rate", type=float, default=0.0)
     chaos.add_argument(
         "--out-of-order",
-        choices=("raise", "drop", "accept", "revise"),
-        default="accept",
-        help="engine policy for late readings (default: accept; "
-        "'accept' is deprecated — prefer 'revise')",
+        choices=("raise", "drop", "revise"),
+        default="drop",
+        help="engine policy for late readings (default: drop)",
     )
     chaos.add_argument(
         "--revise-horizon",

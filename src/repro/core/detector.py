@@ -34,7 +34,7 @@ from enum import Enum
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
 
-from ..obs.instrument import EngineInstruments, ReorderInstruments
+from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import EngineObserver, as_observer
 from .contexts import ParameterContext, get_context
@@ -59,19 +59,13 @@ class OutOfOrderPolicy(str, Enum):
     ``final`` records as late data lands and the watermark advances
     (see :mod:`repro.core.speculate` and ``docs/consistency.md``).
 
-    ``ACCEPT`` processes the stale observation anyway; it is
-    **deprecated** — pseudo-event correctness assumes time order, so
-    accepted disorder silently corrupts detections.  Use ``REVISE``,
-    which is eager *and* correct.
-
-    A :class:`str` subclass, so the legacy string spellings
-    (``"raise"``/``"drop"``/``"accept"``/``"revise"``) compare equal
-    and both forms are accepted by ``Engine(out_of_order=...)``.
+    A :class:`str` subclass, so the string spellings (``"raise"``/
+    ``"drop"``/``"revise"``) compare equal and both forms are accepted by
+    ``Engine(out_of_order=...)``.
     """
 
     RAISE = "raise"
     DROP = "drop"
-    ACCEPT = "accept"
     REVISE = "revise"
 
     @classmethod
@@ -326,10 +320,8 @@ class Engine:
         this exists for the merge ablation benchmark.
     out_of_order:
         An :class:`OutOfOrderPolicy` (or its string spelling,
-        ``"raise"``/``"drop"``/``"accept"``/``"revise"``) for
-        observations older than the engine clock.  ``ACCEPT`` is
-        deprecated (pseudo-event correctness assumes order — prefer
-        ``REVISE``); ``REVISE`` requires ``revise_horizon``.
+        ``"raise"``/``"drop"``/``"revise"``) for observations older
+        than the engine clock.  ``REVISE`` requires ``revise_horizon``.
     revise_horizon:
         The REVISE watermark lag, in stream seconds: arrivals up to this
         late are repaired via retraction/revision; older arrivals are
@@ -391,25 +383,13 @@ class Engine:
         self._started = False
         self._watch_counter = 0
         self._observer = as_observer(observer)
-        self._instr: Optional[EngineInstruments] = None
+        self._instr: Optional[Instruments] = None
         self._reorder = None
         if reorder_delay is not None:
             from ..readers.streams import ReorderBuffer
 
             self._reorder = ReorderBuffer(delay=reorder_delay)
         self._spec = None
-        if self._out_of_order is OutOfOrderPolicy.ACCEPT:
-            import warnings
-
-            warnings.warn(
-                "OutOfOrderPolicy.ACCEPT is deprecated: processing stale "
-                "observations breaks pseudo-event correctness.  Use "
-                "OutOfOrderPolicy.REVISE (with revise_horizon=...) for "
-                "eager detections that are retracted/revised when late "
-                "data arrives.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if self._out_of_order is OutOfOrderPolicy.REVISE:
             if revise_horizon is None:
                 raise ValueError(
@@ -438,7 +418,7 @@ class Engine:
 
     def attach_metrics(
         self, registry: MetricsRegistry, label: str = "main"
-    ) -> EngineInstruments:
+    ) -> Instruments:
         """Report this engine's internals into ``registry``.
 
         Metric children are resolved once, here, so the per-observation
@@ -446,10 +426,10 @@ class Engine:
         registry under distinct ``label`` values (sharding rollups).
         Returns the bound instruments (mostly for tests).
         """
-        self._instr = EngineInstruments(registry, engine_label=label)
+        self._instr = Instruments(registry, "engine", label)
         if self._reorder is not None:
             self._reorder.attach_instruments(
-                ReorderInstruments(registry, engine_label=label)
+                Instruments(registry, "reorder", label)
             )
         return self._instr
 
@@ -689,16 +669,17 @@ class Engine:
     def _process(self, observation: Observation) -> None:
         timestamp = observation.timestamp
         if timestamp < self._clock:
+            # REVISE never gets here: it only releases observations the
+            # watermark has passed, and the clock never runs ahead of it.
             if self._out_of_order is OutOfOrderPolicy.RAISE:
                 raise TimeOrderError(
                     f"observation at {timestamp} is older than engine clock "
                     f"{self._clock}"
                 )
-            if self._out_of_order is OutOfOrderPolicy.DROP:
-                self.stats.dropped_out_of_order += 1
-                if self._instr is not None:
-                    self._instr.dropped_out_of_order.inc()
-                return
+            self.stats.dropped_out_of_order += 1
+            if self._instr is not None:
+                self._instr.dropped_out_of_order.inc()
+            return
         observer = self._observer
         if observer is not None:
             observer.on_observation(observation)
@@ -770,7 +751,7 @@ class Engine:
             observer.on_emit(node, instance)
         instr = self._instr
         if instr is not None:
-            instr.count_emit(node.kind)
+            instr.emits[node.kind].inc()
         if not node.is_primitive:
             self.stats.composites += 1
         if node.keeps_history:
@@ -784,7 +765,7 @@ class Engine:
             for parent, child_index in node.parents:
                 started = perf_counter()
                 self.states[parent.node_id].on_child(child_index, instance)
-                instr.observe_match(parent.kind, perf_counter() - started)
+                instr.match_seconds[parent.kind].observe(perf_counter() - started)
 
     def schedule(self, event: PseudoEvent) -> None:
         self.stats.pseudo_scheduled += 1
@@ -855,7 +836,7 @@ class Engine:
         else:
             started = perf_counter()
             bindings = state.match(observation)
-            instr.observe_match("obs", perf_counter() - started)
+            instr.match_seconds["obs"].observe(perf_counter() - started)
         if bindings is None:
             return
         self.stats.primitive_matches += 1

@@ -8,7 +8,8 @@ Two halves, both dependency-free:
   ``Engine(metrics=registry)`` (or ``engine.attach_metrics(registry)``)
   and every hot path reports per-node-kind match time, per-observation
   latency, pseudo-queue depth, GC reclaim and more — with near-zero cost
-  when no registry is attached.
+  when no registry is attached.  :data:`METRICS` is the table of every
+  family each layer reports; :class:`Instruments` binds one layer's rows.
 
 * **Tracing** (:mod:`repro.obs.tracing`): the typed
   :class:`EngineObserver` protocol, plus :class:`Span` timers and
@@ -24,16 +25,7 @@ See ``docs/observability.md`` for the full tour.
    unaffected by the name shadowing.
 """
 
-from .instrument import (
-    NODE_KINDS,
-    ClusterInstruments,
-    DurabilityInstruments,
-    EngineInstruments,
-    ReorderInstruments,
-    ResilienceInstruments,
-    ServeInstruments,
-    rollup,
-)
+from .instrument import METRICS, NODE_KINDS, Instruments, rollup
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -55,20 +47,16 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
-    "ClusterInstruments",
-    "DurabilityInstruments",
-    "EngineInstruments",
     "EngineObserver",
     "Gauge",
     "Histogram",
+    "Instruments",
+    "METRICS",
     "MetricFamily",
     "MetricsRegistry",
     "MulticastObserver",
     "NODE_KINDS",
     "RecordingObserver",
-    "ReorderInstruments",
-    "ResilienceInstruments",
-    "ServeInstruments",
     "Span",
     "as_observer",
     "rollup",

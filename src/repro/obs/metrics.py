@@ -300,7 +300,7 @@ class MetricsRegistry:
 
     # -- registration ---------------------------------------------------------
 
-    def _register(
+    def register(
         self,
         name: str,
         kind: str,
@@ -308,6 +308,7 @@ class MetricsRegistry:
         labelnames: Sequence[str],
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> MetricFamily:
+        """The family ``name`` of ``kind``, created on first registration."""
         existing = self._families.get(name)
         if existing is not None:
             if existing.kind != kind:
@@ -327,12 +328,12 @@ class MetricsRegistry:
     def counter(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> MetricFamily:
-        return self._register(name, "counter", help, labelnames)
+        return self.register(name, "counter", help, labelnames)
 
     def gauge(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> MetricFamily:
-        return self._register(name, "gauge", help, labelnames)
+        return self.register(name, "gauge", help, labelnames)
 
     def histogram(
         self,
@@ -341,7 +342,7 @@ class MetricsRegistry:
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> MetricFamily:
-        return self._register(name, "histogram", help, labelnames, buckets)
+        return self.register(name, "histogram", help, labelnames, buckets)
 
     # -- access ---------------------------------------------------------------
 

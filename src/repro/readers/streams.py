@@ -89,8 +89,8 @@ class ReorderBuffer:
     >>> [observation.timestamp for observation in buffer.drain()]
     [20.0]
 
-    With ``instruments`` attached (see
-    :class:`repro.obs.ReorderInstruments`), the buffer reports its
+    With ``instruments`` attached (the ``reorder`` rows of
+    :data:`repro.obs.METRICS`), the buffer reports its
     occupancy as a gauge, each arrival's stream-time lateness (how far
     behind the maximum timestamp seen it arrived; 0 for in-order) into a
     histogram, and late drops as a counter.

@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from ...core.detector import SubmitResult
 from ...core.errors import CheckpointError, WalError
 from ...core.instances import Observation
-from ...obs.instrument import DurabilityInstruments
+from ...obs.instrument import Instruments
 from ...obs.metrics import MetricsRegistry
 from ..chaos import MalformedObservation
 from ..checkpoint import load_checkpoint, save_checkpoint
@@ -314,8 +314,8 @@ class DurableEngine:
                 f"directory {directory!r} already holds durable state; "
                 "use DurableEngine.recover() to resume it"
             )
-        self.instruments: Optional[DurabilityInstruments] = (
-            DurabilityInstruments(metrics, engine_label=metrics_label)
+        self.instruments: Optional[Instruments] = (
+            Instruments(metrics, "durability", metrics_label)
             if metrics is not None
             else None
         )

@@ -64,7 +64,7 @@ from ..supervise import DeadLetterEntry, DeadLetterQueue, RetryPolicy
 from .wal import compact_json
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...obs.instrument import DurabilityInstruments
+    from ...obs.instrument import Instruments
 
 __all__ = ["ActionOutbox", "OutboxEntry", "read_journal"]
 
@@ -183,7 +183,7 @@ class ActionOutbox:
         retry: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 1000,
         fsync: bool = False,
-        instruments: "Optional[DurabilityInstruments]" = None,
+        instruments: "Optional[Instruments]" = None,
         confidence: str = "immediate",
         provisional_timeout: Optional[float] = None,
     ) -> None:

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence
 from ...core.errors import WalError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...obs.instrument import DurabilityInstruments
+    from ...obs.instrument import Instruments
 
 __all__ = [
     "FsyncPolicy",
@@ -364,7 +364,7 @@ class WalWriter:
         *,
         fsync: FsyncPolicy = FsyncPolicy.NEVER,
         segment_max_bytes: int = 1 << 20,
-        instruments: "Optional[DurabilityInstruments]" = None,
+        instruments: "Optional[Instruments]" = None,
     ) -> None:
         if segment_max_bytes < _HEADER.size + 2:
             raise ValueError("segment_max_bytes is too small to hold a record")

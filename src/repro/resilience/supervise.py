@@ -24,10 +24,11 @@ wraps an engine with three independent failure boundaries:
   the action dead-letter queue with its bindings, so a detection is
   never silently lost even when its side effects cannot be performed.
 
-All failure paths count into :class:`repro.obs.ResilienceInstruments`
-when a metrics registry is attached (quarantine totals, retry attempt
-histograms, per-rule breaker state gauges) and into :attr:`SupervisedEngine.
-failures` stats always.  See ``docs/resilience.md``.
+All failure paths count into the ``resilience`` rows of
+:data:`repro.obs.METRICS` when a metrics registry is attached
+(quarantine totals, retry attempt histograms, per-rule breaker state
+gauges) and into :attr:`SupervisedEngine.failures` stats always.  See
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from ..core.detector import (
     SubmitResult,
 )
 from ..core.instances import Observation
-from ..obs.instrument import ResilienceInstruments
+from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -353,8 +354,8 @@ class SupervisedEngine:
         self.quarantine = DeadLetterQueue(dead_letter_capacity)
         self.action_dead_letters = DeadLetterQueue(dead_letter_capacity)
         self.failures = ResilienceStats()
-        self._instr: Optional[ResilienceInstruments] = (
-            ResilienceInstruments(metrics, engine_label=metrics_label)
+        self._instr: Optional[Instruments] = (
+            Instruments(metrics, "resilience", metrics_label)
             if metrics is not None
             else None
         )
@@ -392,8 +393,8 @@ class SupervisedEngine:
 
     def _sync_breaker_gauge(self, rule_id: str) -> None:
         if self._instr is not None:
-            self._instr.set_breaker_state(
-                rule_id, self.breaker(rule_id).state.gauge_value
+            self._instr.breaker_states[rule_id].set(
+                self.breaker(rule_id).state.gauge_value
             )
 
     # -- failure recording -----------------------------------------------------
@@ -429,7 +430,7 @@ class SupervisedEngine:
             self.failures.condition_failures += 1
             self.action_dead_letters.push(entry)
         if instr is not None:
-            instr.count_failure(rule_id, stage)
+            instr.failures[rule_id, stage].inc()
         tripped = self.breaker(rule_id).record_failure(context.time)
         if tripped:
             self.failures.breaker_opens += 1

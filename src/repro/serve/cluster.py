@@ -938,9 +938,9 @@ class CepRouter:
         self.stats = RouterStats()
         self._instr = None
         if metrics is not None:
-            from ..obs.instrument import ClusterInstruments
+            from ..obs.instrument import Instruments
 
-            self._instr = ClusterInstruments(metrics, router_label=metrics_label)
+            self._instr = Instruments(metrics, "cluster", metrics_label)
         self.links: dict[str, WorkerLink] = {
             shard: WorkerLink(shard, host, port, router=self)
             for shard, (host, port) in endpoints.items()

@@ -304,8 +304,9 @@ class CepServer:
     config:
         Queue bounds and slow-consumer policy (:class:`ServeConfig`).
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`; attaches a
-        :class:`repro.obs.ServeInstruments` under ``metrics_label``.
+        Optional :class:`repro.obs.MetricsRegistry`; reports the
+        ``serve`` rows of :data:`repro.obs.METRICS` under
+        ``metrics_label``.
     """
 
     def __init__(
@@ -333,9 +334,9 @@ class CepServer:
         self.stats = ServeStats()
         self._instr = None
         if metrics is not None:
-            from ..obs.instrument import ServeInstruments
+            from ..obs.instrument import Instruments
 
-            self._instr = ServeInstruments(metrics, server_label=metrics_label)
+            self._instr = Instruments(metrics, "serve", metrics_label)
         self._queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.submit_queue
         )
@@ -537,11 +538,11 @@ class CepServer:
                 session.last_activity = loop.time()
                 self.stats.bytes_in += len(data)
                 if self._instr is not None:
-                    self._instr.bytes_in.inc(len(data))
+                    self._instr.bytes["in"].inc(len(data))
                 for frame in decoder.feed(data):
                     self.stats.frames_in += 1
                     if self._instr is not None:
-                        self._instr.frames_in.inc()
+                        self._instr.frames["in"].inc()
                     if not greeted:
                         if not isinstance(frame, Hello):
                             self._send_error(
@@ -1146,8 +1147,8 @@ class CepServer:
                     self.stats.frames_out += frames
                     self.stats.bytes_out += len(buffer)
                     if self._instr is not None:
-                        self._instr.frames_out.inc(frames)
-                        self._instr.bytes_out.inc(len(buffer))
+                        self._instr.frames["out"].inc(frames)
+                        self._instr.bytes["out"].inc(len(buffer))
                 if closing:
                     break
         except (ConnectionError, RuntimeError):

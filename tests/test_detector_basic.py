@@ -6,6 +6,7 @@ from repro import (
     Engine,
     FunctionRegistry,
     Observation,
+    OutOfOrderPolicy,
     TimeOrderError,
     Var,
     Within,
@@ -178,18 +179,12 @@ class TestClockAndOrdering:
         assert engine.submit(Observation("r", "a", 5)) == []
         assert engine.stats.dropped_out_of_order == 1
 
-    def test_accept_policy_warns_deprecated(self):
-        # ACCEPT still works (one-release grace) but announces itself:
-        # processing stale observations breaks pseudo-event correctness,
-        # and the warning points at the REVISE replacement.
-        with pytest.warns(DeprecationWarning, match="REVISE"):
-            engine = Engine(out_of_order="accept")
-        engine.watch(obs("r"))
-        engine.submit(Observation("r", "a", 10))
-        detections = engine.submit(Observation("r", "a", 5))
-        # Behaviour is unchanged: the stale observation is processed.
-        assert len(detections) == 1
-        assert engine.stats.dropped_out_of_order == 0
+    def test_accept_policy_is_gone(self):
+        # Processing stale observations broke pseudo-event correctness;
+        # the spelling is now rejected, naming the three policies left.
+        with pytest.raises(ValueError, match="'raise', 'drop', 'revise'"):
+            Engine(out_of_order="accept")
+        assert not hasattr(OutOfOrderPolicy, "ACCEPT")
 
     def test_non_accept_policies_do_not_warn(self):
         import warnings

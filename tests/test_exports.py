@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 PACKAGES = [
+    "repro.obs",
     "repro.scenarios",
     "repro.serve",
     "repro.simulator",
@@ -60,11 +61,18 @@ def test_star_import_resolves(package):
         ("repro.resilience", "DurableShardedEngine"),
         ("repro.resilience.durability", "DurableShardedEngine"),
         ("repro.obs", "CallableObserver"),
+        *(
+            ("repro.obs", f"{layer}Instruments")
+            for layer in (
+                "Engine", "Reorder", "Resilience", "Durability", "Serve", "Cluster"
+            )
+        ),
     ],
 )
 def test_deleted_names_stay_deleted(package, deleted):
-    """One durable engine, one observer API: no alias may bring back the
-    sharded durable class or the ``trace=`` callable shim."""
+    """One durable engine, one observer API, one metric table: no alias
+    may bring back the sharded durable class, the ``trace=`` callable
+    shim or a per-layer instruments class."""
     module = importlib.import_module(package)
     assert deleted not in module.__all__
     assert not hasattr(module, deleted)

@@ -289,7 +289,7 @@ class TestOutOfOrderPolicy:
         assert engine.stats.dropped_out_of_order == 1
 
     def test_legacy_strings_still_accepted(self):
-        for spelling in ("raise", "drop", "accept"):
+        for spelling in ("raise", "drop"):
             assert Engine(out_of_order=spelling)._out_of_order is OutOfOrderPolicy(
                 spelling
             )

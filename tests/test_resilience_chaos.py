@@ -134,7 +134,7 @@ class TestFaults:
 
 
 class TestOutOfOrderPoliciesUnderChaos:
-    """Satellite: DROP/ACCEPT under chaos-injected out-of-order spikes."""
+    """DROP and the reorder buffer under chaos-injected out-of-order spikes."""
 
     def _spiky_stream(self):
         injector = ChaosInjector(
@@ -153,13 +153,6 @@ class TestOutOfOrderPoliciesUnderChaos:
         assert engine.stats.dropped_out_of_order > 0
         samples = registry.snapshot()["rceda_dropped_out_of_order_total"]["samples"]
         assert samples[0]["value"] == engine.stats.dropped_out_of_order
-
-    def test_accept_policy_processes_everything(self):
-        engine = Engine(pair_rules(), out_of_order=OutOfOrderPolicy.ACCEPT)
-        stream = self._spiky_stream()
-        list(engine.run(stream))
-        assert engine.stats.observations == len(stream)
-        assert engine.stats.dropped_out_of_order == 0
 
     def test_reorder_buffer_lateness_metrics_populated(self):
         registry = MetricsRegistry()
@@ -205,7 +198,7 @@ class TestRecoveryUnderChaos:
             return Engine(
                 pair_rules(),
                 reorder_delay=2.5,
-                out_of_order=OutOfOrderPolicy.ACCEPT,
+                out_of_order=OutOfOrderPolicy.RAISE,  # the buffer absorbs it
             )
 
         def canon(detections):
@@ -235,7 +228,7 @@ class TestRecoveryUnderChaos:
 
         def build():
             return SupervisedEngine(
-                pair_rules(), out_of_order=OutOfOrderPolicy.ACCEPT
+                pair_rules(), out_of_order=OutOfOrderPolicy.DROP
             )
 
         baseline = build()

@@ -274,7 +274,7 @@ class TestReorderBufferRoundTrip:
         return Engine(
             pair_rules(),
             reorder_delay=3.0,
-            out_of_order=OutOfOrderPolicy.ACCEPT,
+            out_of_order=OutOfOrderPolicy.RAISE,  # the buffer absorbs it
         )
 
     def test_buffered_readings_survive(self):
