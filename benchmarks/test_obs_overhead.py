@@ -7,7 +7,9 @@ on behalf of ``repro.obs`` (verified with ``tracemalloc`` filtered to
 the obs package) and the guard overhead stays in the noise.  With a
 registry attached, metric children are bound when a layer attaches it,
 never per event: the number of ``MetricFamily.labels`` calls is the same
-for 1k and 2k observations (a count, so it holds on any host).  A last
+for 1k and 2k observations (a count, so it holds on any host), and the
+families that read a component's own counts receive no ``inc``/``set``
+at all (another count).  A last
 check quantifies the cost of running instrumented, which is allowed to
 cost real time (two clock reads per node propagation) but must stay
 within a small constant factor.
@@ -23,7 +25,7 @@ import pytest
 
 from repro import Engine
 from repro.bench import run_detection
-from repro.obs import MetricFamily, MetricsRegistry
+from repro.obs import METRICS, Counter, Gauge, MetricFamily, MetricsRegistry
 from repro.resilience.durability import DurableEngine
 from repro.serve import AsyncClient, CepServer, loopback_connector
 
@@ -122,6 +124,39 @@ class TestFastPathAllocations:
             run(small_workload.rules, observations, tmp_path, MetricsRegistry())
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @LAYERS
+    def test_stats_backed_families_are_never_written(
+        self, run, small_workload, tmp_path, monkeypatch
+    ):
+        """A counter or gauge that reads its component's stats gets no
+        ``inc``/``set`` on the hot path, at 1k or 2k observations."""
+        reading = {
+            row.name for _scope, rows in METRICS.values() for row in rows if row.reads
+        }
+        written = []
+        for kind, method in ((Counter, "inc"), (Gauge, "set")):
+            original = getattr(kind, method)
+
+            def recording(child, *args, _original=original):
+                written.append(child)
+                return _original(child, *args)
+
+            monkeypatch.setattr(kind, method, recording)
+        for n_observations in (1000, 2000):
+            written.clear()
+            registry = MetricsRegistry()
+            observations = small_workload.observations[:n_observations]
+            run(small_workload.rules, observations, tmp_path, registry)
+            written_ids = {id(child) for child in written}
+            hits = [
+                family.name
+                for family in registry
+                if family.name in reading
+                for child in family.children()
+                if id(child) in written_ids
+            ]
+            assert hits == []
 
     def test_instrumented_overhead_bounded(self, small_workload):
         """Metrics on vs off: slowdown stays within a small constant factor."""

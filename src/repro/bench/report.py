@@ -181,9 +181,7 @@ def generate_report(full_scale: bool = False) -> str:
     sections += [
         "",
         f"* pseudo events: {rollup(registry, 'rceda_pseudo_scheduled_total'):,.0f} "
-        f"scheduled, {rollup(registry, 'rceda_pseudo_fired_total'):,.0f} fired; "
-        f"queue depth after last submit "
-        f"{rollup(registry, 'rceda_pseudo_queue_depth'):,.0f}",
+        f"scheduled, {rollup(registry, 'rceda_pseudo_fired_total'):,.0f} fired",
         f"* GC reclaimed: {rollup(registry, 'rceda_gc_reclaimed_total'):,.0f} "
         f"state items",
         f"* kills (negation/lookback): "

@@ -341,11 +341,11 @@ class Engine:
         ``on_kill``, ``on_detection``, ``on_gc``) as engine internals
         happen.  Keep hooks fast; they run on the hot path.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  When attached, the
-        engine reports per-observation latency, per-node-kind match
-        time, emit/kill/detection counts, pseudo-queue depth and GC
-        reclaim into it (see ``docs/observability.md``).  When absent,
-        instrumentation costs one pointer check per site.
+        Optional :class:`repro.obs.MetricsRegistry`.  When attached, it
+        gets per-observation latency, per-node-kind match time and emits,
+        and reads detections, kills, pseudo events, GC reclaim and the
+        rest from :attr:`stats` (see ``docs/observability.md``).  When
+        absent, instrumentation costs one pointer check per site.
     metrics_label:
         The ``engine`` label value for this engine's metrics — distinct
         per shard when several engines share a registry.
@@ -384,6 +384,8 @@ class Engine:
         self._watch_counter = 0
         self._observer = as_observer(observer)
         self._instr: Optional[Instruments] = None
+        #: The attached registry, or None.
+        self.metrics: Optional[MetricsRegistry] = None
         self._reorder = None
         if reorder_delay is not None:
             from ..readers.streams import ReorderBuffer
@@ -426,23 +428,18 @@ class Engine:
         registry under distinct ``label`` values (sharding rollups).
         Returns the bound instruments (mostly for tests).
         """
-        self._instr = Instruments(registry, "engine", label)
+        self._instr = Instruments(registry, "engine", label, self)
+        self.metrics = registry
         if self._reorder is not None:
-            self._reorder.attach_instruments(
-                Instruments(registry, "reorder", label)
+            self._reorder.instruments = Instruments(
+                registry, "reorder", label, self._reorder
             )
         return self._instr
 
-    def detach_metrics(self) -> None:
-        """Stop reporting metrics; already-recorded values stay in place."""
-        self._instr = None
-        if self._reorder is not None:
-            self._reorder.attach_instruments(None)
-
     @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The attached registry, or None."""
-        return self._instr.registry if self._instr is not None else None
+    def pseudo_pending(self) -> int:
+        """Pseudo events scheduled and not yet fired."""
+        return len(self._pseudo_queue)
 
     @property
     def observer(self) -> Optional[EngineObserver]:
@@ -500,21 +497,17 @@ class Engine:
         self._out = []
         self._started = False
         if self._reorder is not None:
-            from ..readers.streams import ReorderBuffer
-
-            instruments = self._reorder.instruments
-            self._reorder = ReorderBuffer(delay=self._reorder.delay)
-            self._reorder.attach_instruments(instruments)
-            if instruments is not None:
-                instruments.reset()
+            self._reorder.clear()
         if self._spec is not None:
             from .speculate import SpeculationManager
 
             self._spec = SpeculationManager(self, self._spec.horizon)
-        if self._instr is not None:
+        if self.metrics is not None:
             # Zero only this engine's label slice: registry co-tenants
             # (other shards) keep their values.
             self._instr.reset()
+            if self._reorder is not None:
+                self._reorder.instruments.reset()
 
     # -- checkpoint/restore ----------------------------------------------------
 
@@ -541,7 +534,8 @@ class Engine:
         order, under the same context (validated by a structural
         fingerprint) and must not have processed any observations yet.
         After restore, feeding the remainder of the interrupted stream
-        yields detections identical to an uninterrupted run.  Raises
+        yields detections identical to an uninterrupted run, and an
+        attached registry reports the restored :attr:`stats`.  Raises
         :class:`~repro.core.errors.CheckpointError` on any mismatch.
         """
         from ..resilience.checkpoint import restore_engine
@@ -677,8 +671,6 @@ class Engine:
                     f"{self._clock}"
                 )
             self.stats.dropped_out_of_order += 1
-            if self._instr is not None:
-                self._instr.dropped_out_of_order.inc()
             return
         observer = self._observer
         if observer is not None:
@@ -692,9 +684,7 @@ class Engine:
         if self.stats.observations % self._gc_every == 0:
             self._collect_garbage()
         if instr is not None:
-            instr.observations.inc()
             instr.observation_latency.observe(perf_counter() - started)
-            instr.pseudo_depth.set(len(self._pseudo_queue))
 
     def advance_to(self, time: float) -> list[Detection]:
         """Advance the logical clock, firing pseudo events due by ``time``.
@@ -769,8 +759,6 @@ class Engine:
 
     def schedule(self, event: PseudoEvent) -> None:
         self.stats.pseudo_scheduled += 1
-        if self._instr is not None:
-            self._instr.pseudo_scheduled.inc()
         self._pseudo_queue.schedule(event)
 
     def record_kill(self, node) -> None:
@@ -778,8 +766,6 @@ class Engine:
         self.stats.pending_killed += 1
         if self._observer is not None:
             self._observer.on_kill(node)
-        if self._instr is not None:
-            self._instr.kills.inc()
 
     # -- introspection -----------------------------------------------------------
 
@@ -854,8 +840,6 @@ class Engine:
         self.stats.pseudo_fired += 1
         if self._observer is not None:
             self._observer.on_pseudo(event)
-        if self._instr is not None:
-            self._instr.pseudo_fired.inc()
         self.states[event.target_node_id].on_pseudo(event)
 
     def rule(self, rule_id: str) -> RuleLike:
@@ -888,8 +872,6 @@ class Engine:
         detection = Detection(rule, instance, self._clock)
         if self._observer is not None:
             self._observer.on_detection(detection)
-        if self._instr is not None:
-            self._instr.detections.inc()
         self._out.append(detection)
 
     def _collect_garbage(self) -> None:
@@ -903,8 +885,6 @@ class Engine:
         self.stats.gc_removed += removed
         if self._observer is not None:
             self._observer.on_gc(removed, cutoff)
-        if self._instr is not None:
-            self._instr.gc_reclaimed.inc(removed)
 
     def _take_output(self) -> list[Detection]:
         output, self._out = self._out, []

@@ -390,9 +390,6 @@ class SpeculationManager:
         if key[0] <= self.watermark:
             engine.stats.dropped_out_of_order += 1
             engine.stats.dropped_too_late += 1
-            if engine._instr is not None:
-                engine._instr.dropped_out_of_order.inc()
-                engine._instr.dropped_too_late.inc()
             return []
         scope = self._scope()
         # Canonical insertion; arriving in canonical order, and not behind
@@ -586,8 +583,6 @@ class SpeculationManager:
         queue._heap.extend(bystanders)
         heapq.heapify(queue._heap)
         host.stats.replayed += replayed
-        if host._instr is not None:
-            host._instr.replayed.inc(replayed)
         return spec._take_output()
 
     def _next_id(self, detection: "Detection") -> str:
@@ -627,8 +622,6 @@ class SpeculationManager:
             self.records[detection_id] = record
             self._live[detection_id] = content
             engine.stats.speculative += 1
-            if engine._instr is not None:
-                engine._instr.speculative.inc()
             return _make_speculative(detection, detection_id, 0, PROVISIONAL)
         previous = self._live.get(detection_id)
         self._live[detection_id] = content
@@ -643,8 +636,6 @@ class SpeculationManager:
         record.instance = detection.instance
         record.time = detection.time
         engine.stats.revised += 1
-        if engine._instr is not None:
-            engine._instr.revised.inc()
         return _make_speculative(
             detection, detection_id, record.revision, REVISED
         )
@@ -656,8 +647,6 @@ class SpeculationManager:
         record.status = RETRACT
         self._live.pop(detection_id, None)
         engine.stats.retracted += 1
-        if engine._instr is not None:
-            engine._instr.retracted.inc()
         return SpeculativeDetection(
             engine.rule(record.rule_id), record.instance, record.time,
             detection_id=detection_id, revision=record.revision,
@@ -730,8 +719,6 @@ class SpeculationManager:
                 (detection.time, detection_id, identity, component)
             )
             engine.stats.sealed += 1
-            if engine._instr is not None:
-                engine._instr.sealed.inc()
             out.append(_make_speculative(
                 detection, detection_id, record.revision, FINAL
             ))

@@ -3,8 +3,12 @@
 :data:`METRICS` declares each instrumented component's families: its
 scope label (``engine``, ``server`` or ``router``) and one
 :class:`Metric` row per family.  :class:`Instruments` registers a
-component's rows in a registry and binds their children at construction,
-so the hot path sees attribute access on bound
+component's rows in a registry and binds their children at construction.
+A counter or gauge whose count the component already keeps (its
+``stats``, a WAL or outbox counter, a queue length) reads it when the
+registry is snapshotted: one count, not a copy kept in step.  Only
+histograms and the label-keyed families nothing else counts are updated
+on the hot path, through bound
 :class:`~repro.obs.metrics.Counter`/:class:`~repro.obs.metrics.Gauge`/
 :class:`~repro.obs.metrics.Histogram` objects — never a registry or
 label lookup — and a layer with no registry attached pays one
@@ -50,7 +54,7 @@ class Metric(NamedTuple):
     ``labels`` are the label names after the component's scope label.
     A family with ``labels`` binds to a mapping from label value (a tuple
     of values, with two or more labels) to child: ``values`` are bound up
-    front, any other value on first use.
+    front, any other value on first use.  A :meth:`read` row has none.
     """
 
     attr: str
@@ -60,13 +64,22 @@ class Metric(NamedTuple):
     labels: tuple = ()
     values: tuple = ()
     buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
+    reads: str = ""
+
+    @classmethod
+    def read(
+        cls, reads: str, kind: str, name: str, help: str, labels=(), values=()
+    ) -> "Metric":
+        """A counter or gauge reading the count its owner keeps at the
+        dotted path ``reads`` (``{}`` is the label value: ``stats.frames_{}``)."""
+        return cls("", kind, name, help, labels, values, reads=reads)
 
 
 #: component -> (scope label name, its families).
 METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
     "engine": ("engine", (
-        Metric("observations", "counter", "rceda_observations_total",
-               "Observations processed by the engine main loop."),
+        Metric.read("stats.observations", "counter", "rceda_observations_total",
+                    "Observations processed by the engine main loop."),
         Metric("observation_latency", "histogram", "rceda_observation_latency_seconds",
                "Wall-clock seconds spent processing one observation."),
         Metric("match_seconds", "histogram", "rceda_node_match_seconds",
@@ -74,56 +87,57 @@ METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
                ("kind",), NODE_KINDS),
         Metric("emits", "counter", "rceda_emits_total",
                "Event occurrences emitted, per node kind.", ("kind",), NODE_KINDS),
-        Metric("kills", "counter", "rceda_kills_total",
-               "Pending matches and candidates killed (negation, lookback)."),
-        Metric("detections", "counter", "rceda_detections_total", "Rule firings."),
-        Metric("pseudo_scheduled", "counter", "rceda_pseudo_scheduled_total",
-               "Pseudo events scheduled."),
-        Metric("pseudo_fired", "counter", "rceda_pseudo_fired_total",
-               "Pseudo events fired."),
-        Metric("pseudo_depth", "gauge", "rceda_pseudo_queue_depth",
-               "Pending pseudo events after the latest submit."),
-        Metric("gc_reclaimed", "counter", "rceda_gc_reclaimed_total",
-               "Expired state items reclaimed by garbage collection."),
-        Metric("dropped_out_of_order", "counter", "rceda_dropped_out_of_order_total",
-               "Observations dropped for arriving older than the clock."),
-        Metric("dropped_too_late", "counter", "rceda_dropped_too_late_total",
-               "REVISE-mode arrivals older than the watermark, dropped."),
-        Metric("speculative", "counter", "rceda_speculative_detections_total",
-               "Provisional detections emitted ahead of the watermark."),
-        Metric("revised", "counter", "rceda_revisions_total",
-               "Revision records emitted after late arrivals changed a match."),
-        Metric("retracted", "counter", "rceda_retractions_total",
-               "Retraction records emitted for withdrawn detections."),
-        Metric("sealed", "counter", "rceda_sealed_final_total",
-               "Detections sealed final by watermark passage."),
-        Metric("replayed", "counter", "rceda_speculation_replayed_total",
-               "Buffered observations re-run by speculation repairs."),
+        Metric.read("stats.pending_killed", "counter", "rceda_kills_total",
+                    "Pending matches and candidates killed (negation, lookback)."),
+        Metric.read("stats.detections", "counter", "rceda_detections_total",
+                    "Rule firings."),
+        Metric.read("stats.pseudo_scheduled", "counter", "rceda_pseudo_scheduled_total",
+                    "Pseudo events scheduled."),
+        Metric.read("stats.pseudo_fired", "counter", "rceda_pseudo_fired_total",
+                    "Pseudo events fired."),
+        Metric.read("pseudo_pending", "gauge", "rceda_pseudo_queue_depth",
+                    "Pseudo events pending now."),
+        Metric.read("stats.gc_removed", "counter", "rceda_gc_reclaimed_total",
+                    "Expired state items reclaimed by garbage collection."),
+        Metric.read("stats.dropped_out_of_order", "counter", "rceda_dropped_out_of_order_total",
+                    "Observations dropped for arriving older than the clock."),
+        Metric.read("stats.dropped_too_late", "counter", "rceda_dropped_too_late_total",
+                    "REVISE-mode arrivals older than the watermark, dropped."),
+        Metric.read("stats.speculative", "counter", "rceda_speculative_detections_total",
+                    "Provisional detections emitted ahead of the watermark."),
+        Metric.read("stats.revised", "counter", "rceda_revisions_total",
+                    "Revision records emitted after late arrivals changed a match."),
+        Metric.read("stats.retracted", "counter", "rceda_retractions_total",
+                    "Retraction records emitted for withdrawn detections."),
+        Metric.read("stats.sealed", "counter", "rceda_sealed_final_total",
+                    "Detections sealed final by watermark passage."),
+        Metric.read("stats.replayed", "counter", "rceda_speculation_replayed_total",
+                    "Buffered observations re-run by speculation repairs."),
     )),
     "reorder": ("engine", (
-        Metric("occupancy", "gauge", "rceda_reorder_occupancy",
-               "Readings currently held by the reorder buffer."),
+        Metric.read("occupancy", "gauge", "rceda_reorder_occupancy",
+                    "Readings currently held by the reorder buffer."),
         Metric("lateness", "histogram", "rceda_reorder_lateness_seconds",
                "Stream-time lateness of arrivals vs the max timestamp seen.",
                buckets=LATENESS_BUCKETS),
-        Metric("dropped_late", "counter", "rceda_reorder_dropped_late_total",
-               "Arrivals older than the watermark, dropped."),
+        Metric.read("dropped_late", "counter", "rceda_reorder_dropped_late_total",
+                    "Arrivals older than the watermark, dropped."),
     )),
     "resilience": ("engine", (
-        Metric("quarantined", "counter", "rceda_quarantined_total",
-               "Poison observations quarantined to the dead-letter queue."),
-        Metric("retries", "counter", "rceda_action_retries_total",
-               "Action executions retried after a failure."),
+        Metric.read("failures.quarantined", "counter", "rceda_quarantined_total",
+                    "Poison observations quarantined to the dead-letter queue."),
+        Metric.read("failures.action_retries", "counter", "rceda_action_retries_total",
+                    "Action executions retried after a failure."),
         Metric("retry_attempts", "histogram", "rceda_action_retry_attempts",
                "Attempts used per activation whose actions did not succeed "
                "first try (delivered or dead-lettered).",
                buckets=RETRY_ATTEMPT_BUCKETS),
-        Metric("action_dead_letters", "counter", "rceda_action_dead_letters_total",
-               "Activations whose actions failed every retry attempt."),
-        Metric("breaker_opens", "counter", "rceda_breaker_opens_total",
-               "Circuit-breaker trips (rule isolated after repeated failures)."),
-        Metric("breaker_skips", "counter", "rceda_breaker_skips_total",
-               "Activations skipped because the rule's breaker was open."),
+        Metric.read("failures.action_dead_letters", "counter", "rceda_action_dead_letters_total",
+                    "Activations whose actions failed every retry attempt."),
+        Metric.read("failures.breaker_opens", "counter", "rceda_breaker_opens_total",
+                    "Circuit-breaker trips (rule isolated after repeated failures)."),
+        Metric.read("failures.breaker_skips", "counter", "rceda_breaker_skips_total",
+                    "Activations skipped because the rule's breaker was open."),
         Metric("failures", "counter", "rceda_rule_failures_total",
                "Rule condition/action failures caught by supervision.",
                ("rule", "stage")),
@@ -132,82 +146,129 @@ METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
                ("rule",)),
     )),
     "durability": ("engine", (
-        Metric("wal_appends", "counter", "rceda_wal_appends_total",
-               "Records appended to the write-ahead observation log."),
-        Metric("wal_bytes", "counter", "rceda_wal_bytes_total",
-               "Bytes written to the write-ahead log (headers included)."),
+        Metric.read("wal.appended", "counter", "rceda_wal_appends_total",
+                    "Records appended to the write-ahead observation log."),
+        Metric.read("wal.bytes_written", "counter", "rceda_wal_bytes_total",
+                    "Bytes written to the write-ahead log (headers included)."),
         Metric("wal_fsync_seconds", "histogram", "rceda_wal_fsync_seconds",
                "Wall-clock seconds per WAL fsync.", buckets=FSYNC_BUCKETS),
-        Metric("wal_rotations", "counter", "rceda_wal_segment_rotations_total",
-               "WAL segment rotations (segment reached its size bound)."),
-        Metric("wal_replayed", "counter", "rceda_wal_replayed_records_total",
-               "WAL records replayed into the engine during recovery."),
-        Metric("checkpoints", "counter", "rceda_checkpoints_written_total",
-               "Durable checkpoints written (automatic and explicit)."),
-        Metric("outbox_delivered", "counter", "rceda_outbox_delivered_total",
-               "Detections delivered to the external sink and acknowledged."),
-        Metric("outbox_suppressed", "counter", "rceda_outbox_suppressed_total",
-               "Replayed deliveries suppressed because they were already acked."),
-        Metric("outbox_dead_letters", "counter", "rceda_outbox_dead_letters_total",
-               "Deliveries that exhausted their retries and were dead-lettered."),
-        Metric("outbox_held", "counter", "rceda_outbox_held_total",
-               "Provisional detections parked awaiting seal (confidence=final)."),
-        Metric("outbox_cancelled", "counter", "rceda_outbox_cancelled_total",
-               "Parked intents cancelled by a retraction before delivery."),
-        Metric("outbox_timed_out", "counter", "rceda_outbox_timed_out_total",
-               "Parked intents released by the provisional timeout, unsealed."),
+        Metric.read("wal.rotations", "counter", "rceda_wal_segment_rotations_total",
+                    "WAL segment rotations (segment reached its size bound)."),
+        Metric.read("replayed", "counter", "rceda_wal_replayed_records_total",
+                    "WAL records replayed into the engine during recovery."),
+        Metric.read("checkpoints_written", "counter", "rceda_checkpoints_written_total",
+                    "Durable checkpoints written (automatic and explicit)."),
+        Metric.read("outbox.delivered", "counter", "rceda_outbox_delivered_total",
+                    "Detections delivered to the external sink and acknowledged."),
+        Metric.read("outbox.suppressed", "counter", "rceda_outbox_suppressed_total",
+                    "Replayed deliveries suppressed because they were already acked."),
+        Metric.read("outbox.dead_letters.total", "counter", "rceda_outbox_dead_letters_total",
+                    "Deliveries that exhausted their retries and were dead-lettered."),
+        Metric.read("outbox.held", "counter", "rceda_outbox_held_total",
+                    "Provisional detections parked awaiting seal (confidence=final)."),
+        Metric.read("outbox.cancelled", "counter", "rceda_outbox_cancelled_total",
+                    "Parked intents cancelled by a retraction before delivery."),
+        Metric.read("outbox.timed_out", "counter", "rceda_outbox_timed_out_total",
+                    "Parked intents released by the provisional timeout, unsealed."),
     )),
     "serve": ("server", (
-        Metric("sessions", "gauge", "rceda_serve_sessions_active",
-               "Live ingestion/subscription sessions."),
-        Metric("frames", "counter", "rceda_serve_frames_total",
-               "Protocol frames, by direction (in = received, out = sent).",
-               ("direction",), ("in", "out")),
-        Metric("bytes", "counter", "rceda_serve_bytes_total",
-               "Wire bytes, by direction (framing included).",
-               ("direction",), ("in", "out")),
-        Metric("submitted", "counter", "rceda_serve_submitted_total",
-               "Observations applied to the backend via the writer task."),
-        Metric("duplicates", "counter", "rceda_serve_duplicates_skipped_total",
-               "Resent observations skipped below the client's ack frontier."),
-        Metric("acks", "counter", "rceda_serve_acks_total",
-               "Cumulative ACK frames sent (coalesced, one in flight max)."),
-        Metric("pushed", "counter", "rceda_serve_detections_pushed_total",
-               "DETECTION frames handed to session senders."),
+        Metric.read("stats.sessions_active", "gauge", "rceda_serve_sessions_active",
+                    "Live ingestion/subscription sessions."),
+        Metric.read("stats.frames_{}", "counter", "rceda_serve_frames_total",
+                    "Protocol frames, by direction (in = received, out = sent).",
+                    ("direction",), ("in", "out")),
+        Metric.read("stats.bytes_{}", "counter", "rceda_serve_bytes_total",
+                    "Wire bytes, by direction (framing included).",
+                    ("direction",), ("in", "out")),
+        Metric.read("stats.submitted", "counter", "rceda_serve_submitted_total",
+                    "Observations applied to the backend via the writer task."),
+        Metric.read("stats.duplicates_skipped", "counter", "rceda_serve_duplicates_skipped_total",
+                    "Resent observations skipped below the client's ack frontier."),
+        Metric.read("stats.acks_sent", "counter", "rceda_serve_acks_total",
+                    "Cumulative ACK frames sent (coalesced, one in flight max)."),
+        Metric.read("stats.detections_pushed", "counter", "rceda_serve_detections_pushed_total",
+                    "DETECTION frames handed to session senders."),
         Metric("push_depth", "gauge", "rceda_serve_push_queue_depth",
                "Detections buffered for the most recently touched session."),
-        Metric("dropped", "counter", "rceda_serve_detections_dropped_total",
-               "Detections discarded for slow subscribers (DROP policy)."),
-        Metric("disconnects", "counter", "rceda_serve_disconnects_total",
-               "Sessions force-closed (slow-consumer DISCONNECT policy)."),
-        Metric("reconnects", "counter", "rceda_serve_reconnects_total",
-               "Handshakes resuming a previously seen client identity."),
-        Metric("pings", "counter", "rceda_serve_heartbeat_pings_total",
-               "Liveness PING frames sent to heartbeat-capable sessions."),
-        Metric("pongs", "counter", "rceda_serve_heartbeat_pongs_total",
-               "PONG replies received from heartbeat-capable sessions."),
-        Metric("reaped", "counter", "rceda_serve_sessions_reaped_total",
-               "Sessions closed for exceeding the idle deadline."),
-        Metric("overloads", "counter", "rceda_serve_overloads_total",
-               "Submitters shed with ERROR overloaded (queue saturated)."),
+        Metric.read("stats.detections_dropped", "counter", "rceda_serve_detections_dropped_total",
+                    "Detections discarded for slow subscribers (DROP policy)."),
+        Metric.read("stats.disconnects", "counter", "rceda_serve_disconnects_total",
+                    "Sessions force-closed (slow-consumer DISCONNECT policy)."),
+        Metric.read("stats.reconnects", "counter", "rceda_serve_reconnects_total",
+                    "Handshakes resuming a previously seen client identity."),
+        Metric.read("stats.pings_sent", "counter", "rceda_serve_heartbeat_pings_total",
+                    "Liveness PING frames sent to heartbeat-capable sessions."),
+        Metric.read("stats.pongs_received", "counter", "rceda_serve_heartbeat_pongs_total",
+                    "PONG replies received from heartbeat-capable sessions."),
+        Metric.read("stats.sessions_reaped", "counter", "rceda_serve_sessions_reaped_total",
+                    "Sessions closed for exceeding the idle deadline."),
+        Metric.read("stats.overloads_shed", "counter", "rceda_serve_overloads_total",
+                    "Submitters shed with ERROR overloaded (queue saturated)."),
     )),
     "cluster": ("router", (
-        Metric("routed", "counter", "rceda_cluster_routed_total",
-               "Observations fanned out to shard workers."),
-        Metric("multicast", "counter", "rceda_cluster_multicast_total",
-               "Extra shard copies beyond the first (fan-out cost)."),
-        Metric("epochs", "counter", "rceda_cluster_epochs_total",
-               "Client batches routed as fan-in epochs."),
-        Metric("epochs_open", "gauge", "rceda_cluster_epochs_open",
-               "Epochs forwarded to workers but not yet released."),
-        Metric("forwarded", "counter", "rceda_cluster_detections_forwarded_total",
-               "Worker detections re-pushed to router subscribers."),
-        Metric("worker_reconnects", "counter", "rceda_cluster_worker_reconnects_total",
-               "Times a worker link redialed (crash, retarget, migration)."),
-        Metric("unattributed", "counter", "rceda_cluster_unattributed_total",
-               "Worker detections for sub-batches no longer tracked."),
+        Metric.read("stats.routed", "counter", "rceda_cluster_routed_total",
+                    "Observations fanned out to shard workers."),
+        Metric.read("stats.multicast", "counter", "rceda_cluster_multicast_total",
+                    "Extra shard copies beyond the first (fan-out cost)."),
+        Metric.read("stats.epochs", "counter", "rceda_cluster_epochs_total",
+                    "Fan-in epochs routed: client batches and flushes."),
+        Metric.read("epochs_open", "gauge", "rceda_cluster_epochs_open",
+                    "Epochs forwarded to workers but not yet released."),
+        Metric.read("stats.detections_forwarded", "counter", "rceda_cluster_detections_forwarded_total",
+                    "Worker detections re-pushed to router subscribers."),
+        Metric.read("stats.worker_reconnects", "counter", "rceda_cluster_worker_reconnects_total",
+                    "Times a worker link redialed (crash, retarget, migration)."),
+        Metric.read("stats.unattributed_detections", "counter", "rceda_cluster_unattributed_total",
+                    "Worker detections for sub-batches no longer tracked."),
     )),
 }
+
+
+class _Reading:
+    """A counter or gauge child reporting a count its owner keeps.
+
+    ``value`` is ``base`` plus the owner's attribute at the row's
+    ``reads`` path, read when asked for; a link that is None (a
+    ``DurableEngine`` without an outbox) reads 0.  When another owner
+    binds the child — a recovered ``DurableEngine`` reusing its first
+    life's label — the old owner's reading moves into ``base``, so the
+    totals continue; :meth:`reset` rebases to zero.  A counter's value is
+    a ``float``, as a :class:`~repro.obs.metrics.Counter`'s is, so the
+    exposition formats do not change.
+    """
+
+    __slots__ = ("kind", "labels_map", "path", "owner", "base")
+
+    def __init__(self, kind: str, labels_map: dict, path: str) -> None:
+        self.kind = kind
+        self.labels_map = labels_map
+        self.path = path.split(".")
+        self.owner = None
+        self.base = 0
+
+    def read(self):
+        value = self.owner
+        for name in self.path:
+            if value is None:
+                return 0
+            value = getattr(value, name)
+        return value
+
+    @property
+    def value(self):
+        value = self.base + self.read()
+        return float(value) if self.kind == "counter" else value
+
+    def bind(self, owner) -> None:
+        if owner is not self.owner:
+            self.base += self.read()
+            self.owner = owner
+
+    def reset(self) -> None:
+        self.base = -self.read()
+
+    def sample(self) -> dict:
+        return {"labels": dict(self.labels_map), "value": self.value}
 
 
 class _Children(dict):
@@ -232,17 +293,19 @@ class _Children(dict):
 class Instruments:
     """One component's bound metric handles inside a shared registry.
 
-    Each :data:`METRICS` row of ``component`` becomes an attribute named
-    by its ``attr``: the child labelled ``scope=label``, or a mapping of
-    children for a family with further labels (``emits["tseq"]``,
-    ``frames["in"]``, ``failures[rule, stage]``).
+    Each :data:`METRICS` row of ``component`` the component updates
+    becomes an attribute named by its ``attr``: the child labelled
+    ``scope=label``, or a mapping of children for a family with further
+    labels (``emits["tseq"]``, ``failures[rule, stage]``).  A
+    :meth:`Metric.read` row gets no attribute; its children read
+    ``owner``.
     """
 
     def __init__(
-        self, registry: MetricsRegistry, component: str, label: str
+        self, registry: MetricsRegistry, component: str, label: str, owner
     ) -> None:
-        self.registry = registry
         self.component = component
+        self._readings: list[_Reading] = []
         scope, rows = METRICS[component]
         for row in rows:
             family = registry.register(
@@ -252,14 +315,32 @@ class Instruments:
                 handle = _Children(family, {scope: label}, row.values)
             else:
                 handle = family.labels(**{scope: label})
-            setattr(self, row.attr, handle)
+            if not row.reads:
+                setattr(self, row.attr, handle)
+            elif row.labels:
+                for value in row.values:
+                    path = row.reads.format(value)
+                    self._bind_reading(family, handle[value], path, owner)
+            else:
+                self._bind_reading(family, handle, row.reads, owner)
+
+    def _bind_reading(self, family: MetricFamily, child, path: str, owner) -> None:
+        """Put a reading of ``owner`` in ``child``'s place in ``family``."""
+        if not isinstance(child, _Reading):
+            child = _Reading(family.kind, child.labels_map, path)
+            family.adopt(child)
+        child.bind(owner)
+        self._readings.append(child)
 
     def reset(self) -> None:
         """Zero this component's children only — co-tenants keep their values."""
+        for child in self._readings:
+            child.reset()
         for row in METRICS[self.component][1]:
-            handle = getattr(self, row.attr)
-            for child in handle.values() if row.labels else (handle,):
-                child.reset()
+            if not row.reads:
+                handle = getattr(self, row.attr)
+                for child in handle.values() if row.labels else (handle,):
+                    child.reset()
 
 
 def rollup(

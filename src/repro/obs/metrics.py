@@ -1,7 +1,7 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
-The registry is the single source of truth for everything the engine
-measures.  It is deliberately tiny — a few hundred lines, no third-party
+The registry is where everything the engine measures is exposed.  It
+is deliberately tiny — a few hundred lines, no third-party
 dependency — but speaks the two formats the outside world expects:
 
 * :meth:`MetricsRegistry.snapshot` returns a plain-``dict`` snapshot
@@ -243,6 +243,10 @@ class MetricFamily:
         if child is None:
             child = self._make_child(key)
         return child
+
+    def adopt(self, child) -> None:
+        """Let ``child`` take the place of the child with its labels."""
+        self._children[tuple(child.labels_map.values())] = child
 
     @property
     def _solo(self):

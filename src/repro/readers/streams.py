@@ -90,10 +90,11 @@ class ReorderBuffer:
     [20.0]
 
     With ``instruments`` attached (the ``reorder`` rows of
-    :data:`repro.obs.METRICS`), the buffer reports its
-    occupancy as a gauge, each arrival's stream-time lateness (how far
-    behind the maximum timestamp seen it arrived; 0 for in-order) into a
-    histogram, and late drops as a counter.
+    :data:`repro.obs.METRICS`, bound to this buffer), each arrival's
+    stream-time lateness (how far behind the maximum timestamp seen it
+    arrived; 0 for in-order) goes into a histogram; the occupancy gauge
+    and the late-drop counter read :attr:`occupancy` and
+    :attr:`dropped_late`.
     """
 
     def __init__(
@@ -102,29 +103,31 @@ class ReorderBuffer:
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self.delay = delay
-        self.dropped_late = 0
         self.instruments = instruments
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every buffered reading, the watermark and the drop count."""
+        self.dropped_late = 0
         self._heap: list[tuple[float, int, Observation]] = []
         self._counter = 0
         self._watermark = float("-inf")
         self._max_seen = float("-inf")
 
-    def attach_instruments(self, instruments: "Optional[object]") -> None:
-        """Attach (or detach, with None) reorder metric handles."""
-        self.instruments = instruments
+    @property
+    def occupancy(self) -> int:
+        """Readings currently held."""
+        return len(self._heap)
 
     def push(self, observation: Observation) -> Iterator[Observation]:
         """Insert one arrival; yield everything now safely ordered."""
-        instruments = self.instruments
-        if instruments is not None:
+        if self.instruments is not None:
             lateness = self._max_seen - observation.timestamp
-            instruments.lateness.observe(lateness if lateness > 0 else 0.0)
+            self.instruments.lateness.observe(lateness if lateness > 0 else 0.0)
         if observation.timestamp > self._max_seen:
             self._max_seen = observation.timestamp
         if observation.timestamp < self._watermark:
             self.dropped_late += 1
-            if instruments is not None:
-                instruments.dropped_late.inc()
             return
         self._counter += 1
         heapq.heappush(
@@ -133,22 +136,13 @@ class ReorderBuffer:
         self._watermark = max(
             self._watermark, observation.timestamp - self.delay
         )
-        if instruments is not None:
-            instruments.occupancy.set(len(self._heap))
         while self._heap and self._heap[0][0] <= self._watermark:
-            released = heapq.heappop(self._heap)[2]
-            if instruments is not None:
-                instruments.occupancy.set(len(self._heap))
-            yield released
+            yield heapq.heappop(self._heap)[2]
 
     def drain(self) -> Iterator[Observation]:
         """Release everything still buffered (end of stream)."""
-        instruments = self.instruments
         while self._heap:
-            released = heapq.heappop(self._heap)[2]
-            if instruments is not None:
-                instruments.occupancy.set(len(self._heap))
-            yield released
+            yield heapq.heappop(self._heap)[2]
 
     def reorder(self, arrivals: Iterable[Observation]) -> Iterator[Observation]:
         """Filter a whole arrival sequence into a time-ordered stream."""
@@ -262,8 +256,6 @@ class ReorderBuffer:
         self._watermark = state["watermark"]
         self._max_seen = state["max_seen"]
         self.dropped_late = state["dropped_late"]
-        if self.instruments is not None:
-            self.instruments.occupancy.set(len(self._heap))
 
 
 def assert_ordered(observations: Sequence[Observation]) -> None:

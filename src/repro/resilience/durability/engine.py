@@ -314,17 +314,11 @@ class DurableEngine:
                 f"directory {directory!r} already holds durable state; "
                 "use DurableEngine.recover() to resume it"
             )
-        self.instruments: Optional[Instruments] = (
-            Instruments(metrics, "durability", metrics_label)
-            if metrics is not None
-            else None
-        )
         self.engine = factory()
         self.wal = WalWriter(
             wal_dir,
             fsync=FsyncPolicy.parse(fsync),
             segment_max_bytes=segment_max_bytes,
-            instruments=self.instruments,
         )
         self.outbox: Optional[ActionOutbox] = (
             ActionOutbox(
@@ -333,7 +327,6 @@ class DurableEngine:
                 retry=retry,
                 dead_letter_capacity=dead_letter_capacity,
                 fsync=FsyncPolicy.parse(fsync).mode == "always",
-                instruments=self.instruments,
                 confidence=confidence,
                 provisional_timeout=provisional_timeout,
             )
@@ -343,12 +336,19 @@ class DurableEngine:
         self._next_seq = self.wal.last_seq + 1
         self._since_checkpoint = 0
         self.checkpoints_written = 0
+        #: WAL records :meth:`recover` replayed into the engine.
+        self.replayed = 0
         #: Highest client sequence applied, per serving client id — fed by
         #: ``submit(..., client=...)``, made durable with every WAL append
         #: and every checkpoint, rebuilt by :meth:`recover`.
         self.client_frontiers: dict[str, int] = {}
         #: Test hook: ``callable(stage, seq)`` fired between protocol steps.
         self.failpoint: Optional[Callable[[str, int], None]] = None
+        if metrics is not None:
+            # Bound last: its counters read the WAL and outbox built above.
+            self.wal.instruments = Instruments(
+                metrics, "durability", metrics_label, self
+            )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -525,8 +525,6 @@ class DurableEngine:
         save_checkpoint(self.engine.checkpoint(), path)
         self._since_checkpoint = 0
         self.checkpoints_written += 1
-        if self.instruments is not None:
-            self.instruments.checkpoints.inc()
         self._fire("checkpoint", seq)
         names = checkpoint_files(self.directory)
         for stale in names[: -self.keep_checkpoints]:
@@ -606,7 +604,6 @@ class DurableEngine:
         self.client_frontiers = (
             self._load_frontiers(ckpt_seq) if ckpt_seq >= 0 else {}
         )
-        replayed = 0
         suppressed_before = (
             self.outbox.suppressed if self.outbox is not None else 0
         )
@@ -626,9 +623,7 @@ class DurableEngine:
                 detections = self.engine.flush()
             else:
                 detections = self.engine.submit(observation, seq=record.seq)
-            replayed += 1
-            if self.instruments is not None:
-                self.instruments.wal_replayed.inc()
+            self.replayed += 1
             if self.outbox is not None:
                 for ordinal, detection in enumerate(detections):
                     if self.outbox.deliver(detection, record.seq, ordinal):
@@ -643,7 +638,7 @@ class DurableEngine:
         return RecoveryReport(
             checkpoint_seq=ckpt_seq,
             checkpoints_tried=tried,
-            replayed_records=replayed,
+            replayed_records=self.replayed,
             suppressed_deliveries=suppressed,
             redelivered=redelivered,
             torn_bytes_truncated=self.wal.truncated_tail_bytes,

@@ -58,13 +58,10 @@ import os
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ..supervise import DeadLetterEntry, DeadLetterQueue, RetryPolicy
 from .wal import compact_json
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ...obs.instrument import Instruments
 
 __all__ = ["ActionOutbox", "OutboxEntry", "read_journal"]
 
@@ -183,7 +180,6 @@ class ActionOutbox:
         retry: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 1000,
         fsync: bool = False,
-        instruments: "Optional[Instruments]" = None,
         confidence: str = "immediate",
         provisional_timeout: Optional[float] = None,
     ) -> None:
@@ -201,7 +197,6 @@ class ActionOutbox:
         self.retry = retry if retry is not None else RetryPolicy()
         self.dead_letters = DeadLetterQueue(dead_letter_capacity)
         self.fsync = fsync
-        self.instruments = instruments
         self.confidence = confidence
         self.provisional_timeout = provisional_timeout
         self.delivered = 0
@@ -327,14 +322,10 @@ class ActionOutbox:
                 self._pending[detection_id] = (detection, seq, ordinal, parked_at)
                 if parked is None:
                     self.held += 1
-                    if self.instruments is not None:
-                        self.instruments.outbox_held.inc()
                 return False
             if status == "retract":
                 if self._pending.pop(detection_id, None) is not None:
                     self.cancelled += 1
-                    if self.instruments is not None:
-                        self.instruments.outbox_cancelled.inc()
                 return False
             # final: the sealed record replaces whatever was parked and
             # delivers under its own key — WAL replay re-emits the same
@@ -348,8 +339,6 @@ class ActionOutbox:
                 self._delivered_ids[detection_id] = seq
                 self._memo_stale = True
             self.suppressed += 1
-            if self.instruments is not None:
-                self.instruments.outbox_suppressed.inc()
             return False
         return self._execute(
             detection, seq, ordinal, detection_id, status == "final"
@@ -367,8 +356,6 @@ class ActionOutbox:
         for did in expired:
             detection, seq, ordinal, _at = self._pending.pop(did)
             self.timed_out += 1
-            if self.instruments is not None:
-                self.instruments.outbox_timed_out.inc()
             if did in self._delivered_ids or (seq, ordinal) in self._resolved:
                 continue
             self._execute(detection, seq, ordinal, did, False)
@@ -389,8 +376,6 @@ class ActionOutbox:
         key = (seq, ordinal)
         if key in self._resolved:
             self.suppressed += 1
-            if self.instruments is not None:
-                self.instruments.outbox_suppressed.inc()
             return False
         rule_id = getattr(getattr(detection, "rule", None), "rule_id", None)
         did_field = _did_field(detection_id)
@@ -437,8 +422,6 @@ class ActionOutbox:
                             attempts=attempt,
                         )
                     )
-                    if self.instruments is not None:
-                        self.instruments.outbox_dead_letters.inc()
                     return True
                 self.retries += 1
                 policy.sleep(policy.delay(attempt))
@@ -447,8 +430,6 @@ class ActionOutbox:
         self._append_line(_marker_line(b"a", seq, ordinal, did_field))
         self._resolve(key, "a", detection_id, final)
         self.delivered += 1
-        if self.instruments is not None:
-            self.instruments.outbox_delivered.inc()
         return True
 
     def _resolve(

@@ -364,7 +364,6 @@ class WalWriter:
         *,
         fsync: FsyncPolicy = FsyncPolicy.NEVER,
         segment_max_bytes: int = 1 << 20,
-        instruments: "Optional[Instruments]" = None,
     ) -> None:
         if segment_max_bytes < _HEADER.size + 2:
             raise ValueError("segment_max_bytes is too small to hold a record")
@@ -372,8 +371,9 @@ class WalWriter:
         self.directory = directory
         self.fsync_policy = fsync
         self.segment_max_bytes = segment_max_bytes
-        self.instruments = instruments
-        #: lifetime counters (mirrored into instruments when attached).
+        #: Attached by ``DurableEngine``: only the fsync histogram is
+        #: updated here, the metrics read the counters below.
+        self.instruments: "Optional[Instruments]" = None
         self.appended = 0
         self.bytes_written = 0
         self.rotations = 0
@@ -453,10 +453,6 @@ class WalWriter:
         self._last_seq = seq
         self.appended += 1
         self.bytes_written += len(record)
-        instruments = self.instruments
-        if instruments is not None:
-            instruments.wal_appends.inc()
-            instruments.wal_bytes.inc(len(record))
         if self.fsync_policy.mode == "always":
             self._fsync()
         elif self.fsync_policy.mode == "batch":
@@ -523,9 +519,6 @@ class WalWriter:
         self._last_seq = last
         self.appended += len(encoded)
         self.bytes_written += total
-        if self.instruments is not None:
-            self.instruments.wal_appends.inc(len(encoded))
-            self.instruments.wal_bytes.inc(total)
         if self.fsync_policy.mode == "always":
             self._fsync()
         elif self.fsync_policy.mode == "batch":
@@ -554,8 +547,6 @@ class WalWriter:
             self.sync()
             self._handle.close()
             self.rotations += 1
-            if self.instruments is not None:
-                self.instruments.wal_rotations.inc()
         path = segment_path(self.directory, segment_name(first_seq))
         if os.path.exists(path):
             raise WalError(f"segment {path} already exists; refusing to clobber")

@@ -235,7 +235,7 @@ class DeadLetterQueue:
 
 @dataclass
 class ResilienceStats:
-    """Counters for every supervision outcome (mirrors the metrics)."""
+    """Counters for every supervision outcome (the metrics read them)."""
 
     quarantined: int = 0
     condition_failures: int = 0
@@ -273,7 +273,7 @@ class _GuardedRule(RuleLike):
         supervisor = self._supervisor
         breaker = supervisor.breaker(self.rule_id)
         if not breaker.allow(context.time):
-            supervisor._count_breaker_skip(self.rule_id)
+            supervisor.failures.breaker_skips += 1
             return False
         try:
             return bool(self.inner.evaluate_condition(context))
@@ -297,7 +297,7 @@ class _GuardedRule(RuleLike):
                         self.rule_id, "action", exc, context, attempts=attempt
                     )
                     return
-                supervisor._count_retry(attempt)
+                supervisor.failures.action_retries += 1
                 policy.sleep(policy.delay(attempt))
                 continue
             break
@@ -355,7 +355,7 @@ class SupervisedEngine:
         self.action_dead_letters = DeadLetterQueue(dead_letter_capacity)
         self.failures = ResilienceStats()
         self._instr: Optional[Instruments] = (
-            Instruments(metrics, "resilience", metrics_label)
+            Instruments(metrics, "resilience", metrics_label, self)
             if metrics is not None
             else None
         )
@@ -424,7 +424,6 @@ class SupervisedEngine:
             self.failures.action_dead_letters += 1
             self.action_dead_letters.push(entry)
             if instr is not None:
-                instr.action_dead_letters.inc()
                 instr.retry_attempts.observe(attempts)
         else:
             self.failures.condition_failures += 1
@@ -434,23 +433,11 @@ class SupervisedEngine:
         tripped = self.breaker(rule_id).record_failure(context.time)
         if tripped:
             self.failures.breaker_opens += 1
-            if instr is not None:
-                instr.breaker_opens.inc()
         self._sync_breaker_gauge(rule_id)
-
-    def _count_retry(self, attempt: int) -> None:
-        self.failures.action_retries += 1
-        if self._instr is not None:
-            self._instr.retries.inc()
 
     def _count_retry_resolved(self, attempts: int) -> None:
         if self._instr is not None:
             self._instr.retry_attempts.observe(attempts)
-
-    def _count_breaker_skip(self, rule_id: str) -> None:
-        self.failures.breaker_skips += 1
-        if self._instr is not None:
-            self._instr.breaker_skips.inc()
 
     def _quarantine_observation(self, observation: Any, exc: Exception) -> None:
         self.failures.quarantined += 1
@@ -466,8 +453,6 @@ class SupervisedEngine:
                 time=self.engine.clock,
             )
         )
-        if self._instr is not None:
-            self._instr.quarantined.inc()
 
     # -- streaming -------------------------------------------------------------
 

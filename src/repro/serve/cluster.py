@@ -59,6 +59,7 @@ from uuid import uuid4
 
 from ..core.errors import ReproError
 from ..core.sharding import ShardPlan, plan_shards
+from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 from .protocol import (
     MIN_PROTOCOL_VERSION,
@@ -674,7 +675,7 @@ class WorkerLink:
                 return
             self._connected.clear()
             self.reconnects += 1
-            self.router._note_link_reconnect()
+            self.router.stats.worker_reconnects += 1
             delay = min(self._BACKOFF_MAX, self._BACKOFF_BASE * 2**attempt)
             attempt += 1
             await asyncio.sleep(delay)
@@ -787,7 +788,7 @@ class WorkerLink:
                 # A resend regenerated nothing for this sub-batch, yet a
                 # pre-crash push straggled in — or the epoch was already
                 # released.  At-most-once push: drop, count.
-                self.router._note_unattributed()
+                self.router.stats.unattributed_detections += 1
                 continue
             epoch.detections[self.shard].append(payload)
 
@@ -894,7 +895,7 @@ class _RouterSession:
 
 @dataclass
 class RouterStats:
-    """Always-on router counters (mirrored into metrics when attached)."""
+    """Always-on router counters (the ``cluster`` metrics read them)."""
 
     sessions_opened: int = 0
     routed: int = 0
@@ -936,11 +937,6 @@ class CepRouter:
         self.plan = plan
         self.config = config or ServeConfig()
         self.stats = RouterStats()
-        self._instr = None
-        if metrics is not None:
-            from ..obs.instrument import Instruments
-
-            self._instr = Instruments(metrics, "cluster", metrics_label)
         self.links: dict[str, WorkerLink] = {
             shard: WorkerLink(shard, host, port, router=self)
             for shard, (host, port) in endpoints.items()
@@ -958,6 +954,13 @@ class CepRouter:
         self._tcp_server: Any = None
         self._tasks: set[asyncio.Task] = set()
         self._closed = False
+        if metrics is not None:
+            Instruments(metrics, "cluster", metrics_label, self)
+
+    @property
+    def epochs_open(self) -> int:
+        """Epochs forwarded to workers but not yet released."""
+        return len(self._epochs)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1258,12 +1261,6 @@ class CepRouter:
         self.stats.routed += len(observations)
         self.stats.multicast += multicast
         self.stats.epochs += 1
-        if self._instr is not None:
-            self._instr.routed.inc(len(observations))
-            if multicast:
-                self._instr.multicast.inc(multicast)
-            self._instr.epochs.inc()
-            self._instr.epochs_open.set(len(self._epochs))
         for shard, (obs_list, prov_seqs) in by_shard.items():
             self.links[shard].send_batch(
                 obs_list, prov_seqs, record.client_id, epoch
@@ -1306,8 +1303,6 @@ class CepRouter:
         while self._epochs and not self._epochs[0].waiting:
             epoch = self._epochs.popleft()
             self._finish_epoch(epoch)
-        if self._instr is not None:
-            self._instr.epochs_open.set(len(self._epochs))
 
     def _finish_epoch(self, epoch: _Epoch) -> None:
         payloads: list = []
@@ -1373,20 +1368,6 @@ class CepRouter:
                         subscriber, DetectionFrame.from_payload(payload)
                     )
         self.stats.detections_forwarded += pushed
-        if self._instr is not None and pushed:
-            self._instr.forwarded.inc(pushed)
-
-    # -- link callbacks ------------------------------------------------------
-
-    def _note_link_reconnect(self) -> None:
-        self.stats.worker_reconnects += 1
-        if self._instr is not None:
-            self._instr.worker_reconnects.inc()
-
-    def _note_unattributed(self) -> None:
-        self.stats.unattributed_detections += 1
-        if self._instr is not None:
-            self._instr.unattributed.inc()
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from ..core.errors import ReproError
+from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 from .loopback import DEFAULT_MAX_BUFFER, LoopbackReader, LoopbackWriter, loopback_pair
 from .protocol import (
@@ -180,7 +181,7 @@ class ServeConfig:
 
 @dataclass
 class ServeStats:
-    """Always-on counters (mirrored into metrics when attached)."""
+    """Always-on counters (the ``serve`` metrics read them)."""
 
     sessions_opened: int = 0
     sessions_closed: int = 0
@@ -334,9 +335,7 @@ class CepServer:
         self.stats = ServeStats()
         self._instr = None
         if metrics is not None:
-            from ..obs.instrument import Instruments
-
-            self._instr = Instruments(metrics, "serve", metrics_label)
+            self._instr = Instruments(metrics, "serve", metrics_label, self)
         self._queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.submit_queue
         )
@@ -510,8 +509,6 @@ class CepServer:
         session.last_activity = asyncio.get_running_loop().time()
         self._sessions.add(session)
         self.stats.sessions_opened += 1
-        if self._instr is not None:
-            self._instr.sessions.set(self.stats.sessions_active)
         sender = asyncio.ensure_future(self._sender_loop(session))
         session.tasks.append(sender)
         self._sender_tasks.add(sender)
@@ -537,12 +534,8 @@ class CepServer:
                     return
                 session.last_activity = loop.time()
                 self.stats.bytes_in += len(data)
-                if self._instr is not None:
-                    self._instr.bytes["in"].inc(len(data))
                 for frame in decoder.feed(data):
                     self.stats.frames_in += 1
-                    if self._instr is not None:
-                        self._instr.frames["in"].inc()
                     if not greeted:
                         if not isinstance(frame, Hello):
                             self._send_error(
@@ -591,8 +584,6 @@ class CepServer:
             # A client id the server (or its WAL) has seen before, or one
             # claiming a prior ack frontier: this HELLO is a reconnect.
             self.stats.reconnects += 1
-            if self._instr is not None:
-                self._instr.reconnects.inc()
         stale = record.active_session
         if stale is not None:
             # Newest wins: the previous session is usually a peer that
@@ -704,8 +695,6 @@ class CepServer:
             return True
         if isinstance(frame, Pong):
             self.stats.pongs_received += 1
-            if self._instr is not None:
-                self._instr.pongs.inc()
             return True
         if isinstance(frame, Subscribe):
             session.subscribed = True
@@ -747,8 +736,6 @@ class CepServer:
             return True
         except asyncio.TimeoutError:
             self.stats.overloads_shed += 1
-            if self._instr is not None:
-                self._instr.overloads.inc()
             self._send_error(
                 session,
                 "overloaded",
@@ -804,8 +791,6 @@ class CepServer:
                 idle = now - session.last_activity
                 if deadline > 0 and idle > deadline:
                     self.stats.sessions_reaped += 1
-                    if self._instr is not None:
-                        self._instr.reaped.inc()
                     self._send_error(
                         session,
                         "idle",
@@ -829,8 +814,6 @@ class CepServer:
                     self._ping_token += 1
                     self._send_control(session, Ping(token=self._ping_token))
                     self.stats.pings_sent += 1
-                    if self._instr is not None:
-                        self._instr.pings.inc()
 
     # -- the single writer --------------------------------------------------
 
@@ -874,8 +857,6 @@ class CepServer:
         prov_seqs = item.prov[1] if item.prov is not None else None
         if skip:
             self.stats.duplicates_skipped += skip
-            if self._instr is not None:
-                self._instr.duplicates.inc(skip)
             observations = observations[skip:]
             if prov_seqs is not None:
                 prov_seqs = prov_seqs[skip:]
@@ -898,8 +879,6 @@ class CepServer:
                 )
             record.last_acked = first + count - 1
             self.stats.submitted += count
-            if self._instr is not None:
-                self._instr.submitted.inc(count)
             self._fan_out(detections, record.last_acked)
         self._queue_ack(session, record.last_acked)
 
@@ -938,8 +917,6 @@ class CepServer:
             )
         if skipped:
             self.stats.duplicates_skipped += skipped
-            if self._instr is not None:
-                self._instr.duplicates.inc(skipped)
         return detections
 
     def _apply_flush(
@@ -1022,8 +999,6 @@ class CepServer:
         if len(session.push_buffer) >= self.config.push_queue:
             if self._push_policy is SlowConsumerPolicy.DISCONNECT:
                 self.stats.disconnects += 1
-                if self._instr is not None:
-                    self._instr.disconnects.inc()
                 self._disconnect(session)
                 # The consumer is too far behind to receive anything
                 # more (its sender may be parked in drain); close the
@@ -1043,8 +1018,6 @@ class CepServer:
                 else 1
             )
             self.stats.detections_dropped += dropped
-            if self._instr is not None:
-                self._instr.dropped.inc(dropped)
             return
         session.push_buffer.append(frame)
         # The push now sits behind any queued ack box; later acks must
@@ -1112,8 +1085,6 @@ class CepServer:
                         encode_frame_into(Ack(seq=item[1]), buffer)
                         frames += 1
                         self.stats.acks_sent += 1
-                        if self._instr is not None:
-                            self._instr.acks.inc()
                     elif item == "push":
                         if session.push_buffer:
                             frame = session.push_buffer.popleft()
@@ -1128,7 +1099,6 @@ class CepServer:
                             )
                             self.stats.detections_pushed += pushed
                             if self._instr is not None:
-                                self._instr.pushed.inc(pushed)
                                 self._instr.push_depth.set(
                                     len(session.push_buffer)
                                 )
@@ -1146,9 +1116,6 @@ class CepServer:
                     await writer.drain()
                     self.stats.frames_out += frames
                     self.stats.bytes_out += len(buffer)
-                    if self._instr is not None:
-                        self._instr.frames["out"].inc(frames)
-                        self._instr.bytes["out"].inc(len(buffer))
                 if closing:
                     break
         except (ConnectionError, RuntimeError):
@@ -1172,8 +1139,6 @@ class CepServer:
             record.active_session = None
         session.outbound.put_nowait("close")
         self.stats.sessions_closed += 1
-        if self._instr is not None:
-            self._instr.sessions.set(self.stats.sessions_active)
 
     # -- introspection --------------------------------------------------------
 

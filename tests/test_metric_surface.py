@@ -15,7 +15,8 @@ Wall-clock histograms (``*_seconds``) keep only their counts, as
 deliberate change to the surface, regenerate it with
 ``PYTHONPATH=src python tests/test_metric_surface.py`` and review the
 diff.  ``docs/observability.md`` must list exactly the families of
-:data:`repro.obs.METRICS`; the durable and router layers also get direct
+:data:`repro.obs.METRICS`, every counter and gauge with a stats twin
+must read it, and the engine, durable and router layers also get direct
 checks against their own accounting.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import re
 import tempfile
@@ -38,6 +40,12 @@ from repro.serve.cluster_drill import cluster_program
 from repro.simulator import simulate_multi_packing
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "metric_surface.json")
+
+#: The counter/gauge families nothing but the metric counts: per node
+#: kind, per rule and stage, per rule, and the last-touched session.
+NO_TWIN = {"emits", "failures", "breaker_states", "push_depth"}
+
+ROUTER_BATCH = 8
 
 
 def rules():
@@ -202,7 +210,9 @@ def drive_router(registry, directory):
         try:
             port = await cluster.start()
             client = AsyncClient(
-                tcp_connector("127.0.0.1", port), subscribe=True, batch_size=8
+                tcp_connector("127.0.0.1", port),
+                subscribe=True,
+                batch_size=ROUTER_BATCH,
             )
             async with client:
                 await client.submit_many(observations)
@@ -214,9 +224,9 @@ def drive_router(registry, directory):
                 )
         finally:
             await cluster.stop()
+        return cluster.router
 
-    asyncio.run(scenario())
-    return observations
+    return observations, asyncio.run(scenario())
 
 
 def drive_everything(directory):
@@ -285,6 +295,38 @@ def test_docs_list_exactly_the_metric_table():
     assert sorted(documented) == sorted(table)
 
 
+def test_counters_and_gauges_read_their_stats_twin():
+    """No counter or gauge mirrors a count its component already keeps."""
+    rows = [row for _scope, rows in METRICS.values() for row in rows]
+    unread = {row.attr for row in rows if row.kind != "histogram" and not row.reads}
+    assert unread == NO_TWIN
+    assert [row.name for row in rows if row.kind == "histogram" and row.reads] == []
+
+
+class TestEngineMetrics:
+    def test_pseudo_queue_depth_is_the_queue_after_flush(self):
+        registry = MetricsRegistry()
+        engine = Engine(rules(), out_of_order="drop", metrics=registry)
+        engine.submit_many(late_stream())
+        assert rollup(registry, "rceda_pseudo_queue_depth") == engine.pseudo_pending > 0
+        engine.flush()
+        assert rollup(registry, "rceda_pseudo_queue_depth") == engine.pseudo_pending == 0
+
+    def test_restore_reports_the_restored_counts(self):
+        first = Engine(rules())
+        first.submit_many(stream()[:12])
+        registry = MetricsRegistry()
+        restored = Engine(rules(), metrics=registry)
+        restored.restore(first.checkpoint())
+        assert rollup(registry, "rceda_observations_total") == 12
+        for name, count in (
+            ("rceda_detections_total", first.stats.detections),
+            ("rceda_pseudo_fired_total", first.stats.pseudo_fired),
+            ("rceda_pseudo_queue_depth", first.pseudo_pending),
+        ):
+            assert rollup(registry, name) == count > 0, name
+
+
 class TestDurableMetrics:
     def test_counters_match_durable_accounting(self, tmp_path):
         directory = str(tmp_path / "state")
@@ -320,9 +362,15 @@ class TestDurableMetrics:
 class TestRouterMetrics:
     def test_routed_equals_observations_and_no_epoch_left_open(self, tmp_path):
         registry = MetricsRegistry()
-        observations = drive_router(registry, str(tmp_path / "cluster"))
+        observations, router = drive_router(registry, str(tmp_path / "cluster"))
         assert rollup(registry, "rceda_cluster_routed_total") == len(observations)
         assert rollup(registry, "rceda_cluster_epochs_open") == 0
+        batches = math.ceil(len(observations) / ROUTER_BATCH)
+        assert (
+            rollup(registry, "rceda_cluster_epochs_total")
+            == router.stats.epochs
+            == batches + 1  # the flush is an epoch too
+        )
 
 
 if __name__ == "__main__":
