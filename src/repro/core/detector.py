@@ -25,14 +25,32 @@ latest processed observation, and pending pseudo events fire when the
 clock passes their execution time.  At end of stream, :meth:`Engine.flush`
 (or ``run(..., flush=True)``, the default) forces remaining expirations —
 the stand-in for the wall-clock timers of a deployed middleware.
+
+The per-observation path is compiled once the graph is final, at the
+first observation, into a *plan* that the main loop only executes:
+
+* a **route table**: reader literal → the ``(node, matcher)`` pairs of
+  its primitive events, the same per reader group, and the wildcard
+  primitives — tried in that order — where each matcher is the
+  primitive's compiled ``match`` (:func:`repro.core.nodes.compile_match`);
+* an **emit plan** per node: its interval bound, whether it is a
+  composite, its history ``record`` (or None), its rules and its
+  parents' bound ``on_child`` callbacks with their child indexes.
+
+An attached metrics registry is composed into the plan when it is built
+(timed matchers and callbacks, counted emits), so the hot path has no
+instrumentation branches.  Adding a rule, :meth:`Engine.reset` and
+:meth:`Engine.attach_metrics` discard the plan; the next observation
+builds it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol
 
 from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
@@ -44,7 +62,7 @@ from .graph import EventGraph
 from .instances import EventInstance, Observation, PrimitiveInstance
 from .nodes import RuntimeNode, create_state
 from .pseudo import PseudoEvent, PseudoQueue
-from .temporal import TIME_EPSILON, interval
+from .temporal import TIME_EPSILON
 
 
 class OutOfOrderPolicy(str, Enum):
@@ -300,6 +318,68 @@ class _WatchRule(RuleLike):
             self._callback(context)
 
 
+class _Plan(NamedTuple):
+    """An engine's compiled per-observation path (see the module docstring).
+
+    ``routes``/``by_group`` map a reader literal/group to a tuple of
+    ``(node, matcher)`` pairs and ``wildcards`` is one such tuple;
+    ``emits[node_id]`` is the node's emit plan ``(within, composite,
+    record, rules, parents)``; ``latency`` observes an observation's
+    processing time, or is None without a registry.
+    """
+
+    routes: dict
+    by_group: dict
+    wildcards: tuple
+    emits: list
+    latency: Optional[Callable[[float], None]]
+
+    def restricted(self, node_ids: set[int]) -> "_Plan":
+        """This plan, routing only to the primitives in ``node_ids``.
+
+        A reader literal or group left with no primitive is dropped.
+        """
+        def keep(routes: tuple) -> tuple:
+            return tuple(route for route in routes if route[0].node_id in node_ids)
+
+        def keep_all(table: dict) -> dict:
+            kept = {key: keep(routes) for key, routes in table.items()}
+            return {key: routes for key, routes in kept.items() if routes}
+
+        return _Plan(keep_all(self.routes), keep_all(self.by_group),
+                     keep(self.wildcards), self.emits, None)
+
+
+def _as_is(step: Any, kind: str) -> Any:
+    """A plan step left uninstrumented."""
+    return step
+
+
+def _timed(function: Callable, histogram) -> Callable:
+    """``function``, observing each call's wall-clock seconds into ``histogram``."""
+    observe = histogram.observe
+
+    def timed(*args):
+        started = perf_counter()
+        result = function(*args)
+        observe(perf_counter() - started)
+        return result
+
+    return timed
+
+
+def _counted(record: Optional[Callable], counter) -> Callable:
+    """An emit plan's ``record`` step that also counts the emit."""
+    inc = counter.inc
+
+    def counted(instance: EventInstance) -> None:
+        inc()
+        if record is not None:
+            record(instance)
+
+    return counted
+
+
 class Engine:
     """Streaming RFID complex event detector (RCEDA).
 
@@ -344,8 +424,9 @@ class Engine:
         Optional :class:`repro.obs.MetricsRegistry`.  When attached, it
         gets per-observation latency, per-node-kind match time and emits,
         and reads detections, kills, pseudo events, GC reclaim and the
-        rest from :attr:`stats` (see ``docs/observability.md``).  When
-        absent, instrumentation costs one pointer check per site.
+        rest from :attr:`stats` (see ``docs/observability.md``).  The
+        timers and emit counters are composed into the per-observation
+        plan when it is built; without a registry the plan has none.
     metrics_label:
         The ``engine`` label value for this engine's metrics — distinct
         per shard when several engines share a registry.
@@ -384,6 +465,8 @@ class Engine:
         self._watch_counter = 0
         self._observer = as_observer(observer)
         self._instr: Optional[Instruments] = None
+        #: The compiled per-observation path; None until the next observation.
+        self._plan: Optional[_Plan] = None
         #: The attached registry, or None.
         self.metrics: Optional[MetricsRegistry] = None
         self._reorder = None
@@ -430,6 +513,7 @@ class Engine:
         """
         self._instr = Instruments(registry, "engine", label, self)
         self.metrics = registry
+        self._plan = None
         if self._reorder is not None:
             self._reorder.instruments = Instruments(
                 registry, "reorder", label, self._reorder
@@ -476,6 +560,7 @@ class Engine:
         while len(self.states) < len(self.graph.nodes):
             node = self.graph.nodes[len(self.states)]
             self.states.append(create_state(node, self))
+        self._plan = None
 
     def reset(self) -> None:
         """Discard all runtime state, keeping the compiled rule graph.
@@ -675,16 +760,21 @@ class Engine:
         observer = self._observer
         if observer is not None:
             observer.on_observation(observation)
-        instr = self._instr
-        started = perf_counter() if instr is not None else 0.0
-        self._fire_due_pseudo(timestamp, inclusive=False)
-        self._clock = max(self._clock, timestamp)
-        self.stats.observations += 1
-        self._dispatch(observation)
-        if self.stats.observations % self._gc_every == 0:
+        plan = self._plan or self._build_plan()
+        latency = plan.latency
+        started = perf_counter() if latency is not None else 0.0
+        heap = self._pseudo_queue._heap
+        if heap and heap[0][0] < timestamp:
+            self._fire_due_pseudo(timestamp, inclusive=False)
+        if timestamp > self._clock:
+            self._clock = timestamp
+        stats = self.stats
+        stats.observations += 1
+        self._dispatch(observation, plan)
+        if stats.observations % self._gc_every == 0:
             self._collect_garbage()
-        if instr is not None:
-            instr.observation_latency.observe(perf_counter() - started)
+        if latency is not None:
+            latency(perf_counter() - started)
 
     def advance_to(self, time: float) -> list[Detection]:
         """Advance the logical clock, firing pseudo events due by ``time``.
@@ -697,7 +787,8 @@ class Engine:
         if self._spec is not None:
             return self._spec.advance(time)
         self._fire_due_pseudo(time, inclusive=True)
-        self._clock = max(self._clock, time)
+        if time > self._clock:
+            self._clock = time
         return self._take_output()
 
     def flush(self) -> list[Detection]:
@@ -714,10 +805,7 @@ class Engine:
         if self._reorder is not None:
             for released in self._reorder.drain():
                 self._process(released)
-        while self._pseudo_queue:
-            event = self._pseudo_queue.pop_due(float("inf"))
-            assert event is not None
-            self._execute_pseudo(event)
+        self._fire_due_pseudo(float("inf"), inclusive=True)
         return self._take_output()
 
     def run(
@@ -733,29 +821,21 @@ class Engine:
 
     def emit(self, node, instance: EventInstance) -> None:
         """An occurrence of ``node``'s event: record, fire rules, propagate."""
-        if interval(instance) - node.within > TIME_EPSILON:
+        within, composite, record, rules, parents = self._plan.emits[node.node_id]
+        if instance.t_end - instance.t_begin - within > TIME_EPSILON:
             self.stats.interval_violations += 1
             return
         observer = self._observer
         if observer is not None:
             observer.on_emit(node, instance)
-        instr = self._instr
-        if instr is not None:
-            instr.emits[node.kind].inc()
-        if not node.is_primitive:
+        if composite:
             self.stats.composites += 1
-        if node.keeps_history:
-            self.states[node.node_id].record(instance)
-        for rule in node.rules:
+        if record is not None:
+            record(instance)
+        for rule in rules:
             self._fire_rule(rule, instance)
-        if instr is None:
-            for parent, child_index in node.parents:
-                self.states[parent.node_id].on_child(child_index, instance)
-        else:
-            for parent, child_index in node.parents:
-                started = perf_counter()
-                self.states[parent.node_id].on_child(child_index, instance)
-                instr.match_seconds[parent.kind].observe(perf_counter() - started)
+        for on_child, child_index in parents:
+            on_child(child_index, instance)
 
     def schedule(self, event: PseudoEvent) -> None:
         self.stats.pseudo_scheduled += 1
@@ -802,45 +882,86 @@ class Engine:
 
     # -- private -------------------------------------------------------------
 
-    def _dispatch(self, observation: Observation) -> None:
-        graph = self.graph
-        candidates = graph.primitives_by_reader.get(observation.reader, ())
-        for node in candidates:
-            self._try_primitive(node, observation)
-        if graph.primitives_by_group:
-            group = self.functions.group(observation.reader)
-            for node in graph.primitives_by_group.get(group, ()):
-                self._try_primitive(node, observation)
-        for node in graph.primitive_wildcards:
-            self._try_primitive(node, observation)
-
-    def _try_primitive(self, node, observation: Observation) -> None:
-        state = self.states[node.node_id]
+    def _build_plan(self) -> _Plan:
+        """Compile the per-observation path from the final graph."""
         instr = self._instr
         if instr is None:
-            bindings = state.match(observation)
+            timed = counted = _as_is
+            latency = None
         else:
-            started = perf_counter()
-            bindings = state.match(observation)
-            instr.match_seconds["obs"].observe(perf_counter() - started)
-        if bindings is None:
-            return
-        self.stats.primitive_matches += 1
-        self.emit(node, PrimitiveInstance(observation, bindings))
+            def timed(function: Callable, kind: str) -> Callable:
+                return _timed(function, instr.match_seconds[kind])
+
+            def counted(record: Optional[Callable], kind: str) -> Callable:
+                return _counted(record, instr.emits[kind])
+
+            latency = instr.observation_latency.observe
+        graph, states = self.graph, self.states
+
+        def routes(nodes: list) -> tuple:
+            return tuple(
+                (node, timed(states[node.node_id].match, "obs")) for node in nodes
+            )
+
+        emits = [
+            (
+                node.within,
+                node.kind != "obs",
+                counted(
+                    states[node.node_id].record if node.keeps_history else None,
+                    node.kind,
+                ),
+                node.rules,
+                tuple(
+                    (timed(states[parent.node_id].on_child, parent.kind), index)
+                    for parent, index in node.parents
+                ),
+            )
+            for node in graph.nodes
+        ]
+        self._plan = _Plan(
+            {reader: routes(nodes) for reader, nodes in graph.primitives_by_reader.items()},
+            {group: routes(nodes) for group, nodes in graph.primitives_by_group.items()},
+            routes(graph.primitive_wildcards),
+            emits,
+            latency,
+        )
+        return self._plan
+
+    def _dispatch(self, observation: Observation, plan: _Plan) -> None:
+        """Match an observation on the plan's routes and emit every match.
+
+        The reader literal's primitives go first, then its group's (the
+        ``group()`` function resolves per observation), then the
+        wildcards.
+        """
+        reader = observation.reader
+        routes = plan.routes.get(reader, ())
+        if plan.by_group:
+            routes += plan.by_group.get(self.functions.group(reader), ())
+        stats = self.stats
+        for node, match in routes + plan.wildcards:
+            bindings = match(observation)
+            if bindings is not None:
+                stats.primitive_matches += 1
+                self.emit(node, PrimitiveInstance(observation, bindings))
 
     def _fire_due_pseudo(self, now: float, inclusive: bool) -> None:
-        while True:
-            event = self._pseudo_queue.pop_due(now, inclusive=inclusive)
-            if event is None:
-                return
-            self._execute_pseudo(event)
-
-    def _execute_pseudo(self, event: PseudoEvent) -> None:
-        self._clock = max(self._clock, event.t_execute)
-        self.stats.pseudo_fired += 1
-        if self._observer is not None:
-            self._observer.on_pseudo(event)
-        self.states[event.target_node_id].on_pseudo(event)
+        """Fire, in time order, the pseudo events due before ``now``
+        (or at it, if ``inclusive``)."""
+        if self._plan is None:
+            self._build_plan()
+        heap = self._pseudo_queue._heap
+        states = self.states
+        stats = self.stats
+        while heap and (heap[0][0] <= now if inclusive else heap[0][0] < now):
+            t_execute, _tie, event = heappop(heap)
+            if t_execute > self._clock:
+                self._clock = t_execute
+            stats.pseudo_fired += 1
+            if self._observer is not None:
+                self._observer.on_pseudo(event)
+            states[event.target_node_id].on_pseudo(event)
 
     def rule(self, rule_id: str) -> RuleLike:
         """Look up a registered rule by id (for enable/disable toggling)."""

@@ -23,14 +23,20 @@ All matching here is *binding-aware*: constituent instances only combine
 when their variable bindings unify, and buffers are bucketed by the join
 key (variables shared between children) whenever every child statically
 guarantees those bindings.
+
+Leaves match raw observations through :func:`compile_match`: one
+straight-line function per primitive event type, generated once when the
+state is built, so matching reads none of the expression's shape.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Iterable, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Callable, Deque, Iterable, Optional
 
+from .expressions import ObservationType
 from .graph import Node
 from .instances import (
     Bindings,
@@ -154,41 +160,87 @@ class RuntimeNode:
         return removed
 
 
+Matcher = Callable[[Observation], Optional[dict[str, Any]]]
+
+
+def compile_match(expr: ObservationType, engine: "Engine") -> Matcher:
+    """Compile a primitive event type into its matcher.
+
+    The matcher returns the observation's bindings if it matches
+    ``expr``, else None.  It is generated for the type's shape: a
+    literal ``reader``/``obj`` becomes an equality test, a variable a
+    binding (a variable in both places also an equality test between
+    them), a wildcard nothing, and only the filters present are tested —
+    in the order reader, group, obj, type, ``where``.  The
+    ``group()``/``type()`` functions are looked up on
+    ``engine.functions`` at call time: the registry's fields may be
+    reassigned after the engine is built.
+    """
+    reader, obj = expr.reader, expr.obj
+    reader_is_var = reader is not None and not isinstance(reader, str)
+    obj_is_var = obj is not None and not isinstance(obj, str)
+    rejects = []
+    if isinstance(reader, str):
+        rejects.append("observation.reader != reader")
+    if expr.group is not None:
+        rejects.append("engine.functions.group(observation.reader) != group")
+    if isinstance(obj, str):
+        rejects.append("observation.obj != obj")
+    elif obj_is_var and reader_is_var and obj.name == reader.name:
+        rejects.append("observation.reader != observation.obj")
+    if expr.obj_type is not None:
+        rejects.append("engine.functions.obj_type(observation.obj) != obj_type")
+    if expr.where is not None:
+        rejects.append("not where(observation)")
+    bindings = []
+    if reader_is_var:
+        bindings.append("reader_name: observation.reader")
+    if obj_is_var:
+        bindings.append("obj_name: observation.obj")
+    if expr.t is not None:
+        bindings.append("t_name: observation.timestamp")
+    factory = _matcher_factory(tuple(rejects), tuple(bindings))
+    return factory(
+        engine, reader, obj, expr.group, expr.obj_type, expr.where,
+        reader.name if reader_is_var else None,
+        obj.name if obj_is_var else None,
+        expr.t.name if expr.t is not None else None,
+    )
+
+
+@lru_cache(maxsize=None)
+def _matcher_factory(rejects: tuple[str, ...], bindings: tuple[str, ...]):
+    """The matcher factory for one shape (a few hundred shapes exist).
+
+    The generated text is assembled from the fixed fragments of
+    :func:`compile_match` only; every value of the expression reaches
+    the matcher as a closure variable, never as source.
+    """
+    lines = [
+        "def factory(engine, reader, obj, group, obj_type, where,",
+        "            reader_name, obj_name, t_name):",
+        "    def match(observation):",
+    ]
+    for reject in rejects:
+        lines += [f"        if {reject}:", "            return None"]
+    lines += ["        return {" + ", ".join(bindings) + "}", "    return match"]
+    namespace: dict[str, Any] = {}
+    exec(compile("\n".join(lines), "<compiled matcher>", "exec"), namespace)
+    return namespace["factory"]
+
+
 class PrimitiveState(RuntimeNode):
-    """Leaf state: matches raw observations against a primitive type."""
+    """Leaf state: matches raw observations against a primitive type.
 
-    __slots__ = ()
+    ``match(observation)`` returns the bindings if the observation
+    matches this type, else None (see :func:`compile_match`).
+    """
 
-    def match(self, observation: Observation) -> Optional[dict[str, Any]]:
-        """Return bindings if the observation matches this type, else None."""
-        expr = self.node.expr
-        bindings: dict[str, Any] = {}
-        reader = expr.reader
-        if isinstance(reader, str):
-            if observation.reader != reader:
-                return None
-        elif reader is not None:  # Var
-            bindings[reader.name] = observation.reader
-        if expr.group is not None:
-            if self.engine.functions.group(observation.reader) != expr.group:
-                return None
-        obj = expr.obj
-        if isinstance(obj, str):
-            if observation.obj != obj:
-                return None
-        elif obj is not None:  # Var
-            name = obj.name
-            if name in bindings and bindings[name] != observation.obj:
-                return None
-            bindings[name] = observation.obj
-        if expr.obj_type is not None:
-            if self.engine.functions.obj_type(observation.obj) != expr.obj_type:
-                return None
-        if expr.where is not None and not expr.where(observation):
-            return None
-        if expr.t is not None:
-            bindings[expr.t.name] = observation.timestamp
-        return bindings
+    __slots__ = ("match",)
+
+    def __init__(self, node: Node, engine: "Engine") -> None:
+        super().__init__(node, engine)
+        self.match: Matcher = compile_match(node.expr, engine)
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
         raise AssertionError("primitive nodes have no children")
@@ -200,7 +252,10 @@ class OrState(RuntimeNode):
     __slots__ = ()
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
-        wrapped = CompositeInstance("OR", (instance,), instance.bindings)
+        wrapped = CompositeInstance(
+            "OR", (instance,), instance.bindings,
+            t_begin=instance.t_begin, t_end=instance.t_end,
+        )
         self.engine.emit(self.node, wrapped)
 
 
@@ -484,7 +539,8 @@ class SeqState(RuntimeNode):
             if self.term_is_not:
                 self._open_pending(instance)
             else:
-                key = project(instance.bindings, self.join_vars)
+                join_vars = self.join_vars
+                key = project(instance.bindings, join_vars) if join_vars else ()
                 bucket = self.buckets.get(key)
                 if bucket is None:
                     bucket = self.buckets[key] = deque()
@@ -512,7 +568,8 @@ class SeqState(RuntimeNode):
                 return False
             return unify(initiator.bindings, terminator.bindings) is not None
 
-        key = project(terminator.bindings, self.join_vars)
+        join_vars = self.join_vars
+        key = project(terminator.bindings, join_vars) if join_vars else ()
         bucket = self.buckets.get(key)
         if bucket is None:
             return
@@ -521,9 +578,19 @@ class SeqState(RuntimeNode):
             bucket.remove(item)
         for group in groups:
             members = list(group) + [terminator]
+            # Every accepted initiator ends before the terminator begins:
+            # the terminator ends the composite, an initiator begins it.
+            t_begin = (
+                group[0].t_begin
+                if len(group) == 1
+                else min(initiator.t_begin for initiator in group)
+            )
             self.engine.emit(
                 self.node,
-                CompositeInstance(self.label, members, merge_group_bindings(members)),
+                CompositeInstance(
+                    self.label, members, merge_group_bindings(members),
+                    t_begin=t_begin, t_end=terminator.t_end,
+                ),
             )
 
     # -- NOT E1 ; E2 ----------------------------------------------------------
@@ -660,10 +727,6 @@ class _Chain:
         return clone
 
     @property
-    def last(self) -> EventInstance:
-        return self.members[-1]
-
-    @property
     def first(self) -> EventInstance:
         return self.members[0]
 
@@ -679,12 +742,13 @@ class TSeqPlusState(RuntimeNode):
     this is the non-spontaneity the paper's mixed mode captures.
     """
 
-    __slots__ = ("chains", "_next_generation")
+    __slots__ = ("chains", "_next_generation", "_primitive_members")
 
     def __init__(self, node: Node, engine: "Engine") -> None:
         super().__init__(node, engine)
         self.chains: dict[tuple, _Chain] = {}
         self._next_generation = 0
+        self._primitive_members = node.children[0].kind == "obs"
 
     def copy_from(self, other: "TSeqPlusState") -> None:
         super().copy_from(other)
@@ -692,10 +756,11 @@ class TSeqPlusState(RuntimeNode):
         self._next_generation = other._next_generation
 
     def on_child(self, child_index: int, instance: EventInstance) -> None:
-        key = project(instance.bindings, self.node.group_by)
+        group_by = self.node.group_by
+        key = project(instance.bindings, group_by) if group_by else ()
         chain = self.chains.get(key)
         if chain is not None:
-            gap = instance.t_end - chain.last.t_end
+            gap = instance.t_end - chain.members[-1].t_end
             if (
                 self.node.lower - TIME_EPSILON
                 <= gap
@@ -713,11 +778,12 @@ class TSeqPlusState(RuntimeNode):
         self._schedule_close(key, chain)
 
     def _schedule_close(self, key: tuple, chain: _Chain) -> None:
+        last_end = chain.members[-1].t_end
         self.engine.schedule(
             PseudoEvent(
                 self.node.node_id,
-                t_create=chain.last.t_end,
-                t_execute=chain.last.t_end + self.node.upper,
+                t_create=last_end,
+                t_execute=last_end + self.node.upper,
                 kind="close-chain",
                 payload={"key": key, "generation": chain.generation},
             )
@@ -733,9 +799,18 @@ class TSeqPlusState(RuntimeNode):
     def _close(self, key: tuple, chain: _Chain) -> None:
         del self.chains[key]
         bindings = dict(zip(self.node.group_by, key))
+        members = chain.members
+        if self._primitive_members:
+            # Observations are instantaneous and arrive in time order:
+            # the first member begins the chain, the last ends it.
+            t_begin, t_end = members[0].t_begin, members[-1].t_end
+        else:
+            t_begin = t_end = None
         self.engine.emit(
             self.node,
-            CompositeInstance("TSEQ+", tuple(chain.members), bindings),
+            CompositeInstance(
+                "TSEQ+", tuple(members), bindings, t_begin=t_begin, t_end=t_end
+            ),
         )
 
 

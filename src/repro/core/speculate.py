@@ -216,7 +216,7 @@ class _Scope:
     """
 
     __slots__ = ("components", "by_reader", "by_rule", "catch_all",
-                 "open_primitives", "retention")
+                 "retention")
 
     def __init__(self, graph: Any) -> None:
         from .sharding import _UnionFind
@@ -227,12 +227,11 @@ class _Scope:
             for node in nodes[1:]:
                 sets.union(node.node_id, nodes[0].node_id)
 
-        #: Group-reader then wildcard primitives, in dispatch order.
-        self.open_primitives: list = [
+        open_primitives = [
             node for nodes in graph.primitives_by_group.values()
             for node in nodes
         ] + graph.primitive_wildcards
-        join(self.open_primitives)
+        join(open_primitives)
         for nodes in graph.primitives_by_reader.values():
             join(nodes)
         roots: dict[str, list] = {}
@@ -264,8 +263,7 @@ class _Scope:
             rule_id: component_of(nodes[0]) for rule_id, nodes in roots.items()
         }
         self.catch_all: Optional[int] = (
-            component_of(self.open_primitives[0])
-            if self.open_primitives else None
+            component_of(open_primitives[0]) if open_primitives else None
         )
         # How long after its trigger observation a detection can still be
         # emitted: each level of nesting waits at most its own largest
@@ -445,10 +443,7 @@ class SpeculationManager:
             for observation in released:
                 engine._process(observation)
             out.extend(self._seal(engine._take_output()))
-        while engine._pseudo_queue:
-            event = engine._pseudo_queue.pop_due(float("inf"))
-            assert event is not None
-            engine._execute_pseudo(event)
+        engine._fire_due_pseudo(float("inf"), inclusive=True)
         out.extend(self._seal(engine._take_output()))
         for detection_id in list(self._live):
             out.append(self._emit_retract(detection_id))
@@ -556,23 +551,17 @@ class SpeculationManager:
             queue.schedule(entry[2])
         spec._clock = host._clock
 
-        # Engine._dispatch, restricted to the dirty components' primitives
-        # (a group-reader primitive filters on its group when it matches).
-        replay_open = scope.catch_all in dirty
-        by_reader = scope.by_reader
-        literals = spec.graph.primitives_by_reader
+        # The clone's routes to the dirty components' primitives; an
+        # observation that reaches none of them is skipped.
+        plan = (spec._plan or spec._build_plan()).restricted(nodes)
+        open_routes = plan.by_group or plan.wildcards
         replayed = 0
         for observation in self.buffer:
-            reader = observation.reader
-            targets = literals[reader] if by_reader.get(reader) in dirty else ()
-            if replay_open:
-                targets = [*targets, *scope.open_primitives]
-            if not targets:
+            if not open_routes and observation.reader not in plan.routes:
                 continue
             spec._fire_due_pseudo(observation.timestamp, inclusive=False)
             spec._clock = max(spec._clock, observation.timestamp)
-            for node in targets:
-                spec._try_primitive(node, observation)
+            spec._dispatch(observation, plan)
             replayed += 1
         window_end = (
             self.buffer[-1].timestamp if self.buffer else float("-inf")

@@ -47,13 +47,30 @@ class PackingPack(ScenarioPack):
         size = self.default_size if size is None else size
         config = PackingConfig(cases=size)
         trace = simulate_packing(config, rng=random.Random(seed))
+        containment = containment_rule()
+        lower, upper = containment.event.lower, containment.event.upper
 
         def verify(run, store, detections) -> list[OracleCheck]:
+            # Rule 4's chronicle context pairs each case reading, in time
+            # order, with the oldest unpaired item group whose last item
+            # is lower..upper seconds earlier.  A case reading that
+            # overtakes the previous case's therefore takes the older
+            # group: the simulator's own case-to-items map is not the
+            # answer then.
+            read_at = {observation.obj: observation.timestamp
+                       for observation in run.observations}
+            unpaired = [case.item_epcs for case in run.trace.cases]
+            expected: dict[str, tuple] = {}
+            for case in sorted(run.trace.cases, key=lambda case: case.case_time):
+                for index, items in enumerate(unpaired):
+                    if lower <= case.case_time - read_at[items[-1]] <= upper:
+                        expected[case.case_epc] = unpaired.pop(index)
+                        break
             mismatched = [
                 case.case_epc
                 for case in run.trace.cases
                 if sorted(store.contents_of(case.case_epc, at=case.case_time))
-                != sorted(case.item_epcs)
+                != sorted(expected.get(case.case_epc, ()))
             ]
             return [
                 OracleCheck(
@@ -68,7 +85,7 @@ class PackingPack(ScenarioPack):
             pack=self.name,
             seed=seed,
             size=size,
-            rules=[containment_rule(), location_rule()],
+            rules=[containment, location_rule()],
             observations=list(trace.observations),
             end_time=trace.end_time,
             reader_placements=(

@@ -1,6 +1,9 @@
-"""Unit tests for runtime-node internals: history, queries, join keys."""
+"""Unit tests for runtime-node internals: history, queries, join keys,
+compiled primitive matchers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Engine, Observation, Var, obs
 from repro.core.expressions import Not, Or, Seq, SeqPlus, TSeqPlus, Within
@@ -108,6 +111,51 @@ class TestJoinKeys:
         assert set(state.buckets) == {("x",), ("y",)}
 
 
+def reference_match(expr, functions, observation):
+    """A primitive event type's meaning (paper §2.1), evaluated plainly:
+    every filter must hold, and every variable binds its value, a
+    variable used twice only if both values agree."""
+    if isinstance(expr.reader, str) and observation.reader != expr.reader:
+        return None
+    if expr.group is not None and functions.group(observation.reader) != expr.group:
+        return None
+    if isinstance(expr.obj, str) and observation.obj != expr.obj:
+        return None
+    if expr.obj_type is not None and functions.obj_type(observation.obj) != expr.obj_type:
+        return None
+    if expr.where is not None and not expr.where(observation):
+        return None
+    bindings = {}
+    for position, value in (
+        (expr.reader, observation.reader),
+        (expr.obj, observation.obj),
+        (expr.t, observation.timestamp),
+    ):
+        if isinstance(position, Var):
+            if bindings.get(position.name, value) != value:
+                return None
+            bindings[position.name] = value
+    return bindings
+
+
+NAMES = ("a", "b", "c")
+LOOKUPS = st.fixed_dictionaries({name: st.sampled_from(("g", "h", None)) for name in NAMES})
+
+
+@st.composite
+def observation_types(draw):
+    reader = draw(st.sampled_from((*NAMES, Var("r"), Var("x"), None)))
+    group = None if isinstance(reader, str) else draw(st.sampled_from(("g", None)))
+    return obs(
+        reader,
+        draw(st.sampled_from((*NAMES, Var("o"), Var("x"), None))),
+        group=group,
+        obj_type=draw(st.sampled_from(("g", "h", None))),
+        where=draw(st.sampled_from((None, lambda o: o.timestamp >= 1.0))),
+        t=draw(st.sampled_from((Var("t"), None))),
+    )
+
+
 class TestPrimitiveMatching:
     def test_match_returns_none_fast_for_wrong_reader(self, leaf_state):
         assert leaf_state.match(Observation("other", "o", 0.0)) is None
@@ -118,6 +166,38 @@ class TestPrimitiveMatching:
         state = engine.states[0]
         bindings = state.match(Observation("rdr", "tag", 7.5))
         assert bindings == {"r": "rdr", "o": "tag", "t": 7.5}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        expr=observation_types(),
+        groups=LOOKUPS,
+        types=LOOKUPS,
+        observations=st.lists(
+            st.builds(
+                Observation,
+                st.sampled_from(NAMES),
+                st.sampled_from(NAMES),
+                st.sampled_from((0.0, 1.0, 2.5)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_compiled_match_equals_reference(self, expr, groups, types, observations):
+        """Every shape, against a registry whose functions are swapped
+        after the engine (and so the matcher) was built."""
+        engine = Engine()
+        engine.watch(expr)
+        state = engine.states[engine.graph.roots[0].node_id]
+        functions = engine.functions
+        functions.group = groups.get
+        functions.obj_type = types.get
+        for observation in observations:
+            expected = reference_match(expr, functions, observation)
+            got = state.match(observation)
+            assert got == expected
+            if got is not None:
+                assert list(got) == list(expected)
 
 
 class TestStateFactory:

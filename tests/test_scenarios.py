@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 
+from repro import Observation
 from repro.scenarios import (
     ScenarioPack,
     ScenarioRun,
@@ -22,6 +23,7 @@ from repro.scenarios import (
     register_pack,
     unregister_pack,
 )
+from repro.simulator.packing import PackedCase, PackingTrace
 
 BUILTINS = [
     "checkout",
@@ -102,6 +104,36 @@ class TestOracles:
         c = get_pack("hospital-assets").build(seed=10)
         assert key(a) == key(b)
         assert key(a) != key(c)
+
+    def test_packing_oracle_at_scale(self):
+        """Seed 7 has case readings that overtake their predecessors'."""
+        report = execute_run(get_pack("packing").build(seed=7, size=500))
+        assert report["ok"], report["checks"]
+
+    def test_overtaking_case_reading_takes_the_older_items(self):
+        """Chronicle pairing, shrunk to two cases: c2 is read before c1,
+        so Rule 4 gives c2 the older item group, and the oracle agrees."""
+        run = get_pack("packing").build(seed=7, size=0)
+        run.observations = [
+            Observation("r1", "i1", 0.0),
+            Observation("r1", "i2", 0.5),
+            Observation("r1", "i3", 5.0),
+            Observation("r1", "i4", 5.5),
+            Observation("r2", "c2", 17.5),
+            Observation("r2", "c1", 19.5),
+        ]
+        run.trace = PackingTrace(
+            run.observations,
+            [PackedCase("c1", ("i1", "i2"), 19.5),
+             PackedCase("c2", ("i3", "i4"), 17.5)],
+        )
+        run.expected_detections = {"r4": 2, "r3": 6}
+        engine = run.engine_factory()()
+        list(engine.run(run.observations))
+        assert sorted(engine.store.contents_of("c2", at=17.5)) == ["i1", "i2"]
+        assert sorted(engine.store.contents_of("c1", at=19.5)) == ["i3", "i4"]
+        report = execute_run(run)
+        assert report["ok"], report["checks"]
 
     def test_oracle_catches_broken_engine(self):
         """A run with a rule removed must fail its oracle, not pass it."""
