@@ -325,7 +325,8 @@ class _Plan(NamedTuple):
     ``(node, matcher)`` pairs and ``wildcards`` is one such tuple;
     ``emits[node_id]`` is the node's emit plan ``(within, composite,
     record, rules, parents)``; ``latency`` observes an observation's
-    processing time, or is None without a registry.
+    processing time, or is None without a registry; ``restrictions``
+    memoises :meth:`restricted`, so it is discarded with the plan.
     """
 
     routes: dict
@@ -333,12 +334,18 @@ class _Plan(NamedTuple):
     wildcards: tuple
     emits: list
     latency: Optional[Callable[[float], None]]
+    restrictions: dict
 
-    def restricted(self, node_ids: set[int]) -> "_Plan":
+    def restricted(self, node_ids: frozenset) -> "_Plan":
         """This plan, routing only to the primitives in ``node_ids``.
 
         A reader literal or group left with no primitive is dropped.
+        Built once per node set.
         """
+        plan = self.restrictions.get(node_ids)
+        if plan is not None:
+            return plan
+
         def keep(routes: tuple) -> tuple:
             return tuple(route for route in routes if route[0].node_id in node_ids)
 
@@ -346,8 +353,11 @@ class _Plan(NamedTuple):
             kept = {key: keep(routes) for key, routes in table.items()}
             return {key: routes for key, routes in kept.items() if routes}
 
-        return _Plan(keep_all(self.routes), keep_all(self.by_group),
-                     keep(self.wildcards), self.emits, None)
+        plan = self.restrictions[node_ids] = _Plan(
+            keep_all(self.routes), keep_all(self.by_group),
+            keep(self.wildcards), self.emits, None, {},
+        )
+        return plan
 
 
 def _as_is(step: Any, kind: str) -> Any:
@@ -925,6 +935,7 @@ class Engine:
             routes(graph.primitive_wildcards),
             emits,
             latency,
+            {},
         )
         return self._plan
 

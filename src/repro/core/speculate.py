@@ -40,7 +40,19 @@ their rules: ids that vanished are retracted, ids whose content changed
 are revised, new ids appear as provisionals.  The whole-window rebuild
 (first use, after ``restore``, after ``finish``) is the same repair
 with every component dirty.  ``stats.replayed`` counts the observations
-repairs re-ran.
+repairs re-ran.  Each distinct dirty set's node ids and restricted
+dispatch plan are built once and kept for the plan's lifetime.
+
+Bookkeeping is paid per change, not per detection.  An arrival in
+canonical order is appended to the buffer and fed straight to the clone.
+A detection's *content* (its leaves, time and bindings — what decides
+between "unchanged" and ``revise``) is never stored: only a repair
+output whose id is already live is compared with its record — by object
+identity when the replay reused the same leaves and binding values,
+otherwise by the :func:`_content_key` the hash is taken over — and a
+checkpoint hashes each record's content (:func:`_content_of`) when it is
+written.  Finals, and retractions nothing revived, are forgotten once no
+acceptable arrival can reach their identity.
 
 Canonical stream order is ``(timestamp, reader, obj)`` — both the
 buffer and the "in-order baseline" that REVISE converges to are defined
@@ -62,9 +74,10 @@ import heapq
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import is_
 from typing import TYPE_CHECKING, Any, Optional
 
-from .instances import Observation
+from .instances import CompositeInstance, Observation, PrimitiveInstance
 from .temporal import INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,6 +121,22 @@ def _make_speculative(base: "Detection", detection_id: str,
     )
 
 
+def _leaves(instance: Any) -> list:
+    """``list(instance.observations())``, walked without nested generators."""
+    leaves: list = []
+    stack = [instance]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is PrimitiveInstance:
+            leaves.append(node.observation)
+        elif kind is CompositeInstance:
+            stack.extend(reversed(node.constituents))
+        else:
+            leaves.extend(node.observations())
+    return leaves
+
+
 def _identity_of(rule_id: str, instance: Any) -> tuple:
     """The occurrence anchor a detection id hashes over (sans ordinal).
 
@@ -117,26 +146,55 @@ def _identity_of(rule_id: str, instance: Any) -> tuple:
     distinct occurrences get distinct ids.  Leafless instances (pure
     negation windows) anchor on the window itself.
     """
-    leaves = list(instance.observations())
-    if leaves:
-        trigger = max(leaves, key=canonical_key)
-        return (rule_id, str(trigger.reader), str(trigger.obj),
-                trigger.timestamp)
+    trigger = None
+    for leaf in _leaves(instance):
+        key = (leaf.timestamp, str(leaf.reader), str(leaf.obj))
+        if trigger is None or key > trigger:
+            trigger = key
+    if trigger is not None:
+        return (rule_id, trigger[1], trigger[2], trigger[0])
     return (rule_id, instance.t_begin, instance.t_end)
 
 
-def _content_of(detection: "Detection") -> str:
-    """Hash of everything a subscriber can see: leaves, time, bindings."""
-    leaves = sorted(
+def _content_key(instance: Any, time: float) -> tuple:
+    """Everything a subscriber can see: leaves, time, bindings."""
+    leaves = sorted([
         (str(o.reader), str(o.obj), repr(o.timestamp))
-        for o in detection.instance.observations()
-    )
-    bindings = sorted(
-        (str(key), repr(value))
-        for key, value in detection.instance.bindings.items()
-    )
-    blob = repr((leaves, repr(detection.time), bindings)).encode()
+        for o in _leaves(instance)
+    ])
+    bindings = sorted([
+        (str(key), repr(value)) for key, value in instance.bindings.items()
+    ])
+    return (leaves, repr(time), bindings)
+
+
+def _content_of(instance: Any, time: float) -> str:
+    """Hash of :func:`_content_key`, as written to a checkpoint."""
+    blob = repr(_content_key(instance, time)).encode()
     return hashlib.sha1(blob).hexdigest()[:16]
+
+
+def _unchanged(old: Any, old_time: float, new: Any, new_time: float) -> bool:
+    """Whether two detections have the same :func:`_content_of`.
+
+    A replay that reused the same leaf observations, in the same order,
+    with the same binding objects under the same keys and a time of the
+    same ``repr`` has the same content.  Anything else compares the
+    :func:`_content_key` both would hash: its ``repr`` is injective, so
+    the keys are equal exactly when the strings fed to SHA-1 are.
+    """
+    old_bindings, new_bindings = old.bindings, new.bindings
+    old_leaves, new_leaves = _leaves(old), _leaves(new)
+    if (
+        len(old_leaves) == len(new_leaves)
+        and all(map(is_, old_leaves, new_leaves))
+        and len(old_bindings) == len(new_bindings)
+        and all(map(is_, old_bindings, new_bindings))
+        and all(map(is_, old_bindings.values(), new_bindings.values()))
+        and repr(old_time) == repr(new_time)
+    ):
+        return True
+    return _content_key(old, old_time) == _content_key(new, new_time)
 
 
 def _hash_identity(identity: tuple, ordinal: int) -> str:
@@ -147,14 +205,12 @@ def _hash_identity(identity: tuple, ordinal: int) -> str:
 class _Record:
     """Lifecycle state of one detection id (latest emitted revision)."""
 
-    __slots__ = ("revision", "status", "content", "rule_id", "instance",
-                 "time")
+    __slots__ = ("revision", "status", "rule_id", "instance", "time")
 
-    def __init__(self, revision: int, status: str, content: str,
-                 rule_id: str, instance: Any, time: float) -> None:
+    def __init__(self, revision: int, status: str, rule_id: str,
+                 instance: Any, time: float) -> None:
         self.revision = revision
         self.status = status
-        self.content = content
         self.rule_id = rule_id
         self.instance = instance
         self.time = time
@@ -216,7 +272,7 @@ class _Scope:
     """
 
     __slots__ = ("components", "by_reader", "by_rule", "catch_all",
-                 "retention")
+                 "retention", "_nodes")
 
     def __init__(self, graph: Any) -> None:
         from .sharding import _UnionFind
@@ -279,6 +335,8 @@ class _Scope:
                 (lag[child.node_id] for child in node.children), default=0.0
             )
         self.retention = max(lag, default=0.0)
+        #: dirty set -> its components' node ids.
+        self._nodes: dict[frozenset, frozenset] = {}
 
     def everything(self) -> set[int]:
         """Every component's index: the whole-window dirty set."""
@@ -289,6 +347,23 @@ class _Scope:
         fed = {self.by_reader.get(reader), self.catch_all}
         fed.discard(None)
         return fed
+
+    def nodes_of(self, dirty: set[int]) -> frozenset:
+        """The node ids of the components in ``dirty``, built once per set.
+
+        Dirty sets are :meth:`fed_by` some reader or :meth:`everything`,
+        so this holds at most one entry per reader literal, one for the
+        readers no literal names, and the whole window.
+        """
+        key = frozenset(dirty)
+        nodes = self._nodes.get(key)
+        if nodes is None:
+            nodes = self._nodes[key] = frozenset(
+                node_id
+                for index in key
+                for node_id in self.components[index].nodes
+            )
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -345,14 +420,19 @@ class SpeculationManager:
         self.max_ts = float("-inf")
         #: Explicit advance_to() high-water mark, replayed by repairs.
         self._advanced_to = float("-inf")
-        #: detection_id -> latest emitted revision record.  Finals leave
-        #: once nothing acceptable can produce their identity again.
+        #: detection_id -> latest emitted revision record.  Finals and
+        #: retractions leave once nothing acceptable can produce their
+        #: identity again.
         self.records: dict[str, _Record] = {}
-        #: Unsealed ids currently present in the speculative view.
-        self._live: dict[str, str] = {}
+        #: Unsealed ids currently present in the speculative view, in the
+        #: order they entered it (retracts and checkpoints follow it).
+        self._live: dict[str, None] = {}
         #: Final records in sealing (= detection time) order:
         #: ``(time, detection_id, identity, component)``.
         self._finals: deque = deque()
+        #: Heap of ``(time, detection_id)`` per retraction; an entry whose
+        #: record was revived or sealed since is skipped when it surfaces.
+        self._retracted: list[tuple] = []
         self._spec_engine: Optional["Engine"] = None
         #: Built from the graph at first use (rules may still be added
         #: until the first observation).
@@ -365,8 +445,6 @@ class SpeculationManager:
     @property
     def watermark(self) -> float:
         """``max(seen timestamps) - horizon``; ``-inf`` before any input."""
-        if self.max_ts == float("-inf"):
-            return float("-inf")
         return self.max_ts - self.horizon
 
     @property
@@ -384,27 +462,38 @@ class SpeculationManager:
         promised horizon — and are dropped (counted, never silent).
         """
         engine = self.engine
-        key = canonical_key(observation)
-        if key[0] <= self.watermark:
+        timestamp = observation.timestamp
+        if timestamp <= self.max_ts - self.horizon:
             engine.stats.dropped_out_of_order += 1
             engine.stats.dropped_too_late += 1
             return []
-        scope = self._scope()
-        # Canonical insertion; arriving in canonical order, and not behind
-        # an advance() the clone already made, means the speculative
-        # engine can be fed incrementally instead of repaired.
-        position = self._insort(key, observation)
-        in_order = (
-            position == len(self.buffer) - 1 and key[0] >= self._advanced_to
-        )
-        self.max_ts = max(self.max_ts, key[0])
+        scope = self._scope_cache or self._scope()
+        # canonical_key(), inline; the buffer's tail is the common case.
+        key = (timestamp, str(observation.reader), str(observation.obj))
+        keys = self._keys
         out: list = []
-        if not in_order:
+        if keys and key < keys[-1]:
+            self._insort(key, observation)
             self._dirty |= scope.fed_by(observation.reader)
-        elif not self._dirty:
-            out.extend(self._absorb(self._clone().submit(observation)))
-        # else: the whole window is stale; the repair below covers this arrival.
-        out.extend(self._release())
+        else:
+            keys.append(key)
+            self.buffer.append(observation)
+            if timestamp < self._advanced_to:
+                # Behind an advance() the clone already made: repair.
+                self._dirty |= scope.fed_by(observation.reader)
+            elif not self._dirty:
+                # In canonical order: the clone takes it incrementally.
+                spec = self._spec_engine
+                spec._started = True
+                spec._process(observation)
+                if spec._out:
+                    out = self._absorb(spec._take_output())
+            # else: the whole window is stale; the repair below covers it.
+        if timestamp > self.max_ts:
+            self.max_ts = timestamp
+        watermark = self.max_ts - self.horizon
+        if keys[0][0] <= watermark or watermark > engine._clock:
+            out.extend(self._release())
         if self._dirty:
             out.extend(self._repair())
         return out
@@ -454,11 +543,10 @@ class SpeculationManager:
 
     # -- speculative view ---------------------------------------------------
 
-    def _insort(self, key: tuple, observation: Observation) -> int:
+    def _insort(self, key: tuple, observation: Observation) -> None:
         position = bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self.buffer.insert(position, observation)
-        return position
 
     def _scope(self) -> _Scope:
         """The graph's independent components; all start out dirty."""
@@ -491,19 +579,19 @@ class SpeculationManager:
         retracted, ids whose content changed (or that had been
         retracted) are revised, new ids appear as provisionals.
         """
-        scope = self._scope()
+        scope = self._scope_cache
         dirty, self._dirty = self._dirty, set()
         outputs = self._replay(scope, dirty)
         for index in dirty:
             component = scope.components[index]
             component.occ = dict(component.sealed_occ)
-        fresh: dict[str, tuple[str, Any]] = {}
+        fresh: dict[str, "Detection"] = {}
         for detection in outputs:
             detection_id = self._next_id(detection)
             record = self.records.get(detection_id)
             if record is not None and record.status == FINAL:
                 continue
-            fresh[detection_id] = (_content_of(detection), detection)
+            fresh[detection_id] = detection
         out: list = []
         for detection_id in list(self._live):
             if (
@@ -511,8 +599,8 @@ class SpeculationManager:
                 and scope.by_rule[self.records[detection_id].rule_id] in dirty
             ):
                 out.append(self._emit_retract(detection_id))
-        for detection_id, (content, detection) in fresh.items():
-            emitted = self._note_live(detection_id, content, detection)
+        for detection_id, detection in fresh.items():
+            emitted = self._note_live(detection_id, detection)
             if emitted is not None:
                 out.append(emitted)
         return out
@@ -529,11 +617,7 @@ class SpeculationManager:
         """
         host = self.engine
         spec = self._clone()
-        nodes = {
-            node_id
-            for index in dirty
-            for node_id in scope.components[index].nodes
-        }
+        nodes = scope.nodes_of(dirty)
         for node_id in nodes:
             spec.states[node_id].copy_from(host.states[node_id])
         queue = spec._pseudo_queue
@@ -544,10 +628,10 @@ class SpeculationManager:
         queue._heap = []
         # Re-scheduling in (time, tie) order keeps the sealed firing
         # order under tie numbers that are unique in the clone's heap.
-        for entry in sorted(
+        for entry in sorted([
             entry for entry in host._pseudo_queue._heap
             if entry[2].target_node_id in nodes
-        ):
+        ]):
             queue.schedule(entry[2])
         spec._clock = host._clock
 
@@ -577,7 +661,7 @@ class SpeculationManager:
     def _next_id(self, detection: "Detection") -> str:
         """Id of the next speculative occurrence of ``detection``'s identity."""
         rule_id = detection.rule.rule_id
-        scope = self._scope()
+        scope = self._scope_cache
         occ = scope.components[scope.by_rule[rule_id]].occ
         identity = _identity_of(rule_id, detection.instance)
         ordinal = occ.get(identity, 0)
@@ -592,36 +676,38 @@ class SpeculationManager:
             record = self.records.get(detection_id)
             if record is not None and record.status == FINAL:
                 continue
-            emitted = self._note_live(
-                detection_id, _content_of(detection), detection
-            )
+            emitted = self._note_live(detection_id, detection)
             if emitted is not None:
                 out.append(emitted)
         return out
 
-    def _note_live(self, detection_id: str, content: str,
+    def _note_live(self, detection_id: str,
                    detection: "Detection") -> Optional[SpeculativeDetection]:
-        """Record one live speculative detection; emit what changed."""
+        """Record one live speculative detection; emit what changed.
+
+        A live id's record always holds the content it was last emitted
+        with, so an id already live is compared with its record; any
+        other id (new, or retracted) is emitted.
+        """
         engine = self.engine
         record = self.records.get(detection_id)
         if record is None:
-            record = _Record(0, PROVISIONAL, content,
-                             detection.rule.rule_id, detection.instance,
-                             detection.time)
+            record = _Record(0, PROVISIONAL, detection.rule.rule_id,
+                             detection.instance, detection.time)
             self.records[detection_id] = record
-            self._live[detection_id] = content
+            self._live[detection_id] = None
             engine.stats.speculative += 1
             return _make_speculative(detection, detection_id, 0, PROVISIONAL)
-        previous = self._live.get(detection_id)
-        self._live[detection_id] = content
-        if previous == content and record.status != RETRACT:
+        if detection_id not in self._live:
+            self._live[detection_id] = None
+        elif _unchanged(record.instance, record.time,
+                        detection.instance, detection.time):
             # Unchanged across the re-run: no new revision.
             record.instance = detection.instance
             record.time = detection.time
             return None
         record.revision += 1
         record.status = REVISED
-        record.content = content
         record.instance = detection.instance
         record.time = detection.time
         engine.stats.revised += 1
@@ -635,6 +721,7 @@ class SpeculationManager:
         record.revision += 1
         record.status = RETRACT
         self._live.pop(detection_id, None)
+        heapq.heappush(self._retracted, (record.time, detection_id))
         engine.stats.retracted += 1
         return SpeculativeDetection(
             engine.rule(record.rule_id), record.instance, record.time,
@@ -653,22 +740,25 @@ class SpeculationManager:
         ``ts > watermark`` — so it fires and seals now, not only when a
         released observation happens to advance the clock past it.
         """
-        watermark = self.watermark
+        watermark = self.max_ts - self.horizon
+        keys = self._keys
         count = 0
-        while count < len(self._keys) and self._keys[count][0] <= watermark:
+        while count < len(keys) and keys[count][0] <= watermark:
             count += 1
         engine = self.engine
         advanced = False
         if count:
             released = self.buffer[:count]
             del self.buffer[:count]
-            del self._keys[:count]
+            del keys[:count]
             for observation in released:
                 engine._process(observation)
             advanced = True
-        if watermark != float("-inf") and watermark > engine._clock:
+        if watermark > engine._clock:
             engine._started = True
-            engine._fire_due_pseudo(watermark, inclusive=True)
+            heap = engine._pseudo_queue._heap
+            if heap and heap[0][0] <= watermark:
+                engine._fire_due_pseudo(watermark, inclusive=True)
             engine._clock = watermark
             advanced = True
         if not advanced:
@@ -679,7 +769,7 @@ class SpeculationManager:
         """Finalize what the sealed engine emitted (see module docstring)."""
         out: list = []
         engine = self.engine
-        scope = self._scope()
+        scope = self._scope_cache or self._scope()
         for detection in detections:
             rule_id = detection.rule.rule_id
             component = scope.components[scope.by_rule[rule_id]]
@@ -687,20 +777,18 @@ class SpeculationManager:
             ordinal = component.sealed_occ.get(identity, 0)
             component.sealed_occ[identity] = ordinal + 1
             detection_id = _hash_identity(identity, ordinal)
-            content = _content_of(detection)
             record = self.records.get(detection_id)
             if record is None:
                 # Sealed before it was ever speculated (e.g. horizon 0,
                 # or a flush-time expiry): final is the first revision.
-                record = _Record(0, FINAL, content, rule_id,
-                                 detection.instance, detection.time)
+                record = _Record(0, FINAL, rule_id, detection.instance,
+                                 detection.time)
                 self.records[detection_id] = record
             elif record.status == FINAL:
                 continue
             else:
                 record.revision += 1
                 record.status = FINAL
-                record.content = content
                 record.instance = detection.instance
                 record.time = detection.time
             self._live.pop(detection_id, None)
@@ -711,35 +799,66 @@ class SpeculationManager:
             out.append(_make_speculative(
                 detection, detection_id, record.revision, FINAL
             ))
-        self._forget_settled()
+        cutoff = self.max_ts - self.horizon - scope.retention
+        if (
+            self._finals and self._finals[0][0] < cutoff
+            or self._retracted and self._retracted[0][0] < cutoff
+        ):
+            self._forget_settled(cutoff)
         return out
 
-    def _forget_settled(self) -> None:
-        """Drop final records, and their ordinals, that nothing can reach.
+    def _forget_settled(self, cutoff: float) -> None:
+        """Drop final and retracted records, and their ordinals, that
+        nothing can reach.
 
         A detection is emitted at most ``retention`` after its trigger
         observation, and the sealed engine has emitted everything up to
-        the watermark.  So once a final's detection time is older than
-        ``watermark - retention``, every detection sharing its trigger —
-        its identity — is already sealed, and neither the sealed engine
-        nor a repair (which only sees arrivals above the watermark) can
-        produce that identity again.
+        the watermark.  So once a record's detection time is older than
+        ``cutoff = watermark - retention``, every detection sharing its
+        trigger — its identity — is already sealed, and neither the
+        sealed engine nor a repair (which only creates detections above
+        the watermark) can produce that identity again: a final cannot
+        change and a retraction cannot be revived.
         """
-        cutoff = self.watermark - self._scope().retention
+        scope = self._scope_cache
+        records = self.records
         finals = self._finals
         while finals and finals[0][0] < cutoff:
             _time, detection_id, identity, component = finals.popleft()
-            del self.records[detection_id]
+            del records[detection_id]
+            component.occ.pop(identity, None)
+            component.sealed_occ.pop(identity, None)
+        retracted = self._retracted
+        while retracted and retracted[0][0] < cutoff:
+            _time, detection_id = heapq.heappop(retracted)
+            record = records.get(detection_id)
+            if (
+                record is None
+                or record.status != RETRACT
+                or record.time >= cutoff
+            ):
+                continue  # revived or sealed since; a later entry, if any
+            del records[detection_id]
+            identity = _identity_of(record.rule_id, record.instance)
+            component = scope.components[scope.by_rule[record.rule_id]]
             component.occ.pop(identity, None)
             component.sealed_occ.pop(identity, None)
 
     # -- checkpoint/restore -------------------------------------------------
 
     def encode(self, table: Any) -> dict:
-        """Speculation state for a checkpoint (shares the instance table)."""
+        """Speculation state for a checkpoint (shares the instance table).
+
+        Each record's content hash is computed here, the one place it is
+        written down; :meth:`restore` does not read it back.
+        """
         # Not _scope(): a checkpoint must not freeze the rule set.
         scope = self._scope_cache
         components = scope.components if scope is not None else ()
+        content = {
+            detection_id: _content_of(record.instance, record.time)
+            for detection_id, record in self.records.items()
+        }
         return {
             "horizon": self.horizon,
             "max_ts": self.max_ts,
@@ -757,15 +876,15 @@ class SpeculationManager:
                     "id": detection_id,
                     "rev": record.revision,
                     "status": record.status,
-                    "content": record.content,
+                    "content": content[detection_id],
                     "rule": record.rule_id,
                     "inst": table.ref(record.instance),
                     "time": record.time,
                 }
                 for detection_id, record in self.records.items()
             ],
-            "live": [[detection_id, content]
-                     for detection_id, content in self._live.items()],
+            "live": [[detection_id, content[detection_id]]
+                     for detection_id in self._live],
         }
 
     def restore(self, section: dict, observations: list,
@@ -791,14 +910,14 @@ class SpeculationManager:
                 getattr(component, field)[tuple(key)] = count
         self.records = {
             entry["id"]: _Record(
-                entry["rev"], entry["status"], entry["content"],
-                entry["rule"], instances[entry["inst"]], entry["time"],
+                entry["rev"], entry["status"], entry["rule"],
+                instances[entry["inst"]], entry["time"],
             )
             for entry in section["records"]
         }
-        self._live = {
-            detection_id: content for detection_id, content in section["live"]
-        }
+        self._live = dict.fromkeys(
+            detection_id for detection_id, _content in section["live"]
+        )
         self._finals = deque(sorted(
             (
                 (record.time, detection_id,
@@ -809,3 +928,9 @@ class SpeculationManager:
             ),
             key=lambda final: final[0],
         ))
+        self._retracted = [
+            (record.time, detection_id)
+            for detection_id, record in self.records.items()
+            if record.status == RETRACT
+        ]
+        heapq.heapify(self._retracted)

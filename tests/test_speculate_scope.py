@@ -14,12 +14,14 @@ every observation feeds), and the tests assert that
 * a checkpoint taken in the middle of a disordered window restores into
   an engine that still seals the in-order oracle's finals;
 * the per-id bookkeeping (``records``, ordinals, ``checkpoint()`` size)
-  stays flat over a long stream without changing any id or revision;
+  stays flat over a long stream without changing any id or revision,
+  in order and with a retraction every few seconds;
 * an arrival older than an ``advance_to`` the clone already made is
   repaired instead of tripping the clone's time-order check.
 """
 
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +317,71 @@ def test_bookkeeping_stays_flat_and_ids_do_not_change():
     assert len(expected) == workload.expected_detections
     # In order: one provisional (revision 0), then its final (revision 1).
     assert [record.revision for record in finals] == [1] * len(finals)
+    _check_lifecycles(records)
+
+
+def _settled_retractions(speculation):
+    """Retracted records already past the cutoff finals are dropped at."""
+    cutoff = speculation.watermark - speculation._scope_cache.retention
+    return [
+        detection_id for detection_id, record in speculation.records.items()
+        if record.status == RETRACT and record.time < cutoff
+    ]
+
+
+def test_retractions_are_forgotten_like_finals():
+    """A late ``B2`` withdraws a provisional ``missing``; the retracted
+    record, never revived, leaves under the cutoff finals use — also
+    after a mid-stream restore."""
+    rules = [rule for rule in _rules() if rule.rule_id == "missing"]
+    rng = random.Random(5)
+    stream = []
+    for episode in range(2_000):
+        start = episode * 0.5
+        stream.append(Observation("A2", f"o{episode}", start))
+        if rng.random() < 0.5:
+            # Late in the 3 s window, so a delayed B2 often lands after
+            # the clone already expired the window.
+            stream.append(
+                Observation("B2", f"o{episode}", start + rng.uniform(1.5, 2.9))
+            )
+    stream.sort(key=canonical_key)
+    arrival = list(
+        ChaosInjector(
+            ChaosConfig(seed=5, disorder_rate=0.3, max_lateness=MAX_LATENESS)
+        ).inject(stream)
+    )
+    engine = _revise_engine(rules)
+    quarter = len(arrival) // 4
+    records = []
+    sizes = []
+    for start in range(0, quarter * 4, quarter):
+        records += engine.submit_many(arrival[start:start + quarter])
+        assert _settled_retractions(engine.speculation) == []
+        snapshot = json.loads(json.dumps(engine.checkpoint()))
+        sizes.append((len(engine.speculation.records), len(json.dumps(snapshot))))
+        if start == quarter:
+            engine = _revise_engine(rules)
+            engine.restore(snapshot)
+    records += engine.submit_many(arrival[quarter * 4:])
+    records += engine.flush()
+    assert engine.stats.dropped_too_late == 0
+    assert engine.stats.retracted >= 100
+    (early_count, early_bytes), (late_count, late_bytes) = sizes[0], sizes[3]
+    assert late_count <= 1.5 * early_count
+    assert late_bytes <= 1.5 * early_bytes
+
+    ordinals: dict[tuple, int] = {}
+    expected = []
+    oracle = _oracle(rules, arrival)
+    for detection in oracle:
+        identity = _identity_of(detection.rule.rule_id, detection.instance)
+        ordinal = ordinals.get(identity, 0)
+        ordinals[identity] = ordinal + 1
+        expected.append(_hash_identity(identity, ordinal))
+    finals = [record for record in records if record.status == FINAL]
+    assert [record.detection_id for record in finals] == expected
+    assert _canon(finals) == _canon(oracle)
     _check_lifecycles(records)
 
 
