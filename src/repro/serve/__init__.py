@@ -18,9 +18,9 @@ that makes the repo an actual *server* for those streams:
   without sockets;
 * :mod:`repro.serve.cluster` — :class:`Cluster` / :class:`CepRouter`:
   N shard-worker processes (each a :class:`CepServer` over a durable
-  engine with its own WAL) behind a router that speaks the same wire
-  protocol, with consistent-hash placement, deterministic detection
-  fan-in, crash recovery and live shard migration;
+  engine with its own WAL) behind a router backend served by one more
+  :class:`CepServer`, with consistent-hash placement, deterministic
+  detection fan-in, crash recovery and live shard migration;
 * :mod:`repro.serve.cluster_drill` — ``python -m repro chaos cluster``,
   a scripted kill-a-worker-mid-stream drill asserting exactly-once
   delivery end to end.

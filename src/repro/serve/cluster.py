@@ -15,30 +15,38 @@ placement to real processes:
 * :class:`WorkerProcess` — the same worker as a supervised subprocess
   (``python -m repro cluster worker``), which is what buys real
   multi-core throughput;
-* :class:`CepRouter` — the front end: speaks the ordinary wire protocol
-  to clients, splits every batch by the shard plan, forwards sub-batches
-  to workers with *source provenance* (the end client's id and seqs, the
-  ``prov`` extension of :mod:`repro.serve.protocol`), collects worker
-  acks and detections back into per-batch *epochs*, and releases epochs
-  in strict submission order — detections first, then the client's ack;
-* :class:`Cluster` — spawn workers + router from one config, kill and
+* :class:`CepRouter` — the cluster's detection *backend*: splits every
+  batch by the shard plan, relays sub-batches to workers with *source
+  provenance* (the end client's id and seqs, the ``prov`` extension of
+  :mod:`repro.serve.protocol`) and collects worker acks and detections
+  back into per-batch *epochs*, each a future of its fan-in;
+* :class:`Cluster` — spawn workers and the router from one config and
+  serve the router with one :class:`~repro.serve.CepServer`, kill and
   recover workers, migrate shards by checkpoint handoff.
+
+Clients talk to that ``CepServer``, so a router session gets exactly a
+server session: the same handshake, resume, codecs, heartbeat, idle
+reaping, overload shedding, slow-consumer policy and client-record cap.
 
 Delivery contract (documented, and exercised by the cluster drill):
 
 * **Ingestion is exactly-once end to end.**  A worker logs each
   observation with the *end client's* ``(client_id, seq)`` provenance,
   so its recovered frontier dedupes router resends after any crash on
-  either side of the router.
+  either side of the router.  A reconnecting client resends from its
+  ack frontier (the server rewinds its dedup frontier there), and the
+  workers drop what they already applied.
 * **Detection pushes are at-most-once across worker crashes.**  A
   detection whose push was lost with a dying worker is not regenerated
   (its observation is deduped on resend); durable *sinks* on the workers
   remain exactly-once via the action outbox.  Subscribers never see a
   duplicate.
-* **Push order is deterministic**: epochs release in client submission
-  order; within an epoch, detections are grouped by the observation's
-  shard route order, then each worker's firing order, with ``seq`` set
-  to the client batch's last sequence number and ordinals renumbered
+* **Push order is deterministic**: the server releases epochs in client
+  submission order, detections before the ack; within an epoch,
+  detections are grouped by shard in route order (order of first
+  appearance in the batch), then each worker's firing order, and
+  revision-tagged payloads are sorted by ``(detection_id, revision)``;
+  ``seq`` is the client batch's last sequence number and ordinals run
   ``0..n-1``.
 """
 
@@ -54,7 +62,8 @@ import signal
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Optional
 from uuid import uuid4
 
 from ..core.errors import ReproError
@@ -62,11 +71,8 @@ from ..core.sharding import ShardPlan, plan_shards
 from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
     Ack,
     Batch,
-    Bye,
     DetectionBatch,
     DetectionFrame,
     ErrorFrame,
@@ -77,12 +83,10 @@ from .protocol import (
     Hello,
     Ping,
     Pong,
-    Submit,
     Subscribe,
     Welcome,
     detection_payload,
     encode_frame_into,
-    negotiate_codec,
 )
 from .server import CepServer, ServeConfig, ServeError
 
@@ -546,18 +550,17 @@ class _Epoch:
 
     ``waiting`` holds the shards whose cumulative link ack does not yet
     cover their sub-batch; ``order`` fixes the deterministic detection
-    grouping; ``detections`` accumulates worker payload dicts per shard.
-    Epochs release strictly in creation (= client submission) order.
+    grouping; ``detections`` accumulates worker payload dicts per shard;
+    ``future`` resolves to the epoch's fan-in once nothing is waiting.
     """
 
-    __slots__ = ("record", "end_seq", "waiting", "order", "detections")
+    __slots__ = ("waiting", "order", "detections", "future")
 
-    def __init__(self, record: "_ClientState", end_seq: int, order: tuple) -> None:
-        self.record = record
-        self.end_seq = end_seq
+    def __init__(self, order: tuple) -> None:
         self.waiting = set(order)
         self.order = order
         self.detections: dict[str, list] = {shard: [] for shard in order}
+        self.future = asyncio.get_running_loop().create_future()
 
 
 @dataclass
@@ -582,6 +585,10 @@ class WorkerLink:
     redials with ``resume_from`` at its ack frontier and resends every
     pending sub-batch — the worker's recovered provenance frontier turns
     replayed observations into no-ops, so resends are exactly-once.
+
+    A *paused* link (migration drain) keeps queueing sub-batches in
+    ``pending`` but writes none of them until :meth:`resume`; the
+    ``held`` tail is what it queued meanwhile.
     """
 
     #: Reconnect backoff: base * 2^n, capped.
@@ -611,6 +618,8 @@ class WorkerLink:
         self._epoch_by_last: dict[int, _Epoch] = {}
         self.reconnects = 0
         self.closed = False
+        self.paused = False
+        self.held = 0
         self._writer: Any = None
         self._connected = asyncio.Event()
         self._idle = asyncio.Event()
@@ -654,6 +663,18 @@ class WorkerLink:
                 self._writer.close()
             except Exception:
                 pass
+
+    def resume(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
+        """Unpause, writing the held tail (or redialing a new endpoint)."""
+        held, self.held = self.held, 0
+        self.paused = False
+        if held:
+            self._idle.clear()
+        if host is not None or port is not None:
+            self.retarget(host, port)
+        elif held and self._connected.is_set():
+            for entry in list(self.pending)[-held:]:
+                self._write_entry(entry)
 
     # -- connection ---------------------------------------------------------
 
@@ -718,14 +739,12 @@ class WorkerLink:
                     raise ConnectionResetError(
                         f"worker rejected link: {frame.code}: {frame.message}"
                     )
-        self._resend_pending()
+        # Resend everything unacked except the tail held by a pause.
+        for entry in list(self.pending)[: len(self.pending) - self.held]:
+            self._write_entry(entry)
         await writer.drain()
         self._connected.set()
         return reader
-
-    def _resend_pending(self) -> None:
-        for entry in self.pending:
-            self._write_entry(entry)
 
     def _write_entry(self, entry: _LinkSend) -> None:
         if entry.flush:
@@ -774,12 +793,12 @@ class WorkerLink:
             entry = self.pending.popleft()
             self._epoch_by_last.pop(entry.last, None)
             completed.append(entry.epoch)
-        if not self.pending:
+        if len(self.pending) == self.held:
             self._idle.set()
         for epoch in completed:
             epoch.waiting.discard(self.shard)
-        if completed:
-            self.router._release_ready()
+            if not epoch.waiting:
+                self.router._complete(epoch)
 
     def _on_detections(self, payloads: list) -> None:
         for payload in payloads:
@@ -794,149 +813,89 @@ class WorkerLink:
 
     # -- outbound (called synchronously by the router) ----------------------
 
-    def send_batch(
+    def send(
         self,
-        observations: list,
-        prov_seqs: list,
+        observations: tuple,
+        prov_seqs: tuple,
         origin: str,
         epoch: _Epoch,
+        *,
+        flush: bool = False,
     ) -> None:
+        """Queue one sub-batch (or, with ``flush``, one FLUSH) and write
+        it unless the link is paused or between connections."""
         first = self.next_seq
-        last = first + len(observations) - 1
+        last = first + max(len(observations), 1) - 1
         self.next_seq = last + 1
         entry = _LinkSend(
-            first=first,
-            last=last,
-            observations=tuple(observations),
-            prov_seqs=tuple(prov_seqs),
-            origin=origin,
-            flush=False,
-            epoch=epoch,
+            first, last, observations, prov_seqs, origin, flush, epoch
         )
         self.pending.append(entry)
-        self._idle.clear()
         self._epoch_by_last[last] = epoch
-        if self._connected.is_set():
-            self._write_entry(entry)
-
-    def send_flush(self, origin: str, source_seq: int, epoch: _Epoch) -> None:
-        seq = self.next_seq
-        self.next_seq += 1
-        entry = _LinkSend(
-            first=seq,
-            last=seq,
-            observations=(),
-            prov_seqs=(source_seq,),
-            origin=origin,
-            flush=True,
-            epoch=epoch,
-        )
-        self.pending.append(entry)
+        if self.paused:
+            self.held += 1
+            return
         self._idle.clear()
-        self._epoch_by_last[seq] = epoch
         if self._connected.is_set():
             self._write_entry(entry)
-
-    async def drain(self) -> None:
-        if self._connected.is_set() and self._writer is not None:
-            try:
-                await self._writer.drain()
-            except (ConnectionError, OSError):
-                pass
 
     async def wait_idle(self) -> None:
-        """Block until every pending sub-batch has been acked."""
+        """Block until every written sub-batch has been acked."""
         await self._idle.wait()
-
-
-class _ClientState:
-    """Router-side memory of one end client."""
-
-    __slots__ = ("client_id", "last_routed", "last_acked", "active_session")
-
-    def __init__(self, client_id: str) -> None:
-        self.client_id = client_id
-        #: Highest seq accepted into an epoch (dedup frontier for the
-        #: reader loop).
-        self.last_routed = -1
-        #: Highest seq released (acked to the client).
-        self.last_acked = -1
-        self.active_session: Optional["_RouterSession"] = None
-
-
-class _RouterSession:
-    __slots__ = (
-        "session_id",
-        "reader",
-        "writer",
-        "codec",
-        "batch_push",
-        "revisions",
-        "subscribed",
-        "rule_filter",
-        "alive",
-        "outbound",
-        "record",
-    )
-
-    def __init__(self, session_id: str, reader: Any, writer: Any) -> None:
-        self.session_id = session_id
-        self.reader = reader
-        self.writer = writer
-        self.codec = "json"
-        self.batch_push = False
-        self.revisions = False
-        self.subscribed = False
-        self.rule_filter: Optional[frozenset] = None
-        self.alive = True
-        self.outbound: asyncio.Queue = asyncio.Queue()
-        self.record: Optional[_ClientState] = None
 
 
 @dataclass
 class RouterStats:
-    """Always-on router counters (the ``cluster`` metrics read them)."""
+    """Always-on routing and fan-in counters (the ``cluster`` metrics read them).
 
-    sessions_opened: int = 0
+    Session counters (sessions, errors, duplicates skipped) belong to
+    the :class:`CepServer` that serves the router.
+    """
+
     routed: int = 0
     multicast: int = 0
     epochs: int = 0
-    duplicates_skipped: int = 0
     detections_forwarded: int = 0
     unattributed_detections: int = 0
     worker_reconnects: int = 0
-    errors_sent: int = 0
 
 
 class CepRouter:
-    """The cluster's front door: one wire-protocol endpoint, N workers.
+    """The cluster's detection backend: split by plan, relay, fan in.
 
-    Clients speak to it exactly as they would to a single
-    :class:`CepServer` (same frames, same resume semantics, binary codec
-    welcome); behind it, every batch is split along the shard plan and
-    fanned out with source provenance.  See the module docstring for the
-    delivery contract.
+    :class:`Cluster` serves it with the one :class:`CepServer`, so a
+    client gets exactly a server's session layer — frames, resume,
+    codecs, heartbeats, idle reaping, overload shedding, slow-consumer
+    policy, the client-record cap.  Behind it, :meth:`submit_many`
+    splits each batch along the shard plan and relays the sub-batches
+    with source provenance; it and :meth:`flush` return a future that
+    resolves to the epoch's fan-in once every shard it touched has
+    acked.  ``CepServer`` releases those futures in submission order
+    (its release contract); the module docstring has the delivery
+    contract.
 
-    The router itself is deliberately stateless across restarts: client
-    frontiers live in the workers' WALs (keyed by the *end* client), so
+    The router keeps no detection state and nothing on disk: client
+    frontiers live in the workers' WALs, keyed by the *end* client, so
     a restarted router re-learns them from client HELLOs and worker
-    dedup — there is nothing on the router's disk to lose.
+    dedup.
     """
 
-    _SEND_COALESCE_BYTES = 64 * 1024
+    #: Always empty — the frontiers live in the workers' WALs.  Having
+    #: the attribute makes ``CepServer`` pass ``client=`` provenance.
+    client_frontiers: Mapping = MappingProxyType({})
 
     def __init__(
         self,
         plan: ClusterPlan,
         endpoints: dict,
         *,
-        config: Optional[ServeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: str = "router",
     ) -> None:
         self.plan = plan
-        self.config = config or ServeConfig()
         self.stats = RouterStats()
+        #: Epochs relayed to workers but not yet complete.
+        self.epochs_open = 0
         self.links: dict[str, WorkerLink] = {
             shard: WorkerLink(shard, host, port, router=self)
             for shard, (host, port) in endpoints.items()
@@ -944,23 +903,8 @@ class CepRouter:
         missing = [s for s in plan.shard_plan.shard_names if s not in self.links]
         if missing:
             raise ServeError(f"no endpoints for shards {missing}")
-        self._epochs: deque[_Epoch] = deque()
-        self._records: dict[str, _ClientState] = {}
-        self._sessions: set[_RouterSession] = set()
-        self._session_counter = 0
-        #: shard -> gate Event; a *cleared* gate pauses routing to that
-        #: shard (migration drain).  Absent = open.
-        self._gates: dict[str, asyncio.Event] = {}
-        self._tcp_server: Any = None
-        self._tasks: set[asyncio.Task] = set()
-        self._closed = False
         if metrics is not None:
             Instruments(metrics, "cluster", metrics_label, self)
-
-    @property
-    def epochs_open(self) -> int:
-        """Epochs forwarded to workers but not yet released."""
-        return len(self._epochs)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -969,49 +913,25 @@ class CepRouter:
             if link._task is None:
                 await link.start()
 
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        await self.start()
-        self._tcp_server = await asyncio.start_server(
-            self._accept, host, port
-        )
-        return self._tcp_server.sockets[0].getsockname()[1]
-
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for session in list(self._sessions):
-            self._disconnect(session)
         for link in self.links.values():
             await link.close()
-        for task in list(self._tasks):
-            task.cancel()
-        for task in list(self._tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
 
     # -- migration ----------------------------------------------------------
 
     async def pause_shard(self, shard: str) -> None:
-        """Stop routing to ``shard`` and wait until its link is idle.
+        """Stop writing to ``shard`` and wait until its link is idle.
 
-        New client batches touching the shard block (TCP backpressure on
-        those clients) until :meth:`resume_shard`; once this returns,
-        the worker holds every routed observation in its WAL and has no
-        sub-batch outstanding — safe to checkpoint and move.
+        Batches touching the shard keep being accepted: their sub-batches
+        wait unwritten in the link's ``pending`` queue and their epochs
+        stay open (bounded by ``ServeConfig.submit_queue``) until
+        :meth:`resume_shard`.  Once this returns, the worker holds every
+        sub-batch written to it in its WAL and has none outstanding —
+        safe to checkpoint and move.
         """
-        gate = self._gates.get(shard)
-        if gate is None:
-            gate = asyncio.Event()
-            gate.set()
-            self._gates[shard] = gate
-        gate.clear()
-        await self.links[shard].wait_idle()
+        link = self.links[shard]
+        link.paused = True
+        await link.wait_idle()
 
     def resume_shard(
         self,
@@ -1020,228 +940,22 @@ class CepRouter:
         port: Optional[int] = None,
     ) -> None:
         """Reopen a paused shard, optionally at a new endpoint."""
-        if host is not None or port is not None:
-            self.links[shard].retarget(host, port)
-        gate = self._gates.get(shard)
-        if gate is not None:
-            gate.set()
+        self.links[shard].resume(host, port)
 
     def retarget(self, shard: str, host: Optional[str] = None, port: Optional[int] = None) -> None:
         """Redirect one shard's link (worker respawned elsewhere)."""
         self.links[shard].retarget(host, port)
 
-    # -- sessions -----------------------------------------------------------
+    # -- the backend --------------------------------------------------------
 
-    async def _accept(self, reader: Any, writer: Any) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._session_counter += 1
-        session = _RouterSession(f"r{self._session_counter}", reader, writer)
-        self._sessions.add(session)
-        self.stats.sessions_opened += 1
-        sender = asyncio.ensure_future(self._sender_loop(session))
-        self._tasks.add(sender)
-        sender.add_done_callback(self._tasks.discard)
-        try:
-            await self._reader_loop(session)
-        finally:
-            self._disconnect(session)
-            try:
-                await sender
-            except asyncio.CancelledError:
-                pass
-            if task is not None:
-                self._tasks.discard(task)
+    def submit_many(self, observations: list, client: tuple) -> asyncio.Future:
+        """Relay one client batch; returns a future of its fan-in.
 
-    def _disconnect(self, session: _RouterSession) -> None:
-        if not session.alive:
-            return
-        session.alive = False
-        self._sessions.discard(session)
-        record = session.record
-        if record is not None and record.active_session is session:
-            record.active_session = None
-        session.outbound.put_nowait("close")
-
-    def _send_frame(self, session: _RouterSession, frame: Frame) -> None:
-        if session.alive:
-            session.outbound.put_nowait(frame)
-
-    def _send_error(self, session: _RouterSession, code: str, message: str) -> None:
-        self.stats.errors_sent += 1
-        self._send_frame(session, ErrorFrame(code=code, message=message))
-
-    async def _sender_loop(self, session: _RouterSession) -> None:
-        writer = session.writer
-        buffer = bytearray()
-        try:
-            while True:
-                item = await session.outbound.get()
-                buffer.clear()
-                closing = False
-                while True:
-                    if item == "close":
-                        closing = True
-                    else:
-                        encode_frame_into(item, buffer)
-                    if closing or len(buffer) >= self._SEND_COALESCE_BYTES:
-                        break
-                    try:
-                        item = session.outbound.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                if buffer:
-                    writer.write(bytes(buffer))
-                    await writer.drain()
-                if closing:
-                    break
-        except (ConnectionError, RuntimeError, OSError):
-            pass
-        finally:
-            self._disconnect(session)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _reader_loop(self, session: _RouterSession) -> None:
-        decoder = FrameDecoder()
-        greeted = False
-        try:
-            while session.alive:
-                data = await session.reader.read(self.config.read_chunk)
-                if not data:
-                    return
-                for frame in decoder.feed(data):
-                    if not greeted:
-                        if not isinstance(frame, Hello):
-                            self._send_error(
-                                session, "protocol", "expected HELLO first"
-                            )
-                            return
-                        if not self._handshake(session, frame):
-                            return
-                        greeted = True
-                        continue
-                    if not await self._handle_frame(session, frame):
-                        return
-        except FrameError as exc:
-            self._send_error(session, "frame", str(exc))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return
-
-    def _handshake(self, session: _RouterSession, hello: Hello) -> bool:
-        if not MIN_PROTOCOL_VERSION <= hello.version <= PROTOCOL_VERSION:
-            self._send_error(
-                session,
-                "version",
-                f"router speaks protocols {MIN_PROTOCOL_VERSION}"
-                f"..{PROTOCOL_VERSION}, client spoke {hello.version}",
-            )
-            return False
-        record = self._records.get(hello.client_id)
-        if record is None:
-            record = _ClientState(hello.client_id)
-            self._records[hello.client_id] = record
-        record.last_acked = max(record.last_acked, hello.resume_from)
-        # Rewind the routing frontier to the ack frontier: seqs routed
-        # but unacked must be accepted again on resend (their original
-        # epochs may have released toward a session that is now gone;
-        # workers dedupe the re-route by provenance).
-        record.last_routed = record.last_acked
-        stale = record.active_session
-        if stale is not None:
-            self._send_error(
-                stale,
-                "superseded",
-                f"client id {hello.client_id!r} opened a newer session",
-            )
-            self._disconnect(stale)
-        record.active_session = session
-        session.record = record
-        codecs = self.config.codec_preference()
-        session.codec = negotiate_codec(hello, codecs)
-        session.batch_push = bool(hello.capabilities.get("batch_push"))
-        session.revisions = hello.version >= 2 and bool(
-            hello.capabilities.get("revisions")
-        )
-        self._send_frame(
-            session,
-            Welcome(
-                session_id=session.session_id,
-                next_seq=record.last_acked + 1,
-                capabilities={
-                    "codec": session.codec,
-                    "codecs": list(codecs),
-                    "resume": True,
-                    "batch_push": True,
-                    "max_batch": self.config.max_batch,
-                    "heartbeat": 0.0,
-                    "revisions": True,
-                },
-            ),
-        )
-        return True
-
-    async def _handle_frame(self, session: _RouterSession, frame: Frame) -> bool:
-        if isinstance(frame, Batch):  # BinaryBatch included
-            return await self._ingest(
-                session, frame.seq, list(frame.observations)
-            )
-        if isinstance(frame, Submit):
-            return await self._ingest(session, frame.seq, [frame.observation])
-        if isinstance(frame, Flush):
-            return await self._ingest_flush(session, frame.seq)
-        if isinstance(frame, Subscribe):
-            session.subscribed = True
-            session.rule_filter = (
-                frozenset(frame.rules) if frame.rules is not None else None
-            )
-            return True
-        if isinstance(frame, Ping):
-            self._send_frame(session, Pong(token=frame.token))
-            return True
-        if isinstance(frame, Pong):
-            return True
-        if isinstance(frame, Bye):
-            return False
-        self._send_error(
-            session, "protocol", f"unexpected {type(frame).__name__} frame"
-        )
-        return False
-
-    # -- routing ------------------------------------------------------------
-
-    async def _await_gates(self, shards: Iterable[str]) -> None:
-        for shard in shards:
-            gate = self._gates.get(shard)
-            if gate is not None and not gate.is_set():
-                await gate.wait()
-
-    async def _ingest(
-        self, session: _RouterSession, first: int, observations: list
-    ) -> bool:
-        record = session.record
-        assert record is not None
-        expected = record.last_routed + 1
-        if first > expected:
-            self._send_error(
-                session, "sequence", f"got seq {first}, expected {expected}"
-            )
-            return False
-        skip = min(expected - first, len(observations))
-        if skip:
-            self.stats.duplicates_skipped += skip
-            observations = observations[skip:]
-            first += skip
-        if not observations:
-            # Entirely below the routing frontier: remind the client of
-            # its ack frontier (the originals are in flight or released).
-            if record.last_acked >= 0:
-                self._send_frame(session, Ack(seq=record.last_acked))
-            return True
-        end_seq = first + len(observations) - 1
+        ``client`` is ``(client_id, first_seq)``: observation ``i``
+        travels with source seq ``first_seq + i``, which is what the
+        workers dedupe on.
+        """
+        origin, first = client
         by_shard: dict[str, tuple[list, list]] = {}
         routes = self.plan.shard_plan.routes_for_reader
         multicast = 0
@@ -1254,57 +968,39 @@ class CepRouter:
                     bucket = by_shard[shard] = ([], [])
                 bucket[0].append(observation)
                 bucket[1].append(first + offset)
-        await self._await_gates(by_shard)
-        epoch = _Epoch(record, end_seq, tuple(by_shard))
-        self._epochs.append(epoch)
-        record.last_routed = end_seq
+        epoch = self._open_epoch(tuple(by_shard))
         self.stats.routed += len(observations)
         self.stats.multicast += multicast
-        self.stats.epochs += 1
         for shard, (obs_list, prov_seqs) in by_shard.items():
-            self.links[shard].send_batch(
-                obs_list, prov_seqs, record.client_id, epoch
+            self.links[shard].send(
+                tuple(obs_list), tuple(prov_seqs), origin, epoch
             )
-        self._release_ready()
-        for shard in by_shard:
-            await self.links[shard].drain()
-        return True
+        return epoch.future
 
-    async def _ingest_flush(self, session: _RouterSession, seq: int) -> bool:
-        record = session.record
-        assert record is not None
-        expected = record.last_routed + 1
-        if seq > expected:
-            self._send_error(
-                session, "sequence", f"got flush seq {seq}, expected {expected}"
-            )
-            return False
-        if seq < expected:
-            self.stats.duplicates_skipped += 1
-            if record.last_acked >= 0:
-                self._send_frame(session, Ack(seq=record.last_acked))
-            return True
-        order = tuple(self.links)
-        await self._await_gates(order)
-        epoch = _Epoch(record, seq, order)
-        self._epochs.append(epoch)
-        record.last_routed = seq
-        self.stats.epochs += 1
-        for shard in order:
-            self.links[shard].send_flush(record.client_id, seq, epoch)
-        self._release_ready()
-        for shard in order:
-            await self.links[shard].drain()
-        return True
+    def flush(self, client: tuple) -> asyncio.Future:
+        """Relay a client FLUSH to every shard; a future of its fan-in."""
+        origin, seq = client
+        epoch = self._open_epoch(tuple(self.links))
+        for link in self.links.values():
+            link.send((), (seq,), origin, epoch, flush=True)
+        return epoch.future
 
     # -- fan-in -------------------------------------------------------------
 
-    def _release_ready(self) -> None:
-        while self._epochs and not self._epochs[0].waiting:
-            epoch = self._epochs.popleft()
-            self._finish_epoch(epoch)
+    def _open_epoch(self, order: tuple) -> _Epoch:
+        epoch = _Epoch(order)
+        self.stats.epochs += 1
+        self.epochs_open += 1
+        if not order:  # routed nowhere: complete already
+            self._complete(epoch)
+        return epoch
 
-    def _finish_epoch(self, epoch: _Epoch) -> None:
+    def _complete(self, epoch: _Epoch) -> None:
+        """Every shard acked: resolve the epoch's future with its fan-in.
+
+        Payloads group by the epoch's route order (shards in order of
+        first appearance in the batch), each shard's in firing order.
+        """
         payloads: list = []
         for shard in epoch.order:
             payloads.extend(epoch.detections[shard])
@@ -1318,56 +1014,9 @@ class CepRouter:
                     payload.get("did", ""), payload.get("rev", -1)
                 )
             )
-        if payloads:
-            for ordinal, payload in enumerate(payloads):
-                payload["seq"] = epoch.end_seq
-                payload["ordinal"] = ordinal
-            self._push(payloads)
-        record = epoch.record
-        if epoch.end_seq > record.last_acked:
-            record.last_acked = epoch.end_seq
-        session = record.active_session
-        if session is not None and session.alive:
-            self._send_frame(session, Ack(seq=record.last_acked))
-
-    def _push(self, payloads: list) -> None:
-        subscribers = [
-            s for s in self._sessions if s.alive and s.subscribed
-        ]
-        if not subscribers:
-            return
-        pushed = 0
-        for subscriber in subscribers:
-            if subscriber.rule_filter is None:
-                wanted = payloads
-            else:
-                wanted = [
-                    payload
-                    for payload in payloads
-                    if payload["rule"] in subscriber.rule_filter
-                ]
-            if not subscriber.revisions:
-                # Same contract as CepServer: non-capable subscribers
-                # see only finals, revision keys stripped.
-                wanted = [
-                    {k: v for k, v in payload.items()
-                     if k not in ("did", "rev", "status")}
-                    for payload in wanted
-                    if payload.get("status", "final") == "final"
-                ]
-            if not wanted:
-                continue
-            pushed += len(wanted)
-            if subscriber.batch_push and len(wanted) > 1:
-                self._send_frame(
-                    subscriber, DetectionBatch(detections=tuple(wanted))
-                )
-            else:
-                for payload in wanted:
-                    self._send_frame(
-                        subscriber, DetectionFrame.from_payload(payload)
-                    )
-        self.stats.detections_forwarded += pushed
+        self.epochs_open -= 1
+        self.stats.detections_forwarded += len(payloads)
+        epoch.future.set_result(payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -1376,7 +1025,7 @@ class CepRouter:
 
 
 class Cluster:
-    """Spawn workers and a router from one config; supervise both.
+    """Spawn workers and a served router from one config; supervise both.
 
     ``inprocess=True`` keeps the workers in this event loop (tests,
     migration drills without multi-core claims); otherwise each node is
@@ -1417,6 +1066,8 @@ class Cluster:
         self.max_shards = max_shards or workers
         self.plan = plan_cluster(rules, workers, max_shards=self.max_shards)
         self.router: Optional[CepRouter] = None
+        #: The front server: the one session layer, serving the router.
+        self.server: Optional[CepServer] = None
         self.workers: dict[str, Any] = {}
         self.endpoints: dict[str, tuple[str, int]] = {}
 
@@ -1444,13 +1095,15 @@ class Cluster:
             ports = await self._start_node(node, recover=False)
             for shard, port in ports.items():
                 self.endpoints[shard] = (self.host, port)
-        self.router = CepRouter(
-            self.plan,
-            self.endpoints,
+        self.router = CepRouter(self.plan, self.endpoints, metrics=self.metrics)
+        await self.router.start()
+        self.server = CepServer(
+            self.router,
             config=self.router_config,
             metrics=self.metrics,
+            metrics_label="router",
         )
-        return await self.router.serve_tcp(router_host, router_port)
+        return await self.server.serve_tcp(router_host, router_port)
 
     async def _start_node(self, node: str, *, recover: bool) -> dict[str, int]:
         if self.inprocess:
@@ -1493,7 +1146,7 @@ class Cluster:
     async def migrate_shard(self, shard: str, to_node: str) -> int:
         """Move one shard to another node by checkpoint handoff.
 
-        drain (pause routing, wait for the link to go idle) →
+        drain (pause writes to the shard, wait for its link to go idle) →
         checkpoint (the source releases the shard, snapshotting it) →
         transfer (the state directory moves under the target node) →
         retarget (the router resumes the shard at its new endpoint).
@@ -1534,6 +1187,8 @@ class Cluster:
         return port
 
     async def stop(self) -> None:
+        if self.server is not None:
+            await self.server.close()
         if self.router is not None:
             await self.router.close()
         for worker in self.workers.values():

@@ -189,8 +189,8 @@ async def _drill(
 
         check = Checks()
 
-        router = cluster.router
-        stats = router.stats
+        stats = cluster.router.stats
+        served = cluster.server.stats
 
         # -- stop the cluster cleanly before auditing files on disk ----
         await asyncio.wait_for(client.close(), 5)
@@ -304,7 +304,7 @@ async def _drill(
                 "routed": stats.routed,
                 "multicast": stats.multicast,
                 "epochs": stats.epochs,
-                "duplicates_skipped": stats.duplicates_skipped,
+                "duplicates_skipped": served.duplicates_skipped,
                 "detections_forwarded": stats.detections_forwarded,
                 "unattributed_detections": stats.unattributed_detections,
                 "worker_reconnects": stats.worker_reconnects,

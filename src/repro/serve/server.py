@@ -12,8 +12,10 @@ and order-sensitive, so the server funnels every submission through
   the submit queue — when the queue is full the reader stops reading
   its transport, which is exactly TCP backpressure on the client;
 * the *writer task* applies observations to the backend strictly in
-  arrival order, advances the per-client acked sequence number, and
-  fans resulting detections out to subscribers;
+  arrival order and releases each applied batch in that same order —
+  its detections to subscribers, then the client's cumulative ack (see
+  :class:`CepServer` for how an asynchronous backend, the cluster
+  router, completes a batch later);
 * per-connection *sender tasks* drain each session's outbound buffers
   onto the transport, so one slow consumer can never stall the writer.
 
@@ -211,13 +213,19 @@ class ServeStats:
 
 
 class _ClientRecord:
-    """Across-reconnects per-client state: the ack frontier."""
+    """Across-reconnects per-client state: the dedup and ack frontiers."""
 
-    __slots__ = ("client_id", "last_acked", "active_session", "last_hello")
+    __slots__ = (
+        "client_id", "last_applied", "last_acked", "active_session", "last_hello"
+    )
 
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
-        #: Highest client sequence number applied to the backend.
+        #: Highest client sequence number handed to the backend (the
+        #: dedup frontier); ahead of ``last_acked`` only while an
+        #: asynchronous backend has the batch in flight.
+        self.last_applied = -1
+        #: Highest client sequence number released (acked to the client).
         self.last_acked = -1
         self.active_session: Optional["_Session"] = None
         #: Monotonic handshake tick, for least-recently-connected eviction.
@@ -308,6 +316,26 @@ class CepServer:
         Optional :class:`repro.obs.MetricsRegistry`; reports the
         ``serve`` rows of :data:`repro.obs.METRICS` under
         ``metrics_label``.
+
+    Release contract.  Every applied batch or flush is *released* in
+    the order the writer applied it: first its detections are pushed to
+    subscribers, then the client's cumulative ack is queued to the
+    client's current session.  ``submit_many``/``flush`` return either
+    the detections themselves (``Engine``, ``DurableEngine``: released
+    at once, before the writer takes its next item) or an
+    ``asyncio.Future`` resolving to them — Detection objects or wire
+    payload dicts — when the backend has finished the batch
+    (:class:`~repro.serve.cluster.CepRouter`: when the last shard acks).
+    The writer never waits on a future, so many batches can be in
+    flight; unreleased batches count against ``submit_queue``, and at
+    that bound the writer stops taking items until the head releases.
+
+    Each client record keeps two frontiers: the *dedup* frontier (the
+    highest seq handed to the backend) and the *ack* frontier (the
+    highest seq released).  On HELLO the dedup frontier is rewound to
+    the ack frontier, so a reconnecting client's resend of unacked seqs
+    is applied again — an asynchronous backend must make that re-apply
+    idempotent (the router's workers dedupe it by provenance).
     """
 
     def __init__(
@@ -339,6 +367,10 @@ class CepServer:
         self._queue: asyncio.Queue = asyncio.Queue(
             maxsize=self.config.submit_queue
         )
+        #: Applied items awaiting in-order release, with the event the
+        #: writer waits on when they fill the submit-queue bound.
+        self._unreleased: deque = deque()
+        self._released = asyncio.Event()
         self._clients: dict[str, _ClientRecord] = {}
         self._sessions: set[_Session] = set()
         self._writer_task: Optional[asyncio.Task] = None
@@ -382,6 +414,7 @@ class CepServer:
         for session in list(self._sessions):
             self._disconnect(session)
         if self._writer_task is not None:
+            self._released.set()  # a writer waiting on releases drains now
             await self._queue.put(None)
             await self._writer_task
             self._writer_task = None
@@ -597,8 +630,12 @@ class CepServer:
             )
             self._disconnect(stale)
         # Whoever remembers more wins: the server's applied frontier or
-        # the client's own ack record.
+        # the client's own ack record.  The dedup frontier rewinds to it:
+        # seqs handed to an asynchronous backend but never acked must be
+        # accepted again on resend (a provenance-keyed backend drops the
+        # ones it already applied).
         record.last_acked = max(record.last_acked, hello.resume_from)
+        record.last_applied = record.last_acked
         record.active_session = session
         self._hello_tick += 1
         record.last_hello = self._hello_tick
@@ -818,10 +855,18 @@ class CepServer:
     # -- the single writer --------------------------------------------------
 
     async def _writer_loop(self) -> None:
+        unreleased = self._unreleased
+        cap = self.config.submit_queue
         while True:
             item = await self._queue.get()
             if item is None:
                 return
+            # Unreleased batches hold submit-queue slots: past the bound
+            # the writer stops taking items, the queue fills and readers
+            # block — TCP backpressure on clients of a stalled backend.
+            while len(unreleased) >= cap and not self._closed:
+                self._released.clear()
+                await self._released.wait()
             session = item.session
             record = session.record
             if record is None or not session.alive:
@@ -842,7 +887,7 @@ class CepServer:
     ) -> None:
         observations = item.observations
         first = item.seq
-        expected = record.last_acked + 1
+        expected = record.last_applied + 1
         if first > expected:
             self._send_error(
                 session,
@@ -877,10 +922,11 @@ class CepServer:
                 detections = self.backend.submit_many(
                     observations, client=(record.client_id, first)
                 )
-            record.last_acked = first + count - 1
+            record.last_applied = first + count - 1
             self.stats.submitted += count
-            self._fan_out(detections, record.last_acked)
-        self._queue_ack(session, record.last_acked)
+            self._release(record, record.last_applied, detections)
+        else:
+            self._queue_ack(session, record.last_acked)
 
     def _apply_relayed(
         self, origin: str, observations: list, prov_seqs: tuple
@@ -923,12 +969,12 @@ class CepServer:
         self, session: _Session, record: _ClientRecord, item: _SubmitItem
     ) -> None:
         seq = item.seq
-        if seq > record.last_acked:
-            if seq != record.last_acked + 1:
+        if seq > record.last_applied:
+            if seq != record.last_applied + 1:
                 self._send_error(
                     session,
                     "sequence",
-                    f"got flush seq {seq}, expected {record.last_acked + 1}",
+                    f"got flush seq {seq}, expected {record.last_applied + 1}",
                 )
                 self._disconnect(session)
                 return
@@ -946,9 +992,45 @@ class CepServer:
                 )
             else:
                 detections = self.backend.flush()
-            record.last_acked = seq
+            record.last_applied = seq
+            self._release(record, seq, detections)
+        else:
+            self._queue_ack(session, record.last_acked)
+
+    # -- in-order release ---------------------------------------------------
+
+    def _release(self, record: _ClientRecord, seq: int, detections: Any) -> None:
+        """Queue one applied item's detections and ack for release.
+
+        Items release strictly in the order they were applied: a
+        synchronous backend's list is complete at once, an asynchronous
+        backend's future when the backend resolves it.
+        """
+        if isinstance(detections, asyncio.Future) and not detections.done():
+            detections.add_done_callback(self._release_ready)
+        self._unreleased.append((record, seq, detections))
+        self._release_ready()
+
+    def _release_ready(self, _done: Any = None) -> None:
+        """Release every complete head item: detections first, then ack."""
+        unreleased = self._unreleased
+        released = False
+        while unreleased:
+            record, seq, detections = unreleased[0]
+            if isinstance(detections, asyncio.Future):
+                if not detections.done():
+                    break
+                detections = detections.result()
+            unreleased.popleft()
+            released = True
             self._fan_out(detections, seq)
-        self._queue_ack(session, record.last_acked)
+            if seq > record.last_acked:
+                record.last_acked = seq
+            session = record.active_session
+            if session is not None:
+                self._queue_ack(session, record.last_acked)
+        if released:
+            self._released.set()
 
     def _fan_out(self, detections: list, seq: int) -> None:
         if not detections:
@@ -959,9 +1041,14 @@ class CepServer:
         # Work in payload dicts, not DetectionFrame objects: a batch
         # frame carries the dicts verbatim, so frozen-dataclass
         # construction only happens for legacy per-frame subscribers.
+        # An asynchronous backend may hand back payload dicts already.
         payloads = []
         for ordinal, detection in enumerate(detections):
-            payload = detection_payload(detection)
+            payload = (
+                detection
+                if detection.__class__ is dict
+                else detection_payload(detection)
+            )
             payload["seq"] = seq
             payload["ordinal"] = ordinal
             payloads.append(payload)

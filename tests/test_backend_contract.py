@@ -6,7 +6,14 @@ what ``CepServer`` serves.  One parametrised fixture builds each backend
 tests feed all six the same seeded stream: same canonical detections,
 same ``submit_many`` accounting, same answer after a mid-stream restore,
 same detections over the wire.  A differential fleet over more wrappers
-(cluster, REVISE finals) extends ``BACKENDS`` and nothing else.
+(REVISE finals) extends ``BACKENDS`` and nothing else.
+
+The cluster router (:class:`repro.serve.cluster.CepRouter`) is a backend
+too, but only the served-over-the-wire row applies to it: it relays to
+workers and holds no detection state of its own, so there is nothing for
+a restore or a recovery to bring back — its workers' ``DurableEngine``s
+are the rows above.  It runs as one in-process worker behind the front
+``CepServer``, fed the same stream, held to the same canonical answer.
 """
 
 import asyncio
@@ -20,10 +27,12 @@ import pytest
 from repro import Engine, Observation, SubmitResult, Var, obs
 from repro.core import DetectionBackend, ShardedEngine
 from repro.core.expressions import TSeq
+from repro.lang import format_event
 from repro.resilience import DurableEngine, SupervisedEngine
 from repro.rules import Rule
 from repro.scenarios.pack import canon_detections
-from repro.serve import AsyncClient, CepServer, loopback_connector
+from repro.serve import AsyncClient, CepServer, loopback_connector, tcp_connector
+from repro.serve.cluster import Cluster
 
 
 def rules():
@@ -136,6 +145,21 @@ def test_restore_mid_stream_equals_uninterrupted(case, cut):
     assert canon(found) == expected
 
 
+async def served(client, observations, count):
+    """Submit and flush through ``client``; the canonical pushes it got."""
+    async with client:
+        await client.submit_many(observations)
+        await client.flush(timeout=10)
+        for _ in range(500):
+            if len(client.detections) >= count:
+                break
+            await asyncio.sleep(0.01)
+        return sorted(
+            (f.rule, round(f.time, 9), tuple(sorted(f.bindings.items())))
+            for f in client.detections
+        )
+
+
 def test_served_over_the_wire(case):
     observations = stream()
     expected = canon(Engine(rules()).run(observations))
@@ -145,17 +169,40 @@ def test_served_over_the_wire(case):
             client = AsyncClient(
                 loopback_connector(server), subscribe=True, batch_size=9
             )
-            async with client:
-                await client.submit_many(observations)
-                await client.flush(timeout=10)
-                for _ in range(500):
-                    if len(client.detections) >= len(expected):
-                        break
-                    await asyncio.sleep(0.01)
-                return sorted(
-                    (f.rule, round(f.time, 9), tuple(sorted(f.bindings.items())))
-                    for f in client.detections
-                )
+            return await served(client, observations, len(expected))
+
+    assert asyncio.run(scenario()) == expected
+
+
+def program():
+    """``rules()`` as rule-language text, which is how a cluster ships rules."""
+    return "\n".join(
+        f"CREATE RULE {rule.rule_id}, {rule.name}\n"
+        f"ON {format_event(rule.event)}\n"
+        f"IF true\nDO ALERT '{rule.rule_id}'\n"
+        for rule in rules()
+    )
+
+
+def test_router_served_over_the_wire(tmp_path):
+    observations = stream()
+    expected = canon(Engine(rules()).run(observations))
+
+    async def scenario():
+        cluster = Cluster(
+            program(), workers=1, directory=str(tmp_path), inprocess=True
+        )
+        try:
+            port = await cluster.start()
+            client = AsyncClient(
+                tcp_connector("127.0.0.1", port),
+                client_id="contract",
+                subscribe=True,
+                batch_size=9,
+            )
+            return await served(client, observations, len(expected))
+        finally:
+            await cluster.stop()
 
     assert asyncio.run(scenario()) == expected
 

@@ -209,8 +209,11 @@ def drive_router(registry, directory):
         )
         try:
             port = await cluster.start()
+            # A fixed id: the HELLO's length is in the front server's
+            # byte count, and an auto id's length depends on test order.
             client = AsyncClient(
                 tcp_connector("127.0.0.1", port),
+                client_id="router-client",
                 subscribe=True,
                 batch_size=ROUTER_BATCH,
             )

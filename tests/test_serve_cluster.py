@@ -410,7 +410,9 @@ class TestRevisionFanIn:
                 servers.append(server)
                 endpoints[shard] = ("127.0.0.1", port)
             router = CepRouter(plan, endpoints)
-            port = await router.serve_tcp("127.0.0.1", 0)
+            await router.start()
+            front = CepServer(router)
+            port = await front.serve_tcp("127.0.0.1", 0)
 
             watcher = AsyncClient(
                 tcp_connector("127.0.0.1", port),
@@ -501,6 +503,7 @@ class TestRevisionFanIn:
                         list(legacy.detections),
                     )
             finally:
+                await front.close()
                 await router.close()
                 for server in servers:
                     await server.close()
