@@ -112,16 +112,17 @@ def _cmd_scenario_info(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _print_checks(report: dict) -> None:
-    """One line per invariant of a drill/oracle report."""
+def _print_report(
+    report: dict, report_path: str | None, label: str, *lines: str
+) -> int:
+    """One line per check, a command's summary lines, where the report
+    went and the verdict; returns the exit status."""
     for name, check in sorted(report["checks"].items()):
         status = "ok  " if check["ok"] else "FAIL"
         detail = f" ({check['detail']})" if check["detail"] else ""
         print(f"  [{status}] {name}{detail}")
-
-
-def _verdict(report: dict, report_path: str | None, label: str) -> int:
-    """Print where the report went and the verdict; the exit status."""
+    for line in lines:
+        print(line)
     if report_path:
         print(f"report written to {report_path}")
     print(f"{label} PASSED" if report["ok"] else f"{label} FAILED")
@@ -144,20 +145,12 @@ def _cmd_scenario_run(arguments: argparse.Namespace) -> int:
         f"size={run.size} {pack.size_unit} "
         f"({len(run.observations)} observations)"
     )
-    report = execute_run(run)
-    _print_checks(report)
-    write_report(report, arguments.report)
-    return _verdict(report, arguments.report, "oracle")
+    report = write_report(execute_run(run), arguments.report)
+    return _print_report(report, arguments.report, "oracle")
 
 
 def _cmd_smoke(arguments: argparse.Namespace) -> int:
-    """The standing production smoke drill (see :mod:`repro.workload.smoke`).
-
-    Streams an open-world generated workload through the durable
-    serving stack and audits exactly-once sink delivery, oracle-exact
-    detections, distinct-EPC cardinality and frontier agreement.  Exit
-    status 0 means every check held.
-    """
+    """The standing production smoke drill (see :mod:`repro.workload.smoke`)."""
     from .workload.smoke import SMOKE_PROFILES, run_smoke_drill
 
     chaos = None
@@ -192,17 +185,15 @@ def _cmd_smoke(arguments: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"smoke: {exc.args[0]}")
         return 2
-    _print_checks(report)
-    print(
+    summary = [
         f"throughput: {report['observations']} observations "
         f"({report['distinct_epcs']} distinct EPCs) in "
         f"{report['elapsed_seconds']:.2f}s = "
         f"{report['events_per_second']:.0f} events/s "
-        f"over {report['transport']}"
-    )
-    if report.get("chaos"):
-        print(f"chaos: {report['chaos']}")
-    return _verdict(report, arguments.report, "smoke")
+        f"over {report['transport']}",
+        *([f"chaos: {report['chaos']}"] if report.get("chaos") else []),
+    ]
+    return _print_report(report, arguments.report, "smoke", *summary)
 
 
 def _load_rules(path: str):
@@ -307,12 +298,11 @@ def _cmd_chaos(arguments: argparse.Namespace) -> int:
     failure.  With ``--kill-at N`` the engine is checkpointed and
     discarded after N perturbed readings and a fresh engine restores the
     snapshot (JSON round-tripped) and finishes the stream — a one-line
-    crash-recovery drill.
+    crash-recovery drill (:func:`kill_and_restore_run`).
     """
-    import json
-
     from .obs import MetricsRegistry
     from .resilience import ChaosConfig, ChaosInjector, SupervisedEngine
+    from .resilience.chaos import kill_and_restore_run
 
     if not arguments.rules or not arguments.stream:
         raise SystemExit(
@@ -357,23 +347,23 @@ def _cmd_chaos(arguments: argparse.Namespace) -> int:
             **engine_kwargs,
         )
 
-    detections = 0
     if arguments.kill_at is not None:
-        engine = build()
-        for observation in perturbed[: arguments.kill_at]:
-            detections += len(engine.submit(observation))
-        snapshot = json.loads(json.dumps(engine.checkpoint()))
-        print(f"killed after {arguments.kill_at} readings; restoring from snapshot")
-        engine = build()
-        engine.restore(snapshot)
-        remaining = perturbed[arguments.kill_at :]
+        try:
+            output, engine = kill_and_restore_run(
+                build, perturbed, arguments.kill_at
+            )
+        except ValueError:
+            print(
+                f"chaos: --kill-at {arguments.kill_at} outside stream "
+                f"(0..{len(perturbed)})"
+            )
+            return 2
+        print(f"killed after {arguments.kill_at} readings; restored from snapshot")
+        detections = len(output)
     else:
         engine = build()
-        remaining = perturbed
-    for observation in remaining:
-        detections += len(engine.submit(observation))
-    detections += len(engine.flush())
-
+        detections = sum(len(engine.submit(o)) for o in perturbed)
+        detections += len(engine.flush())
     print(
         f"{len(observations)} readings in, {len(perturbed)} after chaos, "
         f"{detections} detections"
@@ -407,33 +397,17 @@ def _cmd_chaos(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
-    """The network chaos soak drill (see :mod:`repro.serve.drill`).
-
-    A seeded ChaosProxy sits between a durable ``CepServer`` and
-    concurrent v1+v2 clients; the server is hard-killed and recovered
-    mid-stream; the drill then audits exactly-once observations,
-    detections and frontier agreement against an in-process baseline.
-    Exit status 0 means every check held.
-    """
+    """The network chaos soak drill (see :mod:`repro.serve.drill`)."""
     from dataclasses import replace
 
     from .serve.drill import default_fault_plan, run_chaos_serve_drill
 
-    plan = default_fault_plan(arguments.seed)
+    knobs = "latency jitter fragment_rate stall_rate reset_rate corrupt_rate"
     overrides = {
         name: getattr(arguments, name)
-        for name in (
-            "latency",
-            "jitter",
-            "fragment_rate",
-            "stall_rate",
-            "reset_rate",
-            "corrupt_rate",
-        )
+        for name in knobs.split()
         if getattr(arguments, name) is not None
     }
-    if overrides:
-        plan = replace(plan, **overrides)
     print(
         f"chaos serve drill: scenario={arguments.scenario} "
         f"seed={arguments.seed} cases={arguments.cases} "
@@ -442,40 +416,27 @@ def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
     report = run_chaos_serve_drill(
         seed=arguments.seed,
         cases=arguments.cases,
-        plan=plan,
+        plan=replace(default_fault_plan(arguments.seed), **overrides),
         timeout=arguments.timeout,
         report_path=arguments.report,
         scenario=arguments.scenario,
     )
-    _print_checks(report)
-    faults = report["faults"]
-    print(
+    faults, clients = report["faults"], report["clients"]
+    summary = [
         f"faults: {faults['fragments']} fragments, "
         f"{faults['corruptions']} corruptions, {faults['resets']} resets, "
-        f"{faults['stalls']} stalls over {faults['chunks']} chunks"
-    )
-    clients = report["clients"]
-    print(
+        f"{faults['stalls']} stalls over {faults['chunks']} chunks",
         f"clients: v1 reconnects={clients['v1']['reconnects']} "
         f"heartbeats={clients['v1']['heartbeats']}; "
         f"v2 reconnects={clients['v2']['reconnects']} "
-        f"heartbeats={clients['v2']['heartbeats']}"
-    )
-    return _verdict(report, arguments.report, "drill")
+        f"heartbeats={clients['v2']['heartbeats']}",
+    ]
+    return _print_report(report, arguments.report, "drill", *summary)
 
 
 def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
-    """The skew drill (see :mod:`repro.serve.skew_drill`).
-
-    A seeded ChaosInjector perturbs an interleaved packing + smart-shelf
-    stream with clock skew, out-of-order spikes and duplicate bursts; a
-    durable REVISE-mode ``CepServer`` (outbox ``confidence="final"``) is
-    hard-killed and recovered mid-stream; the drill then audits that the
-    sink saw exactly the in-order oracle's detections — finals only,
-    exactly once, with real retractions along the way.  Exit status 0
-    means every check held.
-    """
-    from .serve.skew_drill import run_chaos_skew_drill
+    """The skew drill (see :mod:`repro.serve.drill`)."""
+    from .serve.drill import run_chaos_skew_drill
 
     print(
         f"chaos skew drill: seed={arguments.seed} cases={arguments.cases} "
@@ -489,31 +450,20 @@ def _cmd_chaos_skew(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    _print_checks(report)
-    engine = report["engine"]
-    print(
+    engine, outbox = report["engine"], report["outbox"]
+    summary = [
         f"speculation: {engine['speculative']} provisional, "
         f"{engine['revised']} revised, {engine['retracted']} retracted, "
-        f"{engine['sealed']} sealed final"
-    )
-    outbox = report["outbox"]
-    print(
+        f"{engine['sealed']} sealed final",
         f"outbox: {outbox['held']} held, {outbox['cancelled']} cancelled, "
-        f"{outbox['timed_out']} timed out"
-    )
-    return _verdict(report, arguments.report, "drill")
+        f"{outbox['timed_out']} timed out",
+    ]
+    return _print_report(report, arguments.report, "drill", *summary)
 
 
 def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
-    """The cluster kill/recover drill (see :mod:`repro.serve.cluster_drill`).
-
-    A router fans a packing workload out to shard-worker subprocesses;
-    one worker is SIGKILLed mid-stream with batches in flight, respawned
-    with ``DurableEngine.recover``, and the drill audits per-shard WALs,
-    exactly-once sink deliveries and push dedup against an in-process
-    baseline.  Exit status 0 means every check held.
-    """
-    from .serve.cluster_drill import run_cluster_drill
+    """The cluster kill/recover drill (see :mod:`repro.serve.drill`)."""
+    from .serve.drill import run_cluster_drill
 
     print(
         f"chaos cluster drill: seed={arguments.seed} "
@@ -529,18 +479,15 @@ def _cmd_chaos_cluster(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         report_path=arguments.report,
     )
-    _print_checks(report)
     router = report["router"]
-    print(
+    summary = [
         f"router: {router['routed']} routed over {router['epochs']} epochs, "
         f"{router['detections_forwarded']} detections forwarded, "
-        f"{router['worker_reconnects']} link reconnects"
-    )
-    print(
+        f"{router['worker_reconnects']} link reconnects",
         f"victim: {report['victim']} (shards {report['victim_shards']}), "
-        f"assignment {report['assignment']}"
-    )
-    return _verdict(report, arguments.report, "drill")
+        f"assignment {report['assignment']}",
+    ]
+    return _print_report(report, arguments.report, "drill", *summary)
 
 
 def _cmd_cluster(arguments: argparse.Namespace) -> int:

@@ -21,9 +21,12 @@ that makes the repo an actual *server* for those streams:
   engine with its own WAL) behind a router backend served by one more
   :class:`CepServer`, with consistent-hash placement, deterministic
   detection fan-in, crash recovery and live shard migration;
-* :mod:`repro.serve.cluster_drill` — ``python -m repro chaos cluster``,
-  a scripted kill-a-worker-mid-stream drill asserting exactly-once
-  delivery end to end.
+* :mod:`repro.serve.drill` — the one procedure behind ``python -m repro
+  chaos serve|skew|cluster`` and ``smoke``: stand up a durable topology,
+  stream, kill one component mid-slice, recover, and audit the sink,
+  WAL and ack frontiers for exactly-once delivery.  A cluster worker
+  never loads it: ``cluster_program`` and ``run_cluster_drill`` import
+  it on first call.
 
 Quickstart (see ``docs/serving.md`` for the full tour)::
 
@@ -62,7 +65,6 @@ from .cluster import (
     plan_cluster,
     run_worker,
 )
-from .cluster_drill import cluster_program, run_cluster_drill
 from .faults import (
     ChaosProxy,
     FaultSchedule,
@@ -105,6 +107,21 @@ from .protocol import (
     register_codec,
 )
 from .server import CepServer, ServeConfig, ServeError, SlowConsumerPolicy
+
+
+def cluster_program(reader_pairs, **options) -> str:
+    """See :func:`repro.serve.drill.cluster_program`."""
+    from . import drill
+
+    return drill.cluster_program(reader_pairs, **options)
+
+
+def run_cluster_drill(seed: int = 7, **options) -> dict:
+    """See :func:`repro.serve.drill.run_cluster_drill`."""
+    from . import drill
+
+    return drill.run_cluster_drill(seed, **options)
+
 
 #: The curated public surface of the serving layer; anything not listed
 #: here is an implementation detail that may change between releases.

@@ -17,7 +17,8 @@ over any workload-capable scenario pack (see
   backpressure, heap-merged into one time-ordered stream;
 * :mod:`~repro.workload.smoke` — ``python -m repro smoke``, the
   standing production drill (exactly-once + oracle + cardinality
-  through the durable serving stack).
+  through the durable serving stack): its profiles and workload
+  building, run by the drill procedure of :mod:`repro.serve.drill`.
 """
 
 from .episodes import Episode, EpisodeSource, TagStreams

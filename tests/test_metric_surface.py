@@ -36,7 +36,7 @@ from repro.resilience.durability import DurableEngine
 from repro.rules import Rule
 from repro.serve import AsyncClient, CepServer, loopback_connector, tcp_connector
 from repro.serve.cluster import Cluster
-from repro.serve.cluster_drill import cluster_program
+from repro.serve.drill import cluster_program
 from repro.simulator import simulate_multi_packing
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "metric_surface.json")

@@ -29,7 +29,7 @@ from repro.serve.cluster import (
     HashRing,
     plan_cluster,
 )
-from repro.serve.cluster_drill import cluster_program, run_cluster_drill
+from repro.serve.drill import cluster_program, run_cluster_drill
 from repro.simulator import simulate_multi_packing
 from repro.store import RfidStore
 

@@ -34,7 +34,7 @@ from repro.serve import (
 )
 from repro.serve.client import AsyncClient, tcp_connector
 from repro.serve.cluster import Cluster
-from repro.serve.cluster_drill import cluster_program
+from repro.serve.drill import cluster_program
 from repro.simulator import simulate_multi_packing
 from repro.store import RfidStore
 

@@ -148,6 +148,21 @@ class TestCli:
         assert main(["graph", "--rules", self._rules_file(tmp_path)]) == 0
         assert "digraph" in capsys.readouterr().out
 
+    def test_chaos_kill_at_must_lie_inside_the_stream(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        stream_path = str(tmp_path / "stream.jsonl")
+        assert main(["record", "--scenario", "packing", "--out", stream_path,
+                     "--cases", "4", "--seed", "3"]) == 0
+        chaos = ["chaos", "--rules", self._rules_file(tmp_path),
+                 "--stream", stream_path, "--seed", "7"]
+        assert main([*chaos, "--kill-at", "100000"]) == 2
+        output = capsys.readouterr().out
+        assert "--kill-at 100000 outside stream" in output
+        assert "killed after" not in output
+        assert main([*chaos, "--kill-at", "20"]) == 0
+        assert "killed after 20 readings" in capsys.readouterr().out
+
     def test_demo_command(self, capsys):
         from repro.__main__ import main
 
