@@ -115,10 +115,9 @@ def test_bench_reorder_buffer(benchmark):
     ]
 
     def run():
-        from repro.readers import ReorderBuffer
-
-        buffer = ReorderBuffer(delay=6.0)
-        return sum(1 for _ in buffer.reorder(arrivals))
+        engine = Engine(reorder_delay=6.0)
+        engine.watch(obs("r"))
+        return len(engine.submit_many(arrivals) + engine.flush())
 
     passed = benchmark(run)
     assert passed == len(arrivals)

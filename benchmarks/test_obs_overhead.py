@@ -4,7 +4,8 @@ The acceptance bar for the observability subsystem: with no observer and
 no metrics registry attached, the per-observation fast path of the
 engine, the durable engine and the served stack performs no allocations
 on behalf of ``repro.obs`` (verified with ``tracemalloc`` filtered to
-the obs package) and the guard overhead stays in the noise.  With a
+the obs package) and the guard overhead stays in the noise; so does an
+engine behind the watermark driver, under ``reorder_delay`` and REVISE.  With a
 registry attached, metric children are bound when a layer attaches it,
 never per event: the number of ``MetricFamily.labels`` calls is the same
 for 1k and 2k observations (a count, so it holds on any host), and the
@@ -67,8 +68,27 @@ def _served_run(rules, observations, directory, registry=None):
     asyncio.run(scenario())
 
 
+def _watermark_run(**policy):
+    """An engine behind the watermark driver: ``reorder_delay`` or REVISE."""
+
+    def run(rules, observations, directory, registry=None):
+        engine = Engine(rules, metrics=registry, **policy)
+        engine.submit_many(observations)
+        engine.flush()
+
+    return run
+
+
 LAYERS = pytest.mark.parametrize(
-    "run", [_engine_run, _durable_run, _served_run], ids=["engine", "durable", "served"]
+    "run",
+    [
+        _engine_run,
+        _durable_run,
+        _served_run,
+        _watermark_run(reorder_delay=4.0),
+        _watermark_run(out_of_order="revise", revise_horizon=4.0),
+    ],
+    ids=["engine", "durable", "served", "reorder_delay", "revise"],
 )
 
 

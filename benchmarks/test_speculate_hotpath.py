@@ -22,6 +22,11 @@ cost the same per observation.  Before this guard the count was 95.5
 detection ids) and a restricted plan built on each of the 2,969 repairs
 of a 16k stream (11 now: one per production line, plus the whole
 window).
+
+``reorder_delay`` runs the same watermark driver without the
+speculation; on the same stream with delay 4 it must cost about the
+in-order path (~14 calls per observation on Fig. 9a) and never build
+the clone.
 """
 
 from __future__ import annotations
@@ -37,15 +42,22 @@ from repro.resilience.chaos import ChaosConfig, ChaosInjector
 
 SEED = 7
 CEILING = 75.0
+#: ``reorder_delay`` is the sealed half alone: about the in-order count.
+REORDER_DELAY_CEILING = 16.6
 
 
-def _counted_run(size):
+def _disordered(size):
     workload = build_events_axis_workload(size, n_rules=10, seed=SEED)
     arrival = list(
         ChaosInjector(
             ChaosConfig(seed=SEED, disorder_rate=0.2, max_lateness=2.0)
         ).inject(workload.observations)
     )
+    return workload, arrival
+
+
+def _counted_run(size):
+    workload, arrival = _disordered(size)
     engine = Engine(workload.rules, out_of_order="revise", revise_horizon=4.0)
     engine.submit(arrival[0])
     counts = {"calls": 0, "content": 0}
@@ -80,6 +92,27 @@ def _counted_run(size):
     return engine, per_observation, outside_checkpoint, inside_checkpoint, builds
 
 
+def _reorder_delay_run(size):
+    """The same stream behind ``reorder_delay=4``: calls per observation."""
+    workload, arrival = _disordered(size)
+    engine = Engine(workload.rules, reorder_delay=4.0)
+    engine.submit(arrival[0])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        engine.submit_many(arrival[1:])
+        engine.flush()
+    finally:
+        sys.setprofile(None)
+    return engine, calls / (len(arrival) - 1)
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {size: _counted_run(size) for size in (4_000, 8_000)}
@@ -105,3 +138,17 @@ def test_restricted_plans_are_built_once_per_dirty_set(runs):
         readers = len(engine.graph.primitives_by_reader)
         print(f"\nrestricted plans built: {builds} for {readers} reader literals")
         assert 0 < builds <= readers + 1
+
+
+def test_reorder_delay_costs_about_the_in_order_path():
+    (engine, small), (_, large) = (
+        _reorder_delay_run(size) for size in (4_000, 8_000)
+    )
+    print(f"\nreorder_delay calls per observation: {small:.2f} at 4000, "
+          f"{large:.2f} at 8000")
+    assert abs(small - large) <= 0.5
+    assert large <= REORDER_DELAY_CEILING
+    # Never speculates: no manager exposed, no clone built.
+    assert engine.speculation is None
+    assert engine._late._spec_engine is None
+    assert engine.stats.sealed == engine.stats.speculative == 0

@@ -62,6 +62,7 @@ from .graph import EventGraph
 from .instances import EventInstance, Observation, PrimitiveInstance
 from .nodes import RuntimeNode, create_state
 from .pseudo import PseudoEvent, PseudoQueue
+from .speculate import SpeculationManager
 from .temporal import TIME_EPSILON
 
 
@@ -76,6 +77,7 @@ class OutOfOrderPolicy(str, Enum):
     ``provisional`` and compensates with ``retract``/``revise``/
     ``final`` records as late data lands and the watermark advances
     (see :mod:`repro.core.speculate` and ``docs/consistency.md``).
+    ``Engine(reorder_delay=d)`` is its watermark without the speculation.
 
     A :class:`str` subclass, so the string spellings (``"raise"``/
     ``"drop"``/``"revise"``) compare equal and both forms are accepted by
@@ -134,8 +136,9 @@ class EngineStats:
     pending_killed: int = 0
     interval_violations: int = 0
     dropped_out_of_order: int = 0
-    #: REVISE-mode arrivals older than the watermark (outside the
-    #: promised horizon); also counted in ``dropped_out_of_order``.
+    #: Arrivals at or below the watermark of ``revise_horizon`` or
+    #: ``reorder_delay`` (outside the promised horizon); also counted in
+    #: ``dropped_out_of_order``.
     dropped_too_late: int = 0
     #: REVISE-mode revision-lifecycle counters.
     speculative: int = 0
@@ -419,10 +422,12 @@ class Engine:
         sealed ``final`` once the watermark passes them.  Only valid
         with ``out_of_order=REVISE``, which it is required by.
     reorder_delay:
-        When set, arrivals pass through a watermark reorder buffer of
-        this many seconds before detection: readings up to that late are
-        repaired instead of raising/dropping.  Detections for a buffered
-        reading surface once the watermark passes it (or at flush).
+        REVISE's watermark without the speculation: arrivals are held
+        this many stream seconds and released in canonical order
+        ``(timestamp, reader, obj)``; arrivals at or below the watermark
+        are dropped (counted in ``stats.dropped_too_late``).  Detections
+        surface once the watermark passes them (or at flush), exactly
+        REVISE's ``final`` records.  Excludes ``revise_horizon``.
     gc_every:
         Run expired-state garbage collection every N observations.
     observer:
@@ -479,31 +484,30 @@ class Engine:
         self._plan: Optional[_Plan] = None
         #: The attached registry, or None.
         self.metrics: Optional[MetricsRegistry] = None
-        self._reorder = None
-        if reorder_delay is not None:
-            from ..readers.streams import ReorderBuffer
-
-            self._reorder = ReorderBuffer(delay=reorder_delay)
-        self._spec = None
+        #: The ``reorder`` rows' lateness histogram child, or None.
+        self._lateness = None
+        horizon = reorder_delay
         if self._out_of_order is OutOfOrderPolicy.REVISE:
             if revise_horizon is None:
                 raise ValueError(
                     "out_of_order=REVISE requires revise_horizon (the "
                     "watermark lag, in stream seconds)"
                 )
-            if self._reorder is not None:
+            if reorder_delay is not None:
                 raise ValueError(
                     "revise_horizon and reorder_delay are mutually "
                     "exclusive: REVISE subsumes the reorder buffer"
                 )
-            from .speculate import SpeculationManager
-
-            self._spec = SpeculationManager(self, revise_horizon)
+            horizon = revise_horizon
         elif revise_horizon is not None:
             raise ValueError(
                 "revise_horizon is only meaningful with out_of_order="
                 "OutOfOrderPolicy.REVISE"
             )
+        #: The watermark driver (:mod:`repro.core.speculate`), or None.
+        self._late = None
+        if horizon is not None:
+            self._late = SpeculationManager(self, horizon)
         if metrics is not None:
             self.attach_metrics(metrics, label=metrics_label)
         for rule in rules:
@@ -524,10 +528,8 @@ class Engine:
         self._instr = Instruments(registry, "engine", label, self)
         self.metrics = registry
         self._plan = None
-        if self._reorder is not None:
-            self._reorder.instruments = Instruments(
-                registry, "reorder", label, self._reorder
-            )
+        if self._late is not None:
+            self._lateness = Instruments(registry, "reorder", label, self).lateness
         return self._instr
 
     @property
@@ -576,7 +578,7 @@ class Engine:
         """Discard all runtime state, keeping the compiled rule graph.
 
         Buffers, histories, chains, pending matches, scheduled pseudo
-        events, statistics, the clock, any buffered reorder state and
+        events, statistics, the clock, the watermark buffer and
         this engine's slice of an attached metrics registry all return
         to their initial state; the (expensive-to-compile) event graph
         and rule set are reused.  More rules may be added again until
@@ -591,18 +593,14 @@ class Engine:
         self._last_seq = -1
         self._out = []
         self._started = False
-        if self._reorder is not None:
-            self._reorder.clear()
-        if self._spec is not None:
-            from .speculate import SpeculationManager
-
-            self._spec = SpeculationManager(self, self._spec.horizon)
+        if self._late is not None:
+            self._late = SpeculationManager(self, self._late.horizon)
         if self.metrics is not None:
             # Zero only this engine's label slice: registry co-tenants
             # (other shards) keep their values.
             self._instr.reset()
-            if self._reorder is not None:
-                self._reorder.instruments.reset()
+            if self._lateness is not None:
+                self._lateness.reset()
 
     # -- checkpoint/restore ----------------------------------------------------
 
@@ -612,7 +610,7 @@ class Engine:
         The snapshot is versioned, dependency-free (dicts/lists/scalars,
         ``json`` round-trippable via ``repro.resilience.save_checkpoint``)
         and covers the clock, statistics, every node's buffers/chains/
-        pending matches, the pseudo-event queue and any reorder-buffer
+        pending matches, the pseudo-event queue and any watermark-buffer
         state — everything a crash would destroy.  The compiled rule
         graph and the store are *not* included; restore into an engine
         rebuilt from the same rules (see :meth:`restore` and
@@ -648,13 +646,14 @@ class Engine:
     def speculation(self):
         """The REVISE-mode :class:`~repro.core.speculate.SpeculationManager`,
         or None under any other out-of-order policy."""
-        return self._spec
+        late = self._late
+        return late if late is not None and late.speculative else None
 
     @property
     def watermark(self) -> Optional[float]:
         """The REVISE watermark (``max seen timestamp - revise_horizon``),
         or None when speculation is off."""
-        return self._spec.watermark if self._spec is not None else None
+        return self._late.watermark if self.speculation is not None else None
 
     @property
     def last_seq(self) -> int:
@@ -678,8 +677,9 @@ class Engine:
         (e.g. a ``TSEQ+`` member arriving exactly τu after its
         predecessor) are seen before the expiration that depends on them.
 
-        With ``reorder_delay`` set, the arrival enters the reorder buffer
-        and the readings the watermark releases are processed instead.
+        With ``reorder_delay`` set, the arrival enters the watermark
+        buffer and the readings the watermark releases are processed
+        instead.
 
         ``seq`` optionally tags the observation with a durable sequence
         number (recorded as :attr:`last_seq`, checkpointed, and used by
@@ -688,12 +688,8 @@ class Engine:
         self._started = True
         if seq is not None:
             self._last_seq = seq
-        if self._spec is not None:
-            return self._spec.ingest(observation)
-        if self._reorder is not None:
-            for released in self._reorder.push(observation):
-                self._process(released)
-            return self._take_output()
+        if self._late is not None:
+            return self._late.ingest(observation)
         return self._process_and_take(observation)
 
     def submit_many(
@@ -718,38 +714,20 @@ class Engine:
         seq = first_seq
         count = 0
         dropped_before = self.stats.dropped_out_of_order
-        if self._spec is not None:
-            records: list = []
-            for observation in observations:
-                if seq is not None:
-                    self._last_seq = seq
-                    seq += 1
-                count += 1
-                records.extend(self._spec.ingest(observation))
-            dropped = self.stats.dropped_out_of_order - dropped_before
-            return SubmitResult(
-                records, accepted=count - dropped, dropped=dropped
-            )
-        reorder = self._reorder
-        if reorder is not None:
-            for observation in observations:
-                if seq is not None:
-                    self._last_seq = seq
-                    seq += 1
-                count += 1
-                for released in reorder.push(observation):
-                    self._process(released)
-        else:
-            for observation in observations:
-                if seq is not None:
-                    self._last_seq = seq
-                    seq += 1
-                count += 1
+        late = self._late
+        out: list = []
+        for observation in observations:
+            if seq is not None:
+                self._last_seq = seq
+                seq += 1
+            count += 1
+            if late is not None:
+                out.extend(late.ingest(observation))
+            else:
                 self._process(observation)
+        out.extend(self._take_output())
         dropped = self.stats.dropped_out_of_order - dropped_before
-        return SubmitResult(
-            self._take_output(), accepted=count - dropped, dropped=dropped
-        )
+        return SubmitResult(out, accepted=count - dropped, dropped=dropped)
 
     def _process_and_take(self, observation: Observation) -> list[Detection]:
         self._process(observation)
@@ -758,8 +736,8 @@ class Engine:
     def _process(self, observation: Observation) -> None:
         timestamp = observation.timestamp
         if timestamp < self._clock:
-            # REVISE never gets here: it only releases observations the
-            # watermark has passed, and the clock never runs ahead of it.
+            # The watermark driver never gets here: it releases only what
+            # the watermark passed, and the clock never runs ahead of it.
             if self._out_of_order is OutOfOrderPolicy.RAISE:
                 raise TimeOrderError(
                     f"observation at {timestamp} is older than engine clock "
@@ -789,13 +767,14 @@ class Engine:
     def advance_to(self, time: float) -> list[Detection]:
         """Advance the logical clock, firing pseudo events due by ``time``.
 
-        In REVISE mode this advances the *watermark* to ``time``: the
-        speculative view advances fully (expiry-driven provisionals
-        surface), while sealing trails by the configured horizon.
+        With ``reorder_delay`` or REVISE this moves the *watermark* to
+        ``time`` minus the horizon: the clock trails it, so readings up
+        to that late can still arrive.  Under REVISE the speculative view
+        advances fully (expiry-driven provisionals surface).
         """
         self._started = True
-        if self._spec is not None:
-            return self._spec.advance(time)
+        if self._late is not None:
+            return self._late.advance(time)
         self._fire_due_pseudo(time, inclusive=True)
         if time > self._clock:
             self._clock = time
@@ -804,17 +783,13 @@ class Engine:
     def flush(self) -> list[Detection]:
         """Fire every remaining pseudo event (end of stream).
 
-        With a reorder buffer configured, its still-buffered readings are
-        processed first.  In REVISE mode the whole buffer is released,
-        every surviving detection seals ``final`` and unconfirmed
-        speculation is retracted.
+        With ``reorder_delay`` or REVISE the still-buffered readings are
+        processed first; under REVISE every surviving detection seals
+        ``final`` and unconfirmed speculation is retracted.
         """
         self._started = True
-        if self._spec is not None:
-            return self._spec.finish()
-        if self._reorder is not None:
-            for released in self._reorder.drain():
-                self._process(released)
+        if self._late is not None:
+            return self._late.finish()
         self._fire_due_pseudo(float("inf"), inclusive=True)
         return self._take_output()
 

@@ -23,9 +23,12 @@ Mechanically the host :class:`~repro.core.detector.Engine` becomes the
 *sealed* engine: it only ever processes observations the watermark has
 released, in canonical stream order, so its detections — and its rule
 **actions**, which run exactly once — are byte-identical to an in-order
-run.  A *speculative clone* (same compiled graph, shadow rules whose
-actions are no-ops) runs ahead over sealed + buffered observations and
-produces the provisional view.
+run.  That half alone is ``Engine(reorder_delay=d)``: the same driver
+with horizon ``d``, returning the sealed engine's detections unchanged —
+exactly REVISE(``d``)'s ``final`` records, at the in-order cost.  REVISE
+adds a *speculative clone* (same compiled graph, shadow rules whose
+actions are no-ops) that runs ahead over sealed + buffered observations
+and produces the provisional view.
 
 A late arrival is repaired in memory and *in scope*.  The compiled graph
 splits into independent components — nodes joined by child edges,
@@ -103,8 +106,8 @@ FINAL = "final"
 def canonical_key(observation: Observation) -> tuple:
     """The canonical stream-order key: ``(timestamp, reader, obj)``.
 
-    Defines both the reorder buffer's ordering and the in-order oracle
-    that REVISE-mode finals are guaranteed to equal.
+    Defines both the watermark buffer's release order and the in-order
+    oracle that REVISE-mode finals are guaranteed to equal.
     """
     return (
         observation.timestamp,
@@ -399,20 +402,25 @@ class SpeculativeDetection:
 
 
 class SpeculationManager:
-    """The REVISE-mode driver owned by an :class:`~repro.core.detector.Engine`.
+    """The watermark driver of an :class:`~repro.core.detector.Engine`.
 
-    Holds the reorder buffer, the watermark, the per-id revision records
-    and the speculative clone engine; the host engine routes
-    ``submit``/``advance_to``/``flush`` through :meth:`ingest`/
-    :meth:`advance`/:meth:`finish` and returns the revision records they
-    produce instead of raw detections.
+    Holds the readings the watermark has not passed, in canonical order,
+    and releases them to the host engine; the host routes ``submit``/
+    ``advance_to``/``flush`` through :meth:`ingest`/:meth:`advance`/
+    :meth:`finish`.  With ``reorder_delay`` it returns the host's
+    detections unchanged.  Under REVISE (:attr:`speculative`) it also
+    keeps the revision records and the speculative clone, and returns
+    revision records; at run time it asks on arrival, on release and at
+    finish.
     """
 
     def __init__(self, engine: "Engine", horizon: float) -> None:
         if horizon < 0:
-            raise ValueError("revise_horizon must be >= 0")
+            raise ValueError(f"the out-of-order horizon must be >= 0: {horizon}")
         self.engine = engine
         self.horizon = float(horizon)
+        #: REVISE; otherwise the clone is never built.
+        self.speculative = engine._out_of_order == "revise"
         #: Buffered observations in canonical order, with a parallel key
         #: list so insertion is one bisect, not a key() per comparison.
         self.buffer: list[Observation] = []
@@ -456,30 +464,36 @@ class SpeculationManager:
     def ingest(self, observation: Observation) -> list:
         """One arrival: buffer, speculate, release, seal.
 
-        Returns the revision records this arrival produced (possibly
-        empty — e.g. a buffered observation that matched nothing yet).
-        Arrivals at or below the watermark are *too late* — outside the
-        promised horizon — and are dropped (counted, never silent).
+        Returns the host detections this arrival released or, under
+        REVISE, the revision records it produced (possibly empty — e.g. a
+        buffered observation that matched nothing yet).  Arrivals at or
+        below the watermark are *too late* — outside the promised
+        horizon — and are dropped (counted, never silent).
         """
         engine = self.engine
         timestamp = observation.timestamp
+        lateness = engine._lateness
+        if lateness is not None:
+            lateness.observe(max(self.max_ts - timestamp, 0.0))
         if timestamp <= self.max_ts - self.horizon:
             engine.stats.dropped_out_of_order += 1
             engine.stats.dropped_too_late += 1
             return []
-        scope = self._scope_cache or self._scope()
         # canonical_key(), inline; the buffer's tail is the common case.
         key = (timestamp, str(observation.reader), str(observation.obj))
         keys = self._keys
         out: list = []
-        if keys and key < keys[-1]:
+        behind = keys and key < keys[-1]
+        if behind:
             self._insort(key, observation)
-            self._dirty |= scope.fed_by(observation.reader)
         else:
             keys.append(key)
             self.buffer.append(observation)
-            if timestamp < self._advanced_to:
-                # Behind an advance() the clone already made: repair.
+        if self.speculative:
+            scope = self._scope_cache or self._scope()
+            if behind or timestamp < self._advanced_to:
+                # Behind the buffer's tail, or behind an advance() the
+                # clone already made: repair.
                 self._dirty |= scope.fed_by(observation.reader)
             elif not self._dirty:
                 # In canonical order: the clone takes it incrementally.
@@ -499,39 +513,36 @@ class SpeculationManager:
         return out
 
     def advance(self, time: float) -> list:
-        """Advance logical time (no observation): watermark and clone move.
+        """Advance logical time (no observation) to ``time``.
 
-        The sealed engine only ever advances to the watermark — the
-        region that can still change stays unsealed — while the clone
-        advances to ``time`` so expiry-driven detections surface as
-        provisionals immediately.
+        The watermark moves to ``time - horizon``: the host engine only
+        ever advances to the watermark, so the region that can still
+        change stays unsealed.  Under REVISE the clone advances to
+        ``time`` so expiry-driven detections surface as provisionals
+        immediately.
         """
-        self._scope()
         self.max_ts = max(self.max_ts, time)
         self._advanced_to = max(self._advanced_to, time)
-        out = list(self._release())
-        if self._dirty:
-            out.extend(self._repair())
-        else:
-            out.extend(self._absorb(self._clone().advance_to(time)))
-        return out
+        return self._release(advanced_to=time)
 
     def finish(self) -> list:
         """End of stream: release everything, flush, seal everything.
 
-        After this the speculative view is empty; any record the sealed
-        flush did not confirm (a speculative artifact) is retracted, so
-        the record stream always converges to exactly the final set.
+        Under REVISE the speculative view is empty afterwards; any record
+        the sealed flush did not confirm (a speculative artifact) is
+        retracted, so the record stream always converges to exactly the
+        final set.
         """
         engine = self.engine
-        out: list = []
-        if self.buffer:
-            released = self.buffer
-            self.buffer = []
-            self._keys = []
-            for observation in released:
-                engine._process(observation)
-            out.extend(self._seal(engine._take_output()))
+        released = self.buffer
+        self.buffer = []
+        self._keys = []
+        for observation in released:
+            engine._process(observation)
+        if not self.speculative:
+            engine._fire_due_pseudo(float("inf"), inclusive=True)
+            return engine._take_output()
+        out = self._seal(engine._take_output()) if released else []
         engine._fire_due_pseudo(float("inf"), inclusive=True)
         out.extend(self._seal(engine._take_output()))
         for detection_id in list(self._live):
@@ -731,14 +742,18 @@ class SpeculationManager:
 
     # -- sealing ------------------------------------------------------------
 
-    def _release(self) -> list:
-        """Feed watermark-passed buffer entries to the sealed engine.
+    def _release(self, advanced_to: Optional[float] = None) -> list:
+        """Feed watermark-passed buffer entries to the host engine.
 
-        Also drags the sealed clock up to the watermark: a pseudo event
+        Also drags the host clock up to the watermark: a pseudo event
         (negation expiry) due at or before the watermark is provably
         immune to acceptable late data — any accepted arrival has
-        ``ts > watermark`` — so it fires and seals now, not only when a
-        released observation happens to advance the clock past it.
+        ``ts > watermark`` — so it fires now, not only when a released
+        observation happens to advance the clock past it.
+
+        Returns the host's detections; under REVISE they are sealed
+        ``final``, and an :meth:`advance` to ``advanced_to`` brings the
+        speculative view up to that time as well.
         """
         watermark = self.max_ts - self.horizon
         keys = self._keys
@@ -761,9 +776,17 @@ class SpeculationManager:
                 engine._fire_due_pseudo(watermark, inclusive=True)
             engine._clock = watermark
             advanced = True
-        if not advanced:
-            return []
-        return self._seal(engine._take_output())
+        if not self.speculative:
+            detections, engine._out = engine._out, []
+            return detections
+        out = self._seal(engine._take_output()) if advanced else []
+        if advanced_to is not None:
+            self._scope()
+            if self._dirty:
+                out.extend(self._repair())
+            else:
+                out.extend(self._absorb(self._clone().advance_to(advanced_to)))
+        return out
 
     def _seal(self, detections: list) -> list:
         """Finalize what the sealed engine emitted (see module docstring)."""
@@ -847,11 +870,18 @@ class SpeculationManager:
     # -- checkpoint/restore -------------------------------------------------
 
     def encode(self, table: Any) -> dict:
-        """Speculation state for a checkpoint (shares the instance table).
+        """The driver's checkpoint section (shares the instance table).
 
-        Each record's content hash is computed here, the one place it is
-        written down; :meth:`restore` does not read it back.
+        The buffer is written as references into the snapshot's
+        observation table, with ``max_ts`` and the horizon; under REVISE
+        the section carries the speculation state too.  Each record's
+        content hash is computed here, the one place it is written down;
+        :meth:`restore` does not read it back.
         """
+        buffer = [table.obs_ref(observation) for observation in self.buffer]
+        if not self.speculative:
+            return {"horizon": self.horizon, "max_ts": self.max_ts,
+                    "buffer": buffer}
         # Not _scope(): a checkpoint must not freeze the rule set.
         scope = self._scope_cache
         components = scope.components if scope is not None else ()
@@ -863,8 +893,7 @@ class SpeculationManager:
             "horizon": self.horizon,
             "max_ts": self.max_ts,
             "advanced_to": self._advanced_to,
-            "buffer": [table.obs_ref(observation)
-                       for observation in self.buffer],
+            "buffer": buffer,
             "occ": [[list(key), count]
                     for component in components
                     for key, count in component.occ.items()],
@@ -893,15 +922,17 @@ class SpeculationManager:
 
         The manager is fresh (``restore_engine`` resets the engine
         first), so every component starts dirty and the first arrival
-        repairs the whole window from the restored sealed state.
+        repairs the whole window from the restored sealed state.  A
+        malformed section raises ``LookupError``/``TypeError``/
+        ``ValueError``; ``restore_engine`` reports it as a
+        ``CheckpointError``.
         """
-        self.horizon = float(section["horizon"])
         self.max_ts = section["max_ts"]
         self._advanced_to = section.get("advanced_to", float("-inf"))
         self.buffer = [observations[index] for index in section["buffer"]]
         self._keys = [canonical_key(observation)
                       for observation in self.buffer]
-        if not self.engine._started:
+        if not (self.speculative and self.engine._started):
             return  # nothing speculated or sealed yet; rules may still be added
         scope = self._scope()
         for field in ("occ", "sealed_occ"):

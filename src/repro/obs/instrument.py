@@ -33,7 +33,7 @@ NODE_KINDS = (
     "obs", "or", "and", "not", "seq", "tseq", "seq+", "tseq+", "periodic",
 )
 
-#: Reorder-buffer lateness is stream time, not wall time: coarser buckets.
+#: Arrival lateness is stream time, not wall time: coarser buckets.
 LATENESS_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
 )
@@ -102,7 +102,7 @@ METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
         Metric.read("stats.dropped_out_of_order", "counter", "rceda_dropped_out_of_order_total",
                     "Observations dropped for arriving older than the clock."),
         Metric.read("stats.dropped_too_late", "counter", "rceda_dropped_too_late_total",
-                    "REVISE-mode arrivals older than the watermark, dropped."),
+                    "Arrivals at or below the watermark, dropped."),
         Metric.read("stats.speculative", "counter", "rceda_speculative_detections_total",
                     "Provisional detections emitted ahead of the watermark."),
         Metric.read("stats.revised", "counter", "rceda_revisions_total",
@@ -115,13 +115,11 @@ METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
                     "Buffered observations re-run by speculation repairs."),
     )),
     "reorder": ("engine", (
-        Metric.read("occupancy", "gauge", "rceda_reorder_occupancy",
-                    "Readings currently held by the reorder buffer."),
+        Metric.read("_late.buffered", "gauge", "rceda_reorder_occupancy",
+                    "Readings currently held behind the watermark."),
         Metric("lateness", "histogram", "rceda_reorder_lateness_seconds",
                "Stream-time lateness of arrivals vs the max timestamp seen.",
                buckets=LATENESS_BUCKETS),
-        Metric.read("dropped_late", "counter", "rceda_reorder_dropped_late_total",
-                    "Arrivals older than the watermark, dropped."),
     )),
     "resilience": ("engine", (
         Metric.read("failures.quarantined", "counter", "rceda_quarantined_total",

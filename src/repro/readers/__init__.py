@@ -9,7 +9,6 @@ ordered observation stream.
 from .reader import Reader, ReaderArray
 from .recording import load_stream, read_stream, save_stream, write_stream
 from .streams import (
-    ReorderBuffer,
     assert_ordered,
     inject_duplicates,
     merge_streams,
@@ -24,7 +23,6 @@ __all__ = [
     "read_stream",
     "Reader",
     "ReaderArray",
-    "ReorderBuffer",
     "save_stream",
     "sort_stream",
     "write_stream",

@@ -5,7 +5,7 @@ Three independent pieces, designed to compose:
 * **Checkpoint/restore** (:mod:`repro.resilience.checkpoint`):
   ``Engine.checkpoint()`` serializes the full detection-graph runtime
   state — active event instances (with structural sharing preserved),
-  pseudo-event queue, reorder buffer, clock, stats — to a versioned,
+  pseudo-event queue, watermark buffer, clock, stats — to a versioned,
   dependency-free plain-data snapshot; ``Engine.restore()`` rebuilds it
   on a freshly constructed engine so a killed engine resumes mid-stream
   with detections identical to an uninterrupted run.  Sharded engines

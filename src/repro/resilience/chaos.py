@@ -13,7 +13,7 @@ wraps any observation iterable and, driven by a single
 * **duplicate bursts** — extra copies of a reading at tiny timestamp
   offsets (the classic "tag read 3× while on the antenna");
 * **out-of-order spikes** — readings held back and re-delivered after
-  newer ones, with bounded lateness (exercises the reorder buffer and
+  newer ones, with bounded lateness (exercises ``reorder_delay`` and
   :class:`~repro.core.detector.OutOfOrderPolicy`);
 * **malformed observations** — :class:`MalformedObservation` objects
   whose timestamps are not numbers, which make an unsupervised engine

@@ -20,7 +20,8 @@ What a snapshot covers:
   and restored as one object);
 * the pseudo-event queue, including its tie-break counters, so
   same-instant expirations replay in the original order;
-* the reorder buffer (watermark, heap, late-drop count) when configured.
+* the watermark buffer of ``reorder_delay`` (or REVISE, with its
+  speculation state) when configured.
 
 What it deliberately does **not** cover: the compiled rule graph (rules
 hold arbitrary callables; the restoring process re-creates the engine
@@ -390,11 +391,12 @@ def checkpoint_engine(engine: "Engine") -> dict:
         }
         for detection in engine._out
     ]
-    speculation = None
-    if engine._spec is not None:
-        # Encoded before the tables are read out below: speculation
-        # records and buffered observations share the instance table.
-        speculation = engine._spec.encode(table)
+    late = None
+    if engine._late is not None:
+        # Encoded before the tables are read out below: buffered
+        # observations and speculation records share the instance table.
+        late = engine._late.encode(table)
+    revise = engine.speculation is not None
     snapshot = {
         "format": FORMAT,
         "version": VERSION,
@@ -409,10 +411,8 @@ def checkpoint_engine(engine: "Engine") -> dict:
         "out": out,
         "observations": table.observations,
         "instances": table.instances,
-        "reorder": (
-            engine._reorder.state_dict() if engine._reorder is not None else None
-        ),
-        "speculation": speculation,
+        "reorder": None if revise else late,
+        "speculation": late if revise else None,
     }
     return snapshot
 
@@ -446,12 +446,13 @@ def restore_engine(engine: "Engine", snapshot: dict) -> None:
             "restore target must be freshly built (it has already processed "
             "observations); construct a new engine from the same rules"
         )
-    if snapshot.get("reorder") is not None and engine._reorder is None:
+    revise = engine.speculation is not None
+    if snapshot.get("reorder") is not None and (engine._late is None or revise):
         raise CheckpointError(
             "checkpoint carries reorder-buffer state but the restore target "
             "has no reorder_delay configured"
         )
-    if snapshot.get("speculation") is not None and engine._spec is None:
+    if snapshot.get("speculation") is not None and not revise:
         raise CheckpointError(
             "checkpoint carries speculation state but the restore target "
             "is not configured with out_of_order=REVISE"
@@ -477,10 +478,43 @@ def restore_engine(engine: "Engine", snapshot: dict) -> None:
                   record["time"])
         for record in snapshot["out"]
     ]
-    if engine._reorder is not None and snapshot["reorder"] is not None:
-        engine._reorder.load_state(snapshot["reorder"])
-    if engine._spec is not None and snapshot.get("speculation") is not None:
-        engine._spec.restore(snapshot["speculation"], observations, instances)
+    name = "speculation" if revise else "reorder"
+    section = snapshot.get(name)
+    if section is not None:
+        try:
+            fields = _SPECULATION_FIELDS if revise else _BUFFER_FIELDS
+            _check_section(section, fields, engine._late.horizon,
+                           len(observations))
+            engine._late.restore(section, observations, instances)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed {name} section: {exc!r}") from exc
+
+
+_NUMBER = (int, float)
+#: A ``reorder`` section's fields and their types; a ``speculation``
+#: section also has :data:`_SPECULATION_FIELDS`.
+_BUFFER_FIELDS = {"horizon": _NUMBER, "max_ts": _NUMBER, "buffer": list}
+_SPECULATION_FIELDS = dict(
+    _BUFFER_FIELDS, advanced_to=_NUMBER, occ=list, sealed_occ=list,
+    records=list, live=list,
+)
+
+
+def _check_section(section: Any, fields: dict, horizon: float,
+                   observations: int) -> None:
+    """Raise for a section that is not what the driver's ``encode``
+    writes; ``restore`` raises for the rest (a missing record field, a
+    reference past the tables)."""
+    if not isinstance(section, dict) or set(section) != set(fields):
+        raise ValueError(f"expected the fields {sorted(fields)}")
+    for field, kind in fields.items():
+        if not isinstance(section[field], kind):
+            raise TypeError(f"{field} is a {type(section[field]).__name__}")
+    if section["horizon"] != horizon:
+        raise ValueError(f"horizon {section['horizon']}, the target's {horizon}")
+    if any(type(index) is not int or not 0 <= index < observations
+           for index in section["buffer"]):
+        raise ValueError("a buffer entry is not an observation-table index")
 
 
 # -- file round trip -----------------------------------------------------------

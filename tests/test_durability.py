@@ -279,6 +279,43 @@ class TestDamagedState:
         revived.close()
         assert tail == expected[len(expected) - len(tail) :]
 
+    def test_malformed_speculation_section_falls_back(self, tmp_path):
+        """A REVISE checkpoint that decodes but whose speculation section
+        is malformed is skipped like a garbled one."""
+        import os
+
+        from repro.resilience import load_checkpoint, save_checkpoint
+
+        def factory():
+            return Engine(pair_rules(), out_of_order="revise", revise_horizon=2.0)
+
+        stream = pair_stream()
+        directory = str(tmp_path / "d")
+        durable = DurableEngine(factory, directory, checkpoint_every=3)
+        for observation in stream[:9]:
+            durable.submit(observation)
+        del durable
+        names = checkpoint_files(directory)
+        assert len(names) == 2
+        newest = os.path.join(directory, names[-1])
+        snapshot = load_checkpoint(newest)
+        snapshot["speculation"]["buffer"] = [999]
+        save_checkpoint(snapshot, newest)
+        revived, report = DurableEngine.recover(factory, directory)
+        assert report.checkpoints_tried == 2
+        assert report.next_seq == 9
+        tail = [
+            record
+            for observation in stream[9:]
+            for record in revived.submit(observation)
+        ] + revived.flush()
+        revived.close()
+        finals = canon([record for record in tail if record.status == "final"])
+        expected = canon([
+            record for record in factory().run(stream) if record.status == "final"
+        ])
+        assert finals and finals == expected[len(expected) - len(finals):]
+
     def test_recovery_is_idempotent(self, tmp_path):
         factory, directory, stream, kill_at = self._crashed_dir(tmp_path)
         first, report1 = DurableEngine.recover(factory, directory)

@@ -61,6 +61,7 @@ def test_star_import_resolves(package):
         ("repro.resilience", "DurableShardedEngine"),
         ("repro.resilience.durability", "DurableShardedEngine"),
         ("repro.obs", "CallableObserver"),
+        ("repro.readers", "ReorderBuffer"),
         *(
             ("repro.obs", f"{layer}Instruments")
             for layer in (
@@ -70,9 +71,10 @@ def test_star_import_resolves(package):
     ],
 )
 def test_deleted_names_stay_deleted(package, deleted):
-    """One durable engine, one observer API, one metric table: no alias
-    may bring back the sharded durable class, the ``trace=`` callable
-    shim or a per-layer instruments class."""
+    """One durable engine, one observer API, one metric table, one
+    watermark: no alias may bring back the sharded durable class, the
+    ``trace=`` callable shim, a per-layer instruments class or the
+    standalone reorder buffer."""
     module = importlib.import_module(package)
     assert deleted not in module.__all__
     assert not hasattr(module, deleted)

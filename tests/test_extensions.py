@@ -8,7 +8,6 @@ import pytest
 from repro import Engine, Observation, Var, obs
 from repro.core.expressions import All, And, Any, Or
 from repro.lang import parse_event
-from repro.readers import ReorderBuffer, assert_ordered
 from repro.sql import Database
 from repro.store import RfidStore
 
@@ -52,6 +51,16 @@ class TestAllAny:
 
 
 class TestReorderBuffer:
+    """``Engine(reorder_delay=...)``: the watermark buffer, engine-level."""
+
+    @staticmethod
+    def _released(delay, arrivals):
+        engine = Engine(reorder_delay=delay)
+        engine.watch(obs("r", Var("o")))
+        detections = engine.submit_many(arrivals)
+        detections.extend(engine.flush())
+        return engine, [d.instance.t_end for d in detections]
+
     def test_repairs_bounded_disorder(self):
         arrivals = [
             Observation("r", "a", 10.0),
@@ -60,38 +69,36 @@ class TestReorderBuffer:
             Observation("r", "d", 11.0),
             Observation("r", "e", 30.0),
         ]
-        buffer = ReorderBuffer(delay=5.0)
-        ordered = list(buffer.reorder(arrivals))
-        assert_ordered(ordered)
-        assert len(ordered) == 5
+        _engine, times = self._released(5.0, arrivals)
+        assert times == [8.0, 10.0, 11.0, 12.0, 30.0]
 
     def test_drops_hopelessly_late(self):
-        buffer = ReorderBuffer(delay=2.0)
-        output = list(buffer.push(Observation("r", "a", 100.0)))
-        output += list(buffer.push(Observation("r", "b", 10.0)))  # < watermark 98
-        output += list(buffer.drain())
-        assert [o.timestamp for o in output] == [100.0]
-        assert buffer.dropped_late == 1
+        engine, times = self._released(2.0, [
+            Observation("r", "a", 100.0),
+            Observation("r", "b", 10.0),  # at or below watermark 98
+        ])
+        assert times == [100.0]
+        assert engine.stats.dropped_too_late == 1
+        assert engine.stats.dropped_out_of_order == 1
 
     def test_zero_delay_passthrough(self):
-        buffer = ReorderBuffer(delay=0.0)
-        stream = [Observation("r", "a", t) for t in (1.0, 2.0, 3.0)]
-        assert list(buffer.reorder(stream)) == stream
+        engine = Engine(reorder_delay=0.0)
+        engine.watch(obs("r", Var("o")))
+        for t in (1.0, 2.0, 3.0):
+            # Each reading is released as soon as it arrives.
+            assert [d.time for d in engine.submit(Observation("r", "a", t))] == [t]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            ReorderBuffer(delay=-1.0)
+            Engine(reorder_delay=-1.0)
 
     def test_feeds_engine_cleanly(self):
-        engine = Engine()
-        engine.watch(obs("r", Var("o")))
-        buffer = ReorderBuffer(delay=5.0)
         arrivals = [Observation("r", str(i), t) for i, t in
                     enumerate((3.0, 1.0, 4.0, 2.0, 9.0, 7.0))]
-        count = 0
-        for observation in buffer.reorder(arrivals):
-            count += len(engine.submit(observation))
-        assert count == 6  # nothing dropped, nothing out of order
+        engine, times = self._released(5.0, arrivals)
+        assert times == sorted(times)
+        assert len(times) == 6  # nothing dropped, nothing out of order
+        assert engine.stats.dropped_out_of_order == 0
 
 
 class TestPersistence:
@@ -282,7 +289,66 @@ class TestEngineReorder:
         engine.submit(Observation("r", "a", 100.0))
         assert engine.submit(Observation("r", "b", 10.0)) == []
         engine.flush()
-        assert engine._reorder.dropped_late == 1
+        assert engine.stats.dropped_too_late == 1
+
+    @pytest.mark.parametrize("policy", ["reorder", "drop", "revise"])
+    def test_batch_counts_its_drops_under_every_policy(self, policy):
+        kwargs = {
+            "reorder": {"reorder_delay": 2.0},
+            "drop": {"out_of_order": "drop"},
+            "revise": {"out_of_order": "revise", "revise_horizon": 2.0},
+        }[policy]
+        engine = Engine(**kwargs)
+        engine.watch(obs("r", Var("o")))
+        result = engine.submit_many([
+            Observation("r", "a", 10.0),
+            Observation("r", "b", 20.0),
+            Observation("r", "c", 5.0),
+        ])
+        assert (result.accepted, result.dropped) == (2, 1)
+        assert engine.stats.dropped_out_of_order == 1
+
+    @pytest.mark.parametrize("delay", [0.0, 2.0])
+    def test_a_reading_exactly_delay_late_is_too_late(self, delay):
+        engine = Engine(reorder_delay=delay)
+        engine.watch(obs("r", Var("o")))
+        result = engine.submit_many([
+            Observation("r", "a", 10.0),
+            Observation("r", "b", 10.0 - delay),  # on the watermark
+        ])
+        assert (result.accepted, result.dropped) == (1, 1)
+        assert engine.stats.dropped_too_late == 1
+
+    def test_equal_timestamps_release_in_canonical_order(self):
+        engine = Engine(reorder_delay=5.0)
+        engine.watch(obs("r", Var("o")))
+        detections = engine.submit_many([
+            Observation("r", "y", 10.0),
+            Observation("r", "x", 10.0),
+        ]) + engine.flush()
+        # (timestamp, reader, obj), not arrival order.
+        assert [d.bindings["o"] for d in detections] == ["x", "y"]
+
+    def test_expiry_surfaces_when_the_watermark_passes_it(self):
+        from repro.core.expressions import And, Not, Within
+
+        engine = Engine(reorder_delay=2.0)
+        engine.watch(Within(And(obs("A", Var("o")), Not(obs("B", Var("o")))), 10))
+        assert engine.submit(Observation("A", "x", 0.0)) == []
+        # Watermark 11 passes the negation window's close at 10.
+        assert [d.time for d in engine.submit(Observation("Z", "t", 13.0))] == [10.0]
+        assert engine.flush() == []
+
+    def test_advance_to_moves_the_watermark(self):
+        engine = Engine(reorder_delay=5.0)
+        engine.watch(obs("r", Var("o")))
+        engine.submit(Observation("r", "a", 10.0))
+        engine.submit(Observation("r", "b", 12.0))
+        # Watermark 6: the clock trails it, so nothing is released yet.
+        assert engine.advance_to(11.0) == []
+        detections = engine.submit(Observation("r", "c", 20.0))
+        detections.extend(engine.flush())
+        assert [d.time for d in detections] == [10.0, 12.0, 20.0]
 
 
 class TestTrace:

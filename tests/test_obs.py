@@ -384,8 +384,8 @@ class TestResetClearsObservability:
         # Metrics slice zeroed, reorder buffer empty: nothing carried over.
         assert rollup(registry, "rceda_observations_total") == 0
         assert rollup(registry, "rceda_detections_total") == 0
-        assert engine._reorder._heap == []
-        assert list(engine._reorder.drain()) == []
+        assert rollup(registry, "rceda_reorder_occupancy") == 0
+        assert engine.flush() == []
 
         second = engine.submit_many(stream) + engine.flush()
         assert [d.time for d in second] == [d.time for d in first]
@@ -412,7 +412,7 @@ class TestResetClearsObservability:
         engine.watch(obs("r"))
         engine.submit(Observation("r", "a", 10.0))
         engine.reset()
-        assert engine._reorder.instruments is not None
+        assert rollup(registry, "rceda_reorder_lateness_seconds")["count"] == 0
         engine.submit(Observation("r", "a", 1.0))
         engine.submit(Observation("r", "b", 20.0))
         merged = rollup(registry, "rceda_reorder_lateness_seconds")

@@ -1,8 +1,11 @@
 """Checkpoint/restore: a killed engine resumes with identical detections."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Engine, FunctionRegistry, Observation, OutOfOrderPolicy, Var, obs
 from repro.apps import (
@@ -300,6 +303,108 @@ class TestReorderBufferRoundTrip:
         plain = Engine(pair_rules())
         with pytest.raises(CheckpointError):
             plain.restore(snapshot)
+
+    def test_buffer_is_written_as_observation_references(self):
+        engine = self._build()
+        for observation in LATE_STREAM:
+            engine.submit(observation)
+        snapshot = json.loads(json.dumps(engine.checkpoint()))
+        section = snapshot["reorder"]
+        assert snapshot["speculation"] is None
+        assert set(section) == {"horizon", "max_ts", "buffer"}
+        assert (section["horizon"], section["max_ts"]) == (3.0, 7.0)
+        held = [snapshot["observations"][index]["t"] for index in section["buffer"]]
+        assert held == [4.5, 7.0]  # canonical order, above watermark 4
+
+    def test_horizon_mismatch_rejected(self):
+        engine = self._build()
+        engine.submit(Observation("a", "x", 0.0))
+        other = Engine(pair_rules(), reorder_delay=2.0)
+        with pytest.raises(CheckpointError, match="horizon"):
+            other.restore(engine.checkpoint())
+
+    def test_old_heap_layout_rejected(self):
+        engine = self._build()
+        engine.submit(Observation("a", "x", 0.0))
+        snapshot = engine.checkpoint()
+        snapshot["reorder"] = {
+            "delay": 3.0, "entries": [], "next_tie": 0, "watermark": -3.0,
+            "max_seen": 0.0, "dropped_late": 0,
+        }
+        with pytest.raises(CheckpointError, match="malformed reorder"):
+            self._build().restore(snapshot)
+
+
+LATE_STREAM = [
+    Observation("a", "o0", 0.0),
+    Observation("a", "o1", 2.0),
+    Observation("b", "o0", 4.5),
+    Observation("a", "o2", 3.0),  # late but within the horizon
+    Observation("b", "o1", 7.0),
+]
+
+POLICIES = {
+    "reorder": {"reorder_delay": 3.0},
+    "speculation": {"out_of_order": "revise", "revise_horizon": 3.0},
+}
+
+
+def _late_snapshot(section):
+    engine = Engine(pair_rules(), **POLICIES[section])
+    for observation in LATE_STREAM:
+        engine.submit(observation)
+    return json.loads(json.dumps(engine.checkpoint()))
+
+
+SNAPSHOTS = {section: _late_snapshot(section) for section in POLICIES}
+
+
+class TestMalformedSections:
+    """A malformed ``reorder`` or ``speculation`` section fails closed:
+    ``CheckpointError``, so recovery can fall back to an older one."""
+
+    def test_snapshots_restore_unmutated(self):
+        for section, snapshot in SNAPSHOTS.items():
+            assert snapshot[section]["buffer"]
+            Engine(pair_rules(), **POLICIES[section]).restore(
+                copy.deepcopy(snapshot)
+            )
+        assert SNAPSHOTS["speculation"]["speculation"]["records"]
+
+    @given(st.sampled_from(sorted(POLICIES)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_field_mutations_raise_checkpoint_error(self, name, data):
+        snapshot = copy.deepcopy(SNAPSHOTS[name])
+        section = snapshot[name]
+        field = data.draw(st.sampled_from(sorted(section)))
+        mutation = data.draw(st.sampled_from(
+            ["delete", "extra", "null", "string", "object", "bad-ref",
+             "other-horizon", "record-field"]
+        ))
+        if mutation == "delete":
+            del section[field]
+        elif mutation == "extra":
+            section["junk"] = section[field]
+        elif mutation == "null":
+            section[field] = None
+        elif mutation == "string":
+            section[field] = "x"
+        elif mutation == "object":
+            section[field] = {}
+        elif mutation == "bad-ref":
+            section[field] = [999]
+        elif mutation == "other-horizon":
+            section["horizon"] += 1.0
+        else:
+            records = section.get("records") or [{"id": "x"}]
+            entry = data.draw(st.sampled_from(records))
+            # Every field restore reads (it ignores the content hash).
+            key = data.draw(st.sampled_from(sorted(set(entry) - {"content"})))
+            del entry[key]
+            section["records"] = records
+        engine = Engine(pair_rules(), **POLICIES[name])
+        with pytest.raises(CheckpointError, match=f"malformed {name}"):
+            engine.restore(snapshot)
 
 
 class TestValidation:
