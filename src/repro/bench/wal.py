@@ -28,6 +28,7 @@ from ..resilience.durability import (
     FsyncPolicy,
     encode_observation,
 )
+from ..resilience.durability.wal import encode_observations
 from ..rules import Rule
 from .harness import run_detection
 from .workloads import build_events_axis_workload
@@ -142,7 +143,7 @@ class RecordCosts:
     delivery_us: float
 
 
-#: Records per ``append_many`` in :func:`run_record_costs` — the serving
+#: Records per WAL batch in :func:`run_record_costs` — the serving
 #: layer's default batch, so the write is amortized as it is in production.
 APPEND_BATCH = 256
 
@@ -150,11 +151,13 @@ APPEND_BATCH = 256
 def run_record_costs(full_scale: bool = False) -> RecordCosts:
     """Time the WAL append and the outbox delivery on their own.
 
-    The workload's observations are appended through a
-    :class:`DurableEngine`'s own WAL in ``APPEND_BATCH``-record
-    ``append_many`` calls, then the detections a bare engine finds are
-    delivered through its outbox to a no-op sink — no detection, no
-    checkpoint, no fsync inside either timed loop.
+    The workload's observations are encoded and appended through a
+    :class:`DurableEngine`'s own WAL ``APPEND_BATCH`` records at a time,
+    as ``submit_many`` does it (one template pass, one
+    ``append_encoded``), then the detections a bare engine finds are
+    delivered through its outbox to a no-op sink, one ``deliver_many``
+    per batch — no detection, no checkpoint, no fsync inside either
+    timed loop.
     """
     workload = build_events_axis_workload(_n_events(full_scale), n_rules=10)
 
@@ -162,12 +165,18 @@ def run_record_costs(full_scale: bool = False) -> RecordCosts:
         return Engine(workload.rules, context="chronicle")
 
     engine = factory()
-    records = []
-    deliveries = []
-    for seq, observation in enumerate(workload.observations):
-        records.append((seq, encode_observation(observation)))
-        for ordinal, detection in enumerate(engine.submit(observation)):
-            deliveries.append((detection, seq, ordinal))
+    observations = workload.observations
+    # One deliver_many batch per WAL batch, as DurableEngine.submit_many
+    # delivers them.
+    batches: list[list] = [
+        [] for _ in range(0, len(observations), APPEND_BATCH)
+    ]
+    deliveries = 0
+    for seq, observation in enumerate(observations):
+        detections = engine.submit(observation)
+        if detections:
+            batches[seq // APPEND_BATCH].append((seq, 0, detections))
+            deliveries += len(detections)
     with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as directory:
         with DurableEngine(
             factory,
@@ -175,25 +184,29 @@ def run_record_costs(full_scale: bool = False) -> RecordCosts:
             checkpoint_every=0,
             sink=lambda _detection, _seq, _ordinal: None,
         ) as durable:
+            append = durable.wal.append_encoded
             started = time.perf_counter()
-            for start in range(0, len(records), APPEND_BATCH):
-                durable.wal.append_many(records[start : start + APPEND_BATCH])
+            for start in range(0, len(observations), APPEND_BATCH):
+                append(encode_observations(
+                    start, observations[start : start + APPEND_BATCH],
+                    encode_observation,
+                ))
             append_seconds = time.perf_counter() - started
-            deliver = durable.outbox.deliver
+            deliver_many = durable.outbox.deliver_many
             started = time.perf_counter()
-            for detection, seq, ordinal in deliveries:
-                deliver(detection, seq, ordinal)
+            for batch in batches:
+                deliver_many(batch)
             deliver_seconds = time.perf_counter() - started
-            if durable.outbox.delivered != len(deliveries):
+            if durable.outbox.delivered != deliveries:
                 raise AssertionError(
                     f"outbox ran {durable.outbox.delivered} of "
-                    f"{len(deliveries)} deliveries"
+                    f"{deliveries} deliveries"
                 )
     return RecordCosts(
-        appends=len(records),
-        append_us=append_seconds / max(1, len(records)) * 1e6,
-        deliveries=len(deliveries),
-        delivery_us=deliver_seconds / max(1, len(deliveries)) * 1e6,
+        appends=len(observations),
+        append_us=append_seconds / max(1, len(observations)) * 1e6,
+        deliveries=deliveries,
+        delivery_us=deliver_seconds / max(1, deliveries) * 1e6,
     )
 
 
@@ -201,7 +214,7 @@ def record_costs_line(costs: RecordCosts) -> str:
     """The one line ``python -m repro.bench wal`` prints under its table."""
     return (
         f"per record, fsync never: WAL append {costs.append_us:.2f} µs "
-        f"({costs.appends:,} records, {APPEND_BATCH} per append_many) | "
+        f"({costs.appends:,} records, {APPEND_BATCH} per batch) | "
         f"outbox delivery {costs.delivery_us:.2f} µs "
         f"({costs.deliveries:,} deliveries, no-op sink)"
     )

@@ -538,8 +538,11 @@ def save_checkpoint(snapshot: dict, path: str) -> None:
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
     try:
+        # One json.dumps: the C encoder, where json.dump streams the same
+        # bytes through the pure-Python iterencode.
+        text = json.dumps(snapshot, separators=(",", ":"))
         with os.fdopen(descriptor, "w") as handle:
-            json.dump(snapshot, handle, separators=(",", ":"))
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)

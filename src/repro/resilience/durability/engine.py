@@ -21,6 +21,10 @@ The protocol per observation is *log, then detect, then deliver*:
    :class:`~repro.resilience.durability.outbox.ActionOutbox` keyed by
    ``(seq, ordinal)``.
 
+:meth:`DurableEngine.submit_many` runs the same three steps a batch at
+a time — one WAL write, then detection, then one outbox loop — with the
+same record bytes, journal bytes and delivery keys.
+
 Kill the process at *any* point and :meth:`DurableEngine.recover`
 rebuilds exactly the pre-crash behaviour: newest restorable checkpoint,
 WAL tail replayed on top (detection is deterministic, so replay re-derives
@@ -32,7 +36,7 @@ run's, exactly once each.
 Test hook: assign :attr:`DurableEngine.failpoint` a callable
 ``(stage, seq)`` and it is invoked at ``"append"`` (logged, not yet
 detected), ``"detect"`` (detected, not yet delivered), ``"deliver"``
-and ``"checkpoint"`` — raising
+(acks written) and ``"checkpoint"`` — raising
 :class:`~repro.resilience.chaos.SimulatedCrash` there is how the crash
 matrix kills the engine between any two protocol steps.
 """
@@ -53,7 +57,13 @@ from ..chaos import MalformedObservation
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..supervise import RetryPolicy
 from .outbox import JOURNAL_NAME, ActionOutbox
-from .wal import FsyncPolicy, WalWriter, read_wal, segment_files
+from .wal import (
+    FsyncPolicy,
+    WalWriter,
+    encode_observations,
+    read_wal,
+    segment_files,
+)
 
 __all__ = [
     "DurableEngine",
@@ -154,6 +164,20 @@ def _resolve_client_seqs(client, count: int):
     if any(b <= a for a, b in zip(seqs, seqs[1:])):
         raise ValueError("client seqs must be strictly ascending")
     return client_id, seqs
+
+
+def _rejections(backend: Any) -> tuple[int, int]:
+    """``(dropped, quarantined)`` so far, from the backend's own counters.
+
+    What ``submit_many`` of the backend itself would count: readings the
+    out-of-order policy dropped (summed over the shards of a sharded
+    backend) and poison a supervised backend quarantined.
+    """
+    shards = getattr(backend, "shards", None)
+    engines = shards.values() if shards is not None else (backend,)
+    dropped = sum(engine.stats.dropped_out_of_order for engine in engines)
+    failures = getattr(backend, "failures", None)
+    return dropped, failures.quarantined if failures is not None else 0
 
 
 def decode_payload(payload: dict) -> Optional[Any]:
@@ -393,9 +417,7 @@ class DurableEngine:
         self._next_seq = seq + 1
         self._fire("append", seq)
         detections = self.engine.submit(observation, seq=seq)
-        self._fire("detect", seq)
-        self._deliver(detections, seq)
-        self._fire("deliver", seq)
+        self._deliver(((seq, 0, detections),))
         self._since_checkpoint += 1
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint_now()
@@ -407,61 +429,73 @@ class DurableEngine:
         *,
         client: Optional[tuple[str, int]] = None,
     ) -> SubmitResult:
-        """Log a whole batch with one WAL call, then detect per record.
+        """Commit a whole batch: one WAL pass, detection, one delivery loop.
 
-        The vectorized form of :meth:`submit`: every observation's WAL
+        The group-commit form of :meth:`submit`.  Every observation's WAL
         record — including its per-observation ``(client_id,
-        client_seq)`` provenance — is identical to what a submit loop
-        would have written, but the batch is committed with one
-        ``append_many`` (one write + one fsync under
-        ``FsyncPolicy.ALWAYS``) instead of one fsync per observation.
-        ``client`` is ``(client_id, first_seq)`` or ``(client_id,
-        per-observation seqs)`` — see :func:`_resolve_client_seqs`.
-        Detection and outbox delivery still run per record, so
-        exactly-once keys ``(seq, ordinal)`` match replay precisely.
+        client_seq)`` provenance — is byte-for-byte what a submit loop
+        would have written, but the records are encoded in one template
+        pass (:func:`~repro.resilience.durability.wal.encode_observations`)
+        and committed with one ``append_encoded`` (one write + one fsync
+        under ``FsyncPolicy.ALWAYS``).  ``client`` is ``(client_id,
+        first_seq)`` or ``(client_id, per-observation seqs)`` — see
+        :func:`_resolve_client_seqs`.  The batch is then detected record
+        by record (``submit(observation, seq=seq)``, so exactly-once keys
+        ``(seq, ordinal)`` match replay precisely), and one
+        :meth:`ActionOutbox.deliver_many
+        <repro.resilience.durability.outbox.ActionOutbox.deliver_many>`
+        loop delivers the detections in key order, each ack riding the
+        next intent.  If detection raises, what the batch detected
+        before it is still delivered.
 
-        Returns a :class:`~repro.core.detector.SubmitResult` (a
-        ``list`` of detections).
+        Returns a :class:`~repro.core.detector.SubmitResult` (a ``list``
+        of detections) whose ``dropped``/``quarantined`` counts are read
+        from the wrapped backend's own counters.
         """
         observations = list(observations)
         if not observations:
             return SubmitResult()
+        count = len(observations)
+        client_id = client_seqs = None
         if client is not None:
-            client_id, client_seqs = _resolve_client_seqs(
-                client, len(observations)
-            )
+            client_id, client_seqs = _resolve_client_seqs(client, count)
         first_seq = self._next_seq
-        records = []
-        for index, observation in enumerate(observations):
-            payload = encode_observation(observation)
-            if client is not None:
-                payload[CLIENT_KEY] = [client_id, client_seqs[index]]
-            records.append((first_seq + index, payload))
-        self.wal.append_many(records)
+        self.wal.append_encoded(
+            encode_observations(
+                first_seq, observations, encode_observation,
+                client_id, client_seqs,
+            )
+        )
         if client is not None:
-            _note_client(self.client_frontiers, records[-1][1])
-        self._next_seq = first_seq + len(records)
-        # The failpoint is a test hook: checked once per batch, so the
-        # production loop is detect -> deliver with nothing in between.
-        fire = self._fire if self.failpoint is not None else None
+            last = client_seqs[-1]
+            if self.client_frontiers.get(client_id, -1) < last:
+                self.client_frontiers[client_id] = last
+        self._next_seq = first_seq + count
+        fire = self.failpoint
         if fire is not None:
-            for seq, _payload in records:
+            for seq in range(first_seq, first_seq + count):
                 fire("append", seq)
-        detections = SubmitResult(accepted=len(records))
+        dropped, quarantined = _rejections(self.engine)
+        result = SubmitResult()
+        outputs = []
         submit = self.engine.submit
-        for seq, observation in enumerate(observations, first_seq):
-            batch_out = submit(observation, seq=seq)
-            if fire is not None:
-                fire("detect", seq)
-            if batch_out:
-                self._deliver(batch_out, seq)
-                detections.extend(batch_out)
-            if fire is not None:
-                fire("deliver", seq)
-        self._since_checkpoint += len(records)
+        try:
+            for seq, observation in enumerate(observations, first_seq):
+                detections = submit(observation, seq=seq)
+                if detections:
+                    result.extend(detections)
+                if detections or fire is not None:  # the failpoint sees every seq
+                    outputs.append((seq, 0, detections))
+        finally:
+            self._deliver(outputs)
+        dropped_now, quarantined_now = _rejections(self.engine)
+        result.dropped = dropped_now - dropped
+        result.quarantined = quarantined_now - quarantined
+        result.accepted = count - result.dropped - result.quarantined
+        self._since_checkpoint += count
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint_now()
-        return detections
+        return result
 
     def flush(self, *, client: Optional[tuple[str, int]] = None) -> list:
         """Fire end-of-stream expirations — durably.
@@ -481,9 +515,7 @@ class DurableEngine:
         self._next_seq = seq + 1
         self._fire("append", seq)
         detections = self.engine.flush()
-        self._fire("detect", seq)
-        self._deliver(detections, seq)
-        self._fire("deliver", seq)
+        self._deliver(((seq, 0, detections),))
         return detections
 
     def run(self, observations: Iterable[Any], flush: bool = True) -> Iterator:
@@ -492,11 +524,18 @@ class DurableEngine:
         if flush:
             yield from self.flush()
 
-    def _deliver(self, detections: list, seq: int) -> None:
-        if self.outbox is None:
-            return
-        for ordinal, detection in enumerate(detections):
-            self.outbox.deliver(detection, seq, ordinal)
+    def _deliver(self, outputs) -> None:
+        """The outbox's delivery loop over ``(seq, 0, detections)`` items.
+
+        Without a sink there is nothing to deliver, and only the
+        failpoint's ``detect``/``deliver`` stages fire per seq.
+        """
+        if self.outbox is not None:
+            self.outbox.deliver_many(outputs, self.failpoint)
+        elif self.failpoint is not None:
+            for seq, _first, _detections in outputs:
+                self.failpoint("detect", seq)
+                self.failpoint("deliver", seq)
 
     # -- checkpointing ------------------------------------------------------
 
@@ -625,9 +664,9 @@ class DurableEngine:
                 detections = self.engine.submit(observation, seq=record.seq)
             self.replayed += 1
             if self.outbox is not None:
-                for ordinal, detection in enumerate(detections):
-                    if self.outbox.deliver(detection, record.seq, ordinal):
-                        redelivered += 1
+                redelivered += self.outbox.deliver_many(
+                    ((record.seq, 0, detections),)
+                )
         self._next_seq = max(ckpt_seq, self.wal.last_seq) + 1
         self._since_checkpoint = 0
         suppressed = (

@@ -51,9 +51,18 @@ import zlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from time import perf_counter
-from typing import TYPE_CHECKING, ClassVar, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Iterator,
+    Optional,
+    Sequence,
+)
 
 from ...core.errors import WalError
+from ...core.instances import Observation
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...obs.instrument import Instruments
@@ -64,6 +73,7 @@ __all__ = [
     "WalWriter",
     "SegmentInfo",
     "compact_json",
+    "encode_observations",
     "encode_payload",
     "read_wal",
     "scan_segment",
@@ -88,48 +98,65 @@ _CLIENT_OBSERVATION_KEYS = ("k", "r", "o", "t", "c")
 _float_repr = float.__repr__
 
 
+def _observation_body(reader, obj, timestamp, client) -> Optional[bytes]:
+    """The observation record template: the one place its bytes are spelled.
+
+    ``{"k":"o","r":str,"o":str,"t":finite float}``, optionally followed
+    by ``"c":[str,int]`` client provenance (``client`` is that list or
+    ``None``), formatted with the two primitives the C encoder itself
+    calls (``encode_basestring_ascii`` and ``float.__repr__``).  Returns
+    ``None`` for anything else — subclasses, ``int``/``bool``/non-finite
+    timestamps, tuple or odd provenance — which the caller hands to
+    :data:`compact_json`.
+    """
+    if not (
+        type(reader) is str
+        and type(obj) is str
+        and type(timestamp) is float
+        # nan and +-inf spell differently in JSON than in repr().
+        and timestamp - timestamp == 0.0
+    ):
+        return None
+    body = (
+        f'{{"k":"o","r":{_json_str(reader)},"o":{_json_str(obj)},'
+        f'"t":{_float_repr(timestamp)}'
+    )
+    if client is None:
+        return (body + "}").encode("ascii")
+    if (
+        type(client) is list
+        and len(client) == 2
+        and type(client[0]) is str
+        and type(client[1]) is int
+    ):
+        return (
+            f'{body},"c":[{_json_str(client[0])},{client[1]}]}}'
+        ).encode("ascii")
+    return None
+
+
 def encode_payload(payload: dict) -> bytes:
     """Record body for one payload: exactly ``json.dumps``'s compact bytes.
 
-    Nearly every record is a well-typed observation — ``{"k":"o","r":
-    str,"o":str,"t":finite float}``, optionally followed by ``"c":[str,
-    int]`` client provenance — so that shape is formatted straight from
-    a template with the two primitives the C encoder itself calls
-    (``encode_basestring_ascii`` and ``float.__repr__``).  Anything else
-    — extras, markers, poison records, ``int``/``bool``/non-finite
-    timestamps, tuple provenance, subclasses — goes through
-    :data:`compact_json`.  ``tests/test_durable_encoding.py`` holds the
-    two to byte identity.
+    Nearly every record is a well-typed observation, which
+    :func:`_observation_body` formats from its template; markers,
+    extras, poison records and every shape the template refuses go
+    through :data:`compact_json`.  ``tests/test_durable_encoding.py``
+    holds the two to byte identity.
     """
     keys = tuple(payload)
-    if keys == _OBSERVATION_KEYS or keys == _CLIENT_OBSERVATION_KEYS:
-        reader = payload["r"]
-        obj = payload["o"]
-        timestamp = payload["t"]
-        if (
-            payload["k"] == "o"
-            and type(reader) is str
-            and type(obj) is str
-            and type(timestamp) is float
-            # nan and +-inf spell differently in JSON than in repr().
-            and timestamp - timestamp == 0.0
-        ):
-            body = (
-                f'{{"k":"o","r":{_json_str(reader)},"o":{_json_str(obj)},'
-                f'"t":{_float_repr(timestamp)}'
-            )
-            if len(keys) == 4:
-                return (body + "}").encode("ascii")
-            client = payload["c"]
-            if (
-                type(client) is list
-                and len(client) == 2
-                and type(client[0]) is str
-                and type(client[1]) is int
-            ):
-                return (
-                    f'{body},"c":[{_json_str(client[0])},{client[1]}]}}'
-                ).encode("ascii")
+    if keys == _OBSERVATION_KEYS:
+        client = None
+    elif keys == _CLIENT_OBSERVATION_KEYS and payload["c"] is not None:
+        client = payload["c"]  # a None here would read as "no provenance"
+    else:
+        return compact_json(payload).encode()
+    if payload["k"] == "o":
+        body = _observation_body(
+            payload["r"], payload["o"], payload["t"], client
+        )
+        if body is not None:
+            return body
     return compact_json(payload).encode()
 
 
@@ -143,6 +170,46 @@ def _encode_record(seq: int, payload: dict) -> bytes:
         ) from exc
     crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
     return _HEADER.pack(len(body), crc, seq) + body
+
+
+def encode_observations(
+    first_seq: int,
+    observations: Sequence[Any],
+    payload_of: Callable[[Any], dict],
+    client_id: Any = None,
+    client_seqs: Optional[Sequence[int]] = None,
+) -> list[tuple[int, bytes]]:
+    """``(seq, record)`` for a batch numbered from ``first_seq``, in one pass.
+
+    A plain :class:`~repro.core.instances.Observation` goes straight from
+    its fields through :func:`_observation_body`, with ``[client_id,
+    client_seqs[i]]`` provenance when ``client_id`` is given; anything
+    the template refuses gets ``payload_of(observation)`` (plus the
+    provenance under ``"c"``) and :func:`encode_payload`.  The records
+    are byte-for-byte what :meth:`WalWriter.append_many` writes for
+    those payloads.
+    """
+    records = []
+    client = None
+    for index, observation in enumerate(observations):
+        seq = first_seq + index
+        if client_id is not None:
+            client = [client_id, client_seqs[index]]
+        body = None
+        if type(observation) is Observation and observation.extra is None:
+            body = _observation_body(
+                observation.reader, observation.obj, observation.timestamp,
+                client,
+            )
+        if body is None:
+            payload = payload_of(observation)
+            if client is not None:
+                payload["c"] = client
+            records.append((seq, _encode_record(seq, payload)))
+        else:  # _encode_record's framing, without a call per record
+            crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
+            records.append((seq, _HEADER.pack(len(body), crc, seq) + body))
+    return records
 
 
 @dataclass(frozen=True)
@@ -436,61 +503,47 @@ class WalWriter:
 
     def append(self, seq: int, payload: dict) -> int:
         """Append one record; returns the bytes it occupies on disk."""
-        if seq <= self._last_seq:
-            raise WalError(
-                f"sequence {seq} does not advance past {self._last_seq}; "
-                "the log already covers it"
-            )
-        record = _encode_record(seq, payload)
-        if self._handle is None or (
-            self._segment_size > 0
-            and self._segment_size + len(record) > self.segment_max_bytes
-        ):
-            self._rotate(seq)
-        self._handle.write(record)
-        self._handle.flush()
-        self._segment_size += len(record)
-        self._last_seq = seq
-        self.appended += 1
-        self.bytes_written += len(record)
-        if self.fsync_policy.mode == "always":
-            self._fsync()
-        elif self.fsync_policy.mode == "batch":
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_policy.batch:
-                self._fsync()
-        return len(record)
+        return self.append_many([(seq, payload)])
 
     def append_many(self, records: "Sequence[tuple[int, dict]]") -> int:
         """Append a run of ``(seq, payload)`` records in one durable call.
 
+        Returns the total bytes written; see :meth:`append_encoded`.
+        """
+        return self.append_encoded(
+            [(seq, _encode_record(seq, payload)) for seq, payload in records]
+        )
+
+    def append_encoded(self, records: "Sequence[tuple[int, bytes]]") -> int:
+        """Append ``(seq, record)`` pairs built by :func:`encode_observations`
+        or :func:`_encode_record`, in one durable call.
+
         The batch fast path behind the serving layer's vectorized
-        ingest: the whole run is encoded up front, written with one
-        (or, across a rotation, a few) ``write`` + ``flush`` calls, and
-        fsynced **once** at the end under ``FsyncPolicy.ALWAYS`` — the
-        durability contract is per *call*, and ``append_many`` returns
-        only after the entire batch is as durable as ``append`` would
-        have made each record.  ``FsyncPolicy.BATCH(n)`` counts every
-        record, so its loss window is unchanged.  Sequence numbers must
-        be strictly increasing but need not be contiguous (a sharded
-        log skips the seqs routed to other shards).  Record format and
-        rotation boundaries are identical to looped :meth:`append`;
-        replay cannot tell the difference.
+        ingest: the run is written with one (or, across a rotation, a
+        few) ``write`` + ``flush`` calls, and fsynced **once** at the end
+        under ``FsyncPolicy.ALWAYS`` — the durability contract is per
+        *call*, and this returns only after the entire batch is as
+        durable as one ``append`` per record would have made it.
+        ``FsyncPolicy.BATCH(n)`` counts every record, so its loss window
+        is unchanged.  Sequence numbers must be strictly increasing but
+        need not be contiguous (a sharded log skips the seqs routed to
+        other shards); a run that does not advance raises
+        :class:`~repro.core.errors.WalError` before anything is written.
+        Record format and rotation boundaries are those of one
+        ``append`` per record; replay cannot tell the difference.
 
         Returns the total bytes written.
         """
         if not records:
             return 0
         last = self._last_seq
-        encoded: list[tuple[int, bytes]] = []
-        for seq, payload in records:
+        for seq, _record in records:
             if seq <= last:
                 raise WalError(
                     f"sequence {seq} does not advance past {last}; "
                     "the log already covers it"
                 )
             last = seq
-            encoded.append((seq, _encode_record(seq, payload)))
         total = 0
         pending: list[bytes] = []
         pending_bytes = 0
@@ -504,7 +557,7 @@ class WalWriter:
                 pending = []
                 pending_bytes = 0
 
-        for seq, record in encoded:
+        for seq, record in records:
             if self._handle is None or (
                 self._segment_size + pending_bytes > 0
                 and self._segment_size + pending_bytes + len(record)
@@ -517,12 +570,12 @@ class WalWriter:
             total += len(record)
         write_pending()
         self._last_seq = last
-        self.appended += len(encoded)
+        self.appended += len(records)
         self.bytes_written += total
         if self.fsync_policy.mode == "always":
             self._fsync()
         elif self.fsync_policy.mode == "batch":
-            self._since_sync += len(encoded)
+            self._since_sync += len(records)
             if self._since_sync >= self.fsync_policy.batch:
                 self._fsync()
         return total

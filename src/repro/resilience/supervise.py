@@ -484,11 +484,13 @@ class SupervisedEngine:
         abort the rest of the batch.  Returns a
         :class:`~repro.core.detector.SubmitResult` (a ``list`` of
         detections) whose ``quarantined`` counter says how many of the
-        batch were poison.  With ``first_seq`` given, the batch is
-        numbered ``first_seq, first_seq + 1, ...`` as in
+        batch were poison and ``dropped`` how many the wrapped engine's
+        out-of-order policy dropped.  With ``first_seq`` given, the batch
+        is numbered ``first_seq, first_seq + 1, ...`` as in
         ``Engine.submit_many``.
         """
         quarantined_before = self.failures.quarantined
+        dropped_before = self.engine.stats.dropped_out_of_order
         detections: list[Detection] = []
         seq = first_seq
         count = 0
@@ -498,9 +500,11 @@ class SupervisedEngine:
             if seq is not None:
                 seq += 1
         quarantined = self.failures.quarantined - quarantined_before
+        dropped = self.engine.stats.dropped_out_of_order - dropped_before
         return SubmitResult(
             detections,
-            accepted=count - quarantined,
+            accepted=count - dropped - quarantined,
+            dropped=dropped,
             quarantined=quarantined,
         )
 

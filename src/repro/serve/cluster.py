@@ -221,22 +221,45 @@ def plan_cluster(
 # ---------------------------------------------------------------------------
 
 
+#: ``json.dumps(payload, sort_keys=True)`` without an encoder per call.
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
+class _FileSink:
+    """The sink :func:`file_sink` returns: one append handle per sink."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._handle: Optional[Any] = None
+
+    def __call__(self, detection: Any, seq: int, ordinal: int) -> None:
+        payload = detection_payload(detection)
+        payload["seq"] = seq
+        payload["ordinal"] = ordinal
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, "a", encoding="utf-8")
+        handle.write(_sorted_json(payload) + "\n")
+        # Flushed per line: audits read the file while the shard runs.
+        handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 def file_sink(path: str) -> Callable[[Any, int, int], None]:
     """An append-only JSONL sink for exactly-once delivery audits.
 
     One line per delivery: rule id, detection time, sorted bindings and
     the ``(seq, ordinal)`` outbox key.  The cluster drill reads these
-    back to prove no detection was delivered twice across a crash.
+    back to prove no detection was delivered twice across a crash.  The
+    file is opened on the first delivery and kept open; each line is
+    flushed before the sink returns, and the outbox closes the sink when
+    its ``DurableEngine`` closes.
     """
-
-    def sink(detection: Any, seq: int, ordinal: int) -> None:
-        payload = detection_payload(detection)
-        payload["seq"] = seq
-        payload["ordinal"] = ordinal
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    return sink
+    return _FileSink(path)
 
 
 def _has_durable_state(directory: str) -> bool:

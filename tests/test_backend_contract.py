@@ -26,6 +26,7 @@ import pytest
 
 from repro import Engine, Observation, SubmitResult, Var, obs
 from repro.core import DetectionBackend, ShardedEngine
+from repro.core.errors import ShardError
 from repro.core.expressions import TSeq
 from repro.lang import format_event
 from repro.resilience import DurableEngine, SupervisedEngine
@@ -81,11 +82,11 @@ def case(request, tmp_path):
     directory = str(tmp_path / "state")
     lives = []
 
-    def build():
+    def build(make=factory, name="state"):
         backend = (
-            DurableEngine(factory, directory, checkpoint_every=7)
+            DurableEngine(make, str(tmp_path / name), checkpoint_every=7)
             if durable
-            else factory()
+            else make()
         )
         lives.append(backend)
         return backend
@@ -101,7 +102,7 @@ def case(request, tmp_path):
         lives.append(revived)
         return revived
 
-    yield SimpleNamespace(build=build, revive=revive, durable=durable)
+    yield SimpleNamespace(build=build, revive=revive, durable=durable, kind=kind)
     for backend in lives:
         if durable:
             backend.close()
@@ -124,6 +125,15 @@ def test_same_stream_same_detections(case):
     assert canon(found) == expected
 
 
+#: What each backend does with a reading older than its clock: the
+#: factory, and ``(dropped, quarantined)`` or the error it raises.
+LATE_READING = {
+    "engine": (lambda: Engine(rules(), out_of_order="drop"), (1, 0)),
+    "sharded": (BACKENDS["sharded"], ShardError),
+    "supervised": (BACKENDS["supervised"], (0, 1)),
+}
+
+
 def test_submit_many_accounts_for_the_batch(case):
     observations = stream()
     result = case.build().submit_many(observations)
@@ -131,6 +141,19 @@ def test_submit_many_accounts_for_the_batch(case):
     assert result.accepted == len(observations)
     assert (result.dropped, result.quarantined) == (0, 0)
     assert result.detections is result
+    # A late reading mid-batch: the counts are the wrapped backend's.
+    make, outcome = LATE_READING[case.kind]
+    late = Observation("z", "o0", 1.0)
+    batch = observations[:10] + [late] + observations[10:20]
+    backend = case.build(make, "late")
+    if not isinstance(outcome, tuple):
+        with pytest.raises(outcome):
+            backend.submit_many(batch)
+        return
+    result = backend.submit_many(batch)
+    assert (result.dropped, result.quarantined) == outcome
+    assert result.accepted == len(batch) - 1
+    assert canon(result) == canon(make().submit_many(batch))
 
 
 @pytest.mark.parametrize("cut", [0, 1, 37, 80])

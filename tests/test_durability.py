@@ -146,12 +146,25 @@ class TestCrashMatrix:
             assert canon(detections) == expected, f"kill_at={kill_at}"
             assert sorted(deliveries) == expected_deliveries, f"kill_at={kill_at}"
 
-    def test_failpoint_kill_at_every_stage_and_seq(self, tmp_path):
+    @pytest.mark.parametrize("batch", [None, 3], ids=["submit", "submit_many-3"])
+    def test_failpoint_kill_at_every_stage_and_seq(self, tmp_path, batch):
         """Crash *inside* the protocol — after append, after detect,
-        after deliver — at every sequence number; deliveries must come
-        out exactly once regardless."""
+        after deliver — at every sequence number, through ``submit`` and
+        through ``submit_many`` in batches of 3; deliveries must come out
+        exactly once regardless."""
         stream = pair_stream()
         factory = lambda: Engine(pair_rules())  # noqa: E731
+
+        def feed(durable, observations, detections):
+            if batch is None:
+                for observation in observations:
+                    detections.extend(durable.submit(observation))
+            else:
+                for start in range(0, len(observations), batch):
+                    detections.extend(
+                        durable.submit_many(observations[start : start + batch])
+                    )
+
         expected, expected_deliveries = baseline_run(
             factory, stream, str(tmp_path / "base")
         )
@@ -166,14 +179,12 @@ class TestCrashMatrix:
                 )
                 durable.failpoint = crash_failpoint(stage, crash_seq)
                 with pytest.raises(SimulatedCrash):
-                    for observation in stream:
-                        detections.extend(durable.submit(observation))
+                    feed(durable, stream, detections)
                 del durable  # the kill: no close, no checkpoint
                 revived, report = DurableEngine.recover(
                     factory, directory, sink=sink, checkpoint_every=3
                 )
-                for observation in stream[report.next_seq :]:
-                    detections.extend(revived.submit(observation))
+                feed(revived, stream[report.next_seq :], detections)
                 detections.extend(revived.flush())
                 revived.close()
                 key = f"stage={stage} seq={crash_seq}"

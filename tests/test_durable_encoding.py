@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import Engine, Observation
 from repro.bench.workloads import build_events_axis_workload
 from repro.core.errors import WalError
+from repro.resilience import MalformedObservation
 from repro.resilience.durability import DurableEngine, WalWriter
 from repro.resilience.durability import outbox as outbox_module
 from repro.resilience.durability import wal as wal_module
@@ -36,6 +37,8 @@ from repro.resilience.durability.outbox import (
     _marker_line,
 )
 from repro.resilience.durability.wal import compact_json, encode_payload
+from repro.serve import cluster as cluster_module
+from repro.serve.protocol import detection_payload
 
 
 def reference(payload) -> bytes:
@@ -167,6 +170,48 @@ class TestEncodePayload:
             assert wal.last_seq == 0
 
 
+@st.composite
+def submitted(draw):
+    """What a batch may hold: readings, odd readings and poison."""
+    if draw(st.integers(0, 5)) == 0:
+        return MalformedObservation(draw(scalars), draw(scalars), draw(timestamps))
+    observation = Observation(
+        draw(st.one_of(ids, st.none(), st.integers())),
+        draw(ids),
+        draw(st.floats(allow_nan=True, allow_infinity=True)),
+        draw(st.one_of(st.none(), extras)),
+    )
+    if draw(st.booleans()):
+        observation.timestamp = draw(timestamps)  # past float() coercion
+    return observation
+
+
+class TestEncodeObservations:
+    @given(
+        st.lists(submitted(), max_size=6),
+        st.integers(min_value=0, max_value=2**40),
+        st.one_of(st.none(), ids, st.integers()),
+        st.integers(min_value=-(2**40), max_value=2**40),
+    )
+    @example([Observation("r1", "tag-é", 12.5)], 3, "client", 7)
+    @example([Observation("r1", "tag", 1.0, {"rssi": -40})], 0, None, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_batch_pass_equals_per_record_payloads(
+        self, observations, first_seq, client_id, client_start
+    ):
+        client_seqs = range(client_start, client_start + len(observations))
+        expected = []
+        for index, observation in enumerate(observations):
+            payload = encode_observation(observation)
+            if client_id is not None:
+                payload["c"] = [client_id, client_seqs[index]]
+            seq = first_seq + index
+            expected.append((seq, wal_module._encode_record(seq, payload)))
+        assert wal_module.encode_observations(
+            first_seq, observations, encode_observation, client_id, client_seqs
+        ) == expected
+
+
 rule_ids = st.one_of(st.none(), ids, st.integers())
 detection_ids = st.one_of(st.just(""), ids.filter(bool))
 seqs = st.integers(min_value=-1, max_value=2**63)
@@ -236,6 +281,12 @@ GOLDEN_WAL_SHA256 = (
 GOLDEN_OUTBOX_SHA256 = (
     "ef98cb8be10f8a886277baa91f6587a175d0bbba78d37a918e95e06d5175a25f"
 )
+#: The two ``checkpoint-*.json`` snapshots and their ``clients-*.json``
+#: frontier sidecars, pinned from the last commit whose checkpoints were
+#: written with ``json.dump``.
+GOLDEN_CHECKPOINT_SHA256 = (
+    "b934fd3c021dffef2f762e4db39a0cc145b85818c7ba68ddbd9b04e00299d44e"
+)
 
 
 def _digest(directory, names):
@@ -278,3 +329,59 @@ def test_golden_run_is_byte_identical_to_the_json_dumps_writers(tmp_path):
     assert len(segments) >= 2
     assert _digest(wal_dir, segments) == GOLDEN_WAL_SHA256
     assert _digest(directory, ["outbox.log"]) == GOLDEN_OUTBOX_SHA256
+    snapshots = sorted(
+        name for name in os.listdir(directory)
+        if name.startswith(("checkpoint-", "clients-"))
+    )
+    assert len(snapshots) == 4
+    assert _digest(directory, snapshots) == GOLDEN_CHECKPOINT_SHA256
+
+
+def test_file_sink_writes_one_flushed_line_per_delivery(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cluster_module, "open", counting_open, raising=False)
+    workload = build_events_axis_workload(400, n_rules=4)
+    path = str(tmp_path / "deliveries.jsonl")
+    sink = cluster_module.file_sink(path)
+    expected = []
+
+    def checked(detection, seq, ordinal):
+        sink(detection, seq, ordinal)
+        payload = detection_payload(detection)
+        payload.update(seq=seq, ordinal=ordinal)
+        expected.append(json.dumps(payload, sort_keys=True) + "\n")
+        # Readable straight away, one complete line per delivery so far.
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "".join(expected)
+
+    with DurableEngine(
+        lambda: Engine(workload.rules, context="chronicle"),
+        str(tmp_path / "state"),
+        sink=checked,
+    ) as durable:
+        for start in range(0, len(workload.observations), 64):
+            durable.submit_many(workload.observations[start : start + 64])
+        durable.flush()
+    assert len(expected) == workload.expected_detections > 5
+    assert opened == [path]
+    sink.close()
+
+
+def test_file_sink_closes_with_its_engine(tmp_path):
+    workload = build_events_axis_workload(400, n_rules=4)
+    sink = cluster_module.file_sink(str(tmp_path / "deliveries.jsonl"))
+    with DurableEngine(
+        lambda: Engine(workload.rules, context="chronicle"),
+        str(tmp_path / "state"),
+        sink=sink,
+    ) as durable:
+        durable.submit_many(workload.observations)
+        assert durable.outbox.delivered > 0
+        assert not sink._handle.closed
+        handle = sink._handle
+    assert handle.closed

@@ -118,6 +118,15 @@ class TestPoisonAcceptance:
         assert len(detections) == len(baseline)
         assert supervised.failures.quarantined == 1
 
+    def test_submit_many_counts_what_the_engine_dropped(self):
+        supervised = SupervisedEngine([pair_rule()], out_of_order="drop")
+        stream = pair_stream()
+        late = Observation("a", "oX", stream[0].timestamp - 1.0)
+        result = supervised.submit_many(stream[:4] + [late] + stream[4:])
+        assert (result.accepted, result.dropped, result.quarantined) == (
+            len(stream), 1, 0,
+        )
+
     def test_condition_failure_skips_only_that_activation(self):
         def grumpy(context):
             if context.bindings["x"] == "o2":
