@@ -183,7 +183,10 @@ class SubmitResult(list):
 
     - :attr:`accepted` — observations the engine processed;
     - :attr:`dropped` — rejected by the out-of-order policy;
-    - :attr:`quarantined` — poison isolated by supervision.
+    - :attr:`quarantined` — poison isolated by supervision;
+    - :attr:`ends` — one end offset per observation, in batch order:
+      the cumulative detection count after it, so observation ``i``
+      produced ``self[ends[i - 1]:ends[i]]`` (``0`` for ``i = 0``).
 
     Serve *clients* keep their distinct semantics: their
     ``submit_many`` returns the last assigned client sequence number
@@ -197,7 +200,7 @@ class SubmitResult(list):
     :attr:`detections` alias.
     """
 
-    __slots__ = ("accepted", "dropped", "quarantined")
+    __slots__ = ("accepted", "dropped", "quarantined", "ends")
 
     def __init__(
         self,
@@ -206,11 +209,13 @@ class SubmitResult(list):
         accepted: int = 0,
         dropped: int = 0,
         quarantined: int = 0,
+        ends: Optional[list] = None,
     ) -> None:
         super().__init__(detections)
         self.accepted = accepted
         self.dropped = dropped
         self.quarantined = quarantined
+        self.ends = ends if ends is not None else []
 
     @property
     def detections(self) -> list["Detection"]:
@@ -227,20 +232,33 @@ class SubmitResult(list):
 class DetectionBackend(Protocol):
     """What every detection engine offers the layers wrapped around it.
 
-    :class:`Engine`, ``ShardedEngine`` and ``SupervisedEngine`` satisfy
+    :class:`Engine`, ``ShardedEngine`` and ``SupervisedEngine`` subclass
     it.  ``DurableEngine`` wraps any of them through exactly these
     methods; ``CepServer`` serves one directly, or durably wrapped.
+
+    :meth:`submit_many` is the one entry point that steps detection;
+    :meth:`submit` is ``submit_many`` of one observation and :meth:`run`
+    a loop of :meth:`submit`, both defined here once.
 
     ``seq``/``first_seq`` tag observations with the durable sequence
     numbers of a write-ahead log; the latest one rides inside
     :meth:`checkpoint`, so a snapshot says which log prefix it covers.
     :meth:`restore` loads a snapshot into a freshly built backend with
     the same rules.
+
+    Raise contract.  When observation ``k`` of a batch raises, the
+    exception propagates, carrying as ``exc.partial`` (as
+    ``asyncio.IncompleteReadError.partial`` does) the
+    :class:`SubmitResult` of observations ``0..k``: the failing one is
+    its last ``ends`` entry, with whatever it detected before raising.
+    Nothing is left behind for the next call to return.
     """
 
     def submit(
         self, observation: Observation, seq: Optional[int] = None
-    ) -> list: ...
+    ) -> SubmitResult:
+        """``submit_many`` of one observation, tagged ``seq``."""
+        return self.submit_many((observation,), seq)
 
     def submit_many(
         self,
@@ -253,6 +271,56 @@ class DetectionBackend(Protocol):
     def checkpoint(self) -> dict: ...
 
     def restore(self, snapshot: dict) -> None: ...
+
+    def run(
+        self, observations: Iterable[Observation], flush: bool = True
+    ) -> Iterator[Detection]:
+        """Drive the backend over a stream, yielding detections as they occur."""
+        for observation in observations:
+            yield from self.submit(observation)
+        if flush:
+            yield from self.flush()
+
+
+def submit_skipping(
+    backend: DetectionBackend,
+    observations: Iterable[Any],
+    first_seq: Optional[int],
+    on_failure: Callable[[Any, Exception], None],
+) -> SubmitResult:
+    """``backend.submit_many`` that steps past each observation that raises.
+
+    By the raise contract one call covers the batch up to a failure:
+    the failing observation keeps what it detected before raising,
+    ``on_failure(observation, exc)`` runs inside the ``except`` block,
+    and the rest of the batch goes in the next call.  The result covers
+    the whole batch, the skipped observations counted as ``quarantined``.
+    """
+    batch = list(observations)
+    result = SubmitResult()
+    start = 0
+    while start < len(batch):
+        seq = None if first_seq is None else first_seq + start
+        try:
+            part = backend.submit_many(batch[start:], seq)
+        except Exception as exc:
+            part = getattr(exc, "partial", None)
+            if part is None or not part.ends:
+                raise
+            on_failure(batch[start + len(part.ends) - 1], exc)
+            part.quarantined += 1
+            start += len(part.ends)
+        else:
+            if not start:
+                return part
+            start = len(batch)
+        offset = len(result)
+        result.ends.extend(end + offset for end in part.ends)
+        result.extend(part)
+        result.accepted += part.accepted
+        result.dropped += part.dropped
+        result.quarantined += part.quarantined
+    return result
 
 
 class ActivationContext:
@@ -393,7 +461,7 @@ def _counted(record: Optional[Callable], counter) -> Callable:
     return counted
 
 
-class Engine:
+class Engine(DetectionBackend):
     """Streaming RFID complex event detector (RCEDA).
 
     Parameters
@@ -666,72 +734,60 @@ class Engine:
         """
         return self._last_seq
 
-    def submit(
-        self, observation: Observation, seq: Optional[int] = None
-    ) -> list[Detection]:
-        """Process one observation; returns the detections it triggered.
-
-        Pseudo events scheduled strictly before the observation's
-        timestamp fire first; a pseudo event scheduled *at* the same
-        timestamp fires after the observation, so boundary occurrences
-        (e.g. a ``TSEQ+`` member arriving exactly τu after its
-        predecessor) are seen before the expiration that depends on them.
-
-        With ``reorder_delay`` set, the arrival enters the watermark
-        buffer and the readings the watermark releases are processed
-        instead.
-
-        ``seq`` optionally tags the observation with a durable sequence
-        number (recorded as :attr:`last_seq`, checkpointed, and used by
-        write-ahead-log replay to find the resume point).
-        """
-        self._started = True
-        if seq is not None:
-            self._last_seq = seq
-        if self._late is not None:
-            return self._late.ingest(observation)
-        return self._process_and_take(observation)
-
     def submit_many(
         self,
         observations: Iterable[Observation],
         first_seq: Optional[int] = None,
     ) -> SubmitResult:
-        """Process a whole batch; returns a :class:`SubmitResult`.
+        """Process a batch; returns a :class:`SubmitResult`.
 
-        The batch equivalent of per-observation ``submit`` loops that
-        callers (and the bench harness) used to hand-roll; detections
-        arrive in occurrence order.  End-of-stream expiration still
-        requires a final :meth:`flush`.  With ``first_seq`` given, the
-        batch is numbered ``first_seq, first_seq + 1, ...`` and
-        :attr:`last_seq` advances accordingly.
+        Before each observation, pseudo events scheduled strictly before
+        its timestamp fire; one scheduled *at* it fires after it, so a
+        boundary occurrence (e.g. a ``TSEQ+`` member exactly τu after its
+        predecessor) is seen before the expiration that depends on it.
+        With ``reorder_delay`` set, each arrival enters the watermark
+        buffer and the readings it releases are processed instead.
+        End-of-stream expiration still requires a final :meth:`flush`.
 
-        The result is a ``list`` of detections (unchanged call sites
-        keep working) that also carries ``accepted``/``dropped``
-        counts — see :class:`SubmitResult` for the contract.
+        ``first_seq`` numbers the batch ``first_seq, first_seq + 1, ...``
+        and advances :attr:`last_seq`.  The detections come in occurrence
+        order, tagged by ``ends`` with the observation that produced
+        them; an observation that raises ends the batch under the raise
+        contract of :class:`DetectionBackend`.
         """
         self._started = True
         seq = first_seq
         count = 0
         dropped_before = self.stats.dropped_out_of_order
         late = self._late
-        out: list = []
-        for observation in observations:
-            if seq is not None:
-                self._last_seq = seq
-                seq += 1
-            count += 1
+        out = self._out if late is None else []
+        ends: list = []
+        try:
+            for observation in observations:
+                count += 1
+                if seq is not None:
+                    self._last_seq = seq
+                    seq += 1
+                if late is not None:
+                    out += late.ingest(observation)
+                else:
+                    self._process(observation)
+                ends.append(len(out))
+        except BaseException as exc:
             if late is not None:
-                out.extend(late.ingest(observation))
-            else:
-                self._process(observation)
-        out.extend(self._take_output())
+                out += self._out
+            self._out = []
+            failed = len(ends) < count
+            if failed:
+                ends.append(len(out))
+            dropped = self.stats.dropped_out_of_order - dropped_before
+            exc.partial = SubmitResult(
+                out, accepted=count - failed - dropped, dropped=dropped, ends=ends
+            )
+            raise
+        self._out = []
         dropped = self.stats.dropped_out_of_order - dropped_before
-        return SubmitResult(out, accepted=count - dropped, dropped=dropped)
-
-    def _process_and_take(self, observation: Observation) -> list[Detection]:
-        self._process(observation)
-        return self._take_output()
+        return SubmitResult(out, accepted=count - dropped, dropped=dropped, ends=ends)
 
     def _process(self, observation: Observation) -> None:
         timestamp = observation.timestamp
@@ -792,15 +848,6 @@ class Engine:
             return self._late.finish()
         self._fire_due_pseudo(float("inf"), inclusive=True)
         return self._take_output()
-
-    def run(
-        self, observations: Iterable[Observation], flush: bool = True
-    ) -> Iterator[Detection]:
-        """Drive the engine over a stream, yielding detections as they occur."""
-        for observation in observations:
-            yield from self.submit(observation)
-        if flush:
-            yield from self.flush()
 
     # -- internals used by node states ------------------------------------------
 

@@ -52,7 +52,7 @@ class ShardError(ReproError):
     inside one shard identifies the shard and the rules it hosts instead
     of surfacing as an anonymous error from an unknown engine.  The
     original exception is attached as ``__cause__`` and as
-    :attr:`original`.
+    :attr:`original`; ``partial`` is the failing batch's result so far.
     """
 
     def __init__(self, shard: str, rule_ids: "list[str]", original: BaseException):

@@ -32,7 +32,14 @@ from typing import Any, Iterable, Mapping, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import EngineObserver
-from .detector import Detection, Engine, FunctionRegistry, RuleLike, SubmitResult
+from .detector import (
+    DetectionBackend,
+    Detection,
+    Engine,
+    FunctionRegistry,
+    RuleLike,
+    SubmitResult,
+)
 from .errors import CheckpointError, ShardError
 from .expressions import ObservationType
 from .instances import Observation
@@ -204,7 +211,7 @@ def plan_shards(
     )
 
 
-class ShardedEngine:
+class ShardedEngine(DetectionBackend):
     """Partition rules and observation traffic across engines.
 
     Parameters mirror :class:`Engine` where they apply to every shard.
@@ -254,29 +261,6 @@ class ShardedEngine:
 
     # -- streaming -----------------------------------------------------------
 
-    def _shard_submit(
-        self,
-        shard_name: str,
-        observation: Observation,
-        seq: Optional[int] = None,
-    ) -> list[Detection]:
-        """One shard's submit, with failures labeled by shard and rules.
-
-        A raise inside one shard used to abort the whole coordinator with
-        no indication of where it came from; wrapping it as
-        :class:`~repro.core.errors.ShardError` names the shard and the
-        rule ids it hosts (the original exception is ``__cause__``).
-        """
-        engine = self.shards[shard_name]
-        try:
-            return engine.submit(observation, seq=seq)
-        except ShardError:
-            raise
-        except Exception as exc:
-            raise ShardError(
-                shard_name, [rule.rule_id for rule in engine.rules], exc
-            ) from exc
-
     def routes_for(self, observation: Observation) -> list[str]:
         """The shard names one observation fans out to, in submit order.
 
@@ -293,59 +277,57 @@ class ShardedEngine:
         """Sequence number of the latest observation submitted with one."""
         return self._last_seq
 
-    def submit(
-        self, observation: Observation, seq: Optional[int] = None
-    ) -> list[Detection]:
-        """Route one observation to the shards that need it.
-
-        A failure inside any shard surfaces as
-        :class:`~repro.core.errors.ShardError` identifying the shard and
-        the rule ids involved.  ``seq`` optionally tags the observation
-        with a durable sequence number, forwarded to every target shard
-        (see :meth:`repro.core.detector.Engine.submit`).
-        """
-        if seq is not None:
-            self._last_seq = seq
-        detections: list[Detection] = []
-        targets = self.routes_for(observation)
-        for shard_name in targets:
-            detections.extend(self._shard_submit(shard_name, observation, seq))
-        self.routed += 1
-        self.multicast += max(0, len(targets) - 1)
-        return detections
-
     def submit_many(
         self,
         observations: Iterable[Observation],
         first_seq: Optional[int] = None,
     ) -> SubmitResult:
-        """Route a whole batch; returns a :class:`SubmitResult`.
+        """Route a batch to the shards; returns a :class:`SubmitResult`.
 
-        Shard failures carry shard/rule context, as in :meth:`submit`.
-        The result is still a ``list`` of detections — see
-        :class:`~repro.core.detector.SubmitResult`.
+        Every shard shares one ``store``, so the batch is never split
+        into per-shard sub-batches, which would run one shard's
+        store-writing actions ahead of another's store-reading
+        conditions: each observation goes to its target shards
+        (``submit_many`` of one, in :meth:`routes_for` order) before the
+        next one does.  ``first_seq`` is forwarded to every target shard.
+
+        A failure inside a shard surfaces as
+        :class:`~repro.core.errors.ShardError` naming the shard and its
+        rule ids (the original exception is ``__cause__``) and carrying
+        the batch's ``partial`` result, as the raise contract of
+        :class:`~repro.core.detector.DetectionBackend` says.
         """
-        dropped_before = sum(
-            engine.stats.dropped_out_of_order for engine in self.shards.values()
-        )
-        detections: list[Detection] = []
+        shards = self.shards
+        out = SubmitResult()
+        ends = out.ends
         seq = first_seq
-        count = 0
         for observation in observations:
-            detections.extend(self.submit(observation, seq=seq))
-            count += 1
+            if seq is not None:
+                self._last_seq = seq
+            targets = self.routes_for(observation)
+            for shard_name in targets:
+                engine = shards[shard_name]
+                try:
+                    part = engine.submit_many((observation,), seq)
+                except Exception as exc:
+                    out += exc.partial
+                    out.dropped += exc.partial.dropped
+                    ends.append(len(out))
+                    out.accepted = len(ends) - 1 - out.dropped
+                    error = ShardError(
+                        shard_name, [rule.rule_id for rule in engine.rules], exc
+                    )
+                    error.partial = out
+                    raise error from exc
+                out += part
+                out.dropped += part.dropped
+            ends.append(len(out))
+            self.routed += 1
+            self.multicast += max(0, len(targets) - 1)
             if seq is not None:
                 seq += 1
-        dropped = (
-            sum(
-                engine.stats.dropped_out_of_order
-                for engine in self.shards.values()
-            )
-            - dropped_before
-        )
-        return SubmitResult(
-            detections, accepted=count - dropped, dropped=dropped
-        )
+        out.accepted = len(ends) - out.dropped
+        return out
 
     def flush(self) -> list[Detection]:
         detections: list[Detection] = []
@@ -409,11 +391,6 @@ class ShardedEngine:
         self.routed = snapshot["routed"]
         self.multicast = snapshot["multicast"]
         self._last_seq = snapshot.get("last_seq", -1)
-
-    def run(self, observations: Iterable[Observation]):
-        for observation in observations:
-            yield from self.submit(observation)
-        yield from self.flush()
 
     # -- introspection -----------------------------------------------------------
 

@@ -11,19 +11,22 @@ cooperating pieces of storage under one directory::
     <dir>/checkpoint-<seq>.json  periodic engine snapshots (atomic)
     <dir>/outbox.log             the action-delivery journal
 
-The protocol per observation is *log, then detect, then deliver*:
+The protocol per batch is *log, then detect, then deliver*:
 
-1. the observation is appended to the WAL under a fresh sequence number
-   (durable per the :class:`~repro.resilience.durability.wal.FsyncPolicy`);
-2. the engine processes it (``submit(obs, seq=seq)``, so the engine's
-   own checkpoints know how far the log has been consumed);
+1. each observation is appended to the WAL under a fresh sequence
+   number, the batch in one write (durable per the
+   :class:`~repro.resilience.durability.wal.FsyncPolicy`);
+2. the engine processes the batch in one ``submit_many(batch,
+   first_seq)`` call, so the engine's own checkpoints know how far the
+   log has been consumed and the result's ``ends`` tag each detection
+   with its observation's seq;
 3. each resulting detection is delivered through the
    :class:`~repro.resilience.durability.outbox.ActionOutbox` keyed by
-   ``(seq, ordinal)``.
+   ``(seq, ordinal)``, the batch in one outbox loop.
 
-:meth:`DurableEngine.submit_many` runs the same three steps a batch at
-a time — one WAL write, then detection, then one outbox loop — with the
-same record bytes, journal bytes and delivery keys.
+:meth:`DurableEngine.submit` is that batch of one.  WAL replay makes the
+same detection call per run of records between flush markers, so live
+and replayed detection share one path.
 
 Kill the process at *any* point and :meth:`DurableEngine.recover`
 rebuilds exactly the pre-crash behaviour: newest restorable checkpoint,
@@ -46,9 +49,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from itertools import groupby
+from typing import Any, Callable, Iterable, Optional
 
-from ...core.detector import SubmitResult
+from ...core.detector import DetectionBackend, SubmitResult, submit_skipping
 from ...core.errors import CheckpointError, WalError
 from ...core.instances import Observation
 from ...obs.instrument import Instruments
@@ -116,7 +120,7 @@ def encode_observation(observation: Any) -> dict:
 FLUSH_MARKER = {"k": "f"}
 
 #: Reserved payload key for client provenance: ``[client_id, client_seq]``.
-#: The serving layer passes it via ``submit(..., client=...)`` so that a
+#: The serving layer passes it via ``submit_many(..., client=...)`` so that a
 #: recovered engine can tell every client how far its stream got — the
 #: frontier is committed in the *same* WAL append as the observation, so
 #: there is no crash window in which the observation is durable but its
@@ -164,20 +168,6 @@ def _resolve_client_seqs(client, count: int):
     if any(b <= a for a, b in zip(seqs, seqs[1:])):
         raise ValueError("client seqs must be strictly ascending")
     return client_id, seqs
-
-
-def _rejections(backend: Any) -> tuple[int, int]:
-    """``(dropped, quarantined)`` so far, from the backend's own counters.
-
-    What ``submit_many`` of the backend itself would count: readings the
-    out-of-order policy dropped (summed over the shards of a sharded
-    backend) and poison a supervised backend quarantined.
-    """
-    shards = getattr(backend, "shards", None)
-    engines = shards.values() if shards is not None else (backend,)
-    dropped = sum(engine.stats.dropped_out_of_order for engine in engines)
-    failures = getattr(backend, "failures", None)
-    return dropped, failures.quarantined if failures is not None else 0
 
 
 def decode_payload(payload: dict) -> Optional[Any]:
@@ -232,6 +222,8 @@ class RecoveryReport:
     checkpoints_tried: int
     #: WAL records replayed on top of the checkpoint.
     replayed_records: int
+    #: Replayed records whose detection raised and was skipped, as live.
+    skipped_records: int
     #: Replayed deliveries skipped because their ack was already journaled.
     suppressed_deliveries: int
     #: Replayed deliveries actually (re-)run — the at-least-once window.
@@ -270,8 +262,8 @@ class DurableEngine:
     same order — the checkpoint fingerprint enforces it); the wrapper
     owns ``directory``.  What it wraps is exactly the
     :class:`~repro.core.detector.DetectionBackend` contract —
-    ``submit(observation, seq=)``, ``flush()``, ``checkpoint()``,
-    ``restore(snapshot)`` — so a
+    ``submit_many(observations, first_seq)``, ``flush()``,
+    ``checkpoint()``, ``restore(snapshot)`` — so a
     :class:`~repro.core.sharding.ShardedEngine` factory gives sharded
     durability with no further code: one log (a multicast reading is
     logged once), one ``checkpoint-<seq>.json`` whose atomic replace is
@@ -399,29 +391,10 @@ class DurableEngine:
 
     def submit(
         self, observation: Any, *, client: Optional[tuple[str, int]] = None
-    ) -> list:
-        """Log one observation, detect, deliver; returns the detections.
-
-        ``client`` is optional ``(client_id, client_seq)`` provenance from
-        the serving layer; it rides in the same WAL record as the
-        observation, so an ack derived from this call's return is durable
-        exactly when the observation is.
-        """
-        seq = self._next_seq
-        payload = encode_observation(observation)
-        if client is not None:
-            payload[CLIENT_KEY] = list(client)
-        self.wal.append(seq, payload)
-        if client is not None:
-            _note_client(self.client_frontiers, payload)
-        self._next_seq = seq + 1
-        self._fire("append", seq)
-        detections = self.engine.submit(observation, seq=seq)
-        self._deliver(((seq, 0, detections),))
-        self._since_checkpoint += 1
-        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint_now()
-        return detections
+    ) -> SubmitResult:
+        """:meth:`submit_many` of one observation, ``client`` its
+        ``(client_id, client_seq)``."""
+        return self.submit_many((observation,), client=client)
 
     def submit_many(
         self,
@@ -429,28 +402,29 @@ class DurableEngine:
         *,
         client: Optional[tuple[str, int]] = None,
     ) -> SubmitResult:
-        """Commit a whole batch: one WAL pass, detection, one delivery loop.
+        """Commit a whole batch: one WAL pass, one detection call, one
+        delivery loop.
 
-        The group-commit form of :meth:`submit`.  Every observation's WAL
-        record — including its per-observation ``(client_id,
-        client_seq)`` provenance — is byte-for-byte what a submit loop
-        would have written, but the records are encoded in one template
-        pass (:func:`~repro.resilience.durability.wal.encode_observations`)
+        Every observation's WAL record — including its per-observation
+        ``(client_id, client_seq)`` provenance — is byte-for-byte one
+        record per observation, encoded in one template pass
+        (:func:`~repro.resilience.durability.wal.encode_observations`)
         and committed with one ``append_encoded`` (one write + one fsync
         under ``FsyncPolicy.ALWAYS``).  ``client`` is ``(client_id,
         first_seq)`` or ``(client_id, per-observation seqs)`` — see
-        :func:`_resolve_client_seqs`.  The batch is then detected record
-        by record (``submit(observation, seq=seq)``, so exactly-once keys
-        ``(seq, ordinal)`` match replay precisely), and one
+        :func:`_resolve_client_seqs`.  One ``submit_many(batch,
+        first_seq)`` call to the wrapped backend detects the batch, its
+        ``ends`` tagging each detection with its record's seq, and one
         :meth:`ActionOutbox.deliver_many
         <repro.resilience.durability.outbox.ActionOutbox.deliver_many>`
-        loop delivers the detections in key order, each ack riding the
-        next intent.  If detection raises, what the batch detected
-        before it is still delivered.
+        loop delivers them in key order ``(seq, ordinal)``.
 
-        Returns a :class:`~repro.core.detector.SubmitResult` (a ``list``
-        of detections) whose ``dropped``/``quarantined`` counts are read
-        from the wrapped backend's own counters.
+        Every logged record is detected once, live as on replay: a record
+        whose detection raises is skipped at its failure point (what it
+        detected before raising is kept), the rest of the batch still
+        runs, and the first such error is re-raised after delivery.
+
+        Returns the backend's :class:`~repro.core.detector.SubmitResult`.
         """
         observations = list(observations)
         if not observations:
@@ -475,26 +449,13 @@ class DurableEngine:
         if fire is not None:
             for seq in range(first_seq, first_seq + count):
                 fire("append", seq)
-        dropped, quarantined = _rejections(self.engine)
-        result = SubmitResult()
-        outputs = []
-        submit = self.engine.submit
-        try:
-            for seq, observation in enumerate(observations, first_seq):
-                detections = submit(observation, seq=seq)
-                if detections:
-                    result.extend(detections)
-                if detections or fire is not None:  # the failpoint sees every seq
-                    outputs.append((seq, 0, detections))
-        finally:
-            self._deliver(outputs)
-        dropped_now, quarantined_now = _rejections(self.engine)
-        result.dropped = dropped_now - dropped
-        result.quarantined = quarantined_now - quarantined
-        result.accepted = count - result.dropped - result.quarantined
+        errors: list = []
+        result, _ran = self._detect(observations, first_seq, errors)
         self._since_checkpoint += count
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint_now()
+        if errors:
+            raise errors[0]
         return result
 
     def flush(self, *, client: Optional[tuple[str, int]] = None) -> list:
@@ -518,24 +479,47 @@ class DurableEngine:
         self._deliver(((seq, 0, detections),))
         return detections
 
-    def run(self, observations: Iterable[Any], flush: bool = True) -> Iterator:
-        for observation in observations:
-            yield from self.submit(observation)
-        if flush:
-            yield from self.flush()
+    run = DetectionBackend.run
 
-    def _deliver(self, outputs) -> None:
-        """The outbox's delivery loop over ``(seq, 0, detections)`` items.
+    def _detect(
+        self, observations: list, first_seq: int, errors: list
+    ) -> tuple[SubmitResult, int]:
+        """Detect a run of logged records in one backend call, and
+        deliver it; returns the result and how many deliveries ran.
+
+        :func:`~repro.core.detector.submit_skipping` steps past a record
+        that raises, appending the error to ``errors``.  The result's
+        ``ends`` slice one ``(seq, 0, detections)`` delivery item per
+        record; a record with no detections gets one only for the
+        failpoint, which sees every seq.
+        """
+        result = submit_skipping(
+            self.engine, observations, first_seq,
+            lambda _observation, exc: errors.append(exc),
+        )
+        every = self.failpoint is not None
+        outputs = []
+        start = 0
+        for seq, end in enumerate(result.ends, first_seq):
+            if end > start or every:
+                outputs.append((seq, 0, result[start:end]))
+            start = end
+        return result, self._deliver(outputs)
+
+    def _deliver(self, outputs) -> int:
+        """The outbox's delivery loop over ``(seq, 0, detections)`` items;
+        returns how many ran the sink.
 
         Without a sink there is nothing to deliver, and only the
         failpoint's ``detect``/``deliver`` stages fire per seq.
         """
         if self.outbox is not None:
-            self.outbox.deliver_many(outputs, self.failpoint)
-        elif self.failpoint is not None:
+            return self.outbox.deliver_many(outputs, self.failpoint)
+        if self.failpoint is not None:
             for seq, _first, _detections in outputs:
                 self.failpoint("detect", seq)
                 self.failpoint("deliver", seq)
+        return 0
 
     # -- checkpointing ------------------------------------------------------
 
@@ -646,27 +630,31 @@ class DurableEngine:
         suppressed_before = (
             self.outbox.suppressed if self.outbox is not None else 0
         )
-        redelivered = 0
-        first_record = True
-        for record in read_wal(wal_dir, start_after=ckpt_seq):
-            if first_record and ckpt_seq == -1 and record.seq > 0:
-                raise WalError(
-                    f"log starts at sequence {record.seq} (earlier segments "
-                    "were pruned) but no checkpoint could be restored; the "
-                    "stream prefix is unrecoverable"
-                )
-            first_record = False
+        records = list(read_wal(wal_dir, start_after=ckpt_seq))
+        if records and ckpt_seq == -1 and records[0].seq > 0:
+            raise WalError(
+                f"log starts at sequence {records[0].seq} (earlier segments "
+                "were pruned) but no checkpoint could be restored; the "
+                "stream prefix is unrecoverable"
+            )
+        entries = []
+        for record in records:
             _note_client(self.client_frontiers, record.payload)
-            observation = decode_payload(record.payload)
-            if observation is None:
-                detections = self.engine.flush()
+            entries.append((record.seq, decode_payload(record.payload)))
+        # One detection call per run of records between flush markers,
+        # skipping what raises as the live batch did.
+        redelivered = 0
+        errors: list = []
+        for flushes, run in groupby(entries, key=lambda entry: entry[1] is None):
+            run = list(run)
+            if flushes:
+                for seq, _marker in run:
+                    redelivered += self._deliver(((seq, 0, self.engine.flush()),))
             else:
-                detections = self.engine.submit(observation, seq=record.seq)
-            self.replayed += 1
-            if self.outbox is not None:
-                redelivered += self.outbox.deliver_many(
-                    ((record.seq, 0, detections),)
-                )
+                redelivered += self._detect(
+                    [observation for _seq, observation in run], run[0][0], errors
+                )[1]
+        self.replayed += len(records)
         self._next_seq = max(ckpt_seq, self.wal.last_seq) + 1
         self._since_checkpoint = 0
         suppressed = (
@@ -678,6 +666,7 @@ class DurableEngine:
             checkpoint_seq=ckpt_seq,
             checkpoints_tried=tried,
             replayed_records=self.replayed,
+            skipped_records=len(errors),
             suppressed_deliveries=suppressed,
             redelivered=redelivered,
             torn_bytes_truncated=self.wal.truncated_tail_bytes,

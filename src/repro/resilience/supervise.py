@@ -38,16 +38,17 @@ import traceback as _traceback
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from ..core.detector import (
     ActivationContext,
+    DetectionBackend,
     Detection,
     Engine,
     RuleLike,
     SubmitResult,
+    submit_skipping,
 )
-from ..core.instances import Observation
 from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 
@@ -310,7 +311,7 @@ class _GuardedRule(RuleLike):
         return f"<guarded {self.inner!r}>"
 
 
-class SupervisedEngine:
+class SupervisedEngine(DetectionBackend):
     """A fault-tolerant front for :class:`~repro.core.detector.Engine`.
 
     Construct it the way you would an engine — rules plus engine keyword
@@ -456,23 +457,6 @@ class SupervisedEngine:
 
     # -- streaming -------------------------------------------------------------
 
-    def submit(
-        self, observation: Observation, seq: "Optional[int]" = None
-    ) -> list[Detection]:
-        """Process one observation; poison input is quarantined, not raised.
-
-        Detections the engine produced before the failure point are
-        still returned.  Quarantine is best-effort isolation: state the
-        observation mutated before raising stays mutated (the same
-        guarantee a crash-and-restore cycle would give).  ``seq`` is
-        forwarded to the wrapped engine (durable sequence plumbing).
-        """
-        try:
-            return self.engine.submit(observation, seq=seq)
-        except Exception as exc:
-            self._quarantine_observation(observation, exc)
-            return self.engine._take_output()
-
     def submit_many(
         self,
         observations: Iterable[Any],
@@ -480,32 +464,22 @@ class SupervisedEngine:
     ) -> SubmitResult:
         """Batch submit with per-observation isolation.
 
-        Unlike ``Engine.submit_many``, one poison observation does not
-        abort the rest of the batch.  Returns a
-        :class:`~repro.core.detector.SubmitResult` (a ``list`` of
-        detections) whose ``quarantined`` counter says how many of the
+        One call to the wrapped engine per batch; when it raises, the
+        failing observation (the last of ``exc.partial``) is quarantined,
+        what it and the batch before it detected is kept, and the rest
+        of the batch goes in the next call — one poison observation does
+        not abort the batch.  Quarantine is best-effort isolation: state
+        the observation mutated before raising stays mutated (the same
+        guarantee a crash-and-restore cycle would give).
+
+        Returns a :class:`~repro.core.detector.SubmitResult` (a ``list``
+        of detections) whose ``quarantined`` counter says how many of the
         batch were poison and ``dropped`` how many the wrapped engine's
-        out-of-order policy dropped.  With ``first_seq`` given, the batch
-        is numbered ``first_seq, first_seq + 1, ...`` as in
-        ``Engine.submit_many``.
+        out-of-order policy dropped.  ``first_seq`` numbers the batch as
+        in ``Engine.submit_many``.
         """
-        quarantined_before = self.failures.quarantined
-        dropped_before = self.engine.stats.dropped_out_of_order
-        detections: list[Detection] = []
-        seq = first_seq
-        count = 0
-        for observation in observations:
-            detections.extend(self.submit(observation, seq=seq))
-            count += 1
-            if seq is not None:
-                seq += 1
-        quarantined = self.failures.quarantined - quarantined_before
-        dropped = self.engine.stats.dropped_out_of_order - dropped_before
-        return SubmitResult(
-            detections,
-            accepted=count - dropped - quarantined,
-            dropped=dropped,
-            quarantined=quarantined,
+        return submit_skipping(
+            self.engine, observations, first_seq, self._quarantine_observation
         )
 
     def advance_to(self, time: float) -> list[Detection]:
@@ -513,15 +487,6 @@ class SupervisedEngine:
 
     def flush(self) -> list[Detection]:
         return self.engine.flush()
-
-    def run(
-        self, observations: Iterable[Any], flush: bool = True
-    ) -> Iterator[Detection]:
-        """Drive the engine over a stream, surviving poison observations."""
-        for observation in observations:
-            yield from self.submit(observation)
-        if flush:
-            yield from self.flush()
 
     # -- passthrough -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro import Engine, Observation, SubmitResult, Var, obs
 from repro.core import DetectionBackend, ShardedEngine
-from repro.core.errors import ShardError
+from repro.core.errors import ShardError, TimeOrderError
 from repro.core.expressions import TSeq
 from repro.lang import format_event
 from repro.resilience import DurableEngine, SupervisedEngine
@@ -256,3 +256,57 @@ def test_cepserver_names_the_missing_method():
 
     with pytest.raises(TypeError, match=r"NoBatch.*submit_many\(\)"):
         CepServer(NoBatch())
+
+
+#: A batch whose third reading is older than the clock, then a fourth.
+LATE_BATCH = [
+    Observation("a", "o1", 1.0),
+    Observation("b", "o1", 2.0),
+    Observation("a", "o2", 0.5),
+    Observation("z", "o1", 3.0),
+]
+
+
+def tags(result):
+    """``(index of the producing observation, rule id, time)`` per detection."""
+    starts = [0, *result.ends]
+    return [
+        (index, detection.rule.rule_id, detection.time)
+        for index, (begin, end) in enumerate(zip(starts, starts[1:]))
+        for detection in result[begin:end]
+    ]
+
+
+def test_a_raising_batch_hands_back_what_it_detected():
+    engine = Engine(rules()[:1], out_of_order="raise")
+    with pytest.raises(TimeOrderError) as caught:
+        engine.submit_many(LATE_BATCH)
+    partial = caught.value.partial
+    assert tags(partial) == [(1, "ab", 2.0)]
+    assert partial.ends == [0, 1, 1]
+    assert (partial.accepted, partial.dropped) == (2, 0)
+    # Nothing stale rides out of the next, unrelated call.
+    assert engine.submit(Observation("z", "o9", 3.0)) == []
+
+
+def test_a_raising_shard_hands_back_the_batch_so_far():
+    sharded = BACKENDS["sharded"]()
+    with pytest.raises(ShardError) as caught:
+        sharded.submit_many(LATE_BATCH)
+    assert isinstance(caught.value.original, TimeOrderError)
+    partial = caught.value.partial
+    assert sorted(tags(partial)) == [(1, "ab", 2.0), (1, "any", 2.0)]
+    assert len(partial.ends) == 3
+    assert sharded.submit(Observation("z", "o9", 3.0)) == []
+
+
+def test_supervision_quarantines_inside_one_batch():
+    supervised = BACKENDS["supervised"]()
+    result = supervised.submit_many(LATE_BATCH, first_seq=10)
+    assert tags(result) == [(1, "ab", 2.0), (1, "any", 2.0)]
+    assert len(result.ends) == len(LATE_BATCH)
+    assert (result.accepted, result.quarantined) == (3, 1)
+    assert [entry.observation for entry in supervised.quarantine.entries()] == [
+        LATE_BATCH[2]
+    ]
+    assert supervised.last_seq == 13

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro import Engine, Observation, Var, obs
-from repro.core.errors import CheckpointError, WalError
+from repro.core.errors import CheckpointError, TimeOrderError, WalError
 from repro.core.expressions import TSeq, TSeqPlus
 from repro.core.sharding import ShardedEngine
 from repro.readers import inject_duplicates, sort_stream
@@ -360,6 +360,46 @@ class TestDamagedState:
             os.unlink(os.path.join(directory, name))
         with pytest.raises(WalError, match="unrecoverable"):
             DurableEngine.recover(factory, directory)
+
+
+class TestRaisingRecords:
+    """Every logged record is detected once, live and on replay alike: a
+    record whose detection raises is skipped at its failure point and
+    the rest of its batch still runs."""
+
+    def test_late_reading_mid_batch_does_not_block_recovery(self, tmp_path):
+        directory = str(tmp_path / "d")
+        factory = lambda: Engine(pair_rules())  # noqa: E731 (RAISE policy)
+        batch = [
+            Observation("a", "o1", 1.0),
+            Observation("a", "o2", 1.5),
+            Observation("b", "o1", 2.0),
+            Observation("a", "o3", 0.5),  # older than the clock: raises
+            Observation("b", "o2", 3.0),
+        ]
+        deliveries = []
+        durable = DurableEngine(factory, directory, sink=make_sink(deliveries))
+        with pytest.raises(TimeOrderError):
+            durable.submit_many(batch, client=("c", 0))
+        live = sorted(deliveries)
+        assert live == [(2, 0, "pair"), (4, 0, "pair")]
+        assert durable.client_frontiers == {"c": 4}
+        del durable  # the kill: no close, no checkpoint
+
+        revived, report = DurableEngine.recover(
+            factory, directory, sink=make_sink(deliveries)
+        )
+        assert (report.replayed_records, report.skipped_records) == (5, 1)
+        assert report.suppressed_deliveries == 2
+        assert sorted(deliveries) == live
+        assert revived.client_frontiers == {"c": 4}
+        assert revived.engine.stats.observations == 4
+        found = revived.submit_many(
+            [Observation("a", "o4", 4.0), Observation("b", "o4", 5.0)]
+        )
+        assert [detection.time for detection in found] == [5.0]
+        assert sorted(deliveries) == live + [(6, 0, "pair")]
+        revived.close()
 
 
 class TestDurableSharded:

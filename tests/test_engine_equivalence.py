@@ -49,14 +49,19 @@ def rule_set():
     ]
 
 
-def detect(stream, **engine_kwargs):
+def watching(**engine_kwargs):
+    """An engine watching rule_set()."""
     engine = Engine(**engine_kwargs)
     for index, event in enumerate(rule_set()):
         engine.watch(event, name=f"rule-{index}")
+    return engine
+
+
+def detect(stream, **engine_kwargs):
     return [
         (detection.rule.rule_id, round(detection.time, 6),
          round(detection.instance.t_begin, 6))
-        for detection in engine.run(stream)
+        for detection in watching(**engine_kwargs).run(stream)
     ]
 
 
@@ -95,24 +100,41 @@ def test_chronicle_detections_subset_of_unrestricted(stream):
     assert pairs("chronicle") <= pairs("unrestricted")
 
 
-@given(streams())
+@given(streams(), st.data())
 @settings(max_examples=75, deadline=None)
-def test_submit_batching_is_irrelevant(stream):
-    """Detections are identical whether results are drained per-submit
-    or all at once through run()."""
-    engine_a = Engine()
-    engine_a.watch(rule_set()[0])
-    collected = []
-    for observation in stream:
-        collected.extend(engine_a.submit(observation))
-    collected.extend(engine_a.flush())
+def test_submit_batching_is_irrelevant(stream, data):
+    """A ``submit`` loop and ``submit_many`` over any cut of the stream
+    into batches return the same detections in the same order, and a
+    batch's ``ends`` tag each detection with the observation the loop
+    returned it from."""
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)))))
+    key = lambda index, d: (  # noqa: E731
+        index, d.rule.rule_id, d.time, d.instance.t_begin, d.instance.t_end
+    )
 
-    engine_b = Engine()
-    engine_b.watch(rule_set()[0])
-    streamed = list(engine_b.run(stream))
+    looped_engine = watching()
+    looped = [
+        key(index, detection)
+        for index, observation in enumerate(stream)
+        for detection in looped_engine.submit(observation)
+    ]
 
-    key = lambda d: (d.time, d.instance.t_begin, d.instance.t_end)  # noqa: E731
-    assert [key(d) for d in collected] == [key(d) for d in streamed]
+    batched_engine = watching()
+    batched = []
+    bounds = [0, *cuts, len(stream)]
+    for start, stop in zip(bounds, bounds[1:]):
+        result = batched_engine.submit_many(stream[start:stop])
+        assert len(result.ends) == stop - start
+        begin = 0
+        for index, end in enumerate(result.ends, start):
+            batched.extend(key(index, detection) for detection in result[begin:end])
+            begin = end
+        assert begin == len(result)
+
+    assert batched == looped
+    assert [key(0, d) for d in batched_engine.flush()] == [
+        key(0, d) for d in looped_engine.flush()
+    ]
 
 
 # -- the compiled plan's lifecycle ----------------------------------------------

@@ -8,6 +8,7 @@ from repro import Engine, Observation, Var, Within, obs
 from repro.core.expressions import Seq, TSeq, TSeqPlus
 from repro.core.sharding import CATCH_ALL, ShardedEngine, rule_reader_literals
 from repro.rules import Rule
+from repro.store import RfidStore
 
 
 def containment(rule_id, item_reader, case_reader):
@@ -138,6 +139,59 @@ class TestEquivalence:
             for d in sharded.run(stream)
         )
         assert sharded_detections == single_detections
+
+
+def store_rules():
+    """A SQL-writing rule pinned to reader ``w`` and a wildcard rule whose
+    condition reads the table it writes: two shards over one store."""
+    return [
+        Rule(
+            "mark", "mark", obs("w", Var("o"), t=Var("t")),
+            actions=["INSERT INTO ALERT VALUES ('mark', o, t)"],
+        ),
+        Rule(
+            "seen", "seen", obs(Var("r"), Var("o")),
+            condition="SELECT * FROM ALERT WHERE message = o",
+        ),
+    ]
+
+
+@st.composite
+def store_batches(draw):
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("w", "y", "z")),
+                st.sampled_from(("o1", "o2", "o3")),
+                st.integers(0, 4),
+            ),
+            max_size=25,
+        )
+    )
+    batch = []
+    time = 0.0
+    for reader, obj, gap in entries:
+        time += gap * 0.5
+        batch.append(Observation(reader, obj, time))
+    return batch
+
+
+class TestSharedStore:
+    @given(store_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_steps_shards_per_observation(self, batch):
+        """A per-shard sub-batch would let ``mark``'s inserts run ahead of
+        ``seen``'s reads of earlier observations in the same batch."""
+        sharded = ShardedEngine(store_rules(), store=RfidStore(), max_shards=2)
+        assert set(sharded.shards) == {"shard-0", CATCH_ALL}
+        single = Engine(store_rules(), store=RfidStore())
+
+        def canon(result):
+            return [
+                (d.rule.rule_id, d.time, d.instance.bindings["o"]) for d in result
+            ]
+
+        assert canon(sharded.submit_many(batch)) == canon(single.submit_many(batch))
 
 
 class TestShardErrors:
