@@ -631,8 +631,9 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     """Self-contained crash drill: log, kill, recover, verify equality.
 
     Simulates a packing scenario, runs the containment/location rules
-    durably to completion for a baseline, then repeats the run but kills
-    the engine (optionally tearing the WAL tail) and recovers.  Exits 0
+    durably to completion for a baseline, then repeats the run through
+    :func:`~repro.resilience.chaos.kill_and_restore_run`, killing the
+    engine (optionally tearing the WAL tail) and recovering.  Exits 0
     only when the interrupted run's detections *and* sink deliveries
     match the baseline exactly — the durability contract, end to end.
     """
@@ -640,7 +641,7 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     import tempfile
 
     from .apps import containment_rule, location_rule
-    from .resilience import tear_wal_tail
+    from .resilience import kill_and_restore_run, tear_wal_tail
     from .resilience.durability import DurableEngine
     from .resilience.durability.engine import WAL_SUBDIR
     from .scenarios.pack import canon_detections as canon
@@ -658,67 +659,50 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     def build():
         return _build_engine([containment_rule(), location_rule()])
 
-    def run_one(directory, kill):
-        deliveries: list = []
-        sink = lambda det, seq, ordinal: deliveries.append(  # noqa: E731
+    deliveries: list = []
+    options = dict(
+        fsync=arguments.fsync,
+        checkpoint_every=arguments.checkpoint_every,
+        sink=lambda det, seq, ordinal: deliveries.append(
             (seq, ordinal, det.rule.rule_id, det.time)
-        )
-        options = dict(
-            fsync=arguments.fsync,
-            checkpoint_every=arguments.checkpoint_every,
-            sink=sink,
-            segment_max_bytes=arguments.segment_bytes,
-        )
-        durable = DurableEngine(build, directory, **options)
-        # Detections are keyed by sequence number: a torn tail rolls
-        # next_seq back below the kill point, and the lost observations
-        # are re-submitted under their original numbers — replay then
-        # overwrites those keys with identical output instead of
-        # double-counting it.
-        per_seq: dict[int, list] = {}
-        for observation in observations[:kill]:
-            seq = durable.next_seq
-            per_seq[seq] = canon(durable.submit(observation))
-        if kill < len(observations):  # the crash: drop without close
-            del durable
-            if arguments.tear_tail:
-                import os
+        ),
+        segment_max_bytes=arguments.segment_bytes,
+    )
+    workdir = tempfile.mkdtemp(prefix="rceda-wal-drill-")
+    drill_dir = f"{workdir}/drill"
 
-                tear_wal_tail(
-                    os.path.join(directory, WAL_SUBDIR), seed=arguments.seed
-                )
-            durable, report = DurableEngine.recover(build, directory, **options)
+    def recover():
+        if arguments.tear_tail:
+            tear_wal_tail(f"{drill_dir}/{WAL_SUBDIR}", seed=arguments.seed)
+        revived, report = DurableEngine.recover(build, drill_dir, **options)
+        if kill_at < len(observations):  # an end-of-stream kill prints no report
             print(
                 f"recovered: checkpoint seq {report.checkpoint_seq}, "
                 f"{report.replayed_records} replayed, "
                 f"{report.suppressed_deliveries} suppressed, "
                 f"{report.torn_bytes_truncated} torn bytes truncated"
             )
-            for observation in observations[report.next_seq :]:
-                seq = durable.next_seq
-                per_seq[seq] = canon(durable.submit(observation))
-        final_seq = durable.next_seq
-        per_seq[final_seq] = canon(durable.flush())
-        durable.close()
-        detections = [item for seq in sorted(per_seq) for item in per_seq[seq]]
-        return detections, deliveries
+        return revived
 
-    workdir = tempfile.mkdtemp(prefix="rceda-wal-drill-")
     try:
-        baseline_dir = f"{workdir}/baseline"
-        drill_dir = f"{workdir}/drill"
-        expected_detections, expected_deliveries = run_one(
-            baseline_dir, len(observations)
-        )
+        with DurableEngine(build, f"{workdir}/baseline", **options) as durable:
+            expected = canon(list(durable.run(observations)))
+        expected_deliveries = sorted(deliveries)
         print(
             f"baseline: {len(observations)} observations, "
-            f"{len(expected_detections)} detections, "
-            f"{len(expected_deliveries)} deliveries"
+            f"{len(expected)} detections, {len(expected_deliveries)} deliveries"
         )
-        got_detections, got_deliveries = run_one(drill_dir, kill_at)
+        deliveries.clear()
+        detections, revived = kill_and_restore_run(
+            lambda: DurableEngine(build, drill_dir, **options),
+            observations,
+            kill_at,
+            recover=recover,
+        )
+        revived.close()
         ok = (
-            got_detections == expected_detections
-            and sorted(got_deliveries) == sorted(expected_deliveries)
+            canon(detections) == expected
+            and sorted(deliveries) == expected_deliveries
         )
     finally:
         if arguments.keep:

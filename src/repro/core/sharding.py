@@ -47,20 +47,25 @@ from .instances import Observation
 CATCH_ALL = "__catch_all__"
 
 
-def rule_reader_literals(rule: RuleLike) -> Optional[set[str]]:
+def rule_reader_literals(
+    rule: RuleLike, group_members: Optional[Mapping[str, set]] = None
+) -> Optional[set[str]]:
     """The reader literals a rule's event touches; None if any wildcard.
 
     Group-filtered primitives count as wildcards unless the group's
-    members are supplied to :class:`ShardedEngine` via ``group_members``.
+    members are supplied via ``group_members``.
     """
+    members = group_members or {}
     readers: set[str] = set()
     for node in rule.event.walk():
         if not isinstance(node, ObservationType):
             continue
         if isinstance(node.reader, str):
             readers.add(node.reader)
+        elif node.group is not None and node.group in members:
+            readers.update(members[node.group])
         else:
-            return None  # variable/wildcard/group reader
+            return None  # variable/wildcard/unresolved group reader
     return readers
 
 
@@ -137,25 +142,10 @@ def plan_shards(
     """
     if max_shards < 1:
         raise ValueError("need at least one shard")
-    members = group_members or {}
-
-    def rule_readers(rule: RuleLike) -> Optional[set]:
-        readers: set = set()
-        for node in rule.event.walk():
-            if not isinstance(node, ObservationType):
-                continue
-            if isinstance(node.reader, str):
-                readers.add(node.reader)
-            elif node.group is not None and node.group in members:
-                readers.update(members[node.group])
-            else:
-                return None
-        return readers
-
     placeable: list[tuple[RuleLike, set]] = []
     catch_all: list[RuleLike] = []
     for rule in rules:
-        readers = rule_readers(rule)
+        readers = rule_reader_literals(rule, group_members)
         if readers is None or not readers:
             catch_all.append(rule)
         else:

@@ -329,7 +329,6 @@ def kill_and_restore_run(
     kill_at: int,
     *,
     flush: bool = True,
-    via_json: bool = True,
     recover: "Callable[[], Any] | None" = None,
 ) -> tuple[list, Any]:
     """Run an engine, kill it after ``kill_at`` observations, restore, finish.
@@ -337,10 +336,9 @@ def kill_and_restore_run(
     ``factory`` builds the engine (any
     :class:`~repro.core.detector.DetectionBackend`).  The first
     engine processes ``observations[:kill_at]`` and is checkpointed and
-    discarded — with ``via_json`` (default) the snapshot additionally
-    round-trips through ``json.dumps``/``loads``, proving it survives
-    serialization to disk.  A second engine from the same factory
-    restores the snapshot and processes the rest.
+    discarded; the snapshot round-trips through ``json.dumps``/``loads``,
+    proving it survives serialization to disk.  A second engine from the
+    same factory restores the snapshot and processes the rest.
 
     With ``recover`` given, the harness drives *durable* recovery
     instead: the first engine is dropped **without** being checkpointed
@@ -348,7 +346,9 @@ def kill_and_restore_run(
     graceful shutdown) and ``recover()`` must hand back the revived
     engine, typically a closure over
     :meth:`~repro.resilience.durability.engine.DurableEngine.recover`.
-    ``via_json`` is meaningless in that mode and ignored.
+    The second life resumes at the revived engine's ``next_seq``, not at
+    ``kill_at``: readings a torn WAL tail lost are submitted again, and
+    the first life's output for them is dropped, so each counts once.
 
     Returns ``(detections, revived_engine)`` where ``detections`` is the
     concatenated output of both engine lives — which recovery tests
@@ -360,22 +360,20 @@ def kill_and_restore_run(
             f"kill_at {kill_at} outside the stream (0..{len(sequence)})"
         )
     first = factory()
-    detections: list = []
-    for observation in sequence[:kill_at]:
-        detections.extend(first.submit(observation))
+    outputs = [first.submit(observation) for observation in sequence[:kill_at]]
     if recover is None:
-        snapshot = first.checkpoint()
-        if via_json:
-            snapshot = json.loads(json.dumps(snapshot))
+        snapshot = json.loads(json.dumps(first.checkpoint()))
         # the "kill": nothing of the first life survives but the snapshot
         del first
         revived = factory()
         revived.restore(snapshot)
+        resume = kill_at
     else:
         del first  # the "kill": only the durable directory survives
         revived = recover()
-    for observation in sequence[kill_at:]:
-        detections.extend(revived.submit(observation))
+        resume = revived.next_seq
+        del outputs[resume:]
+    outputs += [revived.submit(observation) for observation in sequence[resume:]]
     if flush:
-        detections.extend(revived.flush())
-    return detections, revived
+        outputs.append(revived.flush())
+    return [detection for output in outputs for detection in output], revived

@@ -26,8 +26,11 @@ What a snapshot covers:
 What it deliberately does **not** cover: the compiled rule graph (rules
 hold arbitrary callables; the restoring process re-creates the engine
 from the same rule definitions, validated by a structural fingerprint)
-and the RFID store (a database is durable on its own; recovery re-attaches
-to it).
+and the RFID store.  :mod:`repro.store` lives in memory and nothing
+persists it: after a durable recovery in a new process the store holds
+only the rows the replayed WAL tail wrote, so a condition that reads
+older rows answers wrongly (``durable.spurious_on_recover`` on the
+``serve-durable`` benchmark; ROADMAP item 1).
 
 Checkpoint a snapshot with :meth:`repro.Engine.checkpoint`, restore with
 :meth:`repro.Engine.restore`; :func:`save_checkpoint` /

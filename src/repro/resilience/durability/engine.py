@@ -303,7 +303,6 @@ class DurableEngine:
         segment_max_bytes: int = 1 << 20,
         sink: Optional[Callable[[Any, int, int], None]] = None,
         retry: Optional[RetryPolicy] = None,
-        dead_letter_capacity: int = 1000,
         confidence: str = "immediate",
         provisional_timeout: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -341,7 +340,6 @@ class DurableEngine:
                 directory,
                 sink,
                 retry=retry,
-                dead_letter_capacity=dead_letter_capacity,
                 fsync=FsyncPolicy.parse(fsync).mode == "always",
                 confidence=confidence,
                 provisional_timeout=provisional_timeout,

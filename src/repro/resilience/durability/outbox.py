@@ -186,7 +186,6 @@ class ActionOutbox:
         sink: Callable[[object, int, int], None],
         *,
         retry: Optional[RetryPolicy] = None,
-        dead_letter_capacity: int = 1000,
         fsync: bool = False,
         confidence: str = "immediate",
         provisional_timeout: Optional[float] = None,
@@ -203,7 +202,7 @@ class ActionOutbox:
         self.path = os.path.join(directory, JOURNAL_NAME)
         self.sink = sink
         self.retry = retry if retry is not None else RetryPolicy()
-        self.dead_letters = DeadLetterQueue(dead_letter_capacity)
+        self.dead_letters = DeadLetterQueue()
         self.fsync = fsync
         self.confidence = confidence
         self.provisional_timeout = provisional_timeout

@@ -343,7 +343,6 @@ class SupervisedEngine(DetectionBackend):
         retry: Optional[RetryPolicy] = None,
         breaker_threshold: int = 5,
         breaker_cooldown: Optional[float] = None,
-        dead_letter_capacity: int = 1000,
         metrics: Optional[MetricsRegistry] = None,
         metrics_label: str = "main",
         **engine_kwargs: Any,
@@ -352,8 +351,8 @@ class SupervisedEngine(DetectionBackend):
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown = breaker_cooldown
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.quarantine = DeadLetterQueue(dead_letter_capacity)
-        self.action_dead_letters = DeadLetterQueue(dead_letter_capacity)
+        self.quarantine = DeadLetterQueue()
+        self.action_dead_letters = DeadLetterQueue()
         self.failures = ResilienceStats()
         self._instr: Optional[Instruments] = (
             Instruments(metrics, "resilience", metrics_label, self)

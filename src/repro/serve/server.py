@@ -95,6 +95,9 @@ from .protocol import (
 
 __all__ = ["CepServer", "ServeConfig", "SlowConsumerPolicy", "ServeError"]
 
+#: Transport read size, in bytes.
+_READ_CHUNK = 64 * 1024
+
 
 class ServeError(ReproError):
     """The serving layer was misused or hit an unrecoverable state."""
@@ -136,8 +139,6 @@ class ServeConfig:
     push_queue: int = 256
     #: Overflow policy for the push buffer.
     push_policy: "str | SlowConsumerPolicy" = SlowConsumerPolicy.DROP
-    #: Transport read chunk size.
-    read_chunk: int = 64 * 1024
     #: Bound on retained per-client ack records; past it, records with no
     #: live session are evicted least-recently-connected first (0 = no
     #: bound).  With a durable backend eviction loses nothing — the
@@ -562,7 +563,7 @@ class CepServer:
         greeted = False
         try:
             while session.alive:
-                data = await reader.read(self.config.read_chunk)
+                data = await reader.read(_READ_CHUNK)
                 if not data:
                     return
                 session.last_activity = loop.time()

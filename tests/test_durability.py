@@ -146,6 +146,44 @@ class TestCrashMatrix:
             assert canon(detections) == expected, f"kill_at={kill_at}"
             assert sorted(deliveries) == expected_deliveries, f"kill_at={kill_at}"
 
+    def test_torn_tail_kill_resumes_at_the_recovered_frontier(self, tmp_path):
+        """Kill at every index, tear the WAL's final record, recover:
+        the harness resumes at the revived engine's ``next_seq``, so the
+        torn reading is submitted again and counted once.  At kill 4 the
+        torn record is ``a o3``, whose pair ``b o3`` arrives later —
+        skipping it would lose that detection."""
+        import os
+
+        stream = pair_stream()
+        factory = lambda: Engine(pair_rules())  # noqa: E731
+        expected, expected_deliveries = baseline_run(
+            factory, stream, str(tmp_path / "base")
+        )
+        for kill_at in range(1, len(stream) + 1):
+            directory = str(tmp_path / f"kill{kill_at}")
+            deliveries = []
+            sink = make_sink(deliveries)
+
+            def recover():
+                tear_wal_tail(os.path.join(directory, "wal"), seed=kill_at)
+                revived, report = DurableEngine.recover(
+                    factory, directory, sink=sink, checkpoint_every=3
+                )
+                assert report.torn_bytes_truncated > 0
+                return revived
+
+            detections, revived = kill_and_restore_run(
+                lambda: DurableEngine(
+                    factory, directory, sink=sink, checkpoint_every=3
+                ),
+                stream,
+                kill_at,
+                recover=recover,
+            )
+            revived.close()
+            assert canon(detections) == expected, f"kill_at={kill_at}"
+            assert sorted(deliveries) == expected_deliveries, f"kill_at={kill_at}"
+
     @pytest.mark.parametrize("batch", [None, 3], ids=["submit", "submit_many-3"])
     def test_failpoint_kill_at_every_stage_and_seq(self, tmp_path, batch):
         """Crash *inside* the protocol — after append, after detect,

@@ -163,6 +163,70 @@ class TestCli:
         assert main([*chaos, "--kill-at", "20"]) == 0
         assert "killed after 20 readings" in capsys.readouterr().out
 
+    WAL_DRILL_BASELINE = "baseline: 48 observations, 56 detections, 56 deliveries"
+
+    @pytest.mark.parametrize(
+        "flags, code, lines",
+        [
+            (
+                ["--kill-at", "mid"],
+                0,
+                [
+                    WAL_DRILL_BASELINE,
+                    "recovered: checkpoint seq -1, 24 replayed, 26 suppressed, "
+                    "0 torn bytes truncated",
+                    "drill PASSED: kill at 24/48 — detections and deliveries "
+                    "identical to the uninterrupted run",
+                ],
+            ),
+            (
+                ["--kill-at", "mid", "--fsync", "batch:8", "--tear-tail"],
+                0,
+                [
+                    WAL_DRILL_BASELINE,
+                    "recovered: checkpoint seq -1, 23 replayed, 25 suppressed, "
+                    "42 torn bytes truncated",
+                    "drill PASSED: kill at 24/48 — detections and deliveries "
+                    "identical to the uninterrupted run",
+                ],
+            ),
+            (
+                ["--kill-at", "0"],
+                0,
+                [
+                    WAL_DRILL_BASELINE,
+                    "recovered: checkpoint seq -1, 0 replayed, 0 suppressed, "
+                    "0 torn bytes truncated",
+                    "drill PASSED: kill at 0/48 — detections and deliveries "
+                    "identical to the uninterrupted run",
+                ],
+            ),
+            (
+                ["--kill-at", "48"],
+                0,
+                [
+                    WAL_DRILL_BASELINE,
+                    "drill PASSED: kill at 48/48 — detections and deliveries "
+                    "identical to the uninterrupted run",
+                ],
+            ),
+            (["--kill-at", "49"], 2, ["--kill-at 49 outside stream (0..48)"]),
+        ],
+        ids=["mid", "mid-batch-fsync-torn", "zero", "stream-end", "out-of-range"],
+    )
+    def test_wal_drill_output(
+        self, tmp_path, monkeypatch, capsys, flags, code, lines
+    ):
+        """``wal drill`` on its default 48-reading packing stream: the
+        exit code and every printed line, pinned."""
+        import tempfile
+
+        from repro.__main__ import main
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["wal", "drill", *flags]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_demo_command(self, capsys):
         from repro.__main__ import main
 
