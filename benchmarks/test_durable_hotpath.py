@@ -22,7 +22,15 @@ two journal writes per record the returns-fraud count was 38.5 (the bare
 engine's is 21.2), and the cluster worker's program — ``file_sink`` and
 a checkpoint every 500 observations — cost 35.7; one batch commit took
 them to 26.9 and 22.75, and one detection call per batch to 23.9 and
-19.7.
+19.7.  Packing each batch into one columnar WAL batch record, instead
+of one JSON record per observation, took them to 22.9 and 18.8.
+
+The third guard counts what the WAL itself costs per observation on
+the same returns-fraud run: bytes logged (the interned columns are
+about 35 B per reading, where one JSON record per reading was 113 B on
+the served path) and C-level calls made from ``wal.py`` (``c_call``
+events whose caller is in that file; 15.0 per observation when each
+reading was its own templated record, and a handful per batch now).
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import pytest
 from repro import Engine, FunctionRegistry
 from repro.lang import parse_rules
 from repro.resilience.durability import DurableEngine
+from repro.resilience.durability import wal as wal_module
 from repro.scenarios import get_pack
 from repro.serve.cluster import file_sink
 from repro.store import RfidStore
@@ -169,7 +178,7 @@ def durable_calls_per_observation(build, directory, size) -> float:
 
 @pytest.mark.parametrize(
     "build, sizes, ceiling",
-    [(_returns_fraud, (4000, 8000), 24.5), (_cluster_worker, (4000,), 21.0)],
+    [(_returns_fraud, (4000, 8000), 23.5), (_cluster_worker, (4000,), 19.5)],
     ids=["returns-fraud", "cluster-worker"],
 )
 def test_durable_calls_per_observation_are_bounded(
@@ -185,3 +194,45 @@ def test_durable_calls_per_observation_are_bounded(
     # Flat where nothing grows with the stream; a checkpoint's size does.
     assert max(counts) - min(counts) <= 0.1
     assert counts[0] <= ceiling
+
+
+def wal_cost_per_observation(directory, size) -> tuple[float, float]:
+    """(WAL bytes, C calls made from ``wal.py``) per observation through
+    ``DurableEngine.submit_many`` on returns-fraud, served batch size."""
+    durable, observations = _returns_fraud(directory, size)
+    wal_file = wal_module.__file__
+    with durable:
+        durable.submit(observations[0])  # builds the engine's plan
+        rest = observations[1:]
+        before = durable.wal.bytes_written
+        c_calls = 0
+
+        def count(frame, event, arg):
+            nonlocal c_calls
+            if event == "c_call" and frame.f_code.co_filename == wal_file:
+                c_calls += 1
+
+        sys.setprofile(count)
+        try:
+            for start in range(0, len(rest), BATCH_SERVED):
+                durable.submit_many(
+                    rest[start : start + BATCH_SERVED], client=("guard", start)
+                )
+        finally:
+            sys.setprofile(None)
+        written = durable.wal.bytes_written - before
+    return written / len(rest), c_calls / len(rest)
+
+
+def test_wal_bytes_and_c_calls_per_observation_are_bounded(tmp_path):
+    costs = [
+        wal_cost_per_observation(str(tmp_path / str(size)), size)
+        for size in (4000, 8000)
+    ]
+    print("\nWAL per observation: " + ", ".join(
+        f"{b:.2f} B and {c:.3f} C calls at {size}"
+        for (b, c), size in zip(costs, (4000, 8000))
+    ))
+    for bytes_per, c_calls_per in costs:
+        assert bytes_per <= 40
+        assert c_calls_per <= 1

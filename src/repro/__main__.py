@@ -564,7 +564,15 @@ def _cmd_wal_inspect(arguments: argparse.Namespace) -> int:
     """Describe a durable directory: segments, checkpoints, outbox."""
     import os
 
-    from .resilience.durability import checkpoint_files, read_journal, scan_wal
+    from .core.errors import WalError
+    from .core.instances import Observation
+    from .resilience.durability import (
+        checkpoint_files,
+        decode_record,
+        read_journal,
+        read_wal,
+        scan_wal,
+    )
     from .resilience.durability.engine import WAL_SUBDIR
     from .resilience.durability.outbox import JOURNAL_NAME
 
@@ -582,6 +590,21 @@ def _cmd_wal_inspect(arguments: argparse.Namespace) -> int:
         if info.torn_bytes:
             line += f" (+{info.torn_bytes} torn tail bytes)"
         print(line)
+    readings = poison = markers = 0
+    try:
+        for record in read_wal(wal_dir):
+            observation, _client = decode_record(record)
+            if observation is None:
+                markers += 1
+            else:
+                readings += 1
+                poison += not isinstance(observation, Observation)
+        print(
+            f"logged: {readings} readings ({poison} poison), "
+            f"{markers} flush markers"
+        )
+    except WalError as exc:
+        print(f"logged: unreadable ({exc})")
     checkpoints = checkpoint_files(directory)
     print(f"checkpoints: {len(checkpoints)}")
     for name in checkpoints:
@@ -619,6 +642,7 @@ def _cmd_wal_recover(arguments: argparse.Namespace) -> int:
     print(f"  checkpoint seq:        {report.checkpoint_seq}")
     print(f"  checkpoints tried:     {report.checkpoints_tried}")
     print(f"  records replayed:      {report.replayed_records}")
+    print(f"  records skipped:       {report.skipped_records}")
     print(f"  deliveries suppressed: {report.suppressed_deliveries}")
     print(f"  deliveries re-run:     {report.redelivered}")
     print(f"  torn bytes truncated:  {report.torn_bytes_truncated}")
@@ -654,6 +678,12 @@ def _cmd_wal_drill(arguments: argparse.Namespace) -> int:
     )
     if not 0 <= kill_at <= len(observations):
         print(f"--kill-at {kill_at} outside stream (0..{len(observations)})")
+        return 2
+    if arguments.tear_tail and kill_at == 0:
+        print(
+            "--tear-tail needs a logged reading to tear: use --kill-at "
+            f"1..{len(observations)}"
+        )
         return 2
 
     def build():

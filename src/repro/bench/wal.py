@@ -10,8 +10,8 @@ raises if they diverge.
 
 Beside the policy table it prints what *producing* one durable record
 costs with fsync out of the picture (:func:`run_record_costs`): µs per
-WAL record appended and µs per outbox delivery, the two per-event
-prices of ``docs/resilience.md``.
+reading logged (batch records of 256) and µs per outbox delivery, the
+two per-event prices of ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..resilience.durability import (
     FsyncPolicy,
     encode_observation,
 )
-from ..resilience.durability.wal import encode_observations
+from ..resilience.durability.wal import encode_batch
 from ..rules import Rule
 from .harness import run_detection
 from .workloads import build_events_axis_workload
@@ -153,7 +153,7 @@ def run_record_costs(full_scale: bool = False) -> RecordCosts:
 
     The workload's observations are encoded and appended through a
     :class:`DurableEngine`'s own WAL ``APPEND_BATCH`` records at a time,
-    as ``submit_many`` does it (one template pass, one
+    as ``submit_many`` does it (one batch record per batch, one
     ``append_encoded``), then the detections a bare engine finds are
     delivered through its outbox to a no-op sink, one ``deliver_many``
     per batch — no detection, no checkpoint, no fsync inside either
@@ -187,7 +187,7 @@ def run_record_costs(full_scale: bool = False) -> RecordCosts:
             append = durable.wal.append_encoded
             started = time.perf_counter()
             for start in range(0, len(observations), APPEND_BATCH):
-                append(encode_observations(
+                append(encode_batch(
                     start, observations[start : start + APPEND_BATCH],
                     encode_observation,
                 ))
@@ -214,7 +214,7 @@ def record_costs_line(costs: RecordCosts) -> str:
     """The one line ``python -m repro.bench wal`` prints under its table."""
     return (
         f"per record, fsync never: WAL append {costs.append_us:.2f} µs "
-        f"({costs.appends:,} records, {APPEND_BATCH} per batch) | "
+        f"({costs.appends:,} readings, {APPEND_BATCH} per batch record) | "
         f"outbox delivery {costs.delivery_us:.2f} µs "
         f"({costs.deliveries:,} deliveries, no-op sink)"
     )

@@ -24,6 +24,7 @@ from .engine import (
     checkpoint_files,
     checkpoint_seq,
     decode_payload,
+    decode_record,
     encode_observation,
 )
 from .outbox import ActionOutbox, OutboxEntry, read_journal
@@ -50,6 +51,7 @@ __all__ = [
     "checkpoint_files",
     "checkpoint_seq",
     "decode_payload",
+    "decode_record",
     "encode_observation",
     "read_journal",
     "read_wal",

@@ -13,9 +13,11 @@ cooperating pieces of storage under one directory::
 
 The protocol per batch is *log, then detect, then deliver*:
 
-1. each observation is appended to the WAL under a fresh sequence
-   number, the batch in one write (durable per the
-   :class:`~repro.resilience.durability.wal.FsyncPolicy`);
+1. the batch is appended to the WAL in one write (durable per the
+   :class:`~repro.resilience.durability.wal.FsyncPolicy`): packed into
+   ``BBATCH``'s columnar body as one *batch record* under one CRC when
+   the codec carries it, else one JSON record per observation; either
+   way each observation owns a fresh sequence number;
 2. the engine processes the batch in one ``submit_many(batch,
    first_seq)`` call, so the engine's own checkpoints know how far the
    log has been consumed and the result's ``ends`` tag each detection
@@ -63,8 +65,9 @@ from ..supervise import RetryPolicy
 from .outbox import JOURNAL_NAME, ActionOutbox
 from .wal import (
     FsyncPolicy,
+    WalRecord,
     WalWriter,
-    encode_observations,
+    encode_batch,
     read_wal,
     segment_files,
 )
@@ -74,6 +77,7 @@ __all__ = [
     "RecoveryReport",
     "checkpoint_files",
     "checkpoint_seq",
+    "decode_record",
 ]
 
 CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{16})\.json$")
@@ -132,9 +136,8 @@ def _frontier_name(seq: int) -> str:
     return f"clients-{seq:016d}.json"
 
 
-def _note_client(frontiers: dict, payload: dict) -> None:
-    """Fold one WAL payload's client provenance into a frontier map."""
-    client = payload.get(CLIENT_KEY)
+def _note_client(frontiers: dict, client: Optional[tuple]) -> None:
+    """Fold one ``(client_id, client_seq)`` provenance into a frontier map."""
     if client:
         client_id, client_seq = client
         if frontiers.get(client_id, -1) < client_seq:
@@ -187,6 +190,21 @@ def decode_payload(payload: dict) -> Optional[Any]:
     if kind == "f":
         return None
     raise WalError(f"unknown WAL payload kind {kind!r}")
+
+
+def decode_record(record: WalRecord) -> tuple[Optional[Any], Optional[tuple]]:
+    """What one :func:`~repro.resilience.durability.wal.read_wal` entry
+    logged: ``(observation, client)``.
+
+    ``observation`` is ``None`` for a flush marker; ``client`` is the
+    ``(client_id, client_seq)`` provenance, or ``None``.  A reading of a
+    batch record arrives decoded; a per-record JSON record is decoded
+    here (:func:`decode_payload`).
+    """
+    if record.payload is None:
+        return record.observation, record.client
+    client = record.payload.get(CLIENT_KEY)
+    return decode_payload(record.payload), (tuple(client) if client else None)
 
 
 # -- checkpoint directory helpers ----------------------------------------------
@@ -403,12 +421,13 @@ class DurableEngine:
         """Commit a whole batch: one WAL pass, one detection call, one
         delivery loop.
 
-        Every observation's WAL record — including its per-observation
-        ``(client_id, client_seq)`` provenance — is byte-for-byte one
-        record per observation, encoded in one template pass
-        (:func:`~repro.resilience.durability.wal.encode_observations`)
-        and committed with one ``append_encoded`` (one write + one fsync
-        under ``FsyncPolicy.ALWAYS``).  ``client`` is ``(client_id,
+        The batch and its per-observation ``(client_id, client_seq)``
+        provenance are packed into one WAL batch record — ``BBATCH``'s
+        columnar body under one CRC — or, for a batch the columns
+        cannot carry exactly, one JSON record per observation
+        (:func:`~repro.resilience.durability.wal.encode_batch`), and
+        committed with one write (one fsync under
+        ``FsyncPolicy.ALWAYS``).  ``client`` is ``(client_id,
         first_seq)`` or ``(client_id, per-observation seqs)`` — see
         :func:`_resolve_client_seqs`.  One ``submit_many(batch,
         first_seq)`` call to the wrapped backend detects the batch, its
@@ -433,7 +452,7 @@ class DurableEngine:
             client_id, client_seqs = _resolve_client_seqs(client, count)
         first_seq = self._next_seq
         self.wal.append_encoded(
-            encode_observations(
+            encode_batch(
                 first_seq, observations, encode_observation,
                 client_id, client_seqs,
             )
@@ -469,8 +488,7 @@ class DurableEngine:
         if client is not None:
             marker[CLIENT_KEY] = list(client)
         self.wal.append(seq, marker)
-        if client is not None:
-            _note_client(self.client_frontiers, marker)
+        _note_client(self.client_frontiers, client)
         self._next_seq = seq + 1
         self._fire("append", seq)
         detections = self.engine.flush()
@@ -637,8 +655,9 @@ class DurableEngine:
             )
         entries = []
         for record in records:
-            _note_client(self.client_frontiers, record.payload)
-            entries.append((record.seq, decode_payload(record.payload)))
+            observation, client = decode_record(record)
+            _note_client(self.client_frontiers, client)
+            entries.append((record.seq, observation))
         # One detection call per run of records between flush markers,
         # skipping what raises as the live batch did.
         redelivered = 0

@@ -14,14 +14,36 @@ The log is a directory of *segments* named ``wal-<first_seq>.seg``.  A
 segment is a flat sequence of records; each record is::
 
     +----------------+----------------+----------------+---------------+
-    | length (4B LE) | crc32   (4B LE)| sequence (8B LE)| payload bytes |
+    | length (4B LE) | crc32   (4B LE)| sequence (8B LE)| body bytes    |
     +----------------+----------------+----------------+---------------+
 
-``length`` counts the payload bytes only; ``crc32`` covers the sequence
-number *and* the payload, so a record whose header and body were written
-by two different engine lives can never validate.  Payloads are compact
-JSON objects (the durable layer stores encoded observations and flush
-markers in them); the WAL itself treats them as opaque dicts.
+``length`` counts the body bytes only; ``crc32`` covers the sequence
+number *and* the body, so a record whose header and body were written
+by two different engine lives can never validate.  The body's first
+byte is its kind tag, and one reader reads both kinds:
+
+* ``B`` — a **batch record**: the readings of one submitted batch,
+  numbered ``sequence, sequence + 1, ...``, under one header and one
+  CRC.  Its body is the ``BBATCH`` wire body of
+  :mod:`repro.serve.protocol`, with a small head of its own::
+
+      <BBI                 tag, flags, reading count
+      <H + utf-8           client id                  (flags & 1)
+      BBATCH body          interned columns; its first-seq field is
+                           the first client seq
+      <{count}q            client seq per reading     (flags & 2: a
+                           relay's sub-batch, whose seqs have gaps)
+
+* ``{`` — a **per-record JSON record** (one seq): compact JSON of a
+  payload dict.  The durable layer writes flush markers and the odd
+  readings the columns cannot carry exactly (poison, extras,
+  non-``float`` or non-finite timestamps, non-``str`` ids) this way;
+  the WAL itself treats these payloads as opaque dicts.  Logs written
+  before batch records existed hold only this kind, and read unchanged.
+
+Sequence numbers stay per reading: :func:`read_wal` expands a batch
+record into one entry per seq, so a checkpoint seq, an outbox key or a
+client frontier means what it always meant.
 
 A crash mid-append leaves a *torn tail*: a final record whose header or
 body is incomplete, or whose checksum fails.  Readers detect this and
@@ -35,8 +57,9 @@ Durability is governed by a :class:`FsyncPolicy`:
 
 * ``FsyncPolicy.ALWAYS`` — fsync after every append; a ``kill -9`` loses
   nothing that :meth:`WalWriter.append` returned for.
-* ``FsyncPolicy.BATCH(n)`` — fsync every ``n`` appends (and on rotation,
-  checkpoint and close); bounded loss window, a fraction of the cost.
+* ``FsyncPolicy.BATCH(n)`` — fsync once ``n`` seqs have been appended
+  since the last one (and on rotation, checkpoint and close); bounded
+  loss window, a fraction of the cost.
 * ``FsyncPolicy.NEVER`` — write-through to the OS page cache only;
   survives process death but not power loss.  The cheapest, and the
   right default for drills and benchmarks.
@@ -49,7 +72,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_str
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -63,6 +85,12 @@ from typing import (
 
 from ...core.errors import WalError
 from ...core.instances import Observation
+from ...serve.protocol import (
+    FrameError,
+    NotPackable,
+    pack_observations,
+    unpack_observations,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...obs.instrument import Instruments
@@ -73,7 +101,7 @@ __all__ = [
     "WalWriter",
     "SegmentInfo",
     "compact_json",
-    "encode_observations",
+    "encode_batch",
     "encode_payload",
     "read_wal",
     "scan_segment",
@@ -85,131 +113,180 @@ __all__ = [
 _HEADER = struct.Struct("<IIQ")  # payload length, crc32, sequence number
 _SEQ = struct.Struct("<Q")
 
+#: First body byte of a batch record; a JSON record's is always ``{``.
+BATCH_TAG = ord("B")
+_BATCH_HEAD = struct.Struct("<BBI")  # tag, flags, count
+_CLIENT_LEN = struct.Struct("<H")  # client id: utf-8 byte length
+_HAS_CLIENT = 1  # flag: a client id follows the head
+_SEQ_COLUMN = 2  # flag: one client seq per reading follows the columns
+
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
 
 #: ``json.dumps(obj, separators=(",", ":"))`` without building a
-#: ``JSONEncoder`` per call: the one encoder behind every compact-JSON
-#: record this package writes that has no template of its own.
+#: ``JSONEncoder`` per call: the one encoder behind every per-record
+#: JSON record this package writes.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-_OBSERVATION_KEYS = ("k", "r", "o", "t")
-_CLIENT_OBSERVATION_KEYS = ("k", "r", "o", "t", "c")
-_float_repr = float.__repr__
-
-
-def _observation_body(reader, obj, timestamp, client) -> Optional[bytes]:
-    """The observation record template: the one place its bytes are spelled.
-
-    ``{"k":"o","r":str,"o":str,"t":finite float}``, optionally followed
-    by ``"c":[str,int]`` client provenance (``client`` is that list or
-    ``None``), formatted with the two primitives the C encoder itself
-    calls (``encode_basestring_ascii`` and ``float.__repr__``).  Returns
-    ``None`` for anything else — subclasses, ``int``/``bool``/non-finite
-    timestamps, tuple or odd provenance — which the caller hands to
-    :data:`compact_json`.
-    """
-    if not (
-        type(reader) is str
-        and type(obj) is str
-        and type(timestamp) is float
-        # nan and +-inf spell differently in JSON than in repr().
-        and timestamp - timestamp == 0.0
-    ):
-        return None
-    body = (
-        f'{{"k":"o","r":{_json_str(reader)},"o":{_json_str(obj)},'
-        f'"t":{_float_repr(timestamp)}'
-    )
-    if client is None:
-        return (body + "}").encode("ascii")
-    if (
-        type(client) is list
-        and len(client) == 2
-        and type(client[0]) is str
-        and type(client[1]) is int
-    ):
-        return (
-            f'{body},"c":[{_json_str(client[0])},{client[1]}]}}'
-        ).encode("ascii")
-    return None
 
 
 def encode_payload(payload: dict) -> bytes:
-    """Record body for one payload: exactly ``json.dumps``'s compact bytes.
-
-    Nearly every record is a well-typed observation, which
-    :func:`_observation_body` formats from its template; markers,
-    extras, poison records and every shape the template refuses go
-    through :data:`compact_json`.  ``tests/test_durable_encoding.py``
-    holds the two to byte identity.
-    """
-    keys = tuple(payload)
-    if keys == _OBSERVATION_KEYS:
-        client = None
-    elif keys == _CLIENT_OBSERVATION_KEYS and payload["c"] is not None:
-        client = payload["c"]  # a None here would read as "no provenance"
-    else:
-        return compact_json(payload).encode()
-    if payload["k"] == "o":
-        body = _observation_body(
-            payload["r"], payload["o"], payload["t"], client
-        )
-        if body is not None:
-            return body
+    """Body of one per-record JSON record: ``json.dumps``'s compact bytes."""
     return compact_json(payload).encode()
 
 
 def _encode_record(seq: int, payload: dict) -> bytes:
-    """Header + body of one record, as it sits in a segment."""
+    """Header + body of one per-record JSON record, as it sits in a segment."""
     try:
         body = encode_payload(payload)
     except (TypeError, ValueError) as exc:
         raise WalError(
             f"record payload for seq {seq} is not JSON-encodable: {exc}"
         ) from exc
+    return _frame_body(seq, body)
+
+
+def _frame_body(seq: int, body: bytes) -> bytes:
     crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
     return _HEADER.pack(len(body), crc, seq) + body
 
 
-def encode_observations(
+def _batch_body(
+    observations: Sequence[Any], client_id: Any, client_seqs: Any
+) -> Optional[bytes]:
+    """A batch record's body, or ``None`` when the columns cannot carry
+    the batch exactly.
+
+    Packable: plain :class:`~repro.core.instances.Observation` readings
+    with ``str`` ids, finite ``float`` timestamps and no extras, under a
+    ``str`` client id (or none) with ``int`` client seqs.  Everything
+    else — poison, extras, ``int``/``bool``/non-finite timestamps,
+    odd ids — is ``None``, and the caller writes per-record JSON.  A
+    handful of C calls per batch, none per reading.
+    """
+    if set(map(type, observations)) != {Observation}:
+        return None
+    if set(map(type, [o.timestamp for o in observations])) != {float}:
+        return None
+    count = len(observations)
+    flags = 0
+    first = 0
+    parts = []
+    tail = b""
+    if client_id is not None:
+        if type(client_id) is not str:
+            return None
+        try:
+            raw = client_id.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+        if len(raw) > 0xFFFF:
+            return None
+        flags = _HAS_CLIENT
+        parts = [_CLIENT_LEN.pack(len(raw)), raw]
+        if type(client_seqs) is range:
+            first = client_seqs.start
+        else:  # a relay's gapped seqs: one column
+            if set(map(type, client_seqs)) != {int}:
+                return None
+            flags |= _SEQ_COLUMN
+            try:
+                tail = struct.pack(f"<{count}q", *client_seqs)
+            except struct.error:
+                return None
+    try:
+        columns = pack_observations(first, observations)
+    except NotPackable:
+        return None
+    return b"".join(
+        (_BATCH_HEAD.pack(BATCH_TAG, flags, count), *parts, columns, tail)
+    )
+
+
+def encode_batch(
     first_seq: int,
     observations: Sequence[Any],
     payload_of: Callable[[Any], dict],
     client_id: Any = None,
     client_seqs: Optional[Sequence[int]] = None,
-) -> list[tuple[int, bytes]]:
-    """``(seq, record)`` for a batch numbered from ``first_seq``, in one pass.
+) -> list[tuple[int, int, bytes]]:
+    """``(first_seq, count, record)`` for a batch numbered from ``first_seq``.
 
-    A plain :class:`~repro.core.instances.Observation` goes straight from
-    its fields through :func:`_observation_body`, with ``[client_id,
-    client_seqs[i]]`` provenance when ``client_id`` is given; anything
-    the template refuses gets ``payload_of(observation)`` (plus the
-    provenance under ``"c"``) and :func:`encode_payload`.  The records
-    are byte-for-byte what :meth:`WalWriter.append_many` writes for
-    those payloads.
+    A batch the columns carry is **one** batch record: the ``BBATCH``
+    columnar body (:func:`~repro.serve.protocol.pack_observations`)
+    under one header and one CRC, with ``client_id`` and either the
+    first client seq (``client_seqs`` a ``range``) or a client-seq
+    column.  Any other batch is one per-record JSON record per reading:
+    ``payload_of(observation)``, plus ``[client_id, client_seqs[i]]``
+    provenance under ``"c"`` when ``client_id`` is given.
     """
+    body = _batch_body(observations, client_id, client_seqs)
+    if body is not None:
+        return [(first_seq, len(observations), _frame_body(first_seq, body))]
     records = []
-    client = None
     for index, observation in enumerate(observations):
         seq = first_seq + index
+        payload = payload_of(observation)
         if client_id is not None:
-            client = [client_id, client_seqs[index]]
-        body = None
-        if type(observation) is Observation and observation.extra is None:
-            body = _observation_body(
-                observation.reader, observation.obj, observation.timestamp,
-                client,
-            )
-        if body is None:
-            payload = payload_of(observation)
-            if client is not None:
-                payload["c"] = client
-            records.append((seq, _encode_record(seq, payload)))
-        else:  # _encode_record's framing, without a call per record
-            crc = zlib.crc32(body, zlib.crc32(_SEQ.pack(seq)))
-            records.append((seq, _HEADER.pack(len(body), crc, seq) + body))
+            payload["c"] = [client_id, client_seqs[index]]
+        records.append((seq, 1, _encode_record(seq, payload)))
     return records
+
+
+def _batch_count(body: bytes, where: str) -> int:
+    """The reading count in a batch record's head."""
+    try:
+        _tag, _flags, count = _BATCH_HEAD.unpack_from(body, 0)
+    except struct.error as exc:
+        raise WalError(f"{where}: batch record head is truncated") from exc
+    if count == 0:
+        raise WalError(f"{where}: batch record holds no readings")
+    return count
+
+
+def _decode_batch(
+    body: bytes, where: str
+) -> tuple[tuple, Optional[str], Optional[Sequence[int]]]:
+    """``(observations, client_id, client_seqs)`` of one batch record.
+
+    Every count, length and table index is checked: a body that passed
+    its CRC but is inconsistent raises :class:`WalError` rather than
+    replaying different readings.
+    """
+    try:
+        _tag, flags, count = _BATCH_HEAD.unpack_from(body, 0)
+        offset = _BATCH_HEAD.size
+        if flags not in (0, _HAS_CLIENT, _HAS_CLIENT | _SEQ_COLUMN):
+            raise WalError(f"{where}: batch record has unknown flags {flags}")
+        client_id = None
+        if flags & _HAS_CLIENT:
+            (length,) = _CLIENT_LEN.unpack_from(body, offset)
+            offset += _CLIENT_LEN.size
+            raw = body[offset : offset + length]
+            if len(raw) != length:
+                raise WalError(f"{where}: batch record client id is truncated")
+            client_id = raw.decode("utf-8")
+            offset += length
+        first, observations, offset = unpack_observations(body, offset)
+        if len(observations) != count or not count:
+            raise WalError(
+                f"{where}: batch record head says {count} readings, its "
+                f"columns hold {len(observations)}"
+            )
+        client_seqs: Optional[Sequence[int]] = None
+        if flags & _SEQ_COLUMN:
+            client_seqs = struct.unpack_from(f"<{count}q", body, offset)
+            offset += 8 * count
+            if any(b <= a for a, b in zip(client_seqs, client_seqs[1:])):
+                raise WalError(f"{where}: client seqs do not ascend")
+        elif client_id is not None:
+            client_seqs = range(first, first + count)
+        if offset != len(body):
+            raise WalError(
+                f"{where}: batch record has {len(body) - offset} trailing bytes"
+            )
+    except (struct.error, UnicodeDecodeError, FrameError) as exc:
+        raise WalError(f"{where}: malformed batch record ({exc})") from exc
+    return observations, client_id, client_seqs
 
 
 @dataclass(frozen=True)
@@ -262,12 +339,27 @@ FsyncPolicy.NEVER = FsyncPolicy("never")
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One decoded log record."""
+    """One log entry.
+
+    :func:`scan_segment` returns *physical* records: a per-record JSON
+    record (``count`` 1, its ``payload`` dict) or a batch record
+    covering ``count`` seqs from ``seq`` (``payload`` ``None``).
+    :func:`read_wal` returns one entry per *seq*: a JSON record as is,
+    and each reading of a batch record with its decoded ``observation``
+    and ``client`` provenance (``(client_id, client_seq)`` or ``None``).
+    """
 
     seq: int
-    payload: dict
+    payload: Optional[dict]
     segment: str
     offset: int
+    count: int = 1
+    observation: Any = None
+    client: Optional[tuple] = None
+
+    @property
+    def last_seq(self) -> int:
+        return self.seq + self.count - 1
 
 
 @dataclass(frozen=True)
@@ -314,20 +406,10 @@ def segment_first_seq(name: str) -> int:
         raise WalError(f"segment file name {name!r} does not encode a sequence")
 
 
-def scan_segment(
-    path: str, *, with_payload: bool = True
-) -> tuple[list[WalRecord], int, int]:
-    """Read one segment's valid prefix.
-
-    Returns ``(records, valid_bytes, total_bytes)`` where ``valid_bytes``
-    is the offset of the first torn/corrupt byte (== ``total_bytes`` for
-    a clean segment).  With ``with_payload=False`` the payload JSON is
-    not decoded (sequence scan only) and record payloads are ``None``.
-    """
-    records: list[WalRecord] = []
-    name = os.path.basename(path)
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _valid_records(data: bytes, name: str) -> tuple[list[tuple], int]:
+    """``(offset, seq, body)`` of each record in the valid prefix of a
+    segment's bytes, and the valid prefix's length."""
+    records = []
     offset = 0
     total = len(data)
     while offset + _HEADER.size <= total:
@@ -350,19 +432,46 @@ def scan_segment(
                     f"log is corrupt, not torn"
                 )
             break  # torn tail: checksum fails on the final record
-        if with_payload:
-            try:
-                payload = json.loads(body.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise WalError(
-                    f"segment {name}: record at offset {offset} passed its "
-                    f"checksum but is not JSON ({exc}); the log is corrupt"
-                ) from exc
-        else:
-            payload = None
-        records.append(WalRecord(seq, payload, name, offset))
+        records.append((offset, seq, body))
         offset = end
-    return records, offset, total
+    return records, offset
+
+
+def _json_payload(body: bytes, where: str) -> dict:
+    try:
+        return json.loads(body.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WalError(
+            f"{where} passed its checksum but is not JSON ({exc}); the log "
+            "is corrupt"
+        ) from exc
+
+
+def scan_segment(
+    path: str, *, with_payload: bool = True
+) -> tuple[list[WalRecord], int, int]:
+    """Read one segment's valid prefix as physical records.
+
+    Returns ``(records, valid_bytes, total_bytes)`` where ``valid_bytes``
+    is the offset of the first torn/corrupt byte (== ``total_bytes`` for
+    a clean segment).  A batch record's body is not decoded here, only
+    its reading count; with ``with_payload=False`` no JSON payload is
+    decoded either (sequence scan only) and every payload is ``None``.
+    """
+    name = os.path.basename(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    valid_records, valid = _valid_records(data, name)
+    records = []
+    for offset, seq, body in valid_records:
+        where = f"segment {name}: record at offset {offset}"
+        if body[:1] == b"B":
+            count = _batch_count(body, where)
+            records.append(WalRecord(seq, None, name, offset, count))
+        else:
+            payload = _json_payload(body, where) if with_payload else None
+            records.append(WalRecord(seq, payload, name, offset))
+    return records, valid, len(data)
 
 
 def scan_wal(directory: str) -> list[SegmentInfo]:
@@ -376,7 +485,7 @@ def scan_wal(directory: str) -> list[SegmentInfo]:
             SegmentInfo(
                 name=name,
                 first_seq=records[0].seq if records else None,
-                last_seq=records[-1].seq if records else None,
+                last_seq=records[-1].last_seq if records else None,
                 records=len(records),
                 valid_bytes=valid,
                 total_bytes=total,
@@ -386,12 +495,18 @@ def scan_wal(directory: str) -> list[SegmentInfo]:
 
 
 def read_wal(directory: str, *, start_after: int = -1) -> Iterator[WalRecord]:
-    """Iterate valid records with ``seq > start_after``, in order.
+    """Iterate log entries with ``seq > start_after``, one per seq, in order.
+
+    A batch record is decoded through the columnar codec and expanded
+    into one entry per reading (see :class:`WalRecord`), so seqs keep
+    their per-reading meaning; ``start_after`` may fall inside a batch
+    record, and only its later readings are yielded.
 
     A torn tail — incomplete bytes or a failing checksum at the end of
     the *final* segment — silently ends iteration (that is the crash the
-    WAL exists to absorb).  The same condition in an earlier segment, or
-    a non-monotonic sequence number anywhere, raises
+    WAL exists to absorb).  The same condition in an earlier segment, a
+    record that passed its checksum but does not decode, or a
+    non-monotonic sequence number anywhere raises
     :class:`~repro.core.errors.WalError`: replay must never skip a hole
     in the middle of the log.
     """
@@ -399,21 +514,44 @@ def read_wal(directory: str, *, start_after: int = -1) -> Iterator[WalRecord]:
     previous_seq: Optional[int] = None
     for index, name in enumerate(names):
         is_last = index == len(names) - 1
-        records, valid, total = scan_segment(segment_path(directory, name))
-        if valid < total and not is_last:
+        with open(segment_path(directory, name), "rb") as handle:
+            data = handle.read()
+        records, valid = _valid_records(data, name)
+        if valid < len(data) and not is_last:
             raise WalError(
-                f"segment {name} has {total - valid} unreadable byte(s) but "
-                f"is not the final segment; the log is corrupt, not torn"
+                f"segment {name} has {len(data) - valid} unreadable byte(s) "
+                "but is not the final segment; the log is corrupt, not torn"
             )
-        for record in records:
-            if previous_seq is not None and record.seq <= previous_seq:
+        for offset, seq, body in records:
+            if previous_seq is not None and seq <= previous_seq:
                 raise WalError(
-                    f"segment {name}: sequence {record.seq} at offset "
-                    f"{record.offset} does not advance past {previous_seq}"
+                    f"segment {name}: sequence {seq} at offset "
+                    f"{offset} does not advance past {previous_seq}"
                 )
-            previous_seq = record.seq
-            if record.seq > start_after:
-                yield record
+            where = f"segment {name}: record at offset {offset}"
+            if body[:1] != b"B":
+                previous_seq = seq
+                if seq > start_after:
+                    yield WalRecord(seq, _json_payload(body, where), name, offset)
+                continue
+            observations, client_id, client_seqs = _decode_batch(body, where)
+            previous_seq = seq + len(observations) - 1
+            if previous_seq <= start_after:
+                continue
+            skip = max(0, start_after + 1 - seq)
+            for at in range(skip, len(observations)):
+                yield WalRecord(
+                    seq + at,
+                    None,
+                    name,
+                    offset,
+                    observation=observations[at],
+                    client=(
+                        (client_id, client_seqs[at])
+                        if client_id is not None
+                        else None
+                    ),
+                )
 
 
 class WalWriter:
@@ -471,7 +609,7 @@ class WalWriter:
         self._handle = handle
         self._segment_size = valid
         if records:
-            self._last_seq = records[-1].seq
+            self._last_seq = records[-1].last_seq
         else:
             # Empty tail segment: recover the floor from its name so a
             # fresh append cannot reuse a pruned sequence number.
@@ -502,48 +640,49 @@ class WalWriter:
         return self._last_seq
 
     def append(self, seq: int, payload: dict) -> int:
-        """Append one record; returns the bytes it occupies on disk."""
+        """Append one per-record JSON record; returns the bytes it occupies."""
         return self.append_many([(seq, payload)])
 
     def append_many(self, records: "Sequence[tuple[int, dict]]") -> int:
-        """Append a run of ``(seq, payload)`` records in one durable call.
+        """Append a run of ``(seq, payload)`` per-record JSON records in
+        one durable call.
 
         Returns the total bytes written; see :meth:`append_encoded`.
         """
         return self.append_encoded(
-            [(seq, _encode_record(seq, payload)) for seq, payload in records]
+            [(seq, 1, _encode_record(seq, payload)) for seq, payload in records]
         )
 
-    def append_encoded(self, records: "Sequence[tuple[int, bytes]]") -> int:
-        """Append ``(seq, record)`` pairs built by :func:`encode_observations`
-        or :func:`_encode_record`, in one durable call.
+    def append_encoded(self, records: "Sequence[tuple[int, int, bytes]]") -> int:
+        """Append ``(first_seq, count, record)`` triples built by
+        :func:`encode_batch` or :func:`_encode_record`, in one durable call.
 
-        The batch fast path behind the serving layer's vectorized
-        ingest: the run is written with one (or, across a rotation, a
-        few) ``write`` + ``flush`` calls, and fsynced **once** at the end
+        The run is written with one (or, across a rotation, a few)
+        ``write`` + ``flush`` calls, and fsynced **once** at the end
         under ``FsyncPolicy.ALWAYS`` — the durability contract is per
-        *call*, and this returns only after the entire batch is as
-        durable as one ``append`` per record would have made it.
-        ``FsyncPolicy.BATCH(n)`` counts every record, so its loss window
-        is unchanged.  Sequence numbers must be strictly increasing but
-        need not be contiguous (a sharded log skips the seqs routed to
-        other shards); a run that does not advance raises
+        *call*, and this returns only after the entire batch is durable.
+        ``FsyncPolicy.BATCH(n)`` and :attr:`appended` count seqs, not
+        records, so a batch record of 256 readings weighs 256.  Sequence
+        numbers must be strictly increasing but need not be contiguous;
+        a run that does not advance raises
         :class:`~repro.core.errors.WalError` before anything is written.
-        Record format and rotation boundaries are those of one
-        ``append`` per record; replay cannot tell the difference.
+        A record never straddles segments; one larger than
+        ``segment_max_bytes`` gets a segment of its own.
 
         Returns the total bytes written.
         """
         if not records:
             return 0
         last = self._last_seq
-        for seq, _record in records:
+        seqs = 0
+        for seq, count, _record in records:
             if seq <= last:
                 raise WalError(
                     f"sequence {seq} does not advance past {last}; "
                     "the log already covers it"
                 )
-            last = seq
+            last = seq + count - 1
+            seqs += count
         total = 0
         pending: list[bytes] = []
         pending_bytes = 0
@@ -557,7 +696,7 @@ class WalWriter:
                 pending = []
                 pending_bytes = 0
 
-        for seq, record in records:
+        for seq, _count, record in records:
             if self._handle is None or (
                 self._segment_size + pending_bytes > 0
                 and self._segment_size + pending_bytes + len(record)
@@ -570,12 +709,12 @@ class WalWriter:
             total += len(record)
         write_pending()
         self._last_seq = last
-        self.appended += len(records)
+        self.appended += seqs
         self.bytes_written += total
         if self.fsync_policy.mode == "always":
             self._fsync()
         elif self.fsync_policy.mode == "batch":
-            self._since_sync += len(records)
+            self._since_sync += seqs
             if self._since_sync >= self.fsync_policy.batch:
                 self._fsync()
         return total

@@ -34,6 +34,7 @@ from ..core.instances import Observation
 from .protocol import (
     PROTOCOL_VERSION,
     Ack,
+    BinaryDetectionBatch,
     Bye,
     DetectionBatch,
     DetectionFrame,
@@ -309,6 +310,7 @@ class AsyncClient:
                     "codecs": list(self._offered_codecs),
                     "resume": True,
                     "batch_push": True,
+                    "binary_push": True,
                     "heartbeat": True,
                     "max_batch": self._batch_size,
                     "revisions": True,
@@ -630,6 +632,12 @@ class AsyncClient:
             self.detections.append(frame)
             if self._on_detection is not None:
                 self._on_detection(frame)
+        elif isinstance(frame, BinaryDetectionBatch):
+            # Decoded straight into frames: no payload dicts in between.
+            self.detections.extend(frame.detections)
+            if self._on_detection is not None:
+                for detection in frame.detections:
+                    self._on_detection(detection)
         elif isinstance(frame, DetectionBatch):
             unpacked = [
                 DetectionFrame.from_payload(payload)

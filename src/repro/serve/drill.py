@@ -36,8 +36,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from ..resilience.durability import DurableEngine, decode_payload, read_wal
-from ..resilience.durability.engine import CLIENT_KEY, WAL_SUBDIR
+from ..resilience.durability import DurableEngine, decode_record, read_wal
+from ..resilience.durability.engine import WAL_SUBDIR
 from ..scenarios.pack import canon_detection, canon_detections
 from .client import AsyncClient, RetryConfig, tcp_connector
 from .cluster import SINK_FILENAME, Cluster
@@ -410,11 +410,13 @@ def audit_sink(
 
 
 def wal_records(path: str):
-    """``(client_id, client_seq, payload)`` per record of the WAL at
-    ``path``; the ids are None for a record without client provenance."""
+    """``(client_id, client_seq, observation)`` per seq of the WAL at
+    ``path``: the ids are None for an entry without client provenance,
+    the observation None for a flush marker."""
     for record in read_wal(path):
-        client_id, seq = record.payload.get(CLIENT_KEY) or (None, None)
-        yield client_id, seq, record.payload
+        observation, client = decode_record(record)
+        client_id, seq = client or (None, None)
+        yield client_id, seq, observation
 
 
 def audit_wal(check: Checks, name: str, path: str, expected: list) -> None:
@@ -423,8 +425,8 @@ def audit_wal(check: Checks, name: str, path: str, expected: list) -> None:
     order, no duplicates, no gaps."""
     got = [
         (client_id, seq, obs_key(observation))
-        for client_id, seq, payload in wal_records(path)
-        if (observation := decode_payload(payload)) is not None
+        for client_id, seq, observation in wal_records(path)
+        if observation is not None
     ]
     check(name, got == expected, f"wal={len(got)} expected={len(expected)}")
 

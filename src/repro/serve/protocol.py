@@ -10,8 +10,8 @@ Every message on a serve connection is one *frame*::
 CRC); ``crc32`` covers the same bytes, so a torn or bit-flipped frame is
 rejected before any payload parsing.  Payloads are compact JSON — the
 framing is binary and version-gated, the payload stays debuggable with
-``tcpdump``-level tooling — except ``BBATCH``, whose payload is the
-struct-packed columnar layout described below.
+``tcpdump``-level tooling — except ``BBATCH`` and ``BDETBATCH``, whose
+payloads are the struct-packed columnar layouts described below.
 
 Frame vocabulary (client → server unless noted):
 
@@ -36,6 +36,8 @@ frame          type  meaning
 ``PING``       0x0D  liveness probe (either side); sent by the server only
                      to peers that advertised the ``heartbeat`` capability
 ``PONG``       0x0E  answer to a PING, echoing its token
+``BDETBATCH``  0x0F  (server) a DETBATCH in columns, sent only to
+                     binary-codec peers with the ``binary_push`` capability
 =============  ====  ======================================================
 
 Wire codecs (protocol version 2)
@@ -84,7 +86,9 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import isfinite
 from typing import Any, Iterator, Optional, Sequence
 
@@ -107,6 +111,8 @@ __all__ = [
     "Subscribe",
     "DetectionFrame",
     "DetectionBatch",
+    "BinaryDetectionBatch",
+    "NotPackable",
     "ErrorFrame",
     "Bye",
     "Ping",
@@ -116,8 +122,11 @@ __all__ = [
     "decode_frame",
     "FrameDecoder",
     "encode_observation_payload",
+    "pack_observations",
+    "unpack_observations",
     "decode_observation_payload",
     "detection_payload",
+    "detection_frames",
     "WireCodec",
     "JsonCodec",
     "BinaryCodec",
@@ -208,7 +217,10 @@ class Frame:
     :meth:`from_payload`; the byte-level body is produced by
     :meth:`encode_body` / :meth:`decode_body`, which default to compact
     JSON and are overridden by binary-bodied frames (``BBATCH``).
+    Empty ``__slots__``, so a slotted subclass carries no ``__dict__``.
     """
+
+    __slots__ = ()
 
     TYPE = 0x00
 
@@ -264,8 +276,10 @@ class Hello(Frame):
     ``capabilities`` (protocol ≥ 2) is an open-ended dict advertising
     what the client can do; today's keys are ``codecs`` (preference-
     ordered list of wire codec names), ``resume`` (bool),
-    ``max_batch`` (int), ``batch_push`` (bool), ``heartbeat`` (bool)
-    and ``revisions`` (bool — the subscriber understands provisional/
+    ``max_batch`` (int), ``batch_push`` (bool), ``binary_push`` (bool —
+    on a binary-codec session, detections may arrive as
+    :class:`BinaryDetectionBatch`), ``heartbeat`` (bool) and
+    ``revisions`` (bool — the subscriber understands provisional/
     retract/revise records).  Unknown keys are ignored by both sides, so
     the handshake grows without another version bump.  v1 peers send no
     capabilities and are treated as ``{"codecs": ["json"]}``.
@@ -415,17 +429,127 @@ _BB_TABLES = struct.Struct("!HI")  # reader table size (u16), object table size 
 _BB_BLOB = struct.Struct("!I")  # one string table: utf-8 blob byte length
 
 
-class _NotPackable(FrameError):
-    """This batch cannot take the binary layout; fall back to JSON.
+class NotPackable(FrameError):
+    """This batch cannot take a columnar layout; fall back to JSON.
 
-    Raised by :meth:`BinaryBatch.encode_body` for observations the
-    columnar shape cannot carry (``extra`` payloads, ids containing
-    NUL characters or lone surrogates, non-finite timestamps,
-    overflowing string tables).  :class:`BinaryCodec` catches it and
+    Raised by :func:`pack_observations` for observations the columnar
+    shape cannot carry (``extra`` payloads, ids that are not strings or
+    contain NUL characters or lone surrogates, non-finite timestamps,
+    overflowing string tables), and by :class:`BinaryDetectionBatch` for
+    detections it cannot carry.  :class:`BinaryCodec` catches it and
     re-encodes as a JSON ``BATCH`` — which either handles the oddity or
     rejects it with the same error a JSON-codec session would have
-    seen.
+    seen; the write-ahead log keeps per-record JSON records instead.
     """
+
+
+def _pack_blob(table: "dict[str, int] | Sequence[str]") -> list[bytes]:
+    """One interned string table: ``!I`` blob length, NUL-joined UTF-8."""
+    try:
+        blob = "\0".join(table).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise NotPackable(f"id is not UTF-8-encodable: {exc}") from exc
+    except TypeError as exc:
+        raise NotPackable(f"id is not a string: {exc}") from exc
+    if table and blob.count(b"\0") != len(table) - 1:
+        raise NotPackable("id contains a NUL character")
+    if len(blob) > 0xFFFFFFFF:
+        raise NotPackable("string table blob overflow")
+    return [_BB_BLOB.pack(len(blob)), blob]
+
+
+def _unpack_blob(body: bytes, offset: int, size: int) -> tuple[list[str], int]:
+    """Inverse of :func:`_pack_blob`: ``size`` ids and the end offset."""
+    (blob_length,) = _BB_BLOB.unpack_from(body, offset)
+    offset += _BB_BLOB.size
+    end = offset + blob_length
+    if end > len(body):
+        raise FrameError("truncated string table")
+    table = body[offset:end].decode("utf-8").split("\0") if size else []
+    if len(table) != size:
+        raise FrameError(
+            f"string table has {len(table)} ids, header says {size}"
+        )
+    return table, end
+
+
+def _intern(values: list) -> dict:
+    """First-occurrence table slot per distinct value, in one C pass."""
+    return {value: index for index, value in enumerate(dict.fromkeys(values))}
+
+
+def pack_observations(first_seq: int, observations: Sequence[Any]) -> bytes:
+    """The columnar ``BBATCH`` body for ``observations`` numbered from
+    ``first_seq`` (see :class:`BinaryBatch`).
+
+    Raises :class:`NotPackable` for a batch the layout cannot carry.
+    Interning costs one ``dict.fromkeys`` per table and one subscript
+    per reading, so packing makes no C call per observation.
+    """
+    count = len(observations)
+    if not 0 <= first_seq < 2**64 or count > 0xFFFFFFFF:
+        raise NotPackable(f"seq {first_seq}/count {count} out of range")
+    if [observation.extra for observation in observations].count(None) != count:
+        raise NotPackable("observation carries an extra payload")
+    reader_col = [observation.reader for observation in observations]
+    object_col = [observation.obj for observation in observations]
+    times = [observation.timestamp for observation in observations]
+    try:
+        readers = _intern(reader_col)
+        objects = _intern(object_col)
+    except TypeError as exc:  # an unhashable id
+        raise NotPackable(f"id is not a string: {exc}") from exc
+    if len(readers) > 0xFFFF or len(objects) > 0xFFFFFFFF:
+        raise NotPackable("string table overflow")
+    try:
+        if not all(map(isfinite, times)):
+            raise NotPackable("non-finite timestamp")
+    except TypeError as exc:
+        raise NotPackable(f"timestamp is not a number: {exc}") from exc
+    parts = [
+        _BB_HEAD.pack(first_seq, count),
+        _BB_TABLES.pack(len(readers), len(objects)),
+        *_pack_blob(readers),
+        *_pack_blob(objects),
+        struct.pack(f"!{count}H", *[readers[r] for r in reader_col]),
+        struct.pack(f"!{count}I", *[objects[o] for o in object_col]),
+        struct.pack(f"!{count}d", *times),
+    ]
+    return b"".join(parts)
+
+
+def unpack_observations(body: bytes, offset: int = 0) -> tuple[int, tuple, int]:
+    """Inverse of :func:`pack_observations` for the body at ``offset``:
+    ``(first_seq, observations, end_offset)``.
+
+    Raises :class:`FrameError` on any structural mismatch: truncation,
+    a string table whose id count disagrees with its header, or a table
+    index out of range.
+    """
+    try:
+        seq, count = _BB_HEAD.unpack_from(body, offset)
+        offset += _BB_HEAD.size
+        n_readers, n_objects = _BB_TABLES.unpack_from(body, offset)
+        offset += _BB_TABLES.size
+        readers, offset = _unpack_blob(body, offset, n_readers)
+        objects, offset = _unpack_blob(body, offset, n_objects)
+        reader_ix = struct.unpack_from(f"!{count}H", body, offset)
+        offset += 2 * count
+        object_ix = struct.unpack_from(f"!{count}I", body, offset)
+        offset += 4 * count
+        times = struct.unpack_from(f"!{count}d", body, offset)
+        offset += 8 * count
+        observations = tuple(
+            map(
+                Observation,
+                map(readers.__getitem__, reader_ix),
+                map(objects.__getitem__, object_ix),
+                times,
+            )
+        )
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        raise FrameError(f"malformed columnar batch: {exc}") from exc
+    return seq, observations, offset
 
 
 @dataclass(frozen=True)
@@ -450,104 +574,25 @@ class BinaryBatch(Batch):
     table decodes and splits in two C calls instead of one
     length-prefix round per id (ids containing NUL take the JSON
     fallback).  Semantically identical to :class:`Batch`: observations
-    are numbered ``seq, seq + 1, ...`` and acked cumulatively.
+    are numbered ``seq, seq + 1, ...`` and acked cumulatively.  The
+    same body, packed by :func:`pack_observations`, is the write-ahead
+    log's batch record (:mod:`repro.resilience.durability.wal`).
     """
 
     TYPE = 0x0B
 
     def encode_body(self) -> bytes:
-        observations = self.observations
-        count = len(observations)
-        if not 0 <= self.seq < 2**64 or count > 0xFFFFFFFF:
-            raise _NotPackable(f"seq {self.seq}/count {count} out of range")
         if self.prov is not None:
             # The columnar layout has no provenance columns; relayed
             # batches take the JSON body, which carries the "p" key.
-            raise _NotPackable("batch carries provenance")
-        if any(observation.extra is not None for observation in observations):
-            raise _NotPackable("observation carries an extra payload")
-        # dict.setdefault evaluates len() before any insert, so each new
-        # name gets the next table slot in one C-level dict operation.
-        readers: dict[str, int] = {}
-        reader_ix = [
-            readers.setdefault(observation.reader, len(readers))
-            for observation in observations
-        ]
-        objects: dict[str, int] = {}
-        object_ix = [
-            objects.setdefault(observation.obj, len(objects))
-            for observation in observations
-        ]
-        times = [observation.timestamp for observation in observations]
-        if len(readers) > 0xFFFF or len(objects) > 0xFFFFFFFF:
-            raise _NotPackable("string table overflow")
-        if not all(map(isfinite, times)):
-            raise _NotPackable("non-finite timestamp")
-        parts = [
-            _BB_HEAD.pack(self.seq, count),
-            _BB_TABLES.pack(len(readers), len(objects)),
-        ]
-        for table in (readers, objects):
-            try:
-                blob = "\0".join(table).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise _NotPackable(f"id is not UTF-8-encodable: {exc}") from exc
-            if table and blob.count(b"\0") != len(table) - 1:
-                raise _NotPackable("id contains a NUL character")
-            if len(blob) > 0xFFFFFFFF:
-                raise _NotPackable("string table blob overflow")
-            parts.append(_BB_BLOB.pack(len(blob)))
-            parts.append(blob)
-        parts.append(struct.pack(f"!{count}H", *reader_ix))
-        parts.append(struct.pack(f"!{count}I", *object_ix))
-        parts.append(struct.pack(f"!{count}d", *times))
-        return b"".join(parts)
+            raise NotPackable("batch carries provenance")
+        return pack_observations(self.seq, self.observations)
 
     @classmethod
     def decode_body(cls, body: bytes) -> "BinaryBatch":
-        try:
-            seq, count = _BB_HEAD.unpack_from(body, 0)
-            offset = _BB_HEAD.size
-            n_readers, n_objects = _BB_TABLES.unpack_from(body, offset)
-            offset += _BB_TABLES.size
-            tables: list[list[str]] = []
-            for size in (n_readers, n_objects):
-                (blob_length,) = _BB_BLOB.unpack_from(body, offset)
-                offset += _BB_BLOB.size
-                end = offset + blob_length
-                if end > len(body):
-                    raise FrameError("truncated BinaryBatch string table")
-                table = (
-                    body[offset:end].decode("utf-8").split("\0") if size else []
-                )
-                if len(table) != size:
-                    raise FrameError(
-                        f"BinaryBatch string table has {len(table)} ids, "
-                        f"header says {size}"
-                    )
-                tables.append(table)
-                offset = end
-            readers, objects = tables
-            reader_ix = struct.unpack_from(f"!{count}H", body, offset)
-            offset += 2 * count
-            object_ix = struct.unpack_from(f"!{count}I", body, offset)
-            offset += 4 * count
-            times = struct.unpack_from(f"!{count}d", body, offset)
-            offset += 8 * count
-            if offset != len(body):
-                raise FrameError(
-                    f"BinaryBatch has {len(body) - offset} trailing bytes"
-                )
-            observations = tuple(
-                map(
-                    Observation,
-                    map(readers.__getitem__, reader_ix),
-                    map(objects.__getitem__, object_ix),
-                    times,
-                )
-            )
-        except (struct.error, UnicodeDecodeError, IndexError) as exc:
-            raise FrameError(f"malformed BinaryBatch payload: {exc}") from exc
+        seq, observations, end = unpack_observations(body)
+        if end != len(body):
+            raise FrameError(f"BinaryBatch has {len(body) - end} trailing bytes")
         return cls(seq=seq, observations=observations)
 
 
@@ -611,7 +656,7 @@ class Subscribe(Frame):
         return cls(rules=tuple(rules) if rules is not None else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionFrame(Frame):
     """One rule firing pushed to a subscriber.
 
@@ -625,6 +670,10 @@ class DetectionFrame(Frame):
     the payload for plain detections, and subscribers that did not
     advertise ``revisions`` receive only ``final`` records with the
     keys stripped — byte-identical to protocol v1.
+
+    Slotted: a received detection is one GC-tracked object (its
+    bindings dict of strings and floats is untracked), not a frame plus
+    a materialised ``__dict__``.
     """
 
     TYPE = 0x08
@@ -654,21 +703,16 @@ class DetectionFrame(Frame):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DetectionFrame":
-        # Hot path: subscribers rebuild one of these per firing.  The
-        # frozen dataclass __init__ pays object.__setattr__ per field;
-        # writing __dict__ directly is ~2.5x faster and equivalent.
-        frame = object.__new__(cls)
-        frame.__dict__.update(
-            rule=payload["rule"],
-            time=payload["time"],
-            bindings=payload.get("bindings", {}),
-            seq=payload.get("seq", -1),
-            ordinal=payload.get("ordinal", 0),
-            detection_id=payload.get("did", ""),
-            revision=payload.get("rev", 0),
-            status=payload.get("status", ""),
+        return cls(
+            payload["rule"],
+            payload["time"],
+            payload.get("bindings", {}),
+            payload.get("seq", -1),
+            payload.get("ordinal", 0),
+            payload.get("did", ""),
+            payload.get("rev", 0),
+            payload.get("status", ""),
         )
-        return frame
 
 
 @dataclass(frozen=True)
@@ -696,6 +740,291 @@ class DetectionBatch(Frame):
     @classmethod
     def from_payload(cls, payload: dict) -> "DetectionBatch":
         return cls(detections=tuple(payload.get("detections") or ()))
+
+
+#: Struct shapes for the columnar DETBATCH body (network byte order).
+_DB_COUNT = struct.Struct("!I")  # detections (u32)
+_DB_RULES = struct.Struct("!H")  # rule table size (u16)
+_DB_STRINGS = struct.Struct("!I")  # string table size (u32)
+_DB_SHAPES = struct.Struct("!H")  # binding shapes (u16)
+_DB_KEYS = struct.Struct("!B")  # keys in one shape (u8)
+#: Binding column type codes: a string-table index or a float.
+_STR, _FLOAT = ord("s"), ord("d")
+_TYPE_CODES = {str: _STR, float: _FLOAT}
+
+
+def _pack_detections(frames: Sequence["DetectionFrame"]) -> bytes:
+    """The columnar body of :class:`BinaryDetectionBatch` (see there).
+
+    Raises :class:`NotPackable` for anything whose JSON round trip the
+    columns could not reproduce exactly: revision-tagged frames,
+    non-``str`` rule ids or binding keys, times that are not finite
+    ``float``s, seqs or ordinals that are not in-range ``int``s,
+    binding values other than ``str`` and finite ``float``, and strings
+    with NUL characters or lone surrogates.
+    """
+    count = len(frames)
+    rules = [frame.rule for frame in frames]
+    times = [frame.time for frame in frames]
+    seqs = [frame.seq for frame in frames]
+    ordinals = [frame.ordinal for frame in frames]
+    if [frame.detection_id for frame in frames].count("") != count:
+        raise NotPackable("revision-tagged detection")
+    if (
+        {*map(type, rules)} - {str}
+        or {*map(type, times)} - {float}
+        or {*map(type, seqs), *map(type, ordinals)} - {int}
+    ):
+        raise NotPackable("rule id, time, seq or ordinal of an odd type")
+    if not all(map(isfinite, times)):
+        raise NotPackable("non-finite detection time")
+    # One shape per distinct (keys, value types); each shape's values
+    # travel as one typed column per key.
+    shapes: dict = {}
+    shape_ix = []
+    rows: list[list] = []
+    for frame in frames:
+        bindings = frame.bindings
+        values = tuple(bindings.values())
+        shape = (tuple(bindings), tuple(map(type, values)))
+        index = shapes.get(shape)
+        if index is None:
+            index = shapes[shape] = len(shapes)
+            rows.append([])
+        shape_ix.append(index)
+        rows[index].append(values)
+    if len(shapes) > 0xFFFF:
+        raise NotPackable("binding shape table overflow")
+    strings_seen: list = []
+    layouts = []
+    for (keys, types), shape_rows in zip(shapes, rows):
+        if len(keys) > 0xFF or {*map(type, keys)} - {str}:
+            raise NotPackable("binding keys that are not strings")
+        try:
+            codes = bytes(map(_TYPE_CODES.__getitem__, types))
+        except KeyError as exc:
+            raise NotPackable(f"binding value of type {exc}") from exc
+        columns = list(zip(*shape_rows)) if keys else []
+        for code, column in zip(codes, columns):
+            if code == _STR:
+                strings_seen.extend(column)
+            elif not all(map(isfinite, column)):
+                raise NotPackable("non-finite binding value")
+        strings_seen.extend(keys)
+        layouts.append((keys, codes, columns))
+    rule_table = _intern(rules)
+    strings = _intern(strings_seen)
+    if len(rule_table) > 0xFFFF:
+        raise NotPackable("rule table overflow")
+    parts = [
+        _DB_COUNT.pack(count),
+        _DB_RULES.pack(len(rule_table)),
+        *_pack_blob(rule_table),
+        _DB_STRINGS.pack(len(strings)),
+        *_pack_blob(strings),
+        _DB_SHAPES.pack(len(layouts)),
+    ]
+    for keys, codes, _columns in layouts:
+        parts.append(_DB_KEYS.pack(len(keys)))
+        parts.append(struct.pack(f"!{len(keys)}I", *[strings[k] for k in keys]))
+        parts.append(codes)
+    try:
+        parts += [
+            struct.pack(f"!{count}H", *[rule_table[r] for r in rules]),
+            struct.pack(f"!{count}H", *shape_ix),
+            struct.pack(f"!{count}d", *times),
+            struct.pack(f"!{count}q", *seqs),
+            struct.pack(f"!{count}I", *ordinals),
+        ]
+    except struct.error as exc:
+        raise NotPackable(f"seq or ordinal out of range: {exc}") from exc
+    for _keys, codes, columns in layouts:
+        for code, column in zip(codes, columns):
+            if code == _STR:
+                parts.append(
+                    struct.pack(
+                        f"!{len(column)}I", *[strings[v] for v in column]
+                    )
+                )
+            else:
+                parts.append(struct.pack(f"!{len(column)}d", *column))
+    return b"".join(parts)
+
+
+def _unpack_detections(body: bytes) -> tuple:
+    """Inverse of :func:`_pack_detections`: a tuple of DetectionFrames.
+
+    Every count, length and table index is checked against the body, so
+    a structurally inconsistent body raises :class:`FrameError` instead
+    of decoding into different detections.
+    """
+    try:
+        (count,) = _DB_COUNT.unpack_from(body, 0)
+        offset = _DB_COUNT.size
+        (n_rules,) = _DB_RULES.unpack_from(body, offset)
+        rule_table, offset = _unpack_blob(body, offset + _DB_RULES.size, n_rules)
+        (n_strings,) = _DB_STRINGS.unpack_from(body, offset)
+        strings, offset = _unpack_blob(
+            body, offset + _DB_STRINGS.size, n_strings
+        )
+        (n_shapes,) = _DB_SHAPES.unpack_from(body, offset)
+        offset += _DB_SHAPES.size
+        shapes = []
+        for _ in range(n_shapes):
+            (n_keys,) = _DB_KEYS.unpack_from(body, offset)
+            offset += _DB_KEYS.size
+            keys = tuple(
+                map(
+                    strings.__getitem__,
+                    struct.unpack_from(f"!{n_keys}I", body, offset),
+                )
+            )
+            offset += 4 * n_keys
+            codes = body[offset : offset + n_keys]
+            offset += n_keys
+            if len(codes) != n_keys or codes.strip(b"sd"):
+                raise FrameError("bad binding column type code")
+            if len(set(keys)) != n_keys:
+                raise FrameError("repeated binding key in one shape")
+            shapes.append((keys, codes))
+        rule_ix = struct.unpack_from(f"!{count}H", body, offset)
+        offset += 2 * count
+        shape_ix = struct.unpack_from(f"!{count}H", body, offset)
+        offset += 2 * count
+        times = struct.unpack_from(f"!{count}d", body, offset)
+        offset += 8 * count
+        seqs = struct.unpack_from(f"!{count}q", body, offset)
+        offset += 8 * count
+        ordinals = struct.unpack_from(f"!{count}I", body, offset)
+        offset += 4 * count
+        rules = list(map(rule_table.__getitem__, rule_ix))
+        per_shape = []
+        for index, (keys, codes) in enumerate(shapes):
+            rows = shape_ix.count(index)
+            columns = []
+            for code in codes:
+                if code == _STR:
+                    column = struct.unpack_from(f"!{rows}I", body, offset)
+                    offset += 4 * rows
+                    columns.append(list(map(strings.__getitem__, column)))
+                else:
+                    columns.append(struct.unpack_from(f"!{rows}d", body, offset))
+                    offset += 8 * rows
+            if keys:
+                per_shape.append([dict(zip(keys, row)) for row in zip(*columns)])
+            else:
+                per_shape.append([{} for _ in range(rows)])
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        raise FrameError(f"malformed columnar DETBATCH: {exc}") from exc
+    if sum(map(len, per_shape)) != count:
+        raise FrameError("DETBATCH shape index out of range")
+    if offset != len(body):
+        raise FrameError(f"DETBATCH has {len(body) - offset} trailing bytes")
+    iterators = [iter(rows) for rows in per_shape]
+    bindings = list(map(next, map(iterators.__getitem__, shape_ix)))
+    return _frames(rules, times, bindings, seqs, ordinals)
+
+
+#: The slot setters of a plain (revision-less) DetectionFrame, in field
+#: order, with the constant columns the three revision fields take.
+_FRAME_SLOTS = tuple(
+    DetectionFrame.__dict__[name].__set__
+    for name in (
+        "rule", "time", "bindings", "seq", "ordinal",
+        "detection_id", "revision", "status",
+    )
+)
+_consume = deque(maxlen=0).extend
+
+
+def detection_frames(detections: Sequence[Any], seq: int) -> list:
+    """The push records of one release of plain
+    :class:`~repro.core.detector.Detection` objects, ``(seq, ordinal)``
+    with ordinals ``0, 1, ...``, built column by column.
+
+    Bindings are shared, not copied: a frame lives until it is encoded.
+    """
+    return list(
+        _frames(
+            [detection.rule.rule_id for detection in detections],
+            [detection.time for detection in detections],
+            [detection.instance.bindings for detection in detections],
+            repeat(seq),
+            range(len(detections)),
+        )
+    )
+
+
+def _frames(rules, times, bindings, seqs, ordinals) -> tuple:
+    """Plain DetectionFrames from five equal-length columns.
+
+    The frozen dataclass ``__init__`` is a Python call with eight
+    ``object.__setattr__`` calls per frame; filling each slot column by
+    column from C (``map`` over the slot descriptors) builds the same
+    frames about three times faster, with no Python frame per detection.
+    """
+    count = len(rules)
+    frames = tuple(map(object.__new__, repeat(DetectionFrame, count)))
+    columns = (
+        rules, times, bindings, seqs, ordinals,
+        repeat("", count), repeat(0, count), repeat("", count),
+    )
+    for setter, column in zip(_FRAME_SLOTS, columns):
+        _consume(map(setter, frames, column))
+    return frames
+
+
+@dataclass(frozen=True)
+class BinaryDetectionBatch(Frame):
+    """A DETBATCH of :class:`DetectionFrame` objects in columnar layout
+    (capability ``binary_push``, binary-codec sessions only).
+
+    Body layout (after the type byte)::
+
+        !I                  count
+        !H + !I + blob      rule-id table: size, NUL-joined UTF-8
+        !I + !I + blob      string table (binding keys and string values)
+        !H                  binding shapes, then per shape:
+          !B + !{k}I + k B    key count, key string indices, type codes
+        !{count}H           per-detection rule table index
+        !{count}H           per-detection binding shape index
+        !{count}d           per-detection time
+        !{count}q           per-detection client seq
+        !{count}I           per-detection ordinal
+        per shape, per key  one column over that shape's detections:
+                            !{n}I string index (``s``) or !{n}d (``d``)
+
+    The client decodes it straight into frames: per shape, one ``dict``
+    per detection from its typed columns, then one ``DetectionFrame``
+    per detection — no payload dicts in between.  A batch the columns
+    cannot carry exactly (see :func:`_pack_detections`) goes out as a
+    JSON :class:`DetectionBatch` instead; :meth:`pack` makes that choice.
+    """
+
+    TYPE = 0x0F
+
+    detections: tuple = ()
+    #: The packed body, when :meth:`pack` already built it.
+    body: bytes = field(default=b"", compare=False, repr=False)
+
+    @classmethod
+    def pack(cls, frames: Sequence[DetectionFrame]) -> Frame:
+        """The push frame for ``frames``: columnar, or the JSON
+        ``DETBATCH`` fallback when the columns cannot carry them."""
+        frames = tuple(frames)
+        try:
+            return cls(frames, _pack_detections(frames))
+        except NotPackable:
+            return DetectionBatch(
+                detections=tuple(frame.to_payload() for frame in frames)
+            )
+
+    def encode_body(self) -> bytes:
+        return self.body or _pack_detections(self.detections)
+
+    @classmethod
+    def decode_body(cls, body: bytes) -> "BinaryDetectionBatch":
+        return cls(_unpack_detections(body))
 
 
 @dataclass(frozen=True)
@@ -795,6 +1124,7 @@ _FRAME_TYPES: dict[int, type] = {
         Subscribe,
         DetectionFrame,
         DetectionBatch,
+        BinaryDetectionBatch,
         ErrorFrame,
         Bye,
         Ping,
@@ -924,10 +1254,12 @@ class WireCodec:
     """Strategy for laying observation batches onto the wire.
 
     A codec owns only the *ingest* direction — how a client turns a run
-    of observations numbered ``seq, seq + 1, ...`` into frames.  Every
-    other frame type (acks, detections, control) is plain JSON for all
-    codecs, so subscribers and v1 tooling never need to know which
-    codec a producer negotiated.
+    of observations numbered ``seq, seq + 1, ...`` into frames.  Acks
+    and control frames are plain JSON for all codecs, and detections
+    are too unless a binary-codec session asked for
+    :class:`BinaryDetectionBatch` (capability ``binary_push``), so other
+    subscribers and v1 tooling never need to know which codec a
+    producer negotiated.
 
     Implement :meth:`encode_batch_into` and register with
     :func:`register_codec`; the server accepts whatever frames arrive
@@ -986,7 +1318,7 @@ class BinaryCodec(WireCodec):
         frame = BinaryBatch(seq=seq, observations=tuple(observations))
         try:
             return encode_frame_into(frame, buffer)
-        except _NotPackable:
+        except NotPackable:
             return _JSON_CODEC.encode_batch_into(buffer, seq, observations)
 
 

@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
+from ..core.detector import Detection
 from ..core.errors import ReproError
 from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
@@ -73,6 +74,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     Ack,
     Batch,
+    BinaryDetectionBatch,
     Bye,
     DetectionBatch,
     DetectionFrame,
@@ -88,6 +90,7 @@ from .protocol import (
     Subscribe,
     Welcome,
     codec_names,
+    detection_frames,
     detection_payload,
     encode_frame_into,
     negotiate_codec,
@@ -97,6 +100,9 @@ __all__ = ["CepServer", "ServeConfig", "SlowConsumerPolicy", "ServeError"]
 
 #: Transport read size, in bytes.
 _READ_CHUNK = 64 * 1024
+
+#: Push frames that carry several detections (counted per detection).
+_BATCH_FRAMES = (DetectionBatch, BinaryDetectionBatch)
 
 
 class ServeError(ReproError):
@@ -252,6 +258,11 @@ class _Session:
         #: Whether the peer understands DetectionBatch push frames
         #: (HELLO capability ``batch_push``); v1 peers never set it.
         self.batch_push = False
+        #: Whether detections go out as columnar
+        #: :class:`~repro.serve.protocol.BinaryDetectionBatch` frames:
+        #: HELLO capability ``binary_push`` on a binary-codec session.
+        #: Everyone else keeps the JSON DETBATCH/DETECTION bytes.
+        self.binary_push = False
         #: Whether the peer answers PING (HELLO capability
         #: ``heartbeat``); gates whether the liveness loop probes it.
         self.heartbeat = False
@@ -644,6 +655,9 @@ class CepServer:
         codecs = self.config.codec_preference()
         session.codec = negotiate_codec(hello, codecs)
         session.batch_push = bool(hello.capabilities.get("batch_push"))
+        session.binary_push = session.codec == "binary" and bool(
+            hello.capabilities.get("binary_push")
+        )
         # PING is capability-gated: only a peer that said it answers
         # heartbeats is ever probed (v1 peers never advertise it).
         session.heartbeat = hello.version >= 2 and bool(
@@ -1039,21 +1053,26 @@ class CepServer:
         subscribers = [s for s in self._sessions if s.alive and s.subscribed]
         if not subscribers:
             return
-        # Work in payload dicts, not DetectionFrame objects: a batch
-        # frame carries the dicts verbatim, so frozen-dataclass
-        # construction only happens for legacy per-frame subscribers.
-        # An asynchronous backend may hand back payload dicts already.
-        payloads = []
-        for ordinal, detection in enumerate(detections):
-            payload = (
-                detection
-                if detection.__class__ is dict
-                else detection_payload(detection)
-            )
-            payload["seq"] = seq
-            payload["ordinal"] = ordinal
-            payloads.append(payload)
+        # Built once per release, and only in the shape a subscriber
+        # needs: DetectionFrames for columnar subscribers, payload dicts
+        # (which a JSON batch frame carries verbatim) for the rest.  A
+        # release of plain Detections (every non-REVISE engine's) goes
+        # straight to frames; revision-tagged detections, and the payload
+        # dicts an asynchronous backend hands back, go through payloads.
+        frames = payloads = None
         for subscriber in subscribers:
+            if subscriber.binary_push:
+                if frames is None:
+                    if {d.__class__ for d in detections} == {Detection}:
+                        frames = detection_frames(detections, seq)
+                    else:
+                        if payloads is None:
+                            payloads = self._payloads(detections, seq)
+                        frames = list(map(DetectionFrame.from_payload, payloads))
+                self._push_frames(subscriber, frames)
+                continue
+            if payloads is None:
+                payloads = self._payloads(detections, seq)
             if subscriber.rule_filter is None:
                 wanted = payloads
             else:
@@ -1083,6 +1102,37 @@ class CepServer:
                         subscriber, DetectionFrame.from_payload(payload)
                     )
 
+    @staticmethod
+    def _payloads(detections: list, seq: int) -> list:
+        """One JSON push payload per detection; an asynchronous backend
+        may hand back payload dicts already."""
+        payloads = []
+        for ordinal, detection in enumerate(detections):
+            payload = (
+                detection
+                if detection.__class__ is dict
+                else detection_payload(detection)
+            )
+            payload["seq"] = seq
+            payload["ordinal"] = ordinal
+            payloads.append(payload)
+        return payloads
+
+    def _push_frames(self, subscriber: _Session, frames: list) -> None:
+        """Push one columnar DETBATCH (the JSON one when the columns
+        cannot carry the batch) under the same filters as JSON pushes."""
+        if subscriber.rule_filter is not None:
+            frames = [f for f in frames if f.rule in subscriber.rule_filter]
+        if not subscriber.revisions:
+            frames = [
+                f if not f.detection_id
+                else DetectionFrame(f.rule, f.time, f.bindings, f.seq, f.ordinal)
+                for f in frames
+                if not f.detection_id or f.status == "final"
+            ]
+        if frames:
+            self._push_detection(subscriber, BinaryDetectionBatch.pack(frames))
+
     def _push_detection(self, session: _Session, frame: Frame) -> None:
         if len(session.push_buffer) >= self.config.push_queue:
             if self._push_policy is SlowConsumerPolicy.DISCONNECT:
@@ -1102,7 +1152,7 @@ class CepServer:
             session.push_buffer.append(frame)
             dropped = (
                 len(victim.detections)
-                if isinstance(victim, DetectionBatch)
+                if isinstance(victim, _BATCH_FRAMES)
                 else 1
             )
             self.stats.detections_dropped += dropped
@@ -1182,7 +1232,7 @@ class CepServer:
                             # carries several firings.
                             pushed = (
                                 len(frame.detections)
-                                if isinstance(frame, DetectionBatch)
+                                if isinstance(frame, _BATCH_FRAMES)
                                 else 1
                             )
                             self.stats.detections_pushed += pushed

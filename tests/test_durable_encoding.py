@@ -1,22 +1,26 @@
-"""Byte identity of the template-encoded durable records.
+"""Byte identity of the durable records.
 
-WAL bodies and outbox intent/ack lines are formatted from templates
-instead of by ``json.dumps`` (see ``repro.resilience.durability``); the
-files they produce must not change by a byte.  Three layers of proof:
+Outbox intent/ack lines are formatted from templates instead of by
+``json.dumps``, and the WAL writes each packable batch as one columnar
+batch record (see ``repro.resilience.durability``).  Four layers of
+proof:
 
-* ``encode_payload`` equals ``json.dumps(payload, separators=(",", ":"))``
-  over every payload shape the durable layer writes, template-eligible
-  or not;
+* ``encode_payload`` — the per-record JSON body — equals
+  ``json.dumps(payload, separators=(",", ":"))`` over every payload
+  shape the durable layer writes;
+* a batch read back from its batch record is, seq for seq, the
+  per-record JSON bodies it replaces, and only batches the columns
+  carry exactly become batch records;
 * the outbox line formatters equal ``_format_line`` of the dict they
   replaced;
-* a fixed ``DurableEngine`` run produces WAL segments and an
-  ``outbox.log`` whose SHA-256 was pinned from the commit before the
-  templates existed.
+* a fixed ``DurableEngine`` run produces WAL segments, an
+  ``outbox.log`` and checkpoints whose SHA-256 are pinned.
 """
 
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +30,14 @@ from repro import Engine, Observation
 from repro.bench.workloads import build_events_axis_workload
 from repro.core.errors import WalError
 from repro.resilience import MalformedObservation
-from repro.resilience.durability import DurableEngine, WalWriter
+from repro.resilience.durability import (
+    DurableEngine,
+    WalWriter,
+    read_wal,
+    scan_segment,
+    scan_wal,
+    segment_files,
+)
 from repro.resilience.durability import outbox as outbox_module
 from repro.resilience.durability import wal as wal_module
 from repro.resilience.durability.engine import encode_observation
@@ -135,16 +146,6 @@ class TestEncodePayload:
         payload["c"] = [client_id, client_seq]
         assert encode_payload(payload) == reference(payload)
 
-    def test_hot_shapes_never_reach_the_general_encoder(self, monkeypatch):
-        def general(_payload):
-            raise AssertionError("template-eligible payload fell back")
-
-        monkeypatch.setattr(wal_module, "compact_json", general)
-        payload = encode_observation(Observation("r1", "tag-é", 12.5))
-        assert encode_payload(payload) == reference(payload)
-        payload["c"] = ["client-1", 41]
-        assert encode_payload(payload) == reference(payload)
-
     def test_subclassed_values_fall_back(self):
         class Reader(str):
             pass
@@ -186,30 +187,134 @@ def submitted(draw):
     return observation
 
 
-class TestEncodeObservations:
+def _packable(observations, client_id, client_seqs):
+    """Whether the columns carry this batch exactly (the batch-record rule)."""
+
+    def plain_id(value):
+        return type(value) is str and "\x00" not in value and _utf8(value)
+
+    def _utf8(value):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+
+    if not observations:
+        return False
+    for observation in observations:
+        if type(observation) is not Observation or observation.extra is not None:
+            return False
+        if not (plain_id(observation.reader) and plain_id(observation.obj)):
+            return False
+        if type(observation.timestamp) is not float:
+            return False
+        if observation.timestamp - observation.timestamp != 0.0:
+            return False
+    if client_id is None:
+        return True
+    if type(client_id) is not str or not _utf8(client_id):
+        return False
+    if type(client_seqs) is range:
+        return client_seqs.start >= 0
+    return all(type(seq) is int and -(2**63) <= seq < 2**63 for seq in client_seqs)
+
+
+def _reference_entries(first_seq, observations, client_id, client_seqs):
+    """The per-record JSON path: the record bodies written before batch
+    records existed."""
+    entries = []
+    for index, observation in enumerate(observations):
+        payload = encode_observation(observation)
+        if client_id is not None:
+            payload["c"] = [client_id, client_seqs[index]]
+        entries.append((first_seq + index, reference(payload)))
+    return entries
+
+
+def _as_json_record(record):
+    """A :func:`read_wal` entry as the per-record JSON body it stands for."""
+    if record.payload is not None:
+        return reference(record.payload)
+    observation = record.observation
+    payload = {
+        "k": "o", "r": observation.reader, "o": observation.obj,
+        "t": observation.timestamp,
+    }
+    if record.client is not None:
+        payload["c"] = list(record.client)
+    return reference(payload)
+
+
+class TestBatchRecords:
+    """A batch is one batch record when the columns carry it, per-record
+    JSON otherwise, and either way replay reads back, seq for seq, the
+    exact record bodies the per-record JSON path wrote."""
+
     @given(
         st.lists(submitted(), max_size=6),
         st.integers(min_value=0, max_value=2**40),
         st.one_of(st.none(), ids, st.integers()),
-        st.integers(min_value=-(2**40), max_value=2**40),
+        st.one_of(
+            st.integers(min_value=-(2**40), max_value=2**40),
+            st.lists(
+                st.integers(min_value=-(2**64), max_value=2**64),
+                min_size=6, max_size=6, unique=True,
+            ).map(sorted),
+        ),
     )
     @example([Observation("r1", "tag-é", 12.5)], 3, "client", 7)
     @example([Observation("r1", "tag", 1.0, {"rssi": -40})], 0, None, 0)
+    @example([Observation("r\x00", "tag", 1.0)], 0, "c", 0)
+    @example([Observation("r", "\ud800", 1.0)], 0, "c", [0, 2, 5, 6, 7, 9])
+    @example([Observation("r", "o", float("nan"))], 0, "c", 0)
+    @example([Observation("r", "o", 1.0), Observation("r", "o", 2.0)], 0, "c",
+             [-3, 2, 5, 6, 7, 9])
     @settings(max_examples=300, deadline=None)
-    def test_batch_pass_equals_per_record_payloads(
+    def test_batch_reads_back_as_the_per_record_path(
         self, observations, first_seq, client_id, client_start
     ):
-        client_seqs = range(client_start, client_start + len(observations))
-        expected = []
-        for index, observation in enumerate(observations):
-            payload = encode_observation(observation)
-            if client_id is not None:
-                payload["c"] = [client_id, client_seqs[index]]
-            seq = first_seq + index
-            expected.append((seq, wal_module._encode_record(seq, payload)))
-        assert wal_module.encode_observations(
-            first_seq, observations, encode_observation, client_id, client_seqs
-        ) == expected
+        if isinstance(client_start, int):
+            client_seqs = range(client_start, client_start + len(observations))
+        else:
+            client_seqs = tuple(client_start[: len(observations)])
+        with tempfile.TemporaryDirectory() as directory:
+            with WalWriter(directory) as wal:
+                wal.append_encoded(wal_module.encode_batch(
+                    first_seq, observations, encode_observation,
+                    client_id, client_seqs if client_id is not None else None,
+                ))
+                assert wal.appended == len(observations)
+            got = [
+                (record.seq, _as_json_record(record))
+                for record in read_wal(directory)
+            ]
+            physical = sum(
+                len(scan_segment(os.path.join(directory, name))[0])
+                for name in segment_files(directory)
+            )
+        expected = _reference_entries(
+            first_seq, observations, client_id,
+            client_seqs if client_id is not None else None,
+        )
+        assert got == expected
+        packable = _packable(observations, client_id, client_seqs)
+        assert physical == (1 if packable else len(observations))
+
+    def test_packable_batches_never_reach_json(self, tmp_path, monkeypatch):
+        def general(_payload):
+            raise AssertionError("a packable reading reached the JSON encoder")
+
+        stream = [Observation("r1", f"tag-é{i}", 0.5 * i) for i in range(300)]
+        with DurableEngine(lambda: Engine([]), str(tmp_path / "state")) as durable:
+            monkeypatch.setattr(wal_module, "compact_json", general)
+            durable.submit_many(stream[:256], client=("c", 0))
+            durable.submit_many(stream[256:], client=("relay", range(0, 88, 2)))
+            durable.submit_many(stream[:0])
+            durable.submit(Observation("r1", "x", 999.0))
+            assert durable.wal.appended == 301
+        (info,) = scan_wal(str(tmp_path / "state" / "wal"))
+        assert (info.records, info.first_seq, info.last_seq) == (3, 0, 300)
 
 
 rule_ids = st.one_of(st.none(), ids, st.integers())
@@ -271,12 +376,16 @@ class TestOutboxFormatters:
 
 # -- golden run -----------------------------------------------------------------
 
-#: SHA-256 over (name, bytes) of the files the run below leaves behind,
-#: pinned from commit 271955d — the last one that wrote every record
-#: with ``json.dumps``.  If a change to the *format* is intended, say so
-#: and re-pin; an encoder change must never need to.
+#: SHA-256 over (name, bytes) of the WAL segments the run below leaves
+#: behind.  Re-pinned once, on purpose, when the WAL began writing each
+#: packable batch as one columnar batch record (the ``BBATCH`` body)
+#: instead of one JSON record per reading; the run's flush marker still
+#: takes a JSON record.  ``TestBatchRecords`` holds every batch record
+#: to the per-record bodies it replaces, seq for seq.  If a change to
+#: the *format* is intended, say so and re-pin; an encoder change must
+#: never need to.
 GOLDEN_WAL_SHA256 = (
-    "1a306683f518ee18eeb5a9ad12885a5556fc6ac5b2a33b632b97c9de0885864d"
+    "adc5a46f617f56d12c4d09b623391271f4205c6cd452bd4fb07dc72348716895"
 )
 GOLDEN_OUTBOX_SHA256 = (
     "ef98cb8be10f8a886277baa91f6587a175d0bbba78d37a918e95e06d5175a25f"

@@ -16,9 +16,8 @@ import pytest
 
 from repro import Engine
 from repro.lang import parse_rules
-from repro.resilience.durability import DurableEngine, read_wal
+from repro.resilience.durability import DurableEngine, decode_record, read_wal
 from repro.resilience.durability.engine import (
-    CLIENT_KEY,
     _resolve_client_seqs,
 )
 from repro.serve import ClientError, ErrorFrame, RetryConfig, encode_frame
@@ -353,9 +352,9 @@ class TestRelayedProvenance:
             durable.submit_many(stream, client=("relay", gapped))
             assert durable.client_frontiers["relay"] == gapped[-1]
         recorded = [
-            record.payload[CLIENT_KEY][1]
+            client[1]
             for record in read_wal(os.path.join(directory, "wal"))
-            if CLIENT_KEY in record.payload
+            if (client := decode_record(record)[1]) is not None
         ]
         assert recorded == list(gapped)
 

@@ -211,8 +211,16 @@ class TestCli:
                 ],
             ),
             (["--kill-at", "49"], 2, ["--kill-at 49 outside stream (0..48)"]),
+            (
+                ["--kill-at", "0", "--tear-tail"],
+                2,
+                ["--tear-tail needs a logged reading to tear: use --kill-at 1..48"],
+            ),
         ],
-        ids=["mid", "mid-batch-fsync-torn", "zero", "stream-end", "out-of-range"],
+        ids=[
+            "mid", "mid-batch-fsync-torn", "zero", "stream-end", "out-of-range",
+            "zero-torn",
+        ],
     )
     def test_wal_drill_output(
         self, tmp_path, monkeypatch, capsys, flags, code, lines
@@ -226,6 +234,59 @@ class TestCli:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert main(["wal", "drill", *flags]) == code
         assert capsys.readouterr().out.splitlines() == lines
+
+    def _durable_dir(self, tmp_path):
+        """A durable directory whose log holds one batch record, a flush
+        marker and a poison record (per-record JSON), no checkpoint."""
+        from repro.__main__ import _build_engine, _load_rules, _packing_stream
+        from repro.resilience import MalformedObservation
+        from repro.resilience.durability import DurableEngine
+
+        program = _load_rules(self._rules_file(tmp_path))
+        stream = _packing_stream(4, 3)
+        directory = str(tmp_path / "state")
+        with DurableEngine(
+            lambda: _build_engine(program.rules), directory, checkpoint_every=0
+        ) as durable:
+            durable.submit_many(stream, client=("cli", 0))
+            durable.flush(client=("cli", len(stream)))
+            with pytest.raises(TypeError):
+                durable.submit(
+                    MalformedObservation("r1", "x", None),
+                    client=("cli", len(stream) + 1),
+                )
+        return directory
+
+    def test_wal_inspect_output(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        directory = self._durable_dir(tmp_path)
+        assert main(["wal", "inspect", "--dir", directory]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"write-ahead log: {directory}/wal",
+            "  wal-0000000000000000.seg: 3 records, seq 0..25, 1099 bytes",
+            "logged: 25 readings (1 poison), 1 flush markers",
+            "checkpoints: 0",
+            "outbox: (empty)",
+        ]
+
+    def test_wal_recover_output(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        directory = self._durable_dir(tmp_path)
+        rules = self._rules_file(tmp_path)
+        assert main(["wal", "recover", "--dir", directory, "--rules", rules]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"recovered {directory}",
+            "  checkpoint seq:        -1",
+            "  checkpoints tried:     0",
+            "  records replayed:      26",
+            "  records skipped:       1",
+            "  deliveries suppressed: 0",
+            "  deliveries re-run:     0",
+            "  torn bytes truncated:  0",
+            "  next sequence number:  26",
+        ]
 
     def test_demo_command(self, capsys):
         from repro.__main__ import main
