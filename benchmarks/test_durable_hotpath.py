@@ -31,10 +31,18 @@ about 35 B per reading, where one JSON record per reading was 113 B on
 the served path) and C-level calls made from ``wal.py`` (``c_call``
 events whose caller is in that file; 15.0 per observation when each
 reading was its own templated record, and a handful per batch now).
+
+The fourth guard counts Python calls per pushed detection from the
+backend's release to the subscriber's encoded push bytes, for a direct
+``CepServer`` subscriber and through the router.  Every pushed firing
+is one ``DetectionFrame`` from release to wire: 1.145 calls direct, and
+2.81 routed, where the router fanned in a payload dict per firing from
+a JSON link (6.31).  Two runs must count exactly the same.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import sys
@@ -46,7 +54,16 @@ from repro.lang import parse_rules
 from repro.resilience.durability import DurableEngine
 from repro.resilience.durability import wal as wal_module
 from repro.scenarios import get_pack
-from repro.serve.cluster import file_sink
+from repro.serve import CepServer
+from repro.serve.cluster import CepRouter, file_sink, plan_cluster
+from repro.serve.protocol import (
+    Ack,
+    FrameDecoder,
+    Hello,
+    encode_frame_into,
+    received_frames,
+)
+from repro.serve.server import _Session
 from repro.store import RfidStore
 from repro.workload import GeneratedWorkload, WorkloadConfig
 
@@ -236,3 +253,117 @@ def test_wal_bytes_and_c_calls_per_observation_are_bounded(tmp_path):
     for bytes_per, c_calls_per in costs:
         assert bytes_per <= 40
         assert c_calls_per <= 1
+
+
+# -- the push path: backend release to encoded push bytes ---------------------
+
+#: What an ``AsyncClient`` subscriber asks for (its push capabilities).
+_SUBSCRIBER = {"codecs": ["binary"], "batch_push": True, "binary_push": True,
+               "revisions": True}
+
+
+def _subscribed(server, hello):
+    """A session of ``server`` after a real handshake and SUBSCRIBE, with
+    no transport: the guard plays its sender task (:func:`_drain`)."""
+    session = _Session(hello.client_id, None, None)
+    server._sessions.add(session)
+    server._handshake(session, hello)
+    session.subscribed = True
+    _drain(session, bytearray())  # the WELCOME
+    return session
+
+
+def _drain(session, buffer):
+    """Encode what ``CepServer._sender_loop`` would write for ``session``."""
+    outbound = session.outbound
+    while not outbound.empty():
+        item = outbound.get_nowait()
+        if item.__class__ is list:  # the coalesced ["ack", seq] box
+            session.tail_ack = None
+            encode_frame_into(Ack(seq=item[1]), buffer)
+        elif item == "push":
+            encode_frame_into(session.push_buffer.popleft(), buffer)
+        else:
+            encode_frame_into(item, buffer)
+
+
+def _profiled(step, counter):
+    sys.setprofile(counter)
+    try:
+        step()
+    finally:
+        sys.setprofile(None)
+
+
+async def push_calls_per_detection(routed, size=2000):
+    """Python calls per pushed detection, from the backend's release to
+    the subscriber's encoded push bytes, on the cluster worker's
+    ``packing`` program in served batches.
+
+    Direct: ``CepServer._release`` of each batch's detections, then the
+    subscriber's frames.  Routed (one worker, as ``cluster-w1``): the
+    worker's release to its link session, the link's frame handling
+    (``WorkerLink._on_frame``) of those bytes, and the front server's
+    release of the epoch.  Detection itself, and the router's split and
+    relay of the batch, happen outside the count.  A coroutine only
+    because the router's epochs are futures of the running loop.
+    """
+    source, observations = _generated("packing", size)
+    rules = parse_rules(source.program)
+    plan = plan_cluster(rules, 1, max_shards=1)
+    (shard,) = plan.shard_plan.shard_names
+    engine = Engine(rules, context="chronicle", store=RfidStore())
+    if routed:
+        router = CepRouter(plan, {shard: ("127.0.0.1", 0)})
+        link = router.links[shard]
+        worker = CepServer(engine)
+        link_session = _subscribed(worker, link.hello())
+        server = CepServer(router)
+    else:
+        server = CepServer(engine)
+    subscriber = _subscribed(server, Hello("guard", capabilities=_SUBSCRIBER))
+    pushed = bytearray()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for first in range(0, size, BATCH_SERVED):
+        batch = observations[first : first + BATCH_SERVED]
+        last = first + len(batch) - 1
+        if routed:
+            released = router.submit_many(batch, client=("guard", first))
+            entry = link.pending[-1]
+            detections = engine.submit_many(entry.observations)
+        else:
+            released = engine.submit_many(batch)
+
+        def release():
+            if routed:
+                worker._release(link_session.record, entry.last, detections)
+                wire = bytearray()
+                _drain(link_session, wire)
+                for frame in FrameDecoder().feed(bytes(wire)):
+                    link._on_frame(frame)
+            server._release(subscriber.record, last, released)
+            _drain(subscriber, pushed)
+
+        _profiled(release, count)
+    received = sum(
+        len(received_frames(frame)) for frame in FrameDecoder().feed(bytes(pushed))
+    )
+    return calls / received, received
+
+
+@pytest.mark.parametrize(
+    "routed, ceiling", [(False, 1.15), (True, 2.82)], ids=["direct", "router"]
+)
+def test_push_calls_per_detection_are_pinned(routed, ceiling):
+    runs = [asyncio.run(push_calls_per_detection(routed)) for _ in range(2)]
+    print(f"\npush calls per detection: {runs[0][0]:.3f} "
+          f"over {runs[0][1]} detections")
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 100
+    assert runs[0][0] <= ceiling

@@ -34,9 +34,7 @@ from ..core.instances import Observation
 from .protocol import (
     PROTOCOL_VERSION,
     Ack,
-    BinaryDetectionBatch,
     Bye,
-    DetectionBatch,
     DetectionFrame,
     ErrorFrame,
     Flush,
@@ -50,6 +48,7 @@ from .protocol import (
     codec_names,
     encode_frame,
     get_codec,
+    received_frames,
 )
 
 logger = logging.getLogger("repro.serve.client")
@@ -628,24 +627,10 @@ class AsyncClient:
             async with self._cond:
                 self._advance_acks(frame.seq)
                 self._cond.notify_all()
-        elif isinstance(frame, DetectionFrame):
-            self.detections.append(frame)
+        elif received := received_frames(frame):
+            self.detections.extend(received)
             if self._on_detection is not None:
-                self._on_detection(frame)
-        elif isinstance(frame, BinaryDetectionBatch):
-            # Decoded straight into frames: no payload dicts in between.
-            self.detections.extend(frame.detections)
-            if self._on_detection is not None:
-                for detection in frame.detections:
-                    self._on_detection(detection)
-        elif isinstance(frame, DetectionBatch):
-            unpacked = [
-                DetectionFrame.from_payload(payload)
-                for payload in frame.detections
-            ]
-            self.detections.extend(unpacked)
-            if self._on_detection is not None:
-                for detection in unpacked:
+                for detection in received:
                     self._on_detection(detection)
         elif isinstance(frame, Ping):
             self.heartbeats += 1

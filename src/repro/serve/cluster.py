@@ -45,7 +45,7 @@ Delivery contract (documented, and exercised by the cluster drill):
   submission order, detections before the ack; within an epoch,
   detections are grouped by shard in route order (order of first
   appearance in the batch), then each worker's firing order, and
-  revision-tagged payloads are sorted by ``(detection_id, revision)``;
+  revision-tagged detections are sorted by ``(detection_id, revision)``;
   ``seq`` is the client batch's last sequence number and ordinals run
   ``0..n-1``.
 """
@@ -62,6 +62,7 @@ import signal
 import sys
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional
 from uuid import uuid4
@@ -73,8 +74,6 @@ from ..obs.metrics import MetricsRegistry
 from .protocol import (
     Ack,
     Batch,
-    DetectionBatch,
-    DetectionFrame,
     ErrorFrame,
     Flush,
     Frame,
@@ -87,6 +86,7 @@ from .protocol import (
     Welcome,
     detection_payload,
     encode_frame_into,
+    received_frames,
 )
 from .server import CepServer, ServeConfig, ServeError
 
@@ -103,6 +103,8 @@ __all__ = [
 ]
 
 SINK_FILENAME = "deliveries.jsonl"
+
+_revision_key = attrgetter("detection_id", "revision")
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +417,18 @@ class ShardWorker:
         self.ports.clear()
 
     async def abort(self) -> None:
-        """In-process crash: servers drop mid-flight, engines stay open.
+        """In-process crash: servers drop mid-flight, no checkpoint.
 
         Mirrors :meth:`CepServer.abort` — the durable directories are
-        left exactly as a SIGKILL would, ready for ``recover()``.
+        left exactly as a SIGKILL would, ready for ``recover()``.  The
+        engines' WAL, journal and sink handles are closed as a dying
+        process's would be: every write on them is flushed per call, so
+        closing adds no byte.
         """
         for server in self.servers.values():
             await server.abort()
+        for engine in self.engines.values():
+            engine.close()
         self.servers.clear()
         self.engines.clear()
         self.ports.clear()
@@ -573,8 +580,9 @@ class _Epoch:
 
     ``waiting`` holds the shards whose cumulative link ack does not yet
     cover their sub-batch; ``order`` fixes the deterministic detection
-    grouping; ``detections`` accumulates worker payload dicts per shard;
-    ``future`` resolves to the epoch's fan-in once nothing is waiting.
+    grouping; ``detections`` accumulates the workers' DetectionFrames
+    per shard; ``future`` resolves to the epoch's fan-in once nothing is
+    waiting.
     """
 
     __slots__ = ("waiting", "order", "detections", "future")
@@ -603,11 +611,13 @@ class WorkerLink:
     """The router's session to one shard's server.
 
     A single connection is both the ingest session (sub-batches with
-    source provenance, link-sequenced) and the subscriber (the worker
-    pushes detections back on it).  The link survives worker crashes: it
-    redials with ``resume_from`` at its ack frontier and resends every
-    pending sub-batch — the worker's recovered provenance frontier turns
-    replayed observations into no-ops, so resends are exactly-once.
+    source provenance, link-sequenced) and an ordinary binary-push
+    subscriber: the worker pushes detections back on it as columnar
+    ``BDETBATCH`` frames, which decode straight into DetectionFrames.
+    The link survives worker crashes: it redials with ``resume_from`` at
+    its ack frontier and resends every pending sub-batch — the worker's
+    recovered provenance frontier turns replayed observations into
+    no-ops, so resends are exactly-once.
 
     A *paused* link (migration drain) keeps queueing sub-batches in
     ``pending`` but writes none of them until :meth:`resume`; the
@@ -724,18 +734,20 @@ class WorkerLink:
             attempt += 1
             await asyncio.sleep(delay)
 
-    async def _connect_once(self) -> Any:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        self._writer = writer
-        hello = Hello(
+    def hello(self) -> Hello:
+        """The link's HELLO, offered on every (re)connect."""
+        return Hello(
             client_id=self.client_id,
             resume_from=self.last_acked,
             capabilities={
-                # JSON only: sub-batches carry the prov key, which the
-                # columnar binary body cannot represent anyway.
-                "codecs": ["json"],
+                # An ordinary columnar subscriber: detections come back
+                # as BDETBATCH.  Sub-batches still go out as JSON BATCH
+                # frames, which every session accepts, because the
+                # columnar body has no provenance column.
+                "codecs": ["binary", "json"],
                 "resume": True,
                 "batch_push": True,
+                "binary_push": True,
                 "heartbeat": True,
                 # The link must see the full revision lifecycle: the
                 # router re-pushes records to its own subscribers, where
@@ -743,8 +755,12 @@ class WorkerLink:
                 "revisions": True,
             },
         )
+
+    async def _connect_once(self) -> Any:
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        self._writer = writer
         buffer = bytearray()
-        encode_frame_into(hello, buffer)
+        encode_frame_into(self.hello(), buffer)
         encode_frame_into(Subscribe(), buffer)
         writer.write(bytes(buffer))
         await writer.drain()
@@ -793,20 +809,21 @@ class WorkerLink:
             if not data:
                 return
             for frame in decoder.feed(data):
-                if frame.__class__ is Ack:
-                    self._on_ack(frame.seq)
-                elif frame.__class__ is DetectionBatch:
-                    self._on_detections(list(frame.detections))
-                elif frame.__class__ is DetectionFrame:
-                    self._on_detections([frame.to_payload()])
-                elif frame.__class__ is Ping:
-                    buffer = bytearray()
-                    encode_frame_into(Pong(token=frame.token), buffer)
-                    self._writer.write(bytes(buffer))
-                elif frame.__class__ is ErrorFrame:
-                    raise ConnectionResetError(
-                        f"worker error: {frame.code}: {frame.message}"
-                    )
+                self._on_frame(frame)
+
+    def _on_frame(self, frame: Frame) -> None:
+        if frame.__class__ is Ack:
+            self._on_ack(frame.seq)
+        elif received := received_frames(frame):
+            self._on_detections(received)
+        elif frame.__class__ is Ping:
+            buffer = bytearray()
+            encode_frame_into(Pong(token=frame.token), buffer)
+            self._writer.write(bytes(buffer))
+        elif frame.__class__ is ErrorFrame:
+            raise ConnectionResetError(
+                f"worker error: {frame.code}: {frame.message}"
+            )
 
     def _on_ack(self, seq: int) -> None:
         if seq > self.last_acked:
@@ -823,16 +840,16 @@ class WorkerLink:
             if not epoch.waiting:
                 self.router._complete(epoch)
 
-    def _on_detections(self, payloads: list) -> None:
-        for payload in payloads:
-            epoch = self._epoch_by_last.get(payload.get("seq"))
+    def _on_detections(self, frames: tuple) -> None:
+        for frame in frames:
+            epoch = self._epoch_by_last.get(frame.seq)
             if epoch is None:
                 # A resend regenerated nothing for this sub-batch, yet a
                 # pre-crash push straggled in — or the epoch was already
                 # released.  At-most-once push: drop, count.
                 self.router.stats.unattributed_detections += 1
                 continue
-            epoch.detections[self.shard].append(payload)
+            epoch.detections[self.shard].append(frame)
 
     # -- outbound (called synchronously by the router) ----------------------
 
@@ -1021,25 +1038,20 @@ class CepRouter:
     def _complete(self, epoch: _Epoch) -> None:
         """Every shard acked: resolve the epoch's future with its fan-in.
 
-        Payloads group by the epoch's route order (shards in order of
+        Frames group by the epoch's route order (shards in order of
         first appearance in the batch), each shard's in firing order.
         """
-        payloads: list = []
+        frames: list = []
         for shard in epoch.order:
-            payloads.extend(epoch.detections[shard])
-        if any("did" in payload for payload in payloads):
-            # Revision-tagged fan-in must be deterministic regardless of
-            # which shard's push won the race: order by (detection_id,
-            # revision).  The sort is stable, so untagged payloads keep
-            # their shard order (and sort ahead on the empty id).
-            payloads.sort(
-                key=lambda payload: (
-                    payload.get("did", ""), payload.get("rev", -1)
-                )
-            )
+            frames.extend(epoch.detections[shard])
+        # Revision-tagged fan-in must be deterministic regardless of
+        # which shard's push won the race: order by (detection_id,
+        # revision).  The sort is stable and untagged frames share the
+        # empty id, so they keep their shard order, ahead of tagged ones.
+        frames.sort(key=_revision_key)
         self.epochs_open -= 1
-        self.stats.detections_forwarded += len(payloads)
-        epoch.future.set_result(payloads)
+        self.stats.detections_forwarded += len(frames)
+        epoch.future.set_result(frames)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,10 @@ __all__ = [
     "decode_observation_payload",
     "detection_payload",
     "detection_frames",
+    "tagged_frames",
+    "resequenced",
+    "push_frames",
+    "received_frames",
     "WireCodec",
     "JsonCodec",
     "BinaryCodec",
@@ -688,10 +692,15 @@ class DetectionFrame(Frame):
     status: str = ""
 
     def to_payload(self) -> dict:
+        """The JSON view, in the one key order every JSON push uses.
+
+        The bindings are copied: a frame may share its bindings with the
+        engine that fired it, and a payload can sit in a push buffer.
+        """
         payload = {
             "rule": self.rule,
             "time": self.time,
-            "bindings": self.bindings,
+            "bindings": dict(self.bindings),
             "seq": self.seq,
             "ordinal": self.ordinal,
         }
@@ -925,8 +934,7 @@ def _unpack_detections(body: bytes) -> tuple:
     return _frames(rules, times, bindings, seqs, ordinals)
 
 
-#: The slot setters of a plain (revision-less) DetectionFrame, in field
-#: order, with the constant columns the three revision fields take.
+#: The slot setters of a DetectionFrame, in field order.
 _FRAME_SLOTS = tuple(
     DetectionFrame.__dict__[name].__set__
     for name in (
@@ -942,7 +950,8 @@ def detection_frames(detections: Sequence[Any], seq: int) -> list:
     :class:`~repro.core.detector.Detection` objects, ``(seq, ordinal)``
     with ordinals ``0, 1, ...``, built column by column.
 
-    Bindings are shared, not copied: a frame lives until it is encoded.
+    Bindings are shared, not copied: a frame lives until it is encoded,
+    and :meth:`DetectionFrame.to_payload` copies them for JSON pushes.
     """
     return list(
         _frames(
@@ -955,8 +964,46 @@ def detection_frames(detections: Sequence[Any], seq: int) -> list:
     )
 
 
-def _frames(rules, times, bindings, seqs, ordinals) -> tuple:
-    """Plain DetectionFrames from five equal-length columns.
+def tagged_frames(detections: Sequence[Any], seq: int) -> list:
+    """:func:`detection_frames` for revision-tagged detections (REVISE's
+    :class:`~repro.core.speculate.SpeculativeDetection`), with their
+    ``detection_id``/``revision``/``status``; an untagged detection in
+    the release gets a plain frame."""
+    return [
+        DetectionFrame(
+            detection.rule.rule_id,
+            detection.time,
+            detection.instance.bindings,
+            seq,
+            ordinal,
+            getattr(detection, "detection_id", ""),
+            getattr(detection, "revision", 0),
+            getattr(detection, "status", ""),
+        )
+        for ordinal, detection in enumerate(detections)
+    ]
+
+
+def resequenced(frames: Sequence[DetectionFrame], seq: int) -> list:
+    """``frames`` (the cluster router's fan-in, numbered by the workers)
+    renumbered as one release: ``seq``, ordinals ``0, 1, ...``."""
+    return list(
+        _frames(
+            [frame.rule for frame in frames],
+            [frame.time for frame in frames],
+            [frame.bindings for frame in frames],
+            repeat(seq),
+            range(len(frames)),
+            [frame.detection_id for frame in frames],
+            [frame.revision for frame in frames],
+            [frame.status for frame in frames],
+        )
+    )
+
+
+def _frames(rules, times, bindings, seqs, ordinals, *tags) -> tuple:
+    """DetectionFrames from equal-length columns; without the three
+    ``tags`` columns (id, revision, status) the frames are plain.
 
     The frozen dataclass ``__init__`` is a Python call with eight
     ``object.__setattr__`` calls per frame; filling each slot column by
@@ -965,10 +1012,9 @@ def _frames(rules, times, bindings, seqs, ordinals) -> tuple:
     """
     count = len(rules)
     frames = tuple(map(object.__new__, repeat(DetectionFrame, count)))
-    columns = (
-        rules, times, bindings, seqs, ordinals,
-        repeat("", count), repeat(0, count), repeat("", count),
-    )
+    if not tags:
+        tags = (repeat("", count), repeat(0, count), repeat("", count))
+    columns = (rules, times, bindings, seqs, ordinals, *tags)
     for setter, column in zip(_FRAME_SLOTS, columns):
         _consume(map(setter, frames, column))
     return frames
@@ -1025,6 +1071,35 @@ class BinaryDetectionBatch(Frame):
     @classmethod
     def decode_body(cls, body: bytes) -> "BinaryDetectionBatch":
         return cls(_unpack_detections(body))
+
+
+def push_frames(
+    frames: Sequence[DetectionFrame], binary_push: bool, batch_push: bool
+) -> list:
+    """The frames one subscriber is pushed for one release: a columnar
+    ``BDETBATCH`` for ``binary_push`` (:meth:`BinaryDetectionBatch.pack`
+    picks the JSON fallback), a JSON ``DETBATCH`` of several firings for
+    ``batch_push``, otherwise one ``DETECTION`` per firing.  JSON
+    payloads are built here, so they hold copies of the bindings."""
+    if binary_push:
+        return [BinaryDetectionBatch.pack(frames)]
+    payloads = [frame.to_payload() for frame in frames]
+    if batch_push and len(payloads) > 1:
+        return [DetectionBatch(tuple(payloads))]
+    return list(map(DetectionFrame.from_payload, payloads))
+
+
+def received_frames(frame: Frame) -> tuple:
+    """The DetectionFrames a received push frame carries; ``()`` for
+    every other frame."""
+    kind = frame.__class__
+    if kind is BinaryDetectionBatch:
+        return frame.detections
+    if kind is DetectionBatch:
+        return tuple(map(DetectionFrame.from_payload, frame.detections))
+    if kind is DetectionFrame:
+        return (frame,)
+    return ()
 
 
 @dataclass(frozen=True)

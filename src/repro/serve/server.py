@@ -91,9 +91,11 @@ from .protocol import (
     Welcome,
     codec_names,
     detection_frames,
-    detection_payload,
     encode_frame_into,
     negotiate_codec,
+    push_frames,
+    resequenced,
+    tagged_frames,
 )
 
 __all__ = ["CepServer", "ServeConfig", "SlowConsumerPolicy", "ServeError"]
@@ -335,8 +337,8 @@ class CepServer:
     client's current session.  ``submit_many``/``flush`` return either
     the detections themselves (``Engine``, ``DurableEngine``: released
     at once, before the writer takes its next item) or an
-    ``asyncio.Future`` resolving to them — Detection objects or wire
-    payload dicts — when the backend has finished the batch
+    ``asyncio.Future`` resolving to them — Detection objects or
+    DetectionFrames — when the backend has finished the batch
     (:class:`~repro.serve.cluster.CepRouter`: when the last shard acks).
     The writer never waits on a future, so many batches can be in
     flight; unreleased batches count against ``submit_queue``, and at
@@ -1053,85 +1055,36 @@ class CepServer:
         subscribers = [s for s in self._sessions if s.alive and s.subscribed]
         if not subscribers:
             return
-        # Built once per release, and only in the shape a subscriber
-        # needs: DetectionFrames for columnar subscribers, payload dicts
-        # (which a JSON batch frame carries verbatim) for the rest.  A
-        # release of plain Detections (every non-REVISE engine's) goes
-        # straight to frames; revision-tagged detections, and the payload
-        # dicts an asynchronous backend hands back, go through payloads.
-        frames = payloads = None
+        # One DetectionFrame per firing, built once per release: plain
+        # Detections column by column, revision-tagged ones with their
+        # tags, and the router's fan-in renumbered as this release.  Each
+        # subscriber's filters then run on these frames, and
+        # push_frames picks its push frame.
+        kinds = {detection.__class__ for detection in detections}
+        if kinds == {Detection}:
+            frames = detection_frames(detections, seq)
+        elif kinds == {DetectionFrame}:
+            frames = resequenced(detections, seq)
+        else:
+            frames = tagged_frames(detections, seq)
         for subscriber in subscribers:
-            if subscriber.binary_push:
-                if frames is None:
-                    if {d.__class__ for d in detections} == {Detection}:
-                        frames = detection_frames(detections, seq)
-                    else:
-                        if payloads is None:
-                            payloads = self._payloads(detections, seq)
-                        frames = list(map(DetectionFrame.from_payload, payloads))
-                self._push_frames(subscriber, frames)
-                continue
-            if payloads is None:
-                payloads = self._payloads(detections, seq)
-            if subscriber.rule_filter is None:
-                wanted = payloads
-            else:
-                wanted = [
-                    payload
-                    for payload in payloads
-                    if payload["rule"] in subscriber.rule_filter
-                ]
+            wanted = frames
+            if subscriber.rule_filter is not None:
+                wanted = [f for f in wanted if f.rule in subscriber.rule_filter]
             if not subscriber.revisions:
                 # Speculation is invisible to non-capable peers: finals
-                # only, revision keys stripped — byte-identical to v1.
+                # only, revision fields stripped — byte-identical to v1.
                 wanted = [
-                    {k: v for k, v in payload.items()
-                     if k not in ("did", "rev", "status")}
-                    for payload in wanted
-                    if payload.get("status", "final") == "final"
+                    f if not f.detection_id
+                    else DetectionFrame(f.rule, f.time, f.bindings, f.seq, f.ordinal)
+                    for f in wanted
+                    if not f.detection_id or f.status == "final"
                 ]
-            if not wanted:
-                continue
-            if subscriber.batch_push and len(wanted) > 1:
-                self._push_detection(
-                    subscriber, DetectionBatch(detections=tuple(wanted))
-                )
-            else:
-                for payload in wanted:
-                    self._push_detection(
-                        subscriber, DetectionFrame.from_payload(payload)
-                    )
-
-    @staticmethod
-    def _payloads(detections: list, seq: int) -> list:
-        """One JSON push payload per detection; an asynchronous backend
-        may hand back payload dicts already."""
-        payloads = []
-        for ordinal, detection in enumerate(detections):
-            payload = (
-                detection
-                if detection.__class__ is dict
-                else detection_payload(detection)
-            )
-            payload["seq"] = seq
-            payload["ordinal"] = ordinal
-            payloads.append(payload)
-        return payloads
-
-    def _push_frames(self, subscriber: _Session, frames: list) -> None:
-        """Push one columnar DETBATCH (the JSON one when the columns
-        cannot carry the batch) under the same filters as JSON pushes."""
-        if subscriber.rule_filter is not None:
-            frames = [f for f in frames if f.rule in subscriber.rule_filter]
-        if not subscriber.revisions:
-            frames = [
-                f if not f.detection_id
-                else DetectionFrame(f.rule, f.time, f.bindings, f.seq, f.ordinal)
-                for f in frames
-                if not f.detection_id or f.status == "final"
-            ]
-        if frames:
-            self._push_detection(subscriber, BinaryDetectionBatch.pack(frames))
+            if wanted:
+                for frame in push_frames(
+                    wanted, subscriber.binary_push, subscriber.batch_push
+                ):
+                    self._push_detection(subscriber, frame)
 
     def _push_detection(self, session: _Session, frame: Frame) -> None:
         if len(session.push_buffer) >= self.config.push_queue:

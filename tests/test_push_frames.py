@@ -1,0 +1,429 @@
+"""One detection record on the served path, and the bytes it leaves as.
+
+Between a backend's release and the socket a pushed detection is a
+:class:`~repro.serve.protocol.DetectionFrame`, on a direct ``CepServer``
+and through the cluster router alike.  These tests pin what that must
+not change and what it fixed:
+
+* JSON ``DETECTION``/``DETBATCH`` bytes of plain detections equal the
+  ones built the old way — ``detection_payload`` plus ``seq`` and
+  ``ordinal`` per firing — on a JSON-codec session, on a JSON-codec
+  session through the router, and on a binary session whose batches the
+  columns cannot carry (its JSON fallback);
+* every JSON push of a revision-tagged detection uses one key order,
+  :meth:`DetectionFrame.to_payload`'s;
+* the router's worker link is an ordinary binary-push subscriber: it
+  receives ``BDETBATCH`` frames;
+* an in-process worker kill leaves no file handle open.
+"""
+
+import asyncio
+import gc
+import json
+import struct
+import sys
+import warnings
+import zlib
+
+import pytest
+
+from repro import Engine, Observation, OutOfOrderPolicy
+from repro.lang import parse_rules
+from repro.serve import CepServer, loopback_connector
+from repro.serve.client import AsyncClient, tcp_connector
+from repro.serve.cluster import CepRouter, Cluster, WorkerLink, plan_cluster
+from repro.serve.drill import cluster_program
+from repro.serve.protocol import (
+    Ack,
+    Batch,
+    BinaryDetectionBatch,
+    DetectionBatch,
+    DetectionFrame,
+    Flush,
+    Hello,
+    Subscribe,
+    Welcome,
+    decode_frame,
+    detection_payload,
+    encode_frame,
+)
+from repro.simulator import simulate_multi_packing
+from repro.store import RfidStore
+
+DETECTION, DETBATCH = 0x08, 0x0C
+BATCH = 8
+
+#: The subscribers under test: HELLO capabilities per session.
+SESSIONS = {
+    "json-batch": {"codecs": ["json"], "batch_push": True, "binary_push": True},
+    "json-single": {"codecs": ["json"]},
+    "binary": {"codecs": ["binary"], "batch_push": True, "binary_push": True,
+               "revisions": True},
+}
+
+
+def workload(packable=True):
+    trace = simulate_multi_packing(
+        lines=1, cases_per_line=10, items_per_case=4, seed=5
+    )
+    stream = list(trace.observations)
+    if not packable:
+        # A NUL in every object id: the columns refuse such bindings,
+        # so a binary session gets the JSON fallback.
+        stream = [
+            Observation(o.reader, o.obj + "\x00", o.timestamp) for o in stream
+        ]
+    return cluster_program(trace.reader_pairs), stream
+
+
+def frame_bytes(frame_type, payload):
+    body = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+    crc = zlib.crc32(bytes((frame_type,)) + body)
+    return (
+        struct.pack("!I", 1 + len(body)) + bytes((frame_type,)) + body
+        + struct.pack("!I", crc)
+    )
+
+
+def _split(wire):
+    """(raw bytes, frame) per complete frame at the head of ``wire``."""
+    out, offset = [], 0
+    while len(wire) - offset >= 4:
+        end = offset + 8 + struct.unpack_from("!I", wire, offset)[0]
+        if end > len(wire):
+            break
+        out.append((wire[offset:end], decode_frame(wire[offset:end])[0]))
+        offset = end
+    return out
+
+
+def expected_pushes(program, stream, *, batch_push, always_batch=False):
+    """The push bytes of one subscriber, built the old way: one
+    ``detection_payload`` per firing plus its ``seq`` and ``ordinal``."""
+    engine = Engine(parse_rules(program), context="chronicle", store=RfidStore())
+    releases = []
+    for first in range(0, len(stream), BATCH):
+        chunk = stream[first : first + BATCH]
+        releases.append((first + len(chunk) - 1, engine.submit_many(chunk)))
+    releases.append((len(stream), engine.flush()))
+    wire = b""
+    for seq, detections in releases:
+        payloads = []
+        for ordinal, detection in enumerate(detections):
+            payload = detection_payload(detection)
+            payload["seq"] = seq
+            payload["ordinal"] = ordinal
+            payloads.append(payload)
+        if payloads and (always_batch or (batch_push and len(payloads) > 1)):
+            wire += frame_bytes(DETBATCH, {"detections": payloads})
+        else:
+            wire += b"".join(frame_bytes(DETECTION, p) for p in payloads)
+    return wire
+
+
+class RawPeer:
+    """A loopback peer that keeps the raw bytes it receives."""
+
+    def __init__(self, server):
+        self.reader, self.writer = server.connect_loopback()
+        self.data = b""
+
+    async def send(self, *frames):
+        self.writer.write(b"".join(map(encode_frame, frames)))
+        await self.writer.drain()
+
+    async def pump(self):
+        try:
+            chunk = await asyncio.wait_for(self.reader.read(65536), 0.05)
+        except asyncio.TimeoutError:
+            return
+        self.data += chunk
+
+    def pushes(self):
+        """The push frames after WELCOME, and the detections they carry."""
+        pushed = [(raw, f) for raw, f in _split(self.data)
+                  if not isinstance(f, (Welcome, Ack))]
+        count = sum(
+            len(f.detections) if isinstance(f, (DetectionBatch,
+                                                BinaryDetectionBatch)) else 1
+            for _raw, f in pushed
+        )
+        return pushed, count
+
+
+async def serve_stream(server, stream, expected_count):
+    """Subscribe every session of :data:`SESSIONS`, submit ``stream`` in
+    batches of :data:`BATCH` and a flush from a JSON ingest peer, and
+    return each subscriber's push frames once all have arrived."""
+    peers = {}
+    for name, offered in SESSIONS.items():
+        peer = peers[name] = RawPeer(server)
+        await peer.send(Hello(client_id=name, capabilities=offered), Subscribe())
+    ingest = RawPeer(server)
+    await ingest.send(Hello(client_id="ingest", capabilities={"codecs": ["json"]}))
+    for first in range(0, len(stream), BATCH):
+        await ingest.send(
+            Batch(seq=first, observations=tuple(stream[first : first + BATCH]))
+        )
+    await ingest.send(Flush(seq=len(stream)))
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 20
+    while any(peer.pushes()[1] < expected_count for peer in peers.values()):
+        assert loop.time() < deadline, "pushes never arrived"
+        for peer in peers.values():
+            await peer.pump()
+    for peer in peers.values():
+        await peer.pump()  # nothing more may follow
+    return {name: peer.pushes()[0] for name, peer in peers.items()}
+
+
+def run_direct(program, stream, count):
+    async def scenario():
+        engine = Engine(
+            parse_rules(program), context="chronicle", store=RfidStore()
+        )
+        async with CepServer(engine) as server:
+            return await serve_stream(server, stream, count)
+
+    return asyncio.run(scenario())
+
+
+def run_routed(program, stream, count, directory):
+    async def scenario():
+        cluster = Cluster(
+            program, workers=1, max_shards=1, directory=directory,
+            inprocess=True,
+        )
+        try:
+            await cluster.start()
+            return await serve_stream(cluster.server, stream, count)
+        finally:
+            await cluster.stop()
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def link_frames(monkeypatch):
+    """The classes of every frame the router's worker links handle."""
+    seen = []
+    on_frame = WorkerLink._on_frame
+
+    def spy(self, frame):
+        seen.append(type(frame))
+        return on_frame(self, frame)
+
+    monkeypatch.setattr(WorkerLink, "_on_frame", spy)
+    return seen
+
+
+class TestPlainPushBytes:
+    @pytest.mark.parametrize("topology", ["direct", "router"])
+    @pytest.mark.parametrize("packable", [True, False], ids=["columns", "nul"])
+    def test_json_bytes_equal_the_payload_dict_bytes(
+        self, topology, packable, tmp_path, link_frames
+    ):
+        program, stream = workload(packable)
+        batched = expected_pushes(program, stream, batch_push=True)
+        want = [d for _raw, f in _split(batched) for d in _detections(f)]
+        count = len(want)
+        # Releases of one firing (DETECTION) and of several (DETBATCH).
+        assert {type(f) for _raw, f in _split(batched)} == {
+            DetectionFrame, DetectionBatch
+        }
+        if topology == "direct":
+            pushed = run_direct(program, stream, count)
+        else:
+            pushed = run_routed(program, stream, count, str(tmp_path / "c"))
+
+        def wire(name):
+            return b"".join(raw for raw, _frame in pushed[name])
+
+        assert wire("json-batch") == batched
+        assert wire("json-single") == expected_pushes(
+            program, stream, batch_push=False
+        )
+        if not packable:
+            # The binary session's JSON fallback: one DETBATCH per
+            # release, whatever its size.
+            assert wire("binary") == expected_pushes(
+                program, stream, batch_push=True, always_batch=True
+            )
+        else:
+            frames = [frame for _raw, frame in pushed["binary"]]
+            assert {type(f) for f in frames} == {BinaryDetectionBatch}
+            assert [d for f in frames for d in f.detections] == want
+        if topology == "router":
+            # The worker link is an ordinary binary-push subscriber.
+            pushes = set(link_frames) - {Ack, Welcome}
+            assert pushes == (
+                {BinaryDetectionBatch} if packable else {DetectionBatch}
+            )
+
+
+def _detections(frame):
+    if isinstance(frame, DetectionBatch):
+        return [DetectionFrame.from_payload(p) for p in frame.detections]
+    return [frame]
+
+
+# -- revision-tagged pushes: one key order ------------------------------------
+
+REVISION_PROGRAM = """
+CREATE RULE missing_case, item never cased
+ON WITHIN(observation('dock', o, t1); NOT observation('case', o, t2), 5sec)
+IF true
+DO ALERT 'missing case'
+"""
+
+TAGGED_KEYS = ["rule", "time", "bindings", "seq", "ordinal", "did", "rev",
+               "status"]
+
+
+def revise_engine():
+    return Engine(
+        parse_rules(REVISION_PROGRAM),
+        store=RfidStore(),
+        out_of_order=OutOfOrderPolicy.REVISE,
+        revise_horizon=100.0,
+    )
+
+
+def revision_stream():
+    """Two provisional answers, a retraction by a late read, finals."""
+    return [
+        Observation("dock", "o1", 0.0),
+        Observation("dock", "o2", 10.0),
+        Observation("dock", "o4", 11.0),
+        Observation("case", "o1", 2.0),
+        Observation("dock", "o3", 120.0),
+        Observation("dock", "o5", 250.0),
+    ]
+
+
+class TestRevisionKeyOrder:
+    @pytest.mark.parametrize("topology", ["direct", "router"])
+    def test_every_json_push_uses_to_payload_order(self, topology):
+        stream = revision_stream()
+
+        async def scenario():
+            if topology == "direct":
+                async with CepServer(revise_engine()) as server:
+                    return await serve_revisions(server, stream)
+            plan = plan_cluster(parse_rules(REVISION_PROGRAM), 1, max_shards=1)
+            (shard,) = plan.shard_plan.shard_names
+            worker = CepServer(revise_engine())
+            port = await worker.serve_tcp("127.0.0.1", 0)
+            router = CepRouter(plan, {shard: ("127.0.0.1", port)})
+            await router.start()
+            front = CepServer(router)
+            try:
+                return await serve_revisions(front, stream)
+            finally:
+                await front.close()
+                await router.close()
+                await worker.close()
+
+        pushed = asyncio.run(scenario())
+        kinds = set()
+        for name in ("json-batch", "binary"):
+            for raw, frame in pushed[name]:
+                payloads = json.loads(raw[5:-4])
+                if raw[4] == DETBATCH:
+                    payloads = payloads["detections"]
+                    kinds.add((name, "DETBATCH"))
+                else:
+                    payloads = [payloads]
+                    kinds.add((name, "DETECTION"))
+                for payload in payloads:
+                    assert list(payload) == TAGGED_KEYS
+        # A JSON-codec DETBATCH, a DETECTION and the binary fallback.
+        assert {("json-batch", "DETBATCH"), ("json-batch", "DETECTION"),
+                ("binary", "DETBATCH")} <= kinds
+
+
+async def serve_revisions(server, stream):
+    peers = {}
+    for name in ("json-batch", "binary"):
+        peer = peers[name] = RawPeer(server)
+        offered = dict(SESSIONS[name], revisions=True)
+        await peer.send(Hello(client_id=name, capabilities=offered), Subscribe())
+    producer = AsyncClient(
+        loopback_connector(server), client_id="producer", codec="json",
+        batch_size=1,
+    )
+    async with producer:
+        # Two readings in one batch, then one at a time: both push sizes.
+        await producer.submit_many(stream[:2])
+        await producer.drain(timeout=10)
+        for observation in stream[2:]:
+            await producer.submit_many([observation])
+            await producer.drain(timeout=10)
+        await producer.flush(timeout=10)
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 10
+    while any(
+        not any(_has_final(f) for _raw, f in peer.pushes()[0])
+        for peer in peers.values()
+    ):
+        assert loop.time() < deadline, "finals never arrived"
+        for peer in peers.values():
+            await peer.pump()
+    return {name: peer.pushes()[0] for name, peer in peers.items()}
+
+
+def _has_final(frame):
+    return any(f.status == "final" for f in _detections(frame))
+
+
+# -- an in-process kill closes what a dying process would ---------------------
+
+
+def test_inprocess_kill_leaves_no_open_handles(tmp_path):
+    """Kill, restart and recover a worker with ``ResourceWarning`` as an
+    error: the aborted engines' WAL, journal and sink handles are closed
+    by the kill, not left to the collector."""
+    trace = simulate_multi_packing(
+        lines=2, cases_per_line=4, items_per_case=5, seed=5
+    )
+    program = cluster_program(trace.reader_pairs)
+    stream = list(trace.observations)
+
+    async def scenario():
+        cluster = Cluster(
+            program, workers=2, directory=str(tmp_path / "kill"), sink=True,
+            inprocess=True,
+        )
+        try:
+            port = await cluster.start()
+            client = AsyncClient(
+                tcp_connector("127.0.0.1", port), client_id="kill",
+                subscribe=True, batch_size=8,
+            )
+            async with client:
+                half = len(stream) // 2
+                await client.submit_many(stream[:half])
+                await client.drain(timeout=30)
+                victim = sorted(cluster.workers)[0]
+                await cluster.kill_worker(victim)
+                await cluster.restart_worker(victim)
+                await client.submit_many(stream[half:])
+                await client.flush(timeout=30)
+        finally:
+            await cluster.stop()
+
+    unraisable = []
+    hook = sys.unraisablehook
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        sys.unraisablehook = unraisable.append
+        try:
+            asyncio.run(scenario())
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+    leaks = [
+        str(entry.exc_value) for entry in unraisable
+        if isinstance(entry.exc_value, ResourceWarning)
+    ]
+    assert not leaks, leaks
