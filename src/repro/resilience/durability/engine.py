@@ -8,7 +8,8 @@
 cooperating pieces of storage under one directory::
 
     <dir>/wal/wal-*.seg          the write-ahead observation log
-    <dir>/checkpoint-<seq>.json  periodic engine snapshots (atomic)
+    <dir>/checkpoint-<seq>.json  periodic engine snapshots with the client
+                                 frontiers they cover (atomic)
     <dir>/outbox.log             the action-delivery journal
 
 The protocol per batch is *log, then detect, then deliver*:
@@ -52,6 +53,7 @@ import os
 import re
 from dataclasses import dataclass
 from itertools import groupby
+from operator import lt
 from typing import Any, Callable, Iterable, Optional
 
 from ...core.detector import DetectionBackend, SubmitResult, submit_skipping
@@ -81,6 +83,8 @@ __all__ = [
 ]
 
 CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{16})\.json$")
+#: The retired per-checkpoint client-frontier sidecar.
+SIDECAR_PATTERN = re.compile(r"^clients-(\d{16})\.json$")
 
 WAL_SUBDIR = "wal"
 
@@ -131,9 +135,27 @@ FLUSH_MARKER = {"k": "f"}
 #: provenance is not.
 CLIENT_KEY = "c"
 
+#: Top-level checkpoint key holding the client frontiers the snapshot
+#: covers, beside the backend's own sections: written and replaced with
+#: the snapshot in one atomic rename, and popped before ``restore``.
+CLIENTS_KEY = "clients"
 
-def _frontier_name(seq: int) -> str:
-    return f"clients-{seq:016d}.json"
+
+def _frontiers(clients: Any, name: str) -> dict[str, int]:
+    """A checkpoint's :data:`CLIENTS_KEY` section as a frontier map.
+
+    Every checkpoint this version writes has one; a missing or
+    malformed section makes the checkpoint unrestorable
+    (:class:`~repro.core.errors.CheckpointError`), so recovery falls
+    back to an older one rather than forgetting clients' progress.
+    """
+    if not isinstance(clients, dict) or not all(
+        type(seq) is int for seq in clients.values()
+    ):
+        raise CheckpointError(
+            f"checkpoint {name!r} has no valid {CLIENTS_KEY!r} section"
+        )
+    return clients
 
 
 def _note_client(frontiers: dict, client: Optional[tuple]) -> None:
@@ -168,7 +190,7 @@ def _resolve_client_seqs(client, count: int):
         raise ValueError(
             f"client seqs length {len(seqs)} != batch length {count}"
         )
-    if any(b <= a for a, b in zip(seqs, seqs[1:])):
+    if not all(map(lt, seqs, seqs[1:])):
         raise ValueError("client seqs must be strictly ascending")
     return client_id, seqs
 
@@ -253,12 +275,15 @@ class RecoveryReport:
 
 
 def _refuse_retired_layout(directory: str, wal_dir: str) -> None:
-    """Fail closed on a directory in the retired per-shard layout.
+    """Fail closed on a directory in a retired layout.
 
     Earlier versions kept a sharded deployment as ``manifest.json`` plus
     one log per shard under ``wal/<shard>/``.  Nothing here reads that:
     the top-level log would look empty, and the engine would start cold
-    at sequence 0 over state that is still live.
+    at sequence 0 over state that is still live.  They also kept each
+    checkpoint's client frontiers in a ``clients-<seq>.json`` sidecar;
+    their checkpoints lack the frontiers, so resuming them would forget
+    every client's progress.
     """
     shard_logs = os.path.isdir(wal_dir) and any(
         os.path.isdir(path) and segment_files(path)
@@ -270,6 +295,12 @@ def _refuse_retired_layout(directory: str, wal_dir: str) -> None:
             "layout (manifest.json, wal/<shard>/ logs), which this version "
             "cannot resume; sharded durability is one log and one snapshot: "
             "DurableEngine(lambda: ShardedEngine(...), fresh_directory)"
+        )
+    if any(SIDECAR_PATTERN.match(name) for name in os.listdir(directory)):
+        raise CheckpointError(
+            f"directory {directory!r} holds clients-<seq>.json frontier "
+            "sidecars, a retired checkpoint layout this version cannot "
+            "resume: client frontiers now live in each checkpoint file"
         )
 
 
@@ -546,33 +577,24 @@ class DurableEngine:
         logged yet.  Ordering is load-bearing: the WAL is synced *before*
         the snapshot is written (a checkpoint must never claim coverage
         the log cannot back), and pruning happens only after the rename
-        that makes the snapshot visible.
+        that makes the snapshot visible.  The client frontiers the
+        snapshot covers ride in the same file, under
+        :data:`CLIENTS_KEY`, so one atomic rename makes both visible.
         """
         seq = self._next_seq - 1
         if seq < 0:
             return None
         self.wal.sync()
-        # The frontier sidecar goes first: once the checkpoint exists (and
-        # the WAL behind it may be pruned), the client frontiers it covers
-        # must already be on disk.  A crash between the two writes leaves
-        # an orphan sidecar and no checkpoint — harmless.
-        save_checkpoint(
-            {"clients": dict(self.client_frontiers)},
-            os.path.join(self.directory, _frontier_name(seq)),
-        )
+        snapshot = self.engine.checkpoint()
+        snapshot[CLIENTS_KEY] = dict(self.client_frontiers)
         path = os.path.join(self.directory, _checkpoint_name(seq))
-        save_checkpoint(self.engine.checkpoint(), path)
+        save_checkpoint(snapshot, path)
         self._since_checkpoint = 0
         self.checkpoints_written += 1
         self._fire("checkpoint", seq)
         names = checkpoint_files(self.directory)
         for stale in names[: -self.keep_checkpoints]:
             os.unlink(os.path.join(self.directory, stale))
-            sidecar = os.path.join(
-                self.directory, _frontier_name(checkpoint_seq(stale))
-            )
-            if os.path.exists(sidecar):
-                os.unlink(sidecar)
         retained = names[-self.keep_checkpoints :]
         oldest_covered = checkpoint_seq(retained[0])
         self.wal.prune(oldest_covered)
@@ -607,42 +629,24 @@ class DurableEngine:
         report = durable._replay()
         return durable, report
 
-    def _load_frontiers(self, ckpt_seq: int) -> dict[str, int]:
-        """Client frontiers covered by the checkpoint at ``ckpt_seq``.
-
-        The sidecar is written before its checkpoint, so it exists for any
-        restorable checkpoint from this code; a missing or corrupt one
-        (e.g. a pre-provenance directory) degrades to an empty map — WAL
-        replay past the checkpoint fills in what it can.
-        """
-        try:
-            sidecar = load_checkpoint(
-                os.path.join(self.directory, _frontier_name(ckpt_seq))
-            )
-        except (FileNotFoundError, CheckpointError):
-            return {}
-        clients = sidecar.get("clients")
-        if not isinstance(clients, dict):
-            return {}
-        return {str(key): int(value) for key, value in clients.items()}
-
     def _replay(self) -> RecoveryReport:
         wal_dir = os.path.join(self.directory, WAL_SUBDIR)
         ckpt_seq = -1
         tried = 0
+        frontiers: dict = {}
         for name in reversed(checkpoint_files(self.directory)):
             tried += 1
             engine = self._factory()
             try:
-                engine.restore(load_checkpoint(os.path.join(self.directory, name)))
+                snapshot = load_checkpoint(os.path.join(self.directory, name))
+                frontiers = _frontiers(snapshot.pop(CLIENTS_KEY, None), name)
+                engine.restore(snapshot)
             except (CheckpointError, FileNotFoundError):
                 continue
             self.engine = engine
             ckpt_seq = checkpoint_seq(name)
             break
-        self.client_frontiers = (
-            self._load_frontiers(ckpt_seq) if ckpt_seq >= 0 else {}
-        )
+        self.client_frontiers = frontiers if ckpt_seq >= 0 else {}
         suppressed_before = (
             self.outbox.suppressed if self.outbox is not None else 0
         )

@@ -24,13 +24,13 @@ byte is its kind tag, and one reader reads both kinds:
 
 * ``B`` — a **batch record**: the readings of one submitted batch,
   numbered ``sequence, sequence + 1, ...``, under one header and one
-  CRC.  Its body is the ``BBATCH`` wire body of
-  :mod:`repro.serve.protocol`, with a small head of its own::
+  CRC.  Its body is :func:`repro.serve.protocol.pack_batch_record`'s,
+  the layout the cluster router relays a sub-batch in (``BRELAY``)::
 
       <BBI                 tag, flags, reading count
       <H + utf-8           client id                  (flags & 1)
       BBATCH body          interned columns; its first-seq field is
-                           the first client seq
+                           the first client seq (0 with a seq column)
       <{count}q            client seq per reading     (flags & 2: a
                            relay's sub-batch, whose seqs have gaps)
 
@@ -84,12 +84,13 @@ from typing import (
 )
 
 from ...core.errors import WalError
-from ...core.instances import Observation
 from ...serve.protocol import (
+    BATCH_RECORD_HEAD,
+    BATCH_TAG,
     FrameError,
     NotPackable,
-    pack_observations,
-    unpack_observations,
+    pack_batch_record,
+    unpack_batch_record,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,11 +115,7 @@ _HEADER = struct.Struct("<IIQ")  # payload length, crc32, sequence number
 _SEQ = struct.Struct("<Q")
 
 #: First body byte of a batch record; a JSON record's is always ``{``.
-BATCH_TAG = ord("B")
-_BATCH_HEAD = struct.Struct("<BBI")  # tag, flags, count
-_CLIENT_LEN = struct.Struct("<H")  # client id: utf-8 byte length
-_HAS_CLIENT = 1  # flag: a client id follows the head
-_SEQ_COLUMN = 2  # flag: one client seq per reading follows the columns
+_BATCH_PREFIX = bytes((BATCH_TAG,))
 
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
@@ -154,52 +151,22 @@ def _batch_body(
     observations: Sequence[Any], client_id: Any, client_seqs: Any
 ) -> Optional[bytes]:
     """A batch record's body, or ``None`` when the columns cannot carry
-    the batch exactly.
+    the batch exactly (:func:`~repro.serve.protocol.pack_batch_record`
+    raises ``NotPackable``), and the caller writes per-record JSON.
 
-    Packable: plain :class:`~repro.core.instances.Observation` readings
-    with ``str`` ids, finite ``float`` timestamps and no extras, under a
-    ``str`` client id (or none) with ``int`` client seqs.  Everything
-    else — poison, extras, ``int``/``bool``/non-finite timestamps,
-    odd ids — is ``None``, and the caller writes per-record JSON.  A
-    handful of C calls per batch, none per reading.
+    Contiguous client seqs (a ``range``) are stored as the columns'
+    first-seq field; a relay's gapped seqs as the client-seq column.
     """
-    if set(map(type, observations)) != {Observation}:
-        return None
-    if set(map(type, [o.timestamp for o in observations])) != {float}:
-        return None
-    count = len(observations)
-    flags = 0
-    first = 0
-    parts = []
-    tail = b""
+    first, seqs = 0, None
     if client_id is not None:
-        if type(client_id) is not str:
-            return None
-        try:
-            raw = client_id.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
-        if len(raw) > 0xFFFF:
-            return None
-        flags = _HAS_CLIENT
-        parts = [_CLIENT_LEN.pack(len(raw)), raw]
         if type(client_seqs) is range:
             first = client_seqs.start
-        else:  # a relay's gapped seqs: one column
-            if set(map(type, client_seqs)) != {int}:
-                return None
-            flags |= _SEQ_COLUMN
-            try:
-                tail = struct.pack(f"<{count}q", *client_seqs)
-            except struct.error:
-                return None
+        else:
+            seqs = client_seqs
     try:
-        columns = pack_observations(first, observations)
+        return pack_batch_record(first, observations, client_id, seqs)
     except NotPackable:
         return None
-    return b"".join(
-        (_BATCH_HEAD.pack(BATCH_TAG, flags, count), *parts, columns, tail)
-    )
 
 
 def encode_batch(
@@ -235,7 +202,7 @@ def encode_batch(
 def _batch_count(body: bytes, where: str) -> int:
     """The reading count in a batch record's head."""
     try:
-        _tag, _flags, count = _BATCH_HEAD.unpack_from(body, 0)
+        _tag, _flags, count = BATCH_RECORD_HEAD.unpack_from(body, 0)
     except struct.error as exc:
         raise WalError(f"{where}: batch record head is truncated") from exc
     if count == 0:
@@ -248,44 +215,17 @@ def _decode_batch(
 ) -> tuple[tuple, Optional[str], Optional[Sequence[int]]]:
     """``(observations, client_id, client_seqs)`` of one batch record.
 
-    Every count, length and table index is checked: a body that passed
-    its CRC but is inconsistent raises :class:`WalError` rather than
-    replaying different readings.
+    A body that passed its CRC but does not decode
+    (:func:`~repro.serve.protocol.unpack_batch_record` checks every
+    count, length, table index and seq) raises :class:`WalError` rather
+    than replaying different readings.
     """
     try:
-        _tag, flags, count = _BATCH_HEAD.unpack_from(body, 0)
-        offset = _BATCH_HEAD.size
-        if flags not in (0, _HAS_CLIENT, _HAS_CLIENT | _SEQ_COLUMN):
-            raise WalError(f"{where}: batch record has unknown flags {flags}")
-        client_id = None
-        if flags & _HAS_CLIENT:
-            (length,) = _CLIENT_LEN.unpack_from(body, offset)
-            offset += _CLIENT_LEN.size
-            raw = body[offset : offset + length]
-            if len(raw) != length:
-                raise WalError(f"{where}: batch record client id is truncated")
-            client_id = raw.decode("utf-8")
-            offset += length
-        first, observations, offset = unpack_observations(body, offset)
-        if len(observations) != count or not count:
-            raise WalError(
-                f"{where}: batch record head says {count} readings, its "
-                f"columns hold {len(observations)}"
-            )
-        client_seqs: Optional[Sequence[int]] = None
-        if flags & _SEQ_COLUMN:
-            client_seqs = struct.unpack_from(f"<{count}q", body, offset)
-            offset += 8 * count
-            if any(b <= a for a, b in zip(client_seqs, client_seqs[1:])):
-                raise WalError(f"{where}: client seqs do not ascend")
-        elif client_id is not None:
-            client_seqs = range(first, first + count)
-        if offset != len(body):
-            raise WalError(
-                f"{where}: batch record has {len(body) - offset} trailing bytes"
-            )
-    except (struct.error, UnicodeDecodeError, FrameError) as exc:
+        first, observations, client_id, client_seqs = unpack_batch_record(body)
+    except FrameError as exc:
         raise WalError(f"{where}: malformed batch record ({exc})") from exc
+    if client_id is not None and client_seqs is None:
+        client_seqs = range(first, first + len(observations))
     return observations, client_id, client_seqs
 
 
@@ -465,7 +405,7 @@ def scan_segment(
     records = []
     for offset, seq, body in valid_records:
         where = f"segment {name}: record at offset {offset}"
-        if body[:1] == b"B":
+        if body[:1] == _BATCH_PREFIX:
             count = _batch_count(body, where)
             records.append(WalRecord(seq, None, name, offset, count))
         else:
@@ -529,7 +469,7 @@ def read_wal(directory: str, *, start_after: int = -1) -> Iterator[WalRecord]:
                     f"{offset} does not advance past {previous_seq}"
                 )
             where = f"segment {name}: record at offset {offset}"
-            if body[:1] != b"B":
+            if body[:1] != _BATCH_PREFIX:
                 previous_seq = seq
                 if seq > start_after:
                     yield WalRecord(seq, _json_payload(body, where), name, offset)

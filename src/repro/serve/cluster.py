@@ -18,8 +18,9 @@ placement to real processes:
 * :class:`CepRouter` — the cluster's detection *backend*: splits every
   batch by the shard plan, relays sub-batches to workers with *source
   provenance* (the end client's id and seqs, the ``prov`` extension of
-  :mod:`repro.serve.protocol`) and collects worker acks and detections
-  back into per-batch *epochs*, each a future of its fan-in;
+  :mod:`repro.serve.protocol`; in columns, as the worker's WAL batch
+  record, on a binary-codec link) and collects worker acks and
+  detections back into per-batch *epochs*, each a future of its fan-in;
 * :class:`Cluster` — spawn workers and the router from one config and
   serve the router with one :class:`~repro.serve.CepServer`, kill and
   recover workers, migrate shards by checkpoint handoff.
@@ -80,8 +81,10 @@ from .protocol import (
     FrameDecoder,
     FrameError,
     Hello,
+    NotPackable,
     Ping,
     Pong,
+    RelayBatch,
     Subscribe,
     Welcome,
     detection_payload,
@@ -611,9 +614,11 @@ class WorkerLink:
     """The router's session to one shard's server.
 
     A single connection is both the ingest session (sub-batches with
-    source provenance, link-sequenced) and an ordinary binary-push
-    subscriber: the worker pushes detections back on it as columnar
-    ``BDETBATCH`` frames, which decode straight into DetectionFrames.
+    source provenance, link-sequenced, as columnar ``BRELAY`` frames
+    once the worker negotiates the binary codec) and an ordinary
+    binary-push subscriber: the worker pushes detections back on it as
+    columnar ``BDETBATCH`` frames, which decode straight into
+    DetectionFrames.
     The link survives worker crashes: it redials with ``resume_from`` at
     its ack frontier and resends every pending sub-batch — the worker's
     recovered provenance frontier turns replayed observations into
@@ -654,6 +659,9 @@ class WorkerLink:
         self.paused = False
         self.held = 0
         self._writer: Any = None
+        #: Whether the worker negotiated the binary codec: sub-batches
+        #: then go out as columnar RelayBatch frames.
+        self._columnar = False
         self._connected = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -740,10 +748,9 @@ class WorkerLink:
             client_id=self.client_id,
             resume_from=self.last_acked,
             capabilities={
-                # An ordinary columnar subscriber: detections come back
-                # as BDETBATCH.  Sub-batches still go out as JSON BATCH
-                # frames, which every session accepts, because the
-                # columnar body has no provenance column.
+                # Columns both ways on a binary session: sub-batches go
+                # out as BRELAY batch records, which carry provenance,
+                # and detections come back as BDETBATCH.
                 "codecs": ["binary", "json"],
                 "resume": True,
                 "batch_push": True,
@@ -774,6 +781,7 @@ class WorkerLink:
             for frame in self._decoder.feed(data):
                 if isinstance(frame, Welcome):
                     welcomed = True
+                    self._columnar = frame.capabilities.get("codec") == "binary"
                 elif isinstance(frame, ErrorFrame):
                     raise ConnectionResetError(
                         f"worker rejected link: {frame.code}: {frame.message}"
@@ -786,18 +794,27 @@ class WorkerLink:
         return reader
 
     def _write_entry(self, entry: _LinkSend) -> None:
+        """Write one sub-batch: a columnar ``BRELAY`` on a binary-codec
+        link, a JSON ``BATCH`` with ``prov`` when the columns cannot
+        carry it or the worker negotiated JSON."""
+        buffer = bytearray()
         if entry.flush:
             frame: Frame = Flush(
                 seq=entry.first, prov=(entry.origin, entry.prov_seqs[0])
             )
         else:
-            frame = Batch(
-                seq=entry.first,
-                observations=entry.observations,
-                prov=(entry.origin, entry.prov_seqs),
-            )
-        buffer = bytearray()
-        encode_frame_into(frame, buffer)
+            prov = (entry.origin, entry.prov_seqs)
+            frame = Batch(entry.first, entry.observations, prov)
+            if self._columnar:
+                try:
+                    encode_frame_into(
+                        RelayBatch(entry.first, entry.observations, prov),
+                        buffer,
+                    )
+                except NotPackable:
+                    pass  # the JSON fallback below
+        if not buffer:
+            encode_frame_into(frame, buffer)
         self._writer.write(bytes(buffer))
 
     # -- inbound ------------------------------------------------------------

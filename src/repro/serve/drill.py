@@ -315,12 +315,15 @@ async def kill_server(stand: Stand) -> None:
 
     ``CepServer.abort`` drops the submit queue and every session without
     BYE, as a crash would; clients keep what went unapplied in their
-    unacked buffers.  ``DurableEngine.recover`` rebuilds the engine from
-    the directory alone and it is served on a new port, which clients
-    (or the proxy) follow.
+    unacked buffers.  The dead life's engine is closed, as the dying
+    process would have closed its WAL segment and journal.
+    ``DurableEngine.recover`` rebuilds the engine from the directory
+    alone and it is served on a new port, which clients (or the proxy)
+    follow.
     """
     await asyncio.sleep(0.05)
     await stand.server.abort()
+    stand.durable.close()
     await stand.revive()
 
 

@@ -10,8 +10,9 @@ Every message on a serve connection is one *frame*::
 CRC); ``crc32`` covers the same bytes, so a torn or bit-flipped frame is
 rejected before any payload parsing.  Payloads are compact JSON — the
 framing is binary and version-gated, the payload stays debuggable with
-``tcpdump``-level tooling — except ``BBATCH`` and ``BDETBATCH``, whose
-payloads are the struct-packed columnar layouts described below.
+``tcpdump``-level tooling — except ``BBATCH``, ``BDETBATCH`` and
+``BRELAY``, whose payloads are the struct-packed columnar layouts
+described below.
 
 Frame vocabulary (client → server unless noted):
 
@@ -38,6 +39,8 @@ frame          type  meaning
 ``PONG``       0x0E  answer to a PING, echoing its token
 ``BDETBATCH``  0x0F  (server) a DETBATCH in columns, sent only to
                      binary-codec peers with the ``binary_push`` capability
+``BRELAY``     0x10  a relayed BATCH in columns, with its provenance: the
+                     cluster router's sub-batch on a binary-codec link
 =============  ====  ======================================================
 
 Wire codecs (protocol version 2)
@@ -90,6 +93,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import isfinite
+from operator import lt
 from typing import Any, Iterator, Optional, Sequence
 
 from ..core.errors import ReproError
@@ -106,6 +110,7 @@ __all__ = [
     "Submit",
     "Batch",
     "BinaryBatch",
+    "RelayBatch",
     "Ack",
     "Flush",
     "Subscribe",
@@ -124,6 +129,8 @@ __all__ = [
     "encode_observation_payload",
     "pack_observations",
     "unpack_observations",
+    "pack_batch_record",
+    "unpack_batch_record",
     "decode_observation_payload",
     "detection_payload",
     "detection_frames",
@@ -393,7 +400,11 @@ class Batch(Frame):
     ``(client_id, (seq, ...))`` pair naming the originating client and
     one source sequence number *per observation*.  Unlike the frame's
     own link numbering, source seqs may have gaps — the relay splits
-    one source batch across shards — so they travel explicitly.
+    one source batch across shards — so they travel explicitly; the
+    decoder refuses a list that is not strictly ascending or not one
+    per observation.  A relay on a binary-codec link sends the same
+    batch as a columnar :class:`RelayBatch`; this JSON form is its
+    fallback.
     """
 
     TYPE = 0x04
@@ -414,13 +425,19 @@ class Batch(Frame):
     @classmethod
     def from_payload(cls, payload: dict) -> "Batch":
         prov = payload.get("p")
-        return cls(
-            seq=payload["seq"],
-            observations=tuple(
-                decode_observation_payload(item) for item in payload["obs"]
-            ),
-            prov=(prov[0], tuple(prov[1])) if prov is not None else None,
+        observations = tuple(
+            decode_observation_payload(item) for item in payload["obs"]
         )
+        if prov is not None:
+            seqs = tuple(prov[1])
+            if len(seqs) != len(observations):
+                raise FrameError(
+                    f"provenance lists {len(seqs)} seqs for "
+                    f"{len(observations)} observations"
+                )
+            _check_ascending(seqs)
+            prov = (prov[0], seqs)
+        return cls(seq=payload["seq"], observations=observations, prov=prov)
 
     @property
     def last_seq(self) -> int:
@@ -556,6 +573,130 @@ def unpack_observations(body: bytes, offset: int = 0) -> tuple[int, tuple, int]:
     return seq, observations, offset
 
 
+#: Struct shapes for the batch record's own head (little-endian, as the
+#: write-ahead log stores it): tag, flags, reading count; then the
+#: client id's utf-8 byte length.
+BATCH_RECORD_HEAD = struct.Struct("<BBI")
+_BR_CLIENT = struct.Struct("<H")
+#: First byte of every batch record.
+BATCH_TAG = ord("B")
+_HAS_CLIENT = 1  # flag: the origin client's id follows the head
+_SEQ_COLUMN = 2  # flag: one client seq per reading follows the columns
+
+
+def _check_ascending(seqs: Sequence[int]) -> None:
+    """Raise :class:`FrameError` unless ``seqs`` strictly ascend (one C
+    pass): a relay's frontier is its *last* seq, so a list out of order
+    would skip readings that were never applied."""
+    if not all(map(lt, seqs, seqs[1:])):
+        raise FrameError("client seqs do not ascend")
+
+
+def pack_batch_record(
+    first_seq: int,
+    observations: Sequence[Any],
+    client_id: Optional[str] = None,
+    client_seqs: Optional[Sequence[int]] = None,
+) -> bytes:
+    """A *batch record*: ``observations`` in ``BBATCH``'s columns
+    (:func:`pack_observations`, its first-seq field ``first_seq``)
+    under a head of their own, with the origin client's id and, when
+    ``client_seqs`` is given, one client seq per reading::
+
+        <BBI                 tag ``B``, flags, reading count
+        <H + utf-8           client id                  (flags & 1)
+        BBATCH body          interned columns
+        <{count}q            client seq per reading     (flags & 2)
+
+    The write-ahead log stores this body as its batch record
+    (:mod:`repro.resilience.durability.wal`) and the cluster router
+    relays it as a :class:`RelayBatch`.  ``client_seqs`` needs a
+    ``client_id``.  Raises :class:`NotPackable` unless every reading is
+    a plain :class:`~repro.core.instances.Observation` with ``str`` ids
+    and a finite ``float`` timestamp, the client id is a ``str`` of at
+    most 64 KiB and the seqs are ``int`` — the batches the columns
+    carry exactly.
+    """
+    if set(map(type, observations)) != {Observation}:
+        raise NotPackable("not a non-empty batch of plain Observations")
+    if set(map(type, [o.timestamp for o in observations])) != {float}:
+        raise NotPackable("timestamp is not a float")
+    count = len(observations)
+    flags = 0
+    parts: list = []
+    if client_id is not None:
+        if type(client_id) is not str:
+            raise NotPackable("client id is not a string")
+        try:
+            raw = client_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise NotPackable(f"client id does not encode: {exc}") from exc
+        if len(raw) > 0xFFFF:
+            raise NotPackable("client id is too long")
+        flags = _HAS_CLIENT
+        parts = [_BR_CLIENT.pack(len(raw)), raw]
+    columns = pack_observations(first_seq, observations)
+    tail = b""
+    if client_seqs is not None:
+        if set(map(type, client_seqs)) != {int}:
+            raise NotPackable("client seq is not an int")
+        flags |= _SEQ_COLUMN
+        try:
+            tail = struct.pack(f"<{count}q", *client_seqs)
+        except struct.error as exc:
+            raise NotPackable(f"client seqs do not pack: {exc}") from exc
+    head = BATCH_RECORD_HEAD.pack(BATCH_TAG, flags, count)
+    return b"".join((head, *parts, columns, tail))
+
+
+def unpack_batch_record(
+    body: bytes,
+) -> tuple[int, tuple, Optional[str], Optional[tuple]]:
+    """Inverse of :func:`pack_batch_record`: ``(first_seq, observations,
+    client_id, client_seqs)``, ``None`` for what the record omits.
+
+    Every count, length and table index is checked: a body that is
+    inconsistent raises :class:`FrameError` — an unknown tag or flags,
+    a count the columns disagree with, a truncated client id, client
+    seqs that do not strictly ascend, trailing bytes — rather than
+    decoding into different readings.
+    """
+    try:
+        tag, flags, count = BATCH_RECORD_HEAD.unpack_from(body, 0)
+        if tag != BATCH_TAG:
+            raise FrameError(f"batch record has tag {tag}")
+        if flags not in (0, _HAS_CLIENT, _HAS_CLIENT | _SEQ_COLUMN):
+            raise FrameError(f"batch record has unknown flags {flags}")
+        offset = BATCH_RECORD_HEAD.size
+        client_id = None
+        if flags & _HAS_CLIENT:
+            (length,) = _BR_CLIENT.unpack_from(body, offset)
+            offset += _BR_CLIENT.size
+            raw = body[offset : offset + length]
+            if len(raw) != length:
+                raise FrameError("batch record client id is truncated")
+            client_id = raw.decode("utf-8")
+            offset += length
+        first, observations, offset = unpack_observations(body, offset)
+        if len(observations) != count or not count:
+            raise FrameError(
+                f"batch record head says {count} readings, its columns "
+                f"hold {len(observations)}"
+            )
+        client_seqs = None
+        if flags & _SEQ_COLUMN:
+            client_seqs = struct.unpack_from(f"<{count}q", body, offset)
+            offset += 8 * count
+            _check_ascending(client_seqs)
+        if offset != len(body):
+            raise FrameError(
+                f"batch record has {len(body) - offset} trailing bytes"
+            )
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FrameError(f"malformed batch record: {exc}") from exc
+    return first, observations, client_id, client_seqs
+
+
 @dataclass(frozen=True)
 class BinaryBatch(Batch):
     """A ``Batch`` whose body is struct-packed columns, not JSON.
@@ -587,8 +728,8 @@ class BinaryBatch(Batch):
 
     def encode_body(self) -> bytes:
         if self.prov is not None:
-            # The columnar layout has no provenance columns; relayed
-            # batches take the JSON body, which carries the "p" key.
+            # A relayed batch's provenance travels in a RelayBatch, whose
+            # batch record carries the client id and seq column.
             raise NotPackable("batch carries provenance")
         return pack_observations(self.seq, self.observations)
 
@@ -598,6 +739,38 @@ class BinaryBatch(Batch):
         if end != len(body):
             raise FrameError(f"BinaryBatch has {len(body) - end} trailing bytes")
         return cls(seq=seq, observations=observations)
+
+
+@dataclass(frozen=True)
+class RelayBatch(Batch):
+    """A relayed ``Batch`` (one with ``prov``) in columns: ``BRELAY``.
+
+    The body is the write-ahead log's batch record
+    (:func:`pack_batch_record`): the ``BBATCH`` columns, whose first-seq
+    field is the frame's link ``seq``, the origin client id, and the
+    client-seq column.  The cluster router sends it on binary-codec
+    worker links, so a worker decodes a sub-batch into readings and
+    provenance with a few ``struct`` calls and logs it in the layout it
+    arrived in.  The decoder refuses a body without provenance, so
+    ``prov`` is always ``(client_id, (seq, ...))`` with strictly
+    ascending seqs, one per observation.  A sub-batch the columns
+    cannot carry (:class:`NotPackable`) goes as a JSON ``BATCH``.
+    """
+
+    TYPE = 0x10
+
+    def encode_body(self) -> bytes:
+        if self.prov is None:
+            raise NotPackable("relay batch carries no provenance")
+        origin, seqs = self.prov
+        return pack_batch_record(self.seq, self.observations, origin, seqs)
+
+    @classmethod
+    def decode_body(cls, body: bytes) -> "RelayBatch":
+        seq, observations, origin, seqs = unpack_batch_record(body)
+        if seqs is None:
+            raise FrameError("relay batch carries no client seqs")
+        return cls(seq=seq, observations=observations, prov=(origin, seqs))
 
 
 @dataclass(frozen=True)
@@ -1194,6 +1367,7 @@ _FRAME_TYPES: dict[int, type] = {
         Submit,
         Batch,
         BinaryBatch,
+        RelayBatch,
         Ack,
         Flush,
         Subscribe,
@@ -1215,7 +1389,7 @@ def encode_frame(frame: Frame) -> bytes:
     """Serialize one frame to its wire bytes (header + body + CRC).
 
     The body comes from :meth:`Frame.encode_body` — strict compact JSON
-    for every frame except ``BBATCH``, which packs structs.  Non-JSON
+    for every frame except the columnar ones, which pack structs.  Non-JSON
     values (including non-finite floats, whose ``NaN``/``Infinity``
     tokens only Python's parser accepts) are rejected with
     :class:`FrameError` at encode time rather than poisoning the wire.

@@ -59,6 +59,7 @@ WAL-backed frontier is re-read on the next HELLO).
 from __future__ import annotations
 
 import asyncio
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -723,19 +724,12 @@ class CepServer:
                 ),
             )
         if isinstance(frame, Batch):
-            prov = frame.prov
-            if prov is not None and len(prov[1]) != len(frame.observations):
-                self._send_error(
-                    session,
-                    "protocol",
-                    f"provenance lists {len(prov[1])} seqs for "
-                    f"{len(frame.observations)} observations",
-                )
-                return False
+            # A relayed batch's provenance lists one strictly ascending
+            # source seq per observation: its decoder refused it otherwise.
             return await self._enqueue(
                 session,
                 _SubmitItem(
-                    session, frame.seq, list(frame.observations), prov=prov
+                    session, frame.seq, list(frame.observations), prov=frame.prov
                 ),
             )
         if isinstance(frame, Flush):
@@ -952,35 +946,24 @@ class CepServer:
 
         Sub-batches travel one ordered link per shard and are applied in
         order, so the source seqs this backend has already applied are
-        always a prefix of the ordered subsequence routed here — one
-        recovered frontier read suffices: at or below it is a replay,
-        above it is new.  Source seqs may have gaps (the relay splits
-        batches across shards); the durable backend takes the
-        per-observation seq list directly, so the whole fresh tail
-        commits as one batch — splitting it into contiguous runs would
-        turn an interleaved shard's sub-batches into per-gap fragments
-        and pay the per-call WAL/engine overhead once per fragment.
+        always a prefix of the ordered subsequence routed here, and the
+        seqs ascend (the frame decoders check it): one ``bisect`` at the
+        recovered frontier splits the replayed prefix from the fresh
+        tail.  Source seqs may have gaps (the relay splits batches
+        across shards); the durable backend takes the per-observation
+        seq list directly, so the whole fresh tail commits as one batch.
         """
-        frontier = self.backend.client_frontiers.get(origin, -1)
-        fresh: list = []
-        fresh_seqs: list = []
-        skipped = 0
-        for observation, seq in zip(observations, prov_seqs):
-            if seq <= frontier:
-                skipped += 1
-            else:
-                fresh.append(observation)
-                fresh_seqs.append(seq)
-        detections: list = []
-        if fresh:
-            detections.extend(
-                self.backend.submit_many(
-                    fresh, client=(origin, tuple(fresh_seqs))
-                )
-            )
-        if skipped:
-            self.stats.duplicates_skipped += skipped
-        return detections
+        skip = bisect_right(
+            prov_seqs, self.backend.client_frontiers.get(origin, -1)
+        )
+        if skip:
+            self.stats.duplicates_skipped += skip
+            observations = observations[skip:]
+            if not observations:
+                return []
+        return self.backend.submit_many(
+            observations, client=(origin, prov_seqs[skip:])
+        )
 
     def _apply_flush(
         self, session: _Session, record: _ClientRecord, item: _SubmitItem

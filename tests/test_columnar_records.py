@@ -6,6 +6,10 @@
 * A structure-aware mutation of a columnar ``DETBATCH`` body or of a WAL
   batch record raises ``FrameError``/``WalError``; it never decodes into
   different detections or readings.
+* The router's columnar relay frame (``BRELAY``, :class:`RelayBatch`)
+  is the WAL batch record's body: a structure-aware mutation of it, or
+  a flipped bit, raises ``FrameError``, and a worker session that is
+  sent one ends with ERROR having applied nothing.
 * A torn batch record at the WAL tail is truncated, and its readings are
   submitted again on resume.
 """
@@ -14,6 +18,7 @@ import gc
 import os
 import struct
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,12 +34,15 @@ from repro.resilience.durability import wal as wal_module
 from repro.resilience.durability.engine import encode_observation
 from repro.scenarios.pack import canon_detections
 from repro.serve.protocol import (
+    Batch,
     BinaryDetectionBatch,
     DetectionBatch,
     DetectionFrame,
     FrameError,
+    RelayBatch,
     decode_frame,
     encode_frame,
+    pack_batch_record,
 )
 
 # -- the columnar DETBATCH ------------------------------------------------------
@@ -460,6 +468,223 @@ class TestBatchRecordMutations:
         entries = list(read_wal(directory, start_after=12))
         assert [(r.seq, r.client) for r in entries] == [(13, ("c", 3)), (14, ("c", 4))]
         assert [r.observation for r in entries] == stream[3:]
+
+
+# -- the relay frame: a WAL batch record on the wire --------------------------------
+
+
+@st.composite
+def relayed(draw):
+    """A relayed sub-batch: link seq, readings, ascending gapped seqs."""
+    batch = draw(readings)
+    gaps = draw(st.lists(st.integers(1, 2**20), min_size=len(batch),
+                         max_size=len(batch)))
+    seqs, seq = [], draw(st.integers(0, 2**20))
+    for gap in gaps:
+        seqs.append(seq)
+        seq += gap
+    return draw(st.integers(0, 2**40)), tuple(batch), ("cli", tuple(seqs))
+
+
+class TestRelayBatchMutations:
+    @given(relayed())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trips_as_the_wal_batch_record(self, relay):
+        seq, batch, prov = relay
+        frame = RelayBatch(seq, batch, prov)
+        assert decode_frame(encode_frame(frame))[0] == frame
+        # The same body the WAL logs for these readings, but for the
+        # first-seq field: the link seq here, 0 beside a seq column there.
+        body = frame.encode_body()
+        logged = wal_module._batch_body(batch, *prov)
+        columns_at = 6 + 2 + len("cli")
+        assert body[:columns_at] == logged[:columns_at]
+        assert body[columns_at + 8 :] == logged[columns_at + 8 :]
+
+    @given(relayed(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_structural_mutations_raise(self, relay, data):
+        seq, batch, prov = relay
+        body = bytearray(RelayBatch(seq, batch, prov).encode_body())
+        at = _batch_layout(body, True)
+        seqs_at = len(body) - 8 * len(batch)
+        kinds = [
+            "truncate", "extend", "tag", "head-count", "flags",
+            "columns-count", "reader-table", "object-table", "reader-index",
+            "object-index", "client-length",
+        ]
+        if len(batch) > 1:
+            kinds.append("seq-order")
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "truncate":
+            body = body[: data.draw(st.integers(0, len(body) - 1))]
+        elif kind == "extend":
+            body += data.draw(st.binary(min_size=1, max_size=8))
+        elif kind == "tag":
+            body[0] = data.draw(st.integers(0, 255).filter(
+                lambda v: v != wal_module.BATCH_TAG))
+        elif kind == "head-count":
+            value = data.draw(st.integers(0, 2**32 - 1).filter(
+                lambda v: v != at["count"]))
+            struct.pack_into("<I", body, 2, value)
+        elif kind == "flags":
+            body[1] = data.draw(st.integers(0, 255).filter(
+                lambda v: v != body[1]))
+        elif kind == "columns-count":
+            value = data.draw(st.integers(0, 2**32 - 1).filter(
+                lambda v: v != at["count"]))
+            struct.pack_into("!I", body, at["columns_at"] + 8, value)
+        elif kind == "reader-table":
+            value = data.draw(st.integers(0, 0xFFFF).filter(
+                lambda v: v != at["n_readers"]))
+            struct.pack_into("!H", body, at["columns_at"] + 12, value)
+        elif kind == "object-table":
+            value = data.draw(st.integers(0, 2**32 - 1).filter(
+                lambda v: v != at["n_objects"]))
+            struct.pack_into("!I", body, at["columns_at"] + 14, value)
+        elif kind == "reader-index":
+            value = data.draw(st.integers(at["n_readers"], 0xFFFF))
+            struct.pack_into("!H", body, at["readers_ix_at"], value)
+        elif kind == "object-index":
+            value = data.draw(st.integers(at["n_objects"], 2**32 - 1))
+            struct.pack_into("!I", body, at["objects_ix_at"], value)
+        elif kind == "client-length":
+            value = data.draw(st.integers(0, 0xFFFF).filter(
+                lambda v: v != len("cli")))
+            struct.pack_into("<H", body, at["client_len_at"], value)
+        else:
+            index = data.draw(st.integers(1, len(batch) - 1))
+            earlier = struct.unpack_from("<q", body, seqs_at + 8 * (index - 1))
+            value = data.draw(st.integers(-(2**63), earlier[0]))
+            struct.pack_into("<q", body, seqs_at + 8 * index, value)
+        with pytest.raises(FrameError):
+            RelayBatch.decode_body(bytes(body))
+
+    @given(relayed(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flipped_bits_never_decode(self, relay, data):
+        wire = bytearray(encode_frame(RelayBatch(*relay)))
+        bit = data.draw(st.integers(0, 8 * len(wire) - 1))
+        wire[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(FrameError):
+            decode_frame(bytes(wire))
+
+    def test_a_body_without_provenance_is_refused(self):
+        batch = [Observation("r1", "o1", 1.0)]
+        for body in (pack_batch_record(0, batch), pack_batch_record(0, batch, "cli")):
+            with pytest.raises(FrameError, match="no client seqs"):
+                RelayBatch.decode_body(body)
+
+    def test_json_fallback_refuses_what_the_columns_refuse(self):
+        """The JSON ``BATCH`` relay checks its provenance the same way."""
+        batch = (Observation("r1", "o1", 1.0), Observation("r1", "o2", 2.0))
+        for seqs in ((4, 4), (5, 3), (1,)):
+            wire = encode_frame(Batch(0, batch, ("cli", seqs)))
+            with pytest.raises(FrameError):
+                decode_frame(wire)
+
+
+def _hostile_relay(kind):
+    """A ``BRELAY`` frame with a valid CRC around a ``kind`` of bad body."""
+    batch = [Observation("r1", f"o{i}", float(i)) for i in range(3)]
+    body = bytearray(pack_batch_record(0, batch, "cli", (2, 5, 9)))
+    if kind == "count":
+        struct.pack_into("<I", body, 2, 4)
+    elif kind == "seq-order":
+        body = bytearray(pack_batch_record(0, batch, "cli", (2, 9, 5)))
+    elif kind == "client-id":
+        body = body[: 6 + 2 + 2]
+    else:
+        body += b"\0"
+    typed = bytes((RelayBatch.TYPE,)) + bytes(body)
+    return b"".join((
+        struct.pack("!I", len(typed)), typed,
+        struct.pack("!I", zlib.crc32(typed)),
+    ))
+
+
+@pytest.mark.parametrize(
+    "kind", ["count", "seq-order", "client-id", "trailing"]
+)
+def test_hostile_relay_ends_the_worker_session_unapplied(tmp_path, kind):
+    import asyncio
+
+    from repro.serve import CepServer
+    from repro.serve.protocol import ErrorFrame, FrameDecoder, Hello, Welcome
+
+    with pytest.raises(FrameError):
+        decode_frame(_hostile_relay(kind))
+
+    async def scenario(durable):
+        async with CepServer(durable) as server:
+            reader, writer = server.connect_loopback()
+            writer.write(encode_frame(
+                Hello("router@s0", capabilities={"codecs": ["binary"]})
+            ))
+            writer.write(_hostile_relay(kind))
+            await writer.drain()
+            frames, decoder = [], FrameDecoder()
+            while data := await asyncio.wait_for(reader.read(65536), 5):
+                frames.extend(decoder.feed(data))
+            return frames
+
+    with DurableEngine(_drill_engine, str(tmp_path / "worker")) as durable:
+        frames = asyncio.run(scenario(durable))
+        assert [type(f) for f in frames] == [Welcome, ErrorFrame]
+        assert frames[0].capabilities["codec"] == "binary"
+        assert frames[1].code == "frame"
+        assert durable.next_seq == 0
+        assert durable.client_frontiers == {}
+    assert list(read_wal(str(tmp_path / "worker" / "wal"))) == []
+
+
+@pytest.mark.parametrize(
+    "codecs, sent", [(None, RelayBatch), (("json",), Batch)],
+    ids=["binary-worker", "json-worker"],
+)
+def test_the_link_relays_columns_to_binary_workers_only(
+    tmp_path, monkeypatch, codecs, sent
+):
+    """A worker that negotiates the binary codec receives ``BRELAY``
+    frames; one that negotiates JSON receives the JSON ``BATCH`` with
+    ``prov``.  Both log every reading under its source seq."""
+    import asyncio
+
+    from repro.serve import CepServer, ServeConfig
+    from repro.serve.cluster import CepRouter, plan_cluster
+
+    received = []
+    handle_frame = CepServer._handle_frame
+
+    async def spy(self, session, frame):
+        received.append(type(frame))
+        return await handle_frame(self, session, frame)
+
+    monkeypatch.setattr(CepServer, "_handle_frame", spy)
+    stream = _packing_stream(8, 7)
+    plan = plan_cluster([containment_rule()], 1, max_shards=1)
+    (shard,) = plan.shard_plan.shard_names
+
+    async def scenario(durable):
+        worker = CepServer(durable, config=ServeConfig(codecs=codecs))
+        port = await worker.serve_tcp("127.0.0.1", 0)
+        router = CepRouter(plan, {shard: ("127.0.0.1", port)})
+        await router.start()
+        try:
+            for first in range(0, len(stream), 16):
+                await router.submit_many(
+                    stream[first : first + 16], client=("c", first)
+                )
+        finally:
+            await router.close()
+            await worker.close()
+
+    with DurableEngine(_drill_engine, str(tmp_path / "worker")) as durable:
+        asyncio.run(scenario(durable))
+        assert durable.client_frontiers == {"c": len(stream) - 1}
+    entries = list(read_wal(str(tmp_path / "worker" / "wal")))
+    assert [r.client for r in entries] == [("c", i) for i in range(len(stream))]
+    assert {kind for kind in received if issubclass(kind, Batch)} == {sent}
 
 
 # -- torn batch records -----------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.resilience import (
     kill_and_restore_run,
     tear_wal_tail,
 )
-from repro.resilience.durability import checkpoint_files
+from repro.resilience.durability import checkpoint_files, checkpoint_seq
 from repro.rules import Rule
 from repro.simulator import PackingConfig, simulate_packing
 
@@ -753,12 +753,72 @@ class TestClientFrontiers:
             for index, observation in enumerate(stream):
                 durable.submit(observation, client=("station-1", index))
             # Force a final cut so every WAL record is behind a checkpoint:
-            # the frontier must come from the sidecar alone.
+            # the frontier must come from the checkpoint file alone.
             durable.checkpoint_now()
         revived, report = DurableEngine.recover(self._factory, directory)
         assert report.replayed_records == 0
         assert revived.client_frontiers == {"station-1": len(stream) - 1}
         revived.close()
+
+    def test_checkpoint_without_frontiers_is_skipped(self, tmp_path):
+        """The frontiers ride in the checkpoint file itself: a newest
+        checkpoint whose ``clients`` section is missing or malformed is
+        unrestorable, and recovery falls back to the older one and
+        rebuilds the frontier from the WAL tail instead of forgetting
+        it."""
+        import json
+        import os
+
+        stream = pair_stream()
+        for damage in ("missing", "malformed"):
+            directory = str(tmp_path / damage)
+            with DurableEngine(
+                self._factory, directory, checkpoint_every=4
+            ) as durable:
+                for index, observation in enumerate(stream):
+                    durable.submit(observation, client=("station-1", index))
+            older, newest = checkpoint_files(directory)[-2:]
+            path = os.path.join(directory, newest)
+            with open(path) as handle:
+                snapshot = json.load(handle)
+            if damage == "missing":
+                del snapshot["clients"]
+            else:
+                snapshot["clients"] = {"station-1": "many"}
+            with open(path, "w") as handle:
+                json.dump(snapshot, handle)
+            revived, report = DurableEngine.recover(self._factory, directory)
+            assert report.checkpoints_tried == 2
+            assert report.checkpoint_seq == checkpoint_seq(older)
+            assert revived.client_frontiers == {"station-1": len(stream) - 1}
+            revived.close()
+
+    def test_retired_sidecar_layout_refused(self, tmp_path):
+        """A directory whose frontiers sit in ``clients-<seq>.json``
+        sidecars beside checkpoints without them is the retired layout:
+        both constructors refuse it rather than resume every client
+        from nothing."""
+        import json
+        import os
+
+        directory = str(tmp_path / "sidecars")
+        with DurableEngine(self._factory, directory, checkpoint_every=4) as durable:
+            for index, observation in enumerate(pair_stream()):
+                durable.submit(observation, client=("station-1", index))
+        for name in checkpoint_files(directory):
+            path = os.path.join(directory, name)
+            with open(path) as handle:
+                snapshot = json.load(handle)
+            sidecar = {"clients": snapshot.pop("clients")}
+            with open(path, "w") as handle:
+                json.dump(snapshot, handle)
+            sidecar_name = f"clients-{checkpoint_seq(name):016d}.json"
+            with open(os.path.join(directory, sidecar_name), "w") as handle:
+                json.dump(sidecar, handle)
+        with pytest.raises(CheckpointError, match="sidecars"):
+            DurableEngine.recover(self._factory, directory)
+        with pytest.raises(CheckpointError, match="sidecars"):
+            DurableEngine(self._factory, directory)
 
     def test_frontiers_track_multiple_clients(self, tmp_path):
         directory = str(tmp_path / "multi")

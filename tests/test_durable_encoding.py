@@ -390,11 +390,13 @@ GOLDEN_WAL_SHA256 = (
 GOLDEN_OUTBOX_SHA256 = (
     "ef98cb8be10f8a886277baa91f6587a175d0bbba78d37a918e95e06d5175a25f"
 )
-#: The two ``checkpoint-*.json`` snapshots and their ``clients-*.json``
-#: frontier sidecars, pinned from the last commit whose checkpoints were
-#: written with ``json.dump``.
+#: The two ``checkpoint-*.json`` snapshots.  Re-pinned once, on purpose,
+#: when the client frontiers moved from ``clients-*.json`` sidecars into
+#: a top-level ``clients`` key of the checkpoint file: each new file is
+#: the old snapshot's bytes with its sidecar's ``clients`` section
+#: appended, as ``json.dumps`` writes it.
 GOLDEN_CHECKPOINT_SHA256 = (
-    "b934fd3c021dffef2f762e4db39a0cc145b85818c7ba68ddbd9b04e00299d44e"
+    "8555135e08f5a05413afa89f91157c9718d543a90369dc3b149b8375696c056f"
 )
 
 
@@ -442,7 +444,7 @@ def test_golden_run_is_byte_identical_to_the_json_dumps_writers(tmp_path):
         name for name in os.listdir(directory)
         if name.startswith(("checkpoint-", "clients-"))
     )
-    assert len(snapshots) == 4
+    assert len(snapshots) == 2
     assert _digest(directory, snapshots) == GOLDEN_CHECKPOINT_SHA256
 
 

@@ -32,7 +32,7 @@ from repro.lang import parse_rules
 from repro.serve import CepServer, loopback_connector
 from repro.serve.client import AsyncClient, tcp_connector
 from repro.serve.cluster import CepRouter, Cluster, WorkerLink, plan_cluster
-from repro.serve.drill import cluster_program
+from repro.serve.drill import cluster_program, kill_server, stand_up_server, tear_down
 from repro.serve.protocol import (
     Ack,
     Batch,
@@ -412,6 +412,44 @@ def test_inprocess_kill_leaves_no_open_handles(tmp_path):
         finally:
             await cluster.stop()
 
+    assert not _leaked_handles(scenario)
+
+
+def test_server_kill_leaves_no_open_handles(tmp_path):
+    """The drill's server kill (``stand_up_server`` + ``kill_server``)
+    with ``ResourceWarning`` as an error: the dead life's WAL segment
+    and ``outbox.log`` are closed before the directory is recovered."""
+    trace = simulate_multi_packing(
+        lines=1, cases_per_line=4, items_per_case=5, seed=5
+    )
+    rules = parse_rules(cluster_program(trace.reader_pairs))
+    stream = list(trace.observations)
+
+    async def scenario():
+        stand = await stand_up_server(
+            str(tmp_path / "kill"),
+            lambda: Engine(rules, context="chronicle", store=RfidStore()),
+        )
+        client = stand.client("kill", batch_size=8)
+        try:
+            await client.connect()
+            half = len(stream) // 2
+            await client.submit_many(stream[:half])
+            await client.drain(timeout=30)
+            await kill_server(stand)
+            await client.submit_many(stream[half:])
+            await client.flush(timeout=30)
+        finally:
+            await tear_down(stand, client)
+        assert len(stand.servers) == 2
+        assert stand.recovery.replayed_records >= half
+
+    assert not _leaked_handles(scenario)
+
+
+def _leaked_handles(scenario):
+    """Run ``scenario`` with ``ResourceWarning`` as an error; the
+    warnings raised, from finalizers too."""
     unraisable = []
     hook = sys.unraisablehook
     with warnings.catch_warnings():
@@ -422,8 +460,7 @@ def test_inprocess_kill_leaves_no_open_handles(tmp_path):
             gc.collect()
         finally:
             sys.unraisablehook = hook
-    leaks = [
+    return [
         str(entry.exc_value) for entry in unraisable
         if isinstance(entry.exc_value, ResourceWarning)
     ]
-    assert not leaks, leaks
