@@ -334,7 +334,7 @@ async def relay_link_frames(directory, size=4000):
     """
     durable, observations = _cluster_worker(directory, size)
     program = get_pack("packing").episode_source(lines=4).program
-    plan = plan_cluster(parse_rules(program), 1, max_shards=1)
+    plan = plan_cluster(parse_rules(program), 1)
     (shard,) = plan.shard_plan.shard_names
     json_batches = batch_bytes = 0
     feed = FrameDecoder.feed
@@ -444,7 +444,7 @@ async def push_calls_per_detection(routed, size=2000):
     """
     source, observations = _generated("packing", size)
     rules = parse_rules(source.program)
-    plan = plan_cluster(rules, 1, max_shards=1)
+    plan = plan_cluster(rules, 1)
     (shard,) = plan.shard_plan.shard_names
     engine = Engine(rules, context="chronicle", store=RfidStore())
     if routed:

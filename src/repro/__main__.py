@@ -516,7 +516,6 @@ def _cmd_cluster(arguments: argparse.Namespace) -> int:
             program,
             workers=arguments.workers,
             directory=directory,
-            max_shards=arguments.max_shards,
             fsync=arguments.fsync,
             sink=arguments.sink,
             inprocess=arguments.inprocess,
@@ -1301,11 +1300,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     cluster.add_argument(
         "--workers", type=int, default=2, help="shard worker processes"
-    )
-    cluster.add_argument(
-        "--max-shards",
-        type=int,
-        help="shard count ceiling (default: one per worker)",
     )
     cluster.add_argument(
         "--dir", help="durable state root (default: a fresh temp directory)"

@@ -215,7 +215,7 @@ METRICS: dict[str, tuple[str, tuple[Metric, ...]]] = {
         Metric.read("stats.detections_forwarded", "counter", "rceda_cluster_detections_forwarded_total",
                     "Worker detections re-pushed to router subscribers."),
         Metric.read("stats.worker_reconnects", "counter", "rceda_cluster_worker_reconnects_total",
-                    "Times a worker link redialed (crash, retarget, migration)."),
+                    "Times a worker link redialed (crash, retarget)."),
         Metric.read("stats.unattributed_detections", "counter", "rceda_cluster_unattributed_total",
                     "Worker detections for sub-batches no longer tracked."),
     )),

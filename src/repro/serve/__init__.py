@@ -19,8 +19,8 @@ that makes the repo an actual *server* for those streams:
 * :mod:`repro.serve.cluster` — :class:`Cluster` / :class:`CepRouter`:
   N shard-worker processes (each a :class:`CepServer` over a durable
   engine with its own WAL) behind a router backend served by one more
-  :class:`CepServer`, with consistent-hash placement, deterministic
-  detection fan-in, crash recovery and live shard migration;
+  :class:`CepServer`, with round-robin shard placement, deterministic
+  detection fan-in and crash recovery;
 * :mod:`repro.serve.drill` — the one procedure behind ``python -m repro
   chaos serve|skew|cluster`` and ``smoke``: stand up a durable topology,
   stream, kill one component mid-slice, recover, and audit the sink,
@@ -56,7 +56,6 @@ from .cluster import (
     CepRouter,
     Cluster,
     ClusterPlan,
-    HashRing,
     RouterStats,
     ShardWorker,
     WorkerLink,
@@ -150,7 +149,6 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "FrameError",
-    "HashRing",
     "Hello",
     "JsonCodec",
     "LoopbackReader",

@@ -7,8 +7,8 @@ placement to real processes:
 
 * :func:`plan_cluster` — the deterministic placement: rules go to shards
   via :func:`repro.core.sharding.plan_shards` (the same single source of
-  truth the in-process coordinator uses), shards go to worker *nodes*
-  via a consistent-hash ring, so adding a node moves few shards;
+  truth the in-process coordinator uses), at most one per node plus the
+  catch-all shard, and shard *i* goes to node *i* mod N;
 * :class:`ShardWorker` — one worker node: a :class:`~repro.serve.CepServer`
   per assigned shard, each over its own ``DurableEngine`` with a
   per-shard WAL (and, optionally, an exactly-once file sink);
@@ -17,13 +17,14 @@ placement to real processes:
   multi-core throughput;
 * :class:`CepRouter` — the cluster's detection *backend*: splits every
   batch by the shard plan, relays sub-batches to workers with *source
-  provenance* (the end client's id and seqs, the ``prov`` extension of
-  :mod:`repro.serve.protocol`; in columns, as the worker's WAL batch
-  record, on a binary-codec link) and collects worker acks and
-  detections back into per-batch *epochs*, each a future of its fan-in;
+  provenance* (the end client's id and seqs: in columns, as the
+  worker's WAL batch record, or as the ``prov`` extension of
+  :mod:`repro.serve.protocol` when the columns cannot carry them) and
+  collects worker acks and detections back into per-batch *epochs*,
+  each a future of its fan-in;
 * :class:`Cluster` — spawn workers and the router from one config and
   serve the router with one :class:`~repro.serve.CepServer`, kill and
-  recover workers, migrate shards by checkpoint handoff.
+  recover workers.
 
 Clients talk to that ``CepServer``, so a router session gets exactly a
 server session: the same handshake, resume, codecs, heartbeat, idle
@@ -54,11 +55,8 @@ Delivery contract (documented, and exercised by the cluster drill):
 from __future__ import annotations
 
 import asyncio
-import bisect
-import hashlib
 import json
 import os
-import shutil
 import signal
 import sys
 from collections import deque
@@ -97,7 +95,6 @@ __all__ = [
     "CepRouter",
     "Cluster",
     "ClusterPlan",
-    "HashRing",
     "ShardWorker",
     "WorkerProcess",
     "file_sink",
@@ -113,51 +110,6 @@ _revision_key = attrgetter("detection_id", "revision")
 # ---------------------------------------------------------------------------
 # placement: shards -> nodes
 # ---------------------------------------------------------------------------
-
-
-def _ring_hash(key: str) -> int:
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
-
-
-class HashRing:
-    """Consistent hashing of keys onto nodes, with virtual nodes.
-
-    Every process that builds a ring over the same node names derives
-    the same assignment, and adding or removing one node only remaps the
-    keys that hashed to it — which is what keeps shard migration
-    incremental instead of a full reshuffle.
-    """
-
-    def __init__(self, nodes: Iterable[str], vnodes: int = 64) -> None:
-        points: list[tuple[int, str]] = []
-        for node in nodes:
-            for replica in range(vnodes):
-                points.append((_ring_hash(f"{node}#{replica}"), node))
-        if not points:
-            raise ValueError("need at least one node")
-        points.sort()
-        self._points = points
-        self._hashes = [point for point, _node in points]
-
-    def node_for(self, key: str) -> str:
-        index = bisect.bisect(self._hashes, _ring_hash(key))
-        return self._points[index % len(self._points)][1]
-
-    def nodes_for(self, key: str) -> "Iterable[str]":
-        """Distinct nodes in ring order starting at ``key``'s point.
-
-        The bounded-load assignment walks this sequence and takes the
-        first node with spare capacity, so a full node spills its
-        overflow onto its ring successor — deterministically.
-        """
-        index = bisect.bisect(self._hashes, _ring_hash(key))
-        seen: set[str] = set()
-        count = len(self._points)
-        for step in range(count):
-            node = self._points[(index + step) % count][1]
-            if node not in seen:
-                seen.add(node)
-                yield node
 
 
 @dataclass(frozen=True)
@@ -179,15 +131,14 @@ def plan_cluster(
     rules: Iterable[Any],
     nodes: "int | Iterable[str]",
     *,
-    max_shards: Optional[int] = None,
     group_members: Optional[dict] = None,
 ) -> ClusterPlan:
     """Compute the full two-level placement for a cluster.
 
     ``nodes`` is a node count (named ``worker-0..N-1``) or explicit node
-    names.  ``max_shards`` defaults to the node count — one shard per
-    node when the rules allow it; pass more to pre-split for future
-    migration headroom.
+    names.  The rules split into at most one shard per node (plus the
+    catch-all shard for wildcard rules), and shard *i* of the plan goes
+    to node *i* mod N — so no node holds more than ceil(shards / nodes).
     """
     if isinstance(nodes, int):
         if nodes < 1:
@@ -198,24 +149,12 @@ def plan_cluster(
         if not node_names:
             raise ValueError("need at least one node")
     shard_plan = plan_shards(
-        list(rules), max_shards or len(node_names), group_members=group_members
+        list(rules), len(node_names), group_members=group_members
     )
-    ring = HashRing(node_names)
-    # Consistent hashing with bounded loads: no node takes more than
-    # ceil(shards / nodes), overflow spills to the ring successor.  A
-    # plain ring is allowed to put every shard on one node (and with
-    # two shards it will, a coin-flip of the time) — which would turn
-    # "add a worker" into a no-op for throughput.
-    shard_names = shard_plan.shard_names
-    capacity = -(-len(shard_names) // len(node_names))
-    loads = {node: 0 for node in node_names}
-    assignment: dict[str, str] = {}
-    for shard in shard_names:
-        for node in ring.nodes_for(shard):
-            if loads[node] < capacity:
-                assignment[shard] = node
-                loads[node] += 1
-                break
+    assignment = {
+        shard: node_names[index % len(node_names)]
+        for index, shard in enumerate(shard_plan.shard_names)
+    }
     return ClusterPlan(
         shard_plan=shard_plan, nodes=node_names, assignment=assignment
     )
@@ -285,8 +224,8 @@ class ShardWorker:
     Runs in-process (tests, single-machine toys) or as the body of a
     ``python -m repro cluster worker`` subprocess (:func:`run_worker`).
     Each shard gets its own directory under ``directory`` holding its
-    WAL, checkpoints, outbox journal and optional delivery sink — which
-    is exactly the unit a migration moves.
+    WAL, checkpoints, outbox journal and optional delivery sink; a
+    worker started over existing state recovers it.
     """
 
     def __init__(
@@ -301,7 +240,6 @@ class ShardWorker:
         checkpoint_every: int = 500,
         sink: bool = False,
         recover: bool = False,
-        serve_config: Optional[ServeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.plan = plan
@@ -316,7 +254,6 @@ class ShardWorker:
         self.checkpoint_every = checkpoint_every
         self.sink = sink
         self.recover = recover
-        self.serve_config = serve_config or ServeConfig()
         self.metrics = metrics
         self.servers: dict[str, CepServer] = {}
         self.engines: dict[str, Any] = {}
@@ -360,53 +297,15 @@ class ShardWorker:
     async def start(self) -> dict[str, int]:
         """Serve every assigned shard; returns shard -> bound port."""
         for shard in self.shards:
-            await self.start_shard(shard)
+            engine = self._build_engine(shard)
+            server = CepServer(
+                engine, metrics=self.metrics, metrics_label=f"{shard}-serve"
+            )
+            port = await server.serve_tcp(self.host, 0)
+            self.engines[shard] = engine
+            self.servers[shard] = server
+            self.ports[shard] = port
         return dict(self.ports)
-
-    async def start_shard(self, shard: str) -> int:
-        """Bring up (or adopt, with existing state on disk) one shard."""
-        if shard in self.servers:
-            raise ServeError(f"shard {shard!r} is already being served")
-        if shard not in self.shards:
-            self.shards.append(shard)
-        engine = self._build_engine(shard)
-        server = CepServer(
-            engine,
-            config=self.serve_config,
-            metrics=self.metrics,
-            metrics_label=f"{shard}-serve",
-        )
-        port = await server.serve_tcp(self.host, 0)
-        self.engines[shard] = engine
-        self.servers[shard] = server
-        self.ports[shard] = port
-        return port
-
-    async def release_shard(self, shard: str, *, checkpoint: bool = True) -> str:
-        """Stop serving one shard and hand back its state directory.
-
-        With ``checkpoint`` the durable engine snapshots before closing,
-        so the adopting node replays (almost) nothing; without it the
-        WAL tail is replayed on adoption — both are safe, the drill's
-        migration leg deliberately exercises the tail-replay path.
-        """
-        server = self.servers.pop(shard)
-        engine = self.engines.pop(shard)
-        self.ports.pop(shard, None)
-        self.shards.remove(shard)
-        await server.close()
-        if checkpoint:
-            engine.checkpoint_now()
-        engine.close()
-        return os.path.join(self.directory, shard)
-
-    async def adopt_shard(self, shard: str, source_dir: str) -> int:
-        """Move a released shard directory under this node and serve it."""
-        target = os.path.join(self.directory, shard)
-        if os.path.abspath(source_dir) != os.path.abspath(target):
-            os.makedirs(self.directory, exist_ok=True)
-            shutil.move(source_dir, target)
-        return await self.start_shard(shard)
 
     async def stop(self, *, checkpoint: bool = True) -> None:
         for server in self.servers.values():
@@ -445,22 +344,17 @@ def load_worker_spec(path: str) -> dict:
         return json.load(handle)
 
 
-async def run_worker(spec: dict, *, announce: Any = None) -> None:
-    """Body of ``python -m repro cluster worker --spec <file>``.
+def _worker_for_spec(spec: dict) -> ShardWorker:
+    """The :class:`ShardWorker` a worker spec describes.
 
-    Recomputes the shard plan from the spec's rule program (placement is
-    a pure function, so router and workers agree without coordination),
-    serves the assigned shards, announces ``shard <name> <port>`` lines
-    plus a final ``ready`` on ``announce`` (default stdout), and runs
-    until SIGTERM/SIGINT — which trigger a graceful checkpoint + close,
-    the first half of a migration handoff.
+    Recomputes the shard plan from the spec's rule program and worker
+    count (placement is a pure function, so router and workers agree
+    without coordination).
     """
     from ..lang import parse_rules
 
-    announce = announce if announce is not None else sys.stdout
-    rules = parse_rules(spec["program"])
-    plan = plan_shards(rules, int(spec["max_shards"]))
-    worker = ShardWorker(
+    plan = plan_shards(parse_rules(spec["program"]), int(spec["workers"]))
+    return ShardWorker(
         plan,
         spec["shards"],
         spec["directory"],
@@ -471,6 +365,18 @@ async def run_worker(spec: dict, *, announce: Any = None) -> None:
         sink=bool(spec.get("sink", False)),
         recover=bool(spec.get("recover", False)),
     )
+
+
+async def run_worker(spec: dict, *, announce: Any = None) -> None:
+    """Body of ``python -m repro cluster worker --spec <file>``.
+
+    Serves the shards the spec assigns (see :func:`_worker_for_spec`),
+    announces ``shard <name> <port>`` lines plus a final ``ready`` on
+    ``announce`` (default stdout), and runs until SIGTERM/SIGINT — which
+    trigger a graceful checkpoint + close.
+    """
+    announce = announce if announce is not None else sys.stdout
+    worker = _worker_for_spec(spec)
     ports = await worker.start()
     for shard, port in ports.items():
         print(f"shard {shard} {port}", file=announce, flush=True)
@@ -492,8 +398,9 @@ class WorkerProcess:
     This is the multi-core path: each subprocess owns its shards'
     engines and WALs outright, so N workers really are N interpreters.
     ``kill()`` is SIGKILL (the drill's crash), :meth:`terminate` is the
-    graceful SIGTERM handoff, and :meth:`start` with ``recover=True`` in
-    the spec is how a supervisor resurrects a killed node in place.
+    graceful SIGTERM stop (checkpoint and close), and :meth:`start` with
+    ``recover=True`` in the spec is how a supervisor resurrects a killed
+    node in place.
     """
 
     def __init__(self, node: str, spec: dict) -> None:
@@ -614,19 +521,15 @@ class WorkerLink:
     """The router's session to one shard's server.
 
     A single connection is both the ingest session (sub-batches with
-    source provenance, link-sequenced, as columnar ``BRELAY`` frames
-    once the worker negotiates the binary codec) and an ordinary
-    binary-push subscriber: the worker pushes detections back on it as
-    columnar ``BDETBATCH`` frames, which decode straight into
-    DetectionFrames.
-    The link survives worker crashes: it redials with ``resume_from`` at
+    source provenance, link-sequenced, as columnar ``BRELAY`` frames,
+    which every server session decodes) and an ordinary binary-push
+    subscriber: the worker pushes detections back on it as columnar
+    ``BDETBATCH`` frames, which decode straight into DetectionFrames.
+    The link survives worker crashes: between connections it queues
+    sub-batches in ``pending``, then redials with ``resume_from`` at
     its ack frontier and resends every pending sub-batch — the worker's
     recovered provenance frontier turns replayed observations into
     no-ops, so resends are exactly-once.
-
-    A *paused* link (migration drain) keeps queueing sub-batches in
-    ``pending`` but writes none of them until :meth:`resume`; the
-    ``held`` tail is what it queued meanwhile.
     """
 
     #: Reconnect backoff: base * 2^n, capped.
@@ -656,15 +559,8 @@ class WorkerLink:
         self._epoch_by_last: dict[int, _Epoch] = {}
         self.reconnects = 0
         self.closed = False
-        self.paused = False
-        self.held = 0
         self._writer: Any = None
-        #: Whether the worker negotiated the binary codec: sub-batches
-        #: then go out as columnar RelayBatch frames.
-        self._columnar = False
         self._connected = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._task: Optional[asyncio.Task] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -689,7 +585,7 @@ class WorkerLink:
             self._task = None
 
     def retarget(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
-        """Point the link at a new endpoint (recovery, migration).
+        """Point the link at a new endpoint (a recovered worker).
 
         Takes effect immediately: the current transport is dropped and
         the run loop redials, resending everything unacked.
@@ -704,18 +600,6 @@ class WorkerLink:
                 self._writer.close()
             except Exception:
                 pass
-
-    def resume(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
-        """Unpause, writing the held tail (or redialing a new endpoint)."""
-        held, self.held = self.held, 0
-        self.paused = False
-        if held:
-            self._idle.clear()
-        if host is not None or port is not None:
-            self.retarget(host, port)
-        elif held and self._connected.is_set():
-            for entry in list(self.pending)[-held:]:
-                self._write_entry(entry)
 
     # -- connection ---------------------------------------------------------
 
@@ -748,10 +632,10 @@ class WorkerLink:
             client_id=self.client_id,
             resume_from=self.last_acked,
             capabilities={
-                # Columns both ways on a binary session: sub-batches go
-                # out as BRELAY batch records, which carry provenance,
-                # and detections come back as BDETBATCH.
-                "codecs": ["binary", "json"],
+                # Columns both ways: sub-batches go out as BRELAY batch
+                # records, which carry provenance, and detections come
+                # back as BDETBATCH.
+                "codecs": ["binary"],
                 "resume": True,
                 "batch_push": True,
                 "binary_push": True,
@@ -781,22 +665,19 @@ class WorkerLink:
             for frame in self._decoder.feed(data):
                 if isinstance(frame, Welcome):
                     welcomed = True
-                    self._columnar = frame.capabilities.get("codec") == "binary"
                 elif isinstance(frame, ErrorFrame):
                     raise ConnectionResetError(
                         f"worker rejected link: {frame.code}: {frame.message}"
                     )
-        # Resend everything unacked except the tail held by a pause.
-        for entry in list(self.pending)[: len(self.pending) - self.held]:
+        for entry in self.pending:
             self._write_entry(entry)
         await writer.drain()
         self._connected.set()
         return reader
 
     def _write_entry(self, entry: _LinkSend) -> None:
-        """Write one sub-batch: a columnar ``BRELAY`` on a binary-codec
-        link, a JSON ``BATCH`` with ``prov`` when the columns cannot
-        carry it or the worker negotiated JSON."""
+        """Write one sub-batch: a columnar ``BRELAY``, or a JSON ``BATCH``
+        with ``prov`` when the columns cannot carry it."""
         buffer = bytearray()
         if entry.flush:
             frame: Frame = Flush(
@@ -805,14 +686,12 @@ class WorkerLink:
         else:
             prov = (entry.origin, entry.prov_seqs)
             frame = Batch(entry.first, entry.observations, prov)
-            if self._columnar:
-                try:
-                    encode_frame_into(
-                        RelayBatch(entry.first, entry.observations, prov),
-                        buffer,
-                    )
-                except NotPackable:
-                    pass  # the JSON fallback below
+            try:
+                encode_frame_into(
+                    RelayBatch(entry.first, entry.observations, prov), buffer
+                )
+            except NotPackable:
+                pass  # the JSON fallback below
         if not buffer:
             encode_frame_into(frame, buffer)
         self._writer.write(bytes(buffer))
@@ -850,8 +729,6 @@ class WorkerLink:
             entry = self.pending.popleft()
             self._epoch_by_last.pop(entry.last, None)
             completed.append(entry.epoch)
-        if len(self.pending) == self.held:
-            self._idle.set()
         for epoch in completed:
             epoch.waiting.discard(self.shard)
             if not epoch.waiting:
@@ -880,7 +757,7 @@ class WorkerLink:
         flush: bool = False,
     ) -> None:
         """Queue one sub-batch (or, with ``flush``, one FLUSH) and write
-        it unless the link is paused or between connections."""
+        it unless the link is between connections."""
         first = self.next_seq
         last = first + max(len(observations), 1) - 1
         self.next_seq = last + 1
@@ -889,16 +766,8 @@ class WorkerLink:
         )
         self.pending.append(entry)
         self._epoch_by_last[last] = epoch
-        if self.paused:
-            self.held += 1
-            return
-        self._idle.clear()
         if self._connected.is_set():
             self._write_entry(entry)
-
-    async def wait_idle(self) -> None:
-        """Block until every written sub-batch has been acked."""
-        await self._idle.wait()
 
 
 @dataclass
@@ -973,31 +842,6 @@ class CepRouter:
     async def close(self) -> None:
         for link in self.links.values():
             await link.close()
-
-    # -- migration ----------------------------------------------------------
-
-    async def pause_shard(self, shard: str) -> None:
-        """Stop writing to ``shard`` and wait until its link is idle.
-
-        Batches touching the shard keep being accepted: their sub-batches
-        wait unwritten in the link's ``pending`` queue and their epochs
-        stay open (bounded by ``ServeConfig.submit_queue``) until
-        :meth:`resume_shard`.  Once this returns, the worker holds every
-        sub-batch written to it in its WAL and has none outstanding —
-        safe to checkpoint and move.
-        """
-        link = self.links[shard]
-        link.paused = True
-        await link.wait_idle()
-
-    def resume_shard(
-        self,
-        shard: str,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-    ) -> None:
-        """Reopen a paused shard, optionally at a new endpoint."""
-        self.links[shard].resume(host, port)
 
     def retarget(self, shard: str, host: Optional[str] = None, port: Optional[int] = None) -> None:
         """Redirect one shard's link (worker respawned elsewhere)."""
@@ -1080,10 +924,12 @@ class Cluster:
     """Spawn workers and a served router from one config; supervise both.
 
     ``inprocess=True`` keeps the workers in this event loop (tests,
-    migration drills without multi-core claims); otherwise each node is
-    a :class:`WorkerProcess` subprocess and the cluster actually spans
-    cores.  ``program`` is rule-language source — text, because it must
-    cross a process boundary and re-parse identically on both sides.
+    drills without multi-core claims); otherwise each node is a
+    :class:`WorkerProcess` subprocess and the cluster actually spans
+    cores.  The nodes are fixed at construction: ``workers`` of them,
+    each serving the shards :func:`plan_cluster` assigns it.  ``program``
+    is rule-language source — text, because it must cross a process
+    boundary and re-parse identically on both sides.
     """
 
     def __init__(
@@ -1092,7 +938,6 @@ class Cluster:
         *,
         workers: int = 2,
         directory: str,
-        max_shards: Optional[int] = None,
         host: str = "127.0.0.1",
         context: str = "chronicle",
         fsync: str = "never",
@@ -1114,9 +959,7 @@ class Cluster:
         self.inprocess = inprocess
         self.router_config = router_config
         self.metrics = metrics
-        rules = parse_rules(program)
-        self.max_shards = max_shards or workers
-        self.plan = plan_cluster(rules, workers, max_shards=self.max_shards)
+        self.plan = plan_cluster(parse_rules(program), workers)
         self.router: Optional[CepRouter] = None
         #: The front server: the one session layer, serving the router.
         self.server: Optional[CepServer] = None
@@ -1126,7 +969,7 @@ class Cluster:
     def _spec_for(self, node: str) -> dict:
         return {
             "program": self.program,
-            "max_shards": self.max_shards,
+            "workers": len(self.plan.nodes),
             "shards": self.plan.shards_for(node),
             "directory": os.path.join(self.directory, node),
             "host": self.host,
@@ -1194,49 +1037,6 @@ class Cluster:
             if self.router is not None:
                 self.router.retarget(shard, self.host, port)
         return ports
-
-    async def migrate_shard(self, shard: str, to_node: str) -> int:
-        """Move one shard to another node by checkpoint handoff.
-
-        drain (pause writes to the shard, wait for its link to go idle) →
-        checkpoint (the source releases the shard, snapshotting it) →
-        transfer (the state directory moves under the target node) →
-        retarget (the router resumes the shard at its new endpoint).
-        Only supported for in-process nodes; subprocess nodes migrate by
-        ``terminate()`` + respawning with an updated spec.
-        """
-        if not self.inprocess:
-            raise ServeError(
-                "live single-shard migration needs in-process nodes; "
-                "for subprocess nodes, terminate and respawn with an "
-                "updated shard list"
-            )
-        from_node = self.plan.assignment[shard]
-        if from_node == to_node:
-            return self.endpoints[shard][1]
-        if self.router is not None:
-            await self.router.pause_shard(shard)
-        source: ShardWorker = self.workers[from_node]
-        state_dir = await source.release_shard(shard, checkpoint=True)
-        target = self.workers.get(to_node)
-        if target is None:
-            target = ShardWorker(
-                self.plan.shard_plan,
-                [],
-                os.path.join(self.directory, to_node),
-                host=self.host,
-                context=self.context,
-                fsync=self.fsync,
-                checkpoint_every=self.checkpoint_every,
-                sink=self.sink,
-            )
-            self.workers[to_node] = target
-        port = await target.adopt_shard(shard, state_dir)
-        self.plan.assignment[shard] = to_node
-        self.endpoints[shard] = (self.host, port)
-        if self.router is not None:
-            self.router.resume_shard(shard, self.host, port)
-        return port
 
     async def stop(self) -> None:
         if self.server is not None:

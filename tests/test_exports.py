@@ -86,7 +86,7 @@ SERVE_SURFACE = """
 Ack AsyncClient Batch BinaryBatch BinaryCodec Bye CepRouter CepServer
 ChaosProxy Client ClientError Cluster ClusterPlan DetectionBatch
 DetectionFrame ErrorFrame FaultSchedule FaultStats FaultyTransport
-FaultyWriter Flush Frame FrameDecoder FrameError HashRing Hello JsonCodec
+FaultyWriter Flush Frame FrameDecoder FrameError Hello JsonCodec
 LoopbackReader LoopbackWriter MAX_FRAME_BYTES MIN_PROTOCOL_VERSION
 NetworkFaultPlan PROTOCOL_VERSION Ping Pong RetryConfig RouterStats
 ServeConfig ServeError ShardWorker SlowConsumerPolicy Submit Subscribe

@@ -191,7 +191,7 @@ def run_direct(program, stream, count):
 def run_routed(program, stream, count, directory):
     async def scenario():
         cluster = Cluster(
-            program, workers=1, max_shards=1, directory=directory,
+            program, workers=1, directory=directory,
             inprocess=True,
         )
         try:
@@ -310,7 +310,7 @@ class TestRevisionKeyOrder:
             if topology == "direct":
                 async with CepServer(revise_engine()) as server:
                     return await serve_revisions(server, stream)
-            plan = plan_cluster(parse_rules(REVISION_PROGRAM), 1, max_shards=1)
+            plan = plan_cluster(parse_rules(REVISION_PROGRAM), 1)
             (shard,) = plan.shard_plan.shard_names
             worker = CepServer(revise_engine())
             port = await worker.serve_tcp("127.0.0.1", 0)

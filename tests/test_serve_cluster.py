@@ -1,10 +1,10 @@
 """Tests for the multi-process cluster layer: router, workers, fan-in.
 
 Fast variants of the cluster guarantees run here in-process (workers in
-the same event loop, crashes via ``abort()``): detection equivalence
-with a single-process baseline, deterministic fan-in ordering, no
-duplicates across crash recovery (WAL-tail replay) and live shard
-migration, and the relayed-provenance batch API underneath it all.
+the same event loop, crashes via ``abort()``): round-robin placement,
+detection equivalence with a single-process baseline, deterministic
+fan-in ordering, no duplicates across crash recovery (WAL-tail replay),
+and the relayed-provenance batch API underneath it all.
 The subprocess + SIGKILL variant is ``python -m repro chaos cluster``.
 """
 
@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro import Engine
+from repro.core.sharding import CATCH_ALL
 from repro.lang import parse_rules
 from repro.resilience.durability import DurableEngine, decode_record, read_wal
 from repro.resilience.durability.engine import (
@@ -25,7 +26,7 @@ from repro.serve.client import AsyncClient, tcp_connector
 from repro.serve.cluster import (
     SINK_FILENAME,
     Cluster,
-    HashRing,
+    _worker_for_spec,
     plan_cluster,
 )
 from repro.serve.drill import cluster_program, run_cluster_drill
@@ -69,19 +70,33 @@ async def eventually(predicate, timeout=10.0, message="condition not reached"):
         await asyncio.sleep(0.01)
 
 
+WILDCARD_RULE = """
+CREATE RULE any_read, every reading
+ON observation(r, o, t)
+IF true
+DO ALERT 'read'
+"""
+
+
 class TestClusterPlan:
-    def rules(self, lines=4):
+    def program(self, lines=4):
+        """Four containment rules on disjoint readers, plus a wildcard
+        rule: a plan with up to four reader shards and the catch-all."""
         program, _stream = build_workload(lines=lines, cases_per_line=1)
-        return parse_rules(program)
+        return program + WILDCARD_RULE
+
+    def rules(self, lines=4):
+        return parse_rules(self.program(lines))
 
     def test_assignment_is_balanced(self):
-        # Bounded-load consistent hashing: no node may hold more than
-        # ceil(shards / nodes) shards, whatever the ring says.
-        plan = plan_cluster(self.rules(lines=4), 2, max_shards=4)
+        # Round-robin: no node holds more than ceil(shards / nodes).
+        plan = plan_cluster(self.rules(lines=4), 2)
+        shards = len(plan.shard_plan.shard_names)
+        assert CATCH_ALL in plan.assignment and shards == 3
         per_node = {}
         for node in plan.assignment.values():
             per_node[node] = per_node.get(node, 0) + 1
-        assert sorted(per_node.values()) == [2, 2]
+        assert max(per_node.values()) <= -(-shards // 2)
 
     def test_assignment_is_deterministic(self):
         first = plan_cluster(self.rules(), 3)
@@ -94,10 +109,53 @@ class TestClusterPlan:
         assert sorted(plan.assignment) == sorted(plan.shard_plan.shard_names)
         assert set(plan.assignment.values()) <= set(plan.nodes)
 
-    def test_ring_walk_yields_distinct_nodes(self):
-        ring = HashRing(["a", "b", "c"])
-        walked = list(ring.nodes_for("some-shard"))
-        assert sorted(walked) == ["a", "b", "c"]
+    @pytest.mark.parametrize(
+        "workers, expected",
+        [
+            (1, {"shard-0": "worker-0", CATCH_ALL: "worker-0"}),
+            (
+                2,
+                {
+                    "shard-0": "worker-0",
+                    "shard-1": "worker-1",
+                    CATCH_ALL: "worker-0",
+                },
+            ),
+            (
+                3,
+                {
+                    "shard-0": "worker-0",
+                    "shard-1": "worker-1",
+                    "shard-2": "worker-2",
+                    CATCH_ALL: "worker-0",
+                },
+            ),
+        ],
+    )
+    def test_round_robin_assignment_is_pinned(self, workers, expected):
+        assert plan_cluster(self.rules(), workers).assignment == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_subprocess_worker_plan_hosts_its_assigned_shards(
+        self, tmp_path, workers
+    ):
+        # A subprocess worker re-parses the program and re-plans from
+        # its spec; it must arrive at the router's shards and rules.
+        cluster = Cluster(
+            self.program(),
+            workers=workers,
+            directory=str(tmp_path / "cluster"),
+        )
+        plan = cluster.plan
+        for node in plan.nodes:
+            worker = _worker_for_spec(cluster._spec_for(node))
+            assert worker.shards == plan.shards_for(node)
+            assert {
+                shard: worker.plan.placement()[shard] for shard in worker.shards
+            } == {
+                shard: plan.shard_plan.placement()[shard]
+                for shard in plan.shards_for(node)
+            }
 
 
 class TestClusterEndToEnd:
@@ -278,52 +336,6 @@ class TestWorkerProcess:
         assert asyncio.run(scenario()) > 0
 
 
-class TestClusterMigration:
-    def test_migration_keeps_detections_exactly_once(self, tmp_path):
-        program, stream = build_workload(cases_per_line=8)
-        expected = baseline(program, stream)
-        directory = str(tmp_path / "migrate")
-
-        async def scenario():
-            cluster = Cluster(
-                program,
-                workers=2,
-                directory=directory,
-                sink=True,
-                inprocess=True,
-            )
-            try:
-                port = await cluster.start()
-                shard = sorted(cluster.plan.assignment)[0]
-                source = cluster.plan.assignment[shard]
-                target = next(
-                    node for node in cluster.plan.nodes if node != source
-                )
-                client = AsyncClient(
-                    tcp_connector("127.0.0.1", port),
-                    client_id="mover",
-                    subscribe=True,
-                    batch_size=8,
-                )
-                async with client:
-                    half = len(stream) // 2
-                    await client.submit_many(stream[:half])
-                    await client.drain(timeout=30)
-                    await cluster.migrate_shard(shard, target)
-                    assert cluster.plan.assignment[shard] == target
-                    await client.submit_many(stream[half:])
-                    await client.flush(timeout=30)
-                    await asyncio.sleep(0.2)
-                    pushed = canon_frames(client.detections)
-                return pushed
-            finally:
-                await cluster.stop()
-
-        pushed = asyncio.run(scenario())
-        assert len(pushed) == len(set(pushed))
-        assert pushed == expected
-
-
 class TestRelayedProvenance:
     """The per-observation client-seq batch API the router relies on."""
 
@@ -393,7 +405,7 @@ class TestRevisionFanIn:
 
         async def scenario():
             rules = parse_rules(REVISION_PROGRAM)
-            plan = plan_cluster(rules, 2, max_shards=2)
+            plan = plan_cluster(rules, 2)
             assert len(plan.shard_plan.shard_names) == 2
             servers = []
             endpoints = {}

@@ -5,10 +5,11 @@ the one ``CepServer``, so everything ``ServeConfig`` promises a client
 of a single server — the advertised heartbeat, idle reaping, the
 client-record cap, the slow-consumer bound — holds for a client of the
 cluster.  And the server's in-order release path keeps many epochs in
-flight: a paused shard holds every epoch open without stalling
-ingestion, and on resume they release in submission order, detections
-ahead of the ack that covers them.  A client that reconnects meanwhile
-resends from its ack frontier and the worker drops the copies.
+flight: a shard whose worker is down holds every epoch open without
+stalling ingestion (its link queues the sub-batches), and once the
+worker restarts they release in submission order, detections ahead of
+the ack that covers them.  A client that reconnects meanwhile resends
+from its ack frontier and the worker drops the copies.
 """
 
 import asyncio
@@ -88,6 +89,18 @@ class RawPeer:
 
     def close(self):
         self.writer.close()
+
+
+async def hold_shard(cluster):
+    """Crash the one worker and wait until its link is between
+    connections: the link then queues every sub-batch, holding its
+    epochs open.  ``cluster.restart_worker(node)`` releases them."""
+    (node,) = cluster.workers
+    (shard,) = cluster.router.links
+    await cluster.kill_worker(node)
+    link = cluster.router.links[shard]
+    await eventually(lambda: not link._connected.is_set())
+    return node, shard
 
 
 def one_worker_cluster(tmp_path, **config):
@@ -231,9 +244,9 @@ class TestEpochPipelining:
     def test_paused_shard_holds_epochs_open_then_releases_in_order(
         self, tmp_path
     ):
-        # The writer never waits on one epoch: with the only shard
-        # paused, every batch is accepted and its epoch stays open; on
-        # resume they release in submission order.
+        # The writer never waits on one epoch: with the only shard's
+        # worker down, every batch is accepted and its epoch stays open;
+        # once it restarts they release in submission order.
         _program, stream = build_workload()
         epochs = -(-len(stream) // BATCH)
 
@@ -242,8 +255,7 @@ class TestEpochPipelining:
             try:
                 port = await cluster.start()
                 router = cluster.router
-                (shard,) = router.links
-                await router.pause_shard(shard)
+                node, _shard = await hold_shard(cluster)
                 peer = await RawPeer.tcp(port)
                 hello = Hello(client_id="pipe", capabilities={"batch_push": True})
                 await peer.send(hello, Subscribe())
@@ -252,7 +264,7 @@ class TestEpochPipelining:
                 await eventually(lambda: router.epochs_open == epochs)
                 with pytest.raises(asyncio.TimeoutError):
                     await peer.recv(timeout=0.2)  # nothing acked or pushed
-                router.resume_shard(shard)
+                await cluster.restart_worker(node)
                 events = await read_until_acked(peer, len(stream) - 1)
                 peer.close()
                 return events, router.epochs_open
@@ -264,9 +276,9 @@ class TestEpochPipelining:
         assert_released_in_order(events)
 
     def test_unreleased_epochs_are_bounded_by_the_submit_queue(self, tmp_path):
-        # Unreleased epochs hold submit-queue slots: with the shard
-        # paused, two epochs open, two more batches wait in the queue,
-        # and the writer takes no more until something releases.
+        # Unreleased epochs hold submit-queue slots: with the shard's
+        # worker down, two epochs open, two more batches wait in the
+        # queue, and the writer takes no more until something releases.
         _program, stream = build_workload()
 
         async def scenario():
@@ -274,8 +286,7 @@ class TestEpochPipelining:
             try:
                 port = await cluster.start()
                 router = cluster.router
-                (shard,) = router.links
-                await router.pause_shard(shard)
+                node, _shard = await hold_shard(cluster)
                 peer = await RawPeer.tcp(port)
                 await peer.send(Hello(client_id="bounded"))
                 await peer.recv_until(Welcome)
@@ -284,7 +295,7 @@ class TestEpochPipelining:
                 await eventually(lambda: summary()["submit_queue_depth"] == 2)
                 await asyncio.sleep(0.1)
                 held = router.epochs_open, summary()["submit_queue_depth"]
-                router.resume_shard(shard)
+                await cluster.restart_worker(node)
                 events = await read_until_acked(peer, 6 * BATCH - 1)
                 peer.close()
                 return held, events[-1], router.epochs_open
@@ -311,8 +322,7 @@ class TestEpochPipelining:
             try:
                 port = await cluster.start()
                 router = cluster.router
-                (shard,) = router.links
-                await router.pause_shard(shard)
+                node, shard = await hold_shard(cluster)
                 first = await RawPeer.tcp(port)
                 await first.send(Hello(client_id="flaky"))
                 await first.recv_until(Welcome)
@@ -324,7 +334,7 @@ class TestEpochPipelining:
                 welcome = await second.recv_until(Welcome)
                 await send_batches(second, stream)
                 await eventually(lambda: router.epochs_open == 2 * epochs)
-                router.resume_shard(shard)
+                await cluster.restart_worker(node)
                 events = await read_until_acked(second, len(stream) - 1)
                 first.close()
                 second.close()

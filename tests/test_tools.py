@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -287,6 +288,39 @@ class TestCli:
             "  torn bytes truncated:  0",
             "  next sequence number:  26",
         ]
+
+    def test_cluster_output(self, tmp_path, capsys):
+        """``cluster`` with in-process workers and no traffic: the
+        round-robin placement, the bound router and an empty summary."""
+        from repro.__main__ import main
+        from repro.scenarios import get_pack
+
+        rules = tmp_path / "packing.txt"
+        rules.write_text(get_pack("packing").episode_source(lines=4).program)
+        assert main([
+            "cluster", "--inprocess", "--workers", "2", "--port", "0",
+            "--max-seconds", "0.2", "--rules", str(rules),
+            "--dir", str(tmp_path / "state"),
+        ]) == 0
+        placement, bound, summary = capsys.readouterr().out.splitlines()
+        assert placement == (
+            "placement: {'shard-0': 'worker-0', 'shard-1': 'worker-1'}"
+        )
+        assert re.fullmatch(r"cluster on 127\.0\.0\.1:[1-9][0-9]*", bound)
+        assert summary == (
+            "routed 0 observations over 0 epochs, forwarded 0 detections"
+        )
+
+    def test_cluster_has_no_max_shards_option(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "cluster", "--inprocess", "--max-shards", "3",
+                "--rules", self._rules_file(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        assert "python -m repro cluster: error: " in capsys.readouterr().err
 
     def test_demo_command(self, capsys):
         from repro.__main__ import main
