@@ -385,11 +385,6 @@ def test_relay_sends_columns_with_pinned_bytes(tmp_path):
 
 # -- the push path: backend release to encoded push bytes ---------------------
 
-#: What an ``AsyncClient`` subscriber asks for (its push capabilities).
-_SUBSCRIBER = {"codecs": ["binary"], "batch_push": True, "binary_push": True,
-               "revisions": True}
-
-
 def _subscribed(server, hello):
     """A session of ``server`` after a real handshake and SUBSCRIBE, with
     no transport: the guard plays its sender task (:func:`_drain`)."""
@@ -455,7 +450,7 @@ async def push_calls_per_detection(routed, size=2000):
         server = CepServer(router)
     else:
         server = CepServer(engine)
-    subscriber = _subscribed(server, Hello("guard", capabilities=_SUBSCRIBER))
+    subscriber = _subscribed(server, Hello("guard"))
     pushed = bytearray()
     calls = 0
 

@@ -426,10 +426,10 @@ def _cmd_chaos_serve(arguments: argparse.Namespace) -> int:
         f"faults: {faults['fragments']} fragments, "
         f"{faults['corruptions']} corruptions, {faults['resets']} resets, "
         f"{faults['stalls']} stalls over {faults['chunks']} chunks",
-        f"clients: v1 reconnects={clients['v1']['reconnects']} "
-        f"heartbeats={clients['v1']['heartbeats']}; "
-        f"v2 reconnects={clients['v2']['reconnects']} "
-        f"heartbeats={clients['v2']['heartbeats']}",
+        f"clients: a reconnects={clients['a']['reconnects']} "
+        f"heartbeats={clients['a']['heartbeats']}; "
+        f"b reconnects={clients['b']['reconnects']} "
+        f"heartbeats={clients['b']['heartbeats']}",
     ]
     return _print_report(report, arguments.report, "drill", *summary)
 
@@ -795,25 +795,10 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     else:
         backend = _build_engine(program.rules, metrics=registry)
 
-    codecs = None
-    if arguments.codecs:
-        from .serve import get_codec
-
-        codecs = tuple(
-            name.strip() for name in arguments.codecs.split(",") if name.strip()
-        )
-        for name in codecs:
-            try:
-                get_codec(name)
-            except Exception:
-                print(f"unknown wire codec {name!r}")
-                return 2
-
     config = ServeConfig(
         submit_queue=arguments.submit_queue,
         push_queue=arguments.push_queue,
         push_policy=SlowConsumerPolicy.coerce(arguments.push_policy),
-        codecs=codecs,
     )
 
     async def _serve() -> None:
@@ -1266,14 +1251,6 @@ def main(argv: "list[str] | None" = None) -> int:
         choices=("drop", "disconnect"),
         default="drop",
         help="slow detection consumers: drop oldest or disconnect",
-    )
-    serve.add_argument(
-        "--codecs",
-        help=(
-            "comma-separated wire codecs to offer at HELLO, preference "
-            "first (e.g. 'binary,json' or 'json'; default: all "
-            "registered, binary preferred)"
-        ),
     )
     serve.add_argument(
         "--max-seconds",

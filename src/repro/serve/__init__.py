@@ -5,8 +5,10 @@ readers at distributed locations"; this package is the network boundary
 that makes the repo an actual *server* for those streams:
 
 * :mod:`repro.serve.protocol` — a length-prefixed, versioned, CRC'd
-  binary wire protocol (HELLO/WELCOME/SUBMIT/BATCH/ACK/FLUSH/
-  SUBSCRIBE/DETECTION/ERROR/BYE);
+  binary wire protocol with one session shape: columnar observation
+  batches in (BBATCH), columnar detection batches out (BDETBATCH),
+  JSON control frames (HELLO/WELCOME/ACK/FLUSH/SUBSCRIBE/ERROR/BYE/
+  PING/PONG) and JSON fallbacks for what the columns cannot carry;
 * :mod:`repro.serve.server` — :class:`CepServer`, an asyncio server
   multiplexing many ingestion sessions onto one detection backend
   (plain, sharded or durable) behind a single writer task with bounded
@@ -75,7 +77,6 @@ from .faults import (
 from .loopback import LoopbackReader, LoopbackWriter, loopback_pair
 from .protocol import (
     MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     Ack,
     Batch,
@@ -90,20 +91,14 @@ from .protocol import (
     FrameDecoder,
     FrameError,
     Hello,
-    JsonCodec,
     Ping,
     Pong,
-    Submit,
     Subscribe,
     Welcome,
-    WireCodec,
-    codec_names,
     decode_frame,
     encode_frame,
     encode_frame_into,
     get_codec,
-    negotiate_codec,
-    register_codec,
 )
 from .server import CepServer, ServeConfig, ServeError, SlowConsumerPolicy
 
@@ -150,11 +145,9 @@ __all__ = [
     "FrameDecoder",
     "FrameError",
     "Hello",
-    "JsonCodec",
     "LoopbackReader",
     "LoopbackWriter",
     "MAX_FRAME_BYTES",
-    "MIN_PROTOCOL_VERSION",
     "NetworkFaultPlan",
     "PROTOCOL_VERSION",
     "Ping",
@@ -165,14 +158,11 @@ __all__ = [
     "ServeError",
     "ShardWorker",
     "SlowConsumerPolicy",
-    "Submit",
     "Subscribe",
     "Welcome",
-    "WireCodec",
     "WorkerLink",
     "WorkerProcess",
     "cluster_program",
-    "codec_names",
     "decode_frame",
     "encode_frame",
     "encode_frame_into",
@@ -180,9 +170,7 @@ __all__ = [
     "get_codec",
     "loopback_connector",
     "loopback_pair",
-    "negotiate_codec",
     "plan_cluster",
-    "register_codec",
     "run_cluster_drill",
     "run_worker",
     "tcp_connector",

@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, Optional
 from ..core.errors import ReproError
 from ..core.instances import Observation
 from .protocol import (
-    PROTOCOL_VERSION,
     Ack,
     Bye,
     DetectionFrame,
@@ -45,7 +44,6 @@ from .protocol import (
     Pong,
     Subscribe,
     Welcome,
-    codec_names,
     encode_frame,
     get_codec,
     received_frames,
@@ -139,25 +137,17 @@ class AsyncClient:
         Stable identity for resume; generated when omitted (a generated
         id cannot resume across client processes).
     subscribe:
-        Ask the server to push DETECTION frames; they accumulate in
+        Ask the server to push detections; they accumulate in
         :attr:`detections` and feed ``on_detection`` when given.
     rules:
         Optional rule-id filter for the subscription.
     batch_size:
-        Observations buffered per BATCH frame (1 = SUBMIT per call).
+        Observations buffered per batch frame.
     resume_from:
         Last acked seq of a previous client life (-1 = fresh stream).
     codec:
-        Wire codec to offer — a registered name (``"binary"``,
-        ``"json"``), or ``None`` to offer everything registered with
-        binary preferred.  The *server* picks from the offer at HELLO;
-        :attr:`codec` reports the negotiated choice after connect.
-    protocol_version:
-        Protocol version to speak (default: the current one).  ``1``
-        makes this client behave as a faithful v1 peer — no
-        capabilities in HELLO, JSON layout regardless of ``codec``,
-        never probed with PING — while keeping the reconnect/resume
-        machinery, which is what mixed-fleet chaos drills need.
+        The ingest codec's name; ``"binary"`` is the only one, and any
+        other value raises :class:`ValueError`.
     """
 
     def __init__(
@@ -171,33 +161,21 @@ class AsyncClient:
         resume_from: int = -1,
         retry: Optional[RetryConfig] = None,
         on_detection: Optional[Callable[[DetectionFrame], None]] = None,
-        codec: Optional[str] = None,
-        protocol_version: int = PROTOCOL_VERSION,
+        codec: str = "binary",
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 1 <= protocol_version <= PROTOCOL_VERSION:
-            raise ValueError(
-                f"protocol_version must be 1..{PROTOCOL_VERSION}"
-            )
+        try:
+            self._codec = get_codec(codec)
+        except FrameError as exc:
+            raise ValueError(str(exc)) from None
         self._connector = connector
-        self._protocol_version = protocol_version
         self.client_id = client_id or f"client-{next(_client_ids)}"
         self._subscribe = subscribe
         self._rules = tuple(rules) if rules is not None else None
         self._batch_size = batch_size
         self._retry = retry or RetryConfig()
         self._on_detection = on_detection
-        if codec is not None:
-            get_codec(codec)  # fail fast on a typo
-            self._offered_codecs = [codec]
-        else:
-            registered = codec_names()
-            self._offered_codecs = sorted(
-                registered, key=lambda name: (name != "binary", name)
-            )
-        #: Until WELCOME answers, speak the universally-understood v1 layout.
-        self._codec = get_codec("json")
         self._server_max_batch: Optional[int] = None
         #: Reused across batches: frames are packed here, then written
         #: as one buffer, instead of allocating bytes per frame.
@@ -214,8 +192,7 @@ class AsyncClient:
         self._batch: list[tuple[int, Observation]] = []
         self.detections: list[DetectionFrame] = []
         self.reconnects = 0
-        #: Server PINGs answered (always 0 for a v1-mode client: the
-        #: server never probes a peer that didn't advertise heartbeat).
+        #: Server PINGs answered.
         self.heartbeats = 0
         #: ``ERROR overloaded`` sheds absorbed (each is a reconnect, not
         #: a failure — the server asked this client to back off).
@@ -292,50 +269,14 @@ class AsyncClient:
             f"could not connect after {retry.max_attempts} attempts"
         ) from last_exc
 
-    @property
-    def codec(self) -> str:
-        """The negotiated wire codec name (``"json"`` until WELCOME)."""
-        return self._codec.name
-
     async def _connect_once(self) -> None:
         reader, writer = await self._connector()
         self._reader = reader
         self._writer = writer
-        if self._protocol_version >= 2:
-            hello = Hello(
-                client_id=self.client_id,
-                resume_from=self.last_acked,
-                capabilities={
-                    "codecs": list(self._offered_codecs),
-                    "resume": True,
-                    "batch_push": True,
-                    "binary_push": True,
-                    "heartbeat": True,
-                    "max_batch": self._batch_size,
-                    "revisions": True,
-                },
-            )
-        else:
-            # Faithful v1 peer: no capabilities dict at all.
-            hello = Hello(
-                client_id=self.client_id,
-                version=self._protocol_version,
-                resume_from=self.last_acked,
-            )
-        await self._send_raw(hello)
-        welcome = await self._read_welcome(reader)
-        chosen = (
-            welcome.capabilities.get("codec")
-            if self._protocol_version >= 2
-            else None  # a real v1 peer ignores capabilities entirely
+        await self._send_raw(
+            Hello(client_id=self.client_id, resume_from=self.last_acked)
         )
-        if chosen:
-            try:
-                self._codec = get_codec(str(chosen))
-            except FrameError as exc:
-                raise ClientError(
-                    f"server negotiated a codec this client lacks: {exc}"
-                ) from exc
+        welcome = await self._read_welcome(reader)
         max_batch = welcome.capabilities.get("max_batch")
         if isinstance(max_batch, int) and max_batch > 0:
             self._server_max_batch = max_batch
@@ -401,7 +342,7 @@ class AsyncClient:
                 run_first = first
             run.extend(items)
             # The server's max_batch can shrink across reconnects;
-            # re-split merged runs to the currently negotiated limit.
+            # re-split merged runs to the server's current limit.
             while len(run) >= limit:
                 await self._write_chunk(run_first, run[:limit])
                 run = run[limit:]
@@ -483,8 +424,8 @@ class AsyncClient:
         life.  Engine-side ``submit_many`` returns a
         :class:`~repro.core.detector.SubmitResult` instead.
 
-        The fast path: observations are chunked to the negotiated
-        batch limit, each chunk encoded through the session codec into
+        The fast path: observations are chunked to the server's batch
+        limit, each chunk encoded through the ingest codec into
         a reused buffer, and the buffer is written out in
         ~:data:`_WRITE_COALESCE_BYTES` stretches — one transport
         write/drain per stretch, not per chunk or per observation.
@@ -766,7 +707,6 @@ class Client:
         resume_from: int = -1,
         retry: Optional[RetryConfig] = None,
         call_timeout: float = 60.0,
-        codec: Optional[str] = None,
     ) -> None:
         self._call_timeout = call_timeout
         self._closed = False
@@ -784,7 +724,6 @@ class Client:
             batch_size=batch_size,
             resume_from=resume_from,
             retry=retry,
-            codec=codec,
         )
         try:
             self._call(self._async.connect())
@@ -842,11 +781,6 @@ class Client:
     def overloads(self) -> int:
         """``ERROR overloaded`` sheds absorbed (each cost a reconnect)."""
         return self._async.overloads
-
-    @property
-    def codec(self) -> str:
-        """The negotiated wire codec name."""
-        return self._async.codec
 
     def submit(self, observation: Observation) -> int:
         return self._call(self._async.submit(observation))

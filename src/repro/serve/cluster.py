@@ -27,7 +27,7 @@ placement to real processes:
   recover workers.
 
 Clients talk to that ``CepServer``, so a router session gets exactly a
-server session: the same handshake, resume, codecs, heartbeat, idle
+server session: the same handshake, resume, heartbeat, idle
 reaping, overload shedding, slow-consumer policy and client-record cap.
 
 Delivery contract (documented, and exercised by the cluster drill):
@@ -127,32 +127,22 @@ class ClusterPlan:
         ]
 
 
-def plan_cluster(
-    rules: Iterable[Any],
-    nodes: "int | Iterable[str]",
-    *,
-    group_members: Optional[dict] = None,
-) -> ClusterPlan:
-    """Compute the full two-level placement for a cluster.
+def plan_cluster(rules: Iterable[Any], workers: int) -> ClusterPlan:
+    """Compute the full two-level placement for a cluster of ``workers``
+    nodes, named ``worker-0..N-1``.
 
-    ``nodes`` is a node count (named ``worker-0..N-1``) or explicit node
-    names.  The rules split into at most one shard per node (plus the
-    catch-all shard for wildcard rules), and shard *i* of the plan goes
-    to node *i* mod N — so no node holds more than ceil(shards / nodes).
+    The rules split into at most one shard per node (plus the catch-all
+    shard for wildcard rules), and shard *i* of the plan goes to node
+    *i* mod N — so no node holds more than ceil(shards / nodes).  A
+    subprocess worker recomputes this plan from the rules and the
+    worker count alone.
     """
-    if isinstance(nodes, int):
-        if nodes < 1:
-            raise ValueError("need at least one node")
-        node_names = tuple(f"worker-{index}" for index in range(nodes))
-    else:
-        node_names = tuple(nodes)
-        if not node_names:
-            raise ValueError("need at least one node")
-    shard_plan = plan_shards(
-        list(rules), len(node_names), group_members=group_members
-    )
+    if workers < 1:
+        raise ValueError("need at least one node")
+    node_names = tuple(f"worker-{index}" for index in range(workers))
+    shard_plan = plan_shards(list(rules), workers)
     assignment = {
-        shard: node_names[index % len(node_names)]
+        shard: node_names[index % workers]
         for index, shard in enumerate(shard_plan.shard_names)
     }
     return ClusterPlan(
@@ -628,24 +618,7 @@ class WorkerLink:
 
     def hello(self) -> Hello:
         """The link's HELLO, offered on every (re)connect."""
-        return Hello(
-            client_id=self.client_id,
-            resume_from=self.last_acked,
-            capabilities={
-                # Columns both ways: sub-batches go out as BRELAY batch
-                # records, which carry provenance, and detections come
-                # back as BDETBATCH.
-                "codecs": ["binary"],
-                "resume": True,
-                "batch_push": True,
-                "binary_push": True,
-                "heartbeat": True,
-                # The link must see the full revision lifecycle: the
-                # router re-pushes records to its own subscribers, where
-                # per-subscriber gating strips them if need be.
-                "revisions": True,
-            },
-        )
+        return Hello(client_id=self.client_id, resume_from=self.last_acked)
 
     async def _connect_once(self) -> Any:
         reader, writer = await asyncio.open_connection(self.host, self.port)
@@ -791,7 +764,7 @@ class CepRouter:
 
     :class:`Cluster` serves it with the one :class:`CepServer`, so a
     client gets exactly a server's session layer — frames, resume,
-    codecs, heartbeats, idle reaping, overload shedding, slow-consumer
+    heartbeats, idle reaping, overload shedding, slow-consumer
     policy, the client-record cap.  Behind it, :meth:`submit_many`
     splits each batch along the shard plan and relays the sub-batches
     with source provenance; it and :meth:`flush` return a future that

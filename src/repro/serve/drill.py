@@ -503,13 +503,12 @@ def run_chaos_serve_drill(
 ) -> dict:
     """Run the network chaos soak; returns (and optionally writes) its report.
 
-    A v1 JSON and a v2 binary client stream through a seeded
-    ``ChaosProxy`` that fragments, corrupts, resets and stalls, and the
-    server dies mid-slice.  ``scenario`` names any registered scenario
+    Two clients stream through a seeded ``ChaosProxy`` that fragments,
+    corrupts, resets and stalls, and the server dies mid-slice.  ``scenario`` names any registered scenario
     pack, so the soak can exercise e.g. SQL-conditioned rules
     (``returns-fraud``) or pseudo-event TSEQs (``cold-chain``), not just
     packing.  Extra checks: per-client WAL provenance, the fault plan
-    fired, heartbeats are capability-gated.  The same ``seed`` replays
+    fired, an idle session is probed.  The same ``seed`` replays
     the same fault schedule — echo it with every failure.
     """
     from ..scenarios import get_pack
@@ -529,26 +528,26 @@ def run_chaos_serve_drill(
         )
         stand = await stand_up_server(directory, factory, plan=plan, config=config)
         options = dict(batch_size=4, retry=DRILL_RETRY)
-        v1 = stand.client(f"drill-v1-{seed}", protocol_version=1, **options)
-        v2 = stand.client(f"drill-v2-{seed}", codec="binary", **options)
-        schedule = list(zip((v1, v2, v2, v1), split_slices(stream, 4)))
+        a = stand.client(f"drill-a-{seed}", **options)
+        b = stand.client(f"drill-b-{seed}", **options)
+        schedule = list(zip((a, b, b, a), split_slices(stream, 4)))
         try:
-            await v1.connect()
-            await v2.connect()
+            await a.connect()
+            await b.connect()
             await stream_slices(stand, schedule, kill="server")
             # Let the link go quiet so the server's liveness loop probes
-            # the idle v2 session; a chaos reset can kill the session
+            # the idle session; a chaos reset can kill the session
             # mid-wait, so reconnect (the pending buffer is empty).
             deadline = time.monotonic() + 10.0
-            while v2.heartbeats == 0 and time.monotonic() < deadline:
-                if not v2._connected:
-                    await v2.connect()
+            while b.heartbeats == 0 and time.monotonic() < deadline:
+                if not b._connected:
+                    await b.connect()
                 await asyncio.sleep(heartbeat_interval)
             # One end-of-stream flush, exactly like the baseline run's.
-            await v2.flush()
-            await v1.drain()
+            await b.flush()
+            await a.drain()
         finally:
-            await tear_down(stand, v1, v2)
+            await tear_down(stand, a, b)
 
         check = Checks()
         path = stand.wal_paths()["server"]
@@ -559,7 +558,7 @@ def run_chaos_serve_drill(
                 provenance.setdefault(client_id, []).append(seq)
         check(
             "client_provenance_contiguous",
-            set(provenance) == {v1.client_id, v2.client_id}
+            set(provenance) == {a.client_id, b.client_id}
             and all(s == list(range(s[0], s[-1] + 1)) for s in provenance.values()),
             str({client_id: len(s) for client_id, s in provenance.items()}),
         )
@@ -570,7 +569,7 @@ def run_chaos_serve_drill(
             once="sink_no_duplicates",
             match="detections_match_baseline",
         )
-        for c in (v1, v2):
+        for c in (a, b):
             views = frontier_views(stand, c.client_id)
             check_frontier(check, f"frontier_{c.client_id}", c, *views)
         # The plan fired — and no corrupt frame was decoded, or the
@@ -582,9 +581,7 @@ def run_chaos_serve_drill(
             f"fragments={faults.fragments} corruptions={faults.corruptions} "
             f"resets={faults.resets} stalls={faults.stalls}",
         )
-        v1_pings, v2_pings = v1.heartbeats, v2.heartbeats
-        check("v2_heartbeats", v2_pings > 0, f"v2 answered {v2_pings} pings")
-        check("v1_never_pinged", v1_pings == 0, f"v1 answered {v1_pings} pings")
+        check("heartbeats", b.heartbeats > 0, f"b answered {b.heartbeats} pings")
         client_stats = "client_id reconnects heartbeats frame_errors last_acked"
         return {
             "ok": check.ok,
@@ -599,8 +596,8 @@ def run_chaos_serve_drill(
                 stand.proxy, "connections_accepted connections_refused"
             ),
             "clients": {
-                "v1": attributes(v1, client_stats),
-                "v2": attributes(v2, client_stats),
+                "a": attributes(a, client_stats),
+                "b": attributes(b, client_stats),
             },
             # Both lives of the server, summed.
             "server": {
@@ -725,9 +722,7 @@ def run_chaos_skew_drill(
 
     async def drill(directory: str) -> dict:
         stand = await stand_up_server(directory, factory, confidence="final")
-        client = stand.client(
-            f"skew-{seed}", batch_size=8, retry=DRILL_RETRY, codec="binary"
-        )
+        client = stand.client(f"skew-{seed}", batch_size=8, retry=DRILL_RETRY)
         try:
             await client.connect()
             # The kill lands with speculation live: the reorder buffer
@@ -985,9 +980,7 @@ async def smoke_drill(
     else:
         stand = await stand_up_server(directory, factory, keep=False)
     client = stand.client(
-        f"smoke-{profile.name}-{seed}",
-        batch_size=profile.batch_size,
-        codec=None if factory is None else "binary",
+        f"smoke-{profile.name}-{seed}", batch_size=profile.batch_size
     )
     try:
         await client.connect()

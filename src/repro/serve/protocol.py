@@ -20,56 +20,48 @@ Frame vocabulary (client → server unless noted):
 frame          type  meaning
 =============  ====  ======================================================
 ``HELLO``      0x01  open a session: protocol version, client id, resume
-                     seq, capabilities (codec list, resume, max batch)
+                     seq
 ``WELCOME``    0x02  (server) session accepted: next expected client seq,
-                     negotiated capabilities (chosen codec)
-``SUBMIT``     0x03  one observation under a client sequence number
+                     the server's ``max_batch``
 ``BATCH``      0x04  a run of observations numbered ``seq, seq+1, ...``
+                     (JSON: the fallback for what ``BBATCH`` cannot carry)
 ``ACK``        0x05  (server) cumulative: all client seqs ≤ ``seq`` applied
 ``FLUSH``      0x06  end-of-stream expirations, itself sequenced and acked
-``SUBSCRIBE``  0x07  push DETECTION frames to this session (optional filter)
-``DETECTION``  0x08  (server) one rule firing: rule id, time, bindings
+``SUBSCRIBE``  0x07  push detections to this session (optional filter)
+``DETECTION``  0x08  one rule firing: rule id, time, bindings (decoded;
+                     the server pushes batches of them)
 ``ERROR``      0x09  (server) protocol/processing failure, then close
 ``BYE``        0x0A  orderly close (either side)
-``BBATCH``     0x0B  a BATCH packed by the ``binary`` codec (protocol ≥ 2)
-``DETBATCH``   0x0C  (server) several DETECTION payloads in one frame,
-                     sent only to peers with the ``batch_push`` capability
-``PING``       0x0D  liveness probe (either side); sent by the server only
-                     to peers that advertised the ``heartbeat`` capability
+``BBATCH``     0x0B  a BATCH in columns
+``DETBATCH``   0x0C  (server) several DETECTION payloads in one JSON frame:
+                     the fallback for what ``BDETBATCH`` cannot carry
+``PING``       0x0D  liveness probe (either side)
 ``PONG``       0x0E  answer to a PING, echoing its token
-``BDETBATCH``  0x0F  (server) a DETBATCH in columns, sent only to
-                     binary-codec peers with the ``binary_push`` capability
+``BDETBATCH``  0x0F  (server) a DETBATCH in columns
 ``BRELAY``     0x10  a relayed BATCH in columns, with its provenance: the
-                     cluster router's sub-batch on a binary-codec link
+                     cluster router's sub-batch
 =============  ====  ======================================================
 
-Wire codecs (protocol version 2)
---------------------------------
+One session shape (protocol version 3)
+--------------------------------------
 
-How an observation batch is laid out inside its frame is now a
-*pluggable codec*, negotiated per session.  A HELLO carries
-``capabilities = {"codecs": [...], ...}``; the server intersects that
-list with its own (preferring the earliest server-side entry) and
-answers in ``WELCOME.capabilities["codec"]``.  Two codecs ship:
+Every session speaks the same frames.  A client sends observation
+batches as ``BBATCH``: the paper's fixed-shape ``(reader, object, t)``
+tuples struct-packed in *columnar* layout with per-batch interned
+reader/object string tables, so a 1000-observation batch costs three
+``struct`` calls to decode instead of 1000 dict parses.  A subscriber
+is pushed each release as one ``BDETBATCH`` and sees every revision.
+An idle session is probed with PING.  What the columns cannot carry
+(``extra`` payloads, ids that cannot UTF-8-encode, revision tags) falls
+back to the JSON ``BATCH``/``DETBATCH`` frame on the same session: the
+codec guarantees the *semantics*, the fast layout is an optimization.
+A HELLO naming any other protocol version is refused with ``ERROR
+version``, so an older peer fails closed rather than receiving frames
+it never asked for.  ``HELLO``/``WELCOME`` keep an open
+``capabilities`` dict whose unknown keys both sides ignore.
 
-* ``json`` — the v1 format, unchanged byte-for-byte: SUBMIT/BATCH
-  frames whose payload is compact JSON.  v1 peers that know nothing of
-  capabilities land here implicitly.
-* ``binary`` — BBATCH frames: the paper's fixed-shape
-  ``(reader, object, t)`` tuples struct-packed in *columnar* layout
-  with per-batch interned reader/object string tables, so a
-  1000-observation batch costs three ``struct`` calls to decode
-  instead of 1000 dict parses.  Observations carrying ``extra``
-  payloads (or ids that cannot UTF-8-encode) fall back to a JSON
-  BATCH frame transparently — the codec guarantees the *semantics*,
-  the fast layout is an optimization.
-
-:class:`WireCodec` is the extension point; :func:`register_codec` /
-:func:`get_codec` / :func:`codec_names` manage the registry and
-:func:`negotiate_codec` implements the HELLO handshake choice.
-
-Client sequence numbers start at 0 and increase by one per ``SUBMIT``
-(or per observation inside a ``BATCH``, or per ``FLUSH``).  The server
+Client sequence numbers start at 0 and increase by one per
+observation inside a batch, and by one per ``FLUSH``.  The server
 acks cumulatively after the backend has accepted the observation —
 when the backend is durable the ack therefore implies the observation
 reached the write-ahead log.  A reconnecting client offers its last
@@ -101,13 +93,11 @@ from ..core.instances import Observation
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "FrameError",
     "Frame",
     "Hello",
     "Welcome",
-    "Submit",
     "Batch",
     "BinaryBatch",
     "RelayBatch",
@@ -136,25 +126,17 @@ __all__ = [
     "detection_frames",
     "tagged_frames",
     "resequenced",
-    "push_frames",
+    "push_frame",
     "received_frames",
-    "WireCodec",
-    "JsonCodec",
     "BinaryCodec",
-    "register_codec",
     "get_codec",
-    "codec_names",
-    "negotiate_codec",
 ]
 
-#: Bumped on any incompatible framing/payload change; HELLO carries it.
-#: Version 2 adds capability negotiation and the BBATCH frame; the
-#: server still speaks to every peer from :data:`MIN_PROTOCOL_VERSION`
-#: up (v1 peers simply never see a capabilities dict or a BBATCH).
-PROTOCOL_VERSION = 2
-
-#: Oldest protocol version the server still accepts at HELLO.
-MIN_PROTOCOL_VERSION = 1
+#: Bumped on any incompatible framing/payload change; HELLO carries it
+#: and the server accepts this version only.  Version 3 is the one
+#: session shape: columnar batches and pushes, heartbeats and revision
+#: records for every peer.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on ``length``; anything larger is a corrupt or hostile
 #: header and the connection is dropped before allocating a buffer.
@@ -201,8 +183,7 @@ def detection_payload(detection: Any) -> dict:
 
     Revision-tagged detections (REVISE-mode
     :class:`~repro.core.speculate.SpeculativeDetection`) additionally
-    carry ``did``/``rev``/``status``; plain detections omit the keys, so
-    their payloads are byte-identical to protocol v1.
+    carry ``did``/``rev``/``status``; plain detections omit the keys.
     """
     payload = {
         "rule": detection.rule.rule_id,
@@ -227,7 +208,8 @@ class Frame:
     Subclasses implement the JSON view via :meth:`to_payload` /
     :meth:`from_payload`; the byte-level body is produced by
     :meth:`encode_body` / :meth:`decode_body`, which default to compact
-    JSON and are overridden by binary-bodied frames (``BBATCH``).
+    JSON and are overridden by the columnar frames (``BBATCH``,
+    ``BDETBATCH``, ``BRELAY``).
     Empty ``__slots__``, so a slotted subclass carries no ``__dict__``.
     """
 
@@ -284,16 +266,10 @@ class Hello(Frame):
     record — whichever side remembers more wins, so nothing is applied
     twice and nothing is skipped.
 
-    ``capabilities`` (protocol ≥ 2) is an open-ended dict advertising
-    what the client can do; today's keys are ``codecs`` (preference-
-    ordered list of wire codec names), ``resume`` (bool),
-    ``max_batch`` (int), ``batch_push`` (bool), ``binary_push`` (bool —
-    on a binary-codec session, detections may arrive as
-    :class:`BinaryDetectionBatch`), ``heartbeat`` (bool) and
-    ``revisions`` (bool — the subscriber understands provisional/
-    retract/revise records).  Unknown keys are ignored by both sides, so
-    the handshake grows without another version bump.  v1 peers send no
-    capabilities and are treated as ``{"codecs": ["json"]}``.
+    ``capabilities`` is an open-ended dict whose unknown keys both
+    sides ignore, so the handshake can grow without another version
+    bump; the server reads none today.  A HELLO whose ``version`` is not
+    :data:`PROTOCOL_VERSION` is refused with ``ERROR version``.
     """
 
     TYPE = 0x01
@@ -327,11 +303,9 @@ class Hello(Frame):
 class Welcome(Frame):
     """Server accepts the session; ``next_seq`` is where to (re)start.
 
-    ``capabilities`` (protocol ≥ 2) answers the HELLO negotiation; the
-    load-bearing key is ``codec`` — the single wire codec name both
-    sides use for the rest of the session.  v1 clients ignore the key
-    (their ``from_payload`` drops unknown fields) and keep sending
-    JSON, which is exactly what the server negotiated for them.
+    ``capabilities`` is an open-ended dict like HELLO's; the server
+    sends ``max_batch``, the per-batch observation cap clients chunk
+    their batches to.
     """
 
     TYPE = 0x02
@@ -356,55 +330,21 @@ class Welcome(Frame):
 
 
 @dataclass(frozen=True)
-class Submit(Frame):
-    """One observation under client sequence number ``seq``.
-
-    ``prov`` optionally carries the *originating* client's identity as
-    ``(client_id, client_seq)`` when the sender is itself a relay (the
-    cluster router): the receiving server then logs that provenance in
-    its WAL instead of the relay's own, so end-to-end exactly-once
-    dedup keys on the real source.  Older peers ignore the extra
-    payload key — ``from_payload`` only reads what it knows.
-    """
-
-    TYPE = 0x03
-
-    seq: int
-    observation: Observation
-    prov: Optional[tuple] = None
-
-    def to_payload(self) -> dict:
-        payload = {
-            "seq": self.seq,
-            "obs": encode_observation_payload(self.observation),
-        }
-        if self.prov is not None:
-            payload["p"] = [self.prov[0], self.prov[1]]
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Submit":
-        prov = payload.get("p")
-        return cls(
-            seq=payload["seq"],
-            observation=decode_observation_payload(payload["obs"]),
-            prov=(prov[0], prov[1]) if prov is not None else None,
-        )
-
-
-@dataclass(frozen=True)
 class Batch(Frame):
     """Observations numbered ``seq, seq + 1, ...`` — one frame, one ack.
 
-    ``prov`` is the relay extension (see :class:`Submit`): a
+    ``prov`` optionally carries the *originating* client's identity when
+    the sender is itself a relay (the cluster router): a
     ``(client_id, (seq, ...))`` pair naming the originating client and
-    one source sequence number *per observation*.  Unlike the frame's
+    one source sequence number *per observation*.  The receiving server
+    logs that provenance in its WAL instead of the relay's own, so
+    end-to-end exactly-once dedup keys on the real source.  Unlike the frame's
     own link numbering, source seqs may have gaps — the relay splits
     one source batch across shards — so they travel explicitly; the
     decoder refuses a list that is not strictly ascending or not one
-    per observation.  A relay on a binary-codec link sends the same
-    batch as a columnar :class:`RelayBatch`; this JSON form is its
-    fallback.
+    per observation.  A relay sends the same batch as a columnar
+    :class:`RelayBatch`, and a client as a :class:`BinaryBatch`; this
+    JSON form is the fallback for what the columns cannot carry.
     """
 
     TYPE = 0x04
@@ -459,8 +399,8 @@ class NotPackable(FrameError):
     overflowing string tables), and by :class:`BinaryDetectionBatch` for
     detections it cannot carry.  :class:`BinaryCodec` catches it and
     re-encodes as a JSON ``BATCH`` — which either handles the oddity or
-    rejects it with the same error a JSON-codec session would have
-    seen; the write-ahead log keeps per-record JSON records instead.
+    rejects it with a :class:`FrameError` of its own; the write-ahead
+    log keeps per-record JSON records instead.
     """
 
 
@@ -714,7 +654,7 @@ class BinaryBatch(Batch):
     RFID streams are fixed-shape ``(reader, object, t)`` tuples with
     tiny reader cardinality, so interning the strings once per batch
     and decoding each column with a single ``struct`` call removes the
-    per-observation JSON cost that dominated v1 serving overhead.  Each
+    per-observation JSON cost that dominates a JSON ``BATCH``.  Each
     string table travels as one NUL-separated UTF-8 blob — the whole
     table decodes and splits in two C calls instead of one
     length-prefix round per id (ids containing NUL take the JSON
@@ -748,8 +688,8 @@ class RelayBatch(Batch):
     The body is the write-ahead log's batch record
     (:func:`pack_batch_record`): the ``BBATCH`` columns, whose first-seq
     field is the frame's link ``seq``, the origin client id, and the
-    client-seq column.  The cluster router sends it on binary-codec
-    worker links, so a worker decodes a sub-batch into readings and
+    client-seq column.  The cluster router sends it on its worker
+    links, so a worker decodes a sub-batch into readings and
     provenance with a few ``struct`` calls and logs it in the layout it
     arrived in.  The decoder refuses a body without provenance, so
     ``prov`` is always ``(client_id, (seq, ...))`` with strictly
@@ -793,7 +733,8 @@ class Ack(Frame):
 class Flush(Frame):
     """Fire end-of-stream expirations; sequenced so the ack is unambiguous.
 
-    ``prov`` is the relay extension (see :class:`Submit`).
+    ``prov`` is the relay extension (see :class:`Batch`): here one
+    ``(client_id, seq)`` pair, the originating client's flush.
     """
 
     TYPE = 0x06
@@ -818,7 +759,7 @@ class Flush(Frame):
 
 @dataclass(frozen=True)
 class Subscribe(Frame):
-    """Ask for DETECTION pushes; ``rules`` optionally filters by rule id."""
+    """Ask for detection pushes; ``rules`` optionally filters by rule id."""
 
     TYPE = 0x07
 
@@ -835,18 +776,18 @@ class Subscribe(Frame):
 
 @dataclass(frozen=True, slots=True)
 class DetectionFrame(Frame):
-    """One rule firing pushed to a subscriber.
+    """One rule firing pushed to a subscriber: the record every push
+    frame carries.  As a frame of its own (``DETECTION``) it still
+    round-trips, but the server pushes batches.
 
     ``seq`` is the client sequence number of the submission that
     triggered it (``-1`` for flush-triggered expirations of another
     session's traffic); ``ordinal`` disambiguates several detections off
     one observation.
 
-    ``detection_id``/``revision``/``status`` (capability ``revisions``)
-    carry the REVISE-mode revision lifecycle; the keys are omitted from
-    the payload for plain detections, and subscribers that did not
-    advertise ``revisions`` receive only ``final`` records with the
-    keys stripped — byte-identical to protocol v1.
+    ``detection_id``/``revision``/``status`` carry the REVISE-mode
+    revision lifecycle; the keys are omitted from the payload for plain
+    detections.  Every subscriber receives the whole lifecycle.
 
     Slotted: a received detection is one GC-tracked object (its
     bindings dict of strings and floats is untracked), not a frame plus
@@ -899,14 +840,12 @@ class DetectionFrame(Frame):
 
 @dataclass(frozen=True)
 class DetectionBatch(Frame):
-    """Several rule firings pushed in one frame (capability ``batch_push``).
+    """Several rule firings pushed in one JSON frame.
 
-    Sent only to subscribers whose HELLO capabilities included
-    ``"batch_push": true`` — v1 peers never see it and keep receiving
-    one :class:`DetectionFrame` per firing.  Each entry of
-    ``detections`` is a :class:`DetectionFrame` payload dict, in firing
-    order; batching detections off one submission batch turns hundreds
-    of push frames into one write on the hot subscribe path.
+    The fallback of :class:`BinaryDetectionBatch` for a release the
+    columns cannot carry exactly (revision-tagged records, odd binding
+    values).  Each entry of ``detections`` is a :class:`DetectionFrame`
+    payload dict, in firing order.
 
     Toward the server's ``push_queue`` bound a batch counts as a single
     buffered item, so the slow-consumer DROP policy sheds whole batches.
@@ -1195,8 +1134,8 @@ def _frames(rules, times, bindings, seqs, ordinals, *tags) -> tuple:
 
 @dataclass(frozen=True)
 class BinaryDetectionBatch(Frame):
-    """A DETBATCH of :class:`DetectionFrame` objects in columnar layout
-    (capability ``binary_push``, binary-codec sessions only).
+    """A DETBATCH of :class:`DetectionFrame` objects in columnar layout:
+    the push frame of every release.
 
     Body layout (after the type byte)::
 
@@ -1246,32 +1185,21 @@ class BinaryDetectionBatch(Frame):
         return cls(_unpack_detections(body))
 
 
-def push_frames(
-    frames: Sequence[DetectionFrame], binary_push: bool, batch_push: bool
-) -> list:
-    """The frames one subscriber is pushed for one release: a columnar
-    ``BDETBATCH`` for ``binary_push`` (:meth:`BinaryDetectionBatch.pack`
-    picks the JSON fallback), a JSON ``DETBATCH`` of several firings for
-    ``batch_push``, otherwise one ``DETECTION`` per firing.  JSON
-    payloads are built here, so they hold copies of the bindings."""
-    if binary_push:
-        return [BinaryDetectionBatch.pack(frames)]
-    payloads = [frame.to_payload() for frame in frames]
-    if batch_push and len(payloads) > 1:
-        return [DetectionBatch(tuple(payloads))]
-    return list(map(DetectionFrame.from_payload, payloads))
+def push_frame(frames: Sequence[DetectionFrame]) -> Frame:
+    """The one frame a subscriber is pushed for one release: a columnar
+    ``BDETBATCH``, or the JSON ``DETBATCH`` fallback, whose payloads
+    hold copies of the bindings (:meth:`BinaryDetectionBatch.pack`)."""
+    return BinaryDetectionBatch.pack(frames)
 
 
 def received_frames(frame: Frame) -> tuple:
-    """The DetectionFrames a received push frame carries; ``()`` for
-    every other frame."""
+    """The DetectionFrames a received push frame (``BDETBATCH`` or its
+    JSON ``DETBATCH`` fallback) carries; ``()`` for every other frame."""
     kind = frame.__class__
     if kind is BinaryDetectionBatch:
         return frame.detections
     if kind is DetectionBatch:
         return tuple(map(DetectionFrame.from_payload, frame.detections))
-    if kind is DetectionFrame:
-        return (frame,)
     return ()
 
 
@@ -1282,8 +1210,7 @@ class ErrorFrame(Frame):
     ``retry_after`` (optional, seconds) rides on *transient* errors —
     today ``overloaded``, when the submit queue saturated and the server
     shed this session — telling the client's backoff when a reconnect is
-    worth attempting.  The key is omitted from the payload when unset,
-    so v1 peers see the exact frames they always did.
+    worth attempting.  The key is omitted from the payload when unset.
     """
 
     TYPE = 0x09
@@ -1324,11 +1251,8 @@ class Bye(Frame):
 @dataclass(frozen=True)
 class Ping(Frame):
     """Liveness probe; the peer answers with a :class:`Pong` echoing
-    ``token``.
-
-    Capability-gated: the server sends PING only to sessions whose HELLO
-    advertised ``"heartbeat": true``, so v1 peers (and v2 peers that
-    stayed silent) never see a frame type they cannot parse.
+    ``token``.  The server probes every session that stays idle past
+    ``ServeConfig.heartbeat_interval``.
     """
 
     TYPE = 0x0D
@@ -1364,7 +1288,6 @@ _FRAME_TYPES: dict[int, type] = {
     for cls in (
         Hello,
         Welcome,
-        Submit,
         Batch,
         BinaryBatch,
         RelayBatch,
@@ -1496,35 +1419,28 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-# -- wire codecs ---------------------------------------------------------------
+# -- the ingest codec -----------------------------------------------------------
 
 
-class WireCodec:
-    """Strategy for laying observation batches onto the wire.
-
-    A codec owns only the *ingest* direction — how a client turns a run
-    of observations numbered ``seq, seq + 1, ...`` into frames.  Acks
-    and control frames are plain JSON for all codecs, and detections
-    are too unless a binary-codec session asked for
-    :class:`BinaryDetectionBatch` (capability ``binary_push``), so other
-    subscribers and v1 tooling never need to know which codec a
-    producer negotiated.
-
-    Implement :meth:`encode_batch_into` and register with
-    :func:`register_codec`; the server accepts whatever frames arrive
-    (``SUBMIT``/``BATCH``/``BBATCH`` are always understood on protocol
-    ≥ 1 connections — negotiation chooses what the *client sends*, not
-    what the server parses).
+class BinaryCodec:
+    """How a client lays one observation batch onto the wire: a
+    struct-packed ``BBATCH``, or a JSON ``BATCH`` for a batch the
+    columns cannot carry (``extra`` payloads, unpackable ids), a batch
+    of one included.  The server accepts both frame shapes on every
+    session, so callers never see a difference beyond bytes-on-wire.
     """
 
-    #: Registry key and the name used in capabilities lists.
-    name = ""
+    name = "binary"
 
     def encode_batch_into(
         self, buffer: bytearray, seq: int, observations: Sequence[Observation]
     ) -> int:
-        """Append the frames for one batch to ``buffer``; return byte count."""
-        raise NotImplementedError
+        """Append the frame for one batch to ``buffer``; return byte count."""
+        observations = tuple(observations)
+        try:
+            return encode_frame_into(BinaryBatch(seq, observations), buffer)
+        except NotPackable:
+            return encode_frame_into(Batch(seq, observations), buffer)
 
     def encode_batch(
         self, seq: int, observations: Sequence[Observation]
@@ -1535,84 +1451,11 @@ class WireCodec:
         return bytes(buffer)
 
 
-class JsonCodec(WireCodec):
-    """The v1 layout, byte-for-byte: ``SUBMIT`` for one, ``BATCH`` for many."""
-
-    name = "json"
-
-    def encode_batch_into(
-        self, buffer: bytearray, seq: int, observations: Sequence[Observation]
-    ) -> int:
-        if len(observations) == 1:
-            frame: Frame = Submit(seq=seq, observation=observations[0])
-        else:
-            frame = Batch(seq=seq, observations=tuple(observations))
-        return encode_frame_into(frame, buffer)
+_BINARY_CODEC = BinaryCodec()
 
 
-class BinaryCodec(WireCodec):
-    """Struct-packed ``BBATCH`` frames, JSON fallback for odd batches.
-
-    The fallback keeps the codec total: a batch with ``extra`` payloads
-    or unpackable ids ships as a JSON ``BATCH`` on the same connection
-    (the server accepts both frame shapes on every session), so callers
-    never see a difference beyond bytes-on-wire.
-    """
-
-    name = "binary"
-
-    def encode_batch_into(
-        self, buffer: bytearray, seq: int, observations: Sequence[Observation]
-    ) -> int:
-        frame = BinaryBatch(seq=seq, observations=tuple(observations))
-        try:
-            return encode_frame_into(frame, buffer)
-        except NotPackable:
-            return _JSON_CODEC.encode_batch_into(buffer, seq, observations)
-
-
-_CODEC_REGISTRY: dict[str, WireCodec] = {}
-
-
-def register_codec(codec: WireCodec) -> WireCodec:
-    """Add ``codec`` to the registry (replacing any same-named one)."""
-    if not codec.name:
-        raise ValueError("codec must define a non-empty name")
-    _CODEC_REGISTRY[codec.name] = codec
-    return codec
-
-
-def get_codec(name: str) -> WireCodec:
-    """Look up a registered codec by name."""
-    try:
-        return _CODEC_REGISTRY[name]
-    except KeyError:
-        raise FrameError(f"unknown wire codec {name!r}") from None
-
-
-def codec_names() -> tuple[str, ...]:
-    """Registered codec names, registration order."""
-    return tuple(_CODEC_REGISTRY)
-
-
-_JSON_CODEC = register_codec(JsonCodec())
-_BINARY_CODEC = register_codec(BinaryCodec())
-
-
-def negotiate_codec(hello: Hello, server_codecs: Sequence[str]) -> str:
-    """Choose the session codec for ``hello`` against the server's list.
-
-    The server's preference order wins among codecs the client offered.
-    v1 peers, and v2 peers that advertise nothing, get ``json`` — the
-    layout every protocol version understands.
-    """
-    if hello.version < 2:
-        return "json"
-    offered = hello.capabilities.get("codecs")
-    if not isinstance(offered, (list, tuple)):
-        return "json"
-    offered_names = {str(name) for name in offered}
-    for name in server_codecs:
-        if name in offered_names:
-            return name
-    return "json"
+def get_codec(name: str) -> BinaryCodec:
+    """The ingest codec: ``"binary"`` is the only name there is."""
+    if name != _BINARY_CODEC.name:
+        raise FrameError(f"unknown wire codec {name!r}")
+    return _BINARY_CODEC

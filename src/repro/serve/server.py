@@ -20,9 +20,10 @@ and order-sensitive, so the server funnels every submission through
   onto the transport, so one slow consumer can never stall the writer.
 
 Detection push to a slow subscriber is bounded by a per-session buffer
-(``ServeConfig.push_queue``); overflow follows
-:class:`SlowConsumerPolicy` — ``DROP`` discards the *oldest* buffered
-detection (newest data wins, drops are counted and exported), while
+(``ServeConfig.push_queue``, in push frames: one per release);
+overflow follows :class:`SlowConsumerPolicy` — ``DROP`` discards the
+*oldest* buffered push (newest data wins, its detections are counted as
+dropped and exported), while
 ``DISCONNECT`` closes the offending session.  Acks are cumulative and
 coalesced (at most one in flight per session), so a client that submits
 faster than it reads acks costs O(1) memory, not O(stream).
@@ -71,13 +72,10 @@ from ..obs.instrument import Instruments
 from ..obs.metrics import MetricsRegistry
 from .loopback import DEFAULT_MAX_BUFFER, LoopbackReader, LoopbackWriter, loopback_pair
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     Ack,
     Batch,
-    BinaryDetectionBatch,
     Bye,
-    DetectionBatch,
     DetectionFrame,
     ErrorFrame,
     Flush,
@@ -87,14 +85,11 @@ from .protocol import (
     Hello,
     Ping,
     Pong,
-    Submit,
     Subscribe,
     Welcome,
-    codec_names,
     detection_frames,
     encode_frame_into,
-    negotiate_codec,
-    push_frames,
+    push_frame,
     resequenced,
     tagged_frames,
 )
@@ -103,9 +98,6 @@ __all__ = ["CepServer", "ServeConfig", "SlowConsumerPolicy", "ServeError"]
 
 #: Transport read size, in bytes.
 _READ_CHUNK = 64 * 1024
-
-#: Push frames that carry several detections (counted per detection).
-_BATCH_FRAMES = (DetectionBatch, BinaryDetectionBatch)
 
 
 class ServeError(ReproError):
@@ -153,24 +145,16 @@ class ServeConfig:
     #: bound).  With a durable backend eviction loses nothing — the
     #: frontier is re-read from ``backend.client_frontiers`` on HELLO.
     client_record_cap: int = 10_000
-    #: Wire codecs offered at HELLO, server preference first; ``None``
-    #: means every registered codec (binary preferred).  v1 clients
-    #: always get ``json`` regardless.
-    codecs: Optional[tuple] = None
-    #: Advertised per-batch observation cap (``capabilities.max_batch``);
-    #: cooperating v2 clients chunk their batches to it.
+    #: Advertised per-batch observation cap (``capabilities.max_batch``
+    #: in WELCOME); clients chunk their batches to it.
     max_batch: int = 8192
-    #: Seconds of session inactivity before the server probes a
-    #: heartbeat-capable peer with PING (0 disables).  Only sessions
-    #: whose HELLO advertised ``"heartbeat": true`` are ever probed —
-    #: v1 JSON peers never see a frame they cannot parse.
+    #: Seconds of session inactivity before the server probes the peer
+    #: with PING (0 disables).
     heartbeat_interval: float = 0.0
     #: Seconds of inactivity (no frames, no PONG) after which a session
     #: is reaped: ``ERROR idle`` then disconnect (0 disables).  A live
-    #: but quiet heartbeat peer answers PINGs, which counts as
-    #: activity; a dead peer answers nothing and is collected here.
-    #: With v1 fleets set this above the longest legitimate quiet
-    #: period (v1 peers cannot be probed, only observed).
+    #: but quiet peer answers PINGs, which counts as activity; a dead
+    #: peer answers nothing and is collected here.
     idle_deadline: float = 0.0
     #: Overload shedding: when the submit queue is full, how long a
     #: reader waits for space before the session is shed with
@@ -179,16 +163,6 @@ class ServeConfig:
     overload_grace: Optional[float] = None
     #: ``retry_after`` hint (seconds) carried on ``ERROR overloaded``.
     retry_after: float = 1.0
-
-    def codec_preference(self) -> tuple:
-        if self.codecs is not None:
-            return tuple(self.codecs)
-        names = codec_names()
-        # Binary first when available: negotiation picks the earliest
-        # server-side entry the client also offers.
-        return tuple(
-            sorted(names, key=lambda name: (name != "binary", name))
-        )
 
 
 @dataclass
@@ -255,25 +229,6 @@ class _Session:
         self.reader = reader
         self.writer = writer
         self.record: Optional[_ClientRecord] = None
-        #: Wire codec negotiated at HELLO (what the client *sends*;
-        #: the server parses every batch shape regardless).
-        self.codec = "json"
-        #: Whether the peer understands DetectionBatch push frames
-        #: (HELLO capability ``batch_push``); v1 peers never set it.
-        self.batch_push = False
-        #: Whether detections go out as columnar
-        #: :class:`~repro.serve.protocol.BinaryDetectionBatch` frames:
-        #: HELLO capability ``binary_push`` on a binary-codec session.
-        #: Everyone else keeps the JSON DETBATCH/DETECTION bytes.
-        self.binary_push = False
-        #: Whether the peer answers PING (HELLO capability
-        #: ``heartbeat``); gates whether the liveness loop probes it.
-        self.heartbeat = False
-        #: Whether the peer understands revision-tagged detections
-        #: (HELLO capability ``revisions``).  Non-capable subscribers
-        #: receive only ``final`` records, with the revision keys
-        #: stripped so their payloads stay byte-identical to v1.
-        self.revisions = False
         #: ``loop.time()`` of the last inbound data; the liveness loop
         #: measures idleness against this.
         self.last_activity = 0.0
@@ -605,12 +560,12 @@ class CepServer:
             return
 
     def _handshake(self, session: _Session, hello: Hello) -> bool:
-        if not MIN_PROTOCOL_VERSION <= hello.version <= PROTOCOL_VERSION:
+        if hello.version != PROTOCOL_VERSION:
             self._send_error(
                 session,
                 "version",
-                f"server speaks protocols {MIN_PROTOCOL_VERSION}"
-                f"..{PROTOCOL_VERSION}, client spoke {hello.version}",
+                f"server speaks protocol {PROTOCOL_VERSION}, "
+                f"client spoke {hello.version}",
             )
             return False
         record = self._clients.get(hello.client_id)
@@ -655,35 +610,13 @@ class CepServer:
         self._hello_tick += 1
         record.last_hello = self._hello_tick
         session.record = record
-        codecs = self.config.codec_preference()
-        session.codec = negotiate_codec(hello, codecs)
-        session.batch_push = bool(hello.capabilities.get("batch_push"))
-        session.binary_push = session.codec == "binary" and bool(
-            hello.capabilities.get("binary_push")
-        )
-        # PING is capability-gated: only a peer that said it answers
-        # heartbeats is ever probed (v1 peers never advertise it).
-        session.heartbeat = hello.version >= 2 and bool(
-            hello.capabilities.get("heartbeat")
-        )
-        session.revisions = hello.version >= 2 and bool(
-            hello.capabilities.get("revisions")
-        )
         self._prune_client_records()
         self._send_control(
             session,
             Welcome(
                 session_id=session.session_id,
                 next_seq=record.last_acked + 1,
-                capabilities={
-                    "codec": session.codec,
-                    "codecs": list(codecs),
-                    "resume": True,
-                    "batch_push": True,
-                    "max_batch": self.config.max_batch,
-                    "heartbeat": self.config.heartbeat_interval,
-                    "revisions": True,
-                },
+                capabilities={"max_batch": self.config.max_batch},
             ),
         )
         return True
@@ -713,16 +646,6 @@ class CepServer:
 
     async def _handle_frame(self, session: _Session, frame: Frame) -> bool:
         """Dispatch one post-handshake frame; False ends the session."""
-        if isinstance(frame, Submit):
-            prov = frame.prov
-            if prov is not None:
-                prov = (prov[0], (prov[1],))
-            return await self._enqueue(
-                session,
-                _SubmitItem(
-                    session, frame.seq, [frame.observation], prov=prov
-                ),
-            )
         if isinstance(frame, Batch):
             # A relayed batch's provenance lists one strictly ascending
             # source seq per observation: its decoder refused it otherwise.
@@ -738,7 +661,6 @@ class CepServer:
                 _SubmitItem(session, frame.seq, flush=True, prov=frame.prov),
             )
         if isinstance(frame, Ping):
-            # Either side may probe; answer regardless of capability.
             self._send_control(session, Pong(token=frame.token))
             return True
         if isinstance(frame, Pong):
@@ -821,7 +743,7 @@ class CepServer:
     # -- liveness ------------------------------------------------------------
 
     async def _liveness_loop(self) -> None:
-        """Probe idle heartbeat peers; reap sessions past the deadline."""
+        """Probe idle sessions; reap sessions past the deadline."""
         interval = self.config.heartbeat_interval
         deadline = self.config.idle_deadline
         periods = [p for p in (interval, deadline) if p > 0]
@@ -858,7 +780,7 @@ class CepServer:
 
                     loop.call_later(1.0, _force_close)
                     continue
-                if interval > 0 and session.heartbeat and idle >= interval:
+                if interval > 0 and idle >= interval:
                     self._ping_token += 1
                     self._send_control(session, Ping(token=self._ping_token))
                     self.stats.pings_sent += 1
@@ -1040,9 +962,9 @@ class CepServer:
             return
         # One DetectionFrame per firing, built once per release: plain
         # Detections column by column, revision-tagged ones with their
-        # tags, and the router's fan-in renumbered as this release.  Each
-        # subscriber's filters then run on these frames, and
-        # push_frames picks its push frame.
+        # tags, and the router's fan-in renumbered as this release.  A
+        # subscriber's rule filter then runs on these frames, and each
+        # subscriber is pushed one frame for the release.
         kinds = {detection.__class__ for detection in detections}
         if kinds == {Detection}:
             frames = detection_frames(detections, seq)
@@ -1054,20 +976,8 @@ class CepServer:
             wanted = frames
             if subscriber.rule_filter is not None:
                 wanted = [f for f in wanted if f.rule in subscriber.rule_filter]
-            if not subscriber.revisions:
-                # Speculation is invisible to non-capable peers: finals
-                # only, revision fields stripped — byte-identical to v1.
-                wanted = [
-                    f if not f.detection_id
-                    else DetectionFrame(f.rule, f.time, f.bindings, f.seq, f.ordinal)
-                    for f in wanted
-                    if not f.detection_id or f.status == "final"
-                ]
             if wanted:
-                for frame in push_frames(
-                    wanted, subscriber.binary_push, subscriber.batch_push
-                ):
-                    self._push_detection(subscriber, frame)
+                self._push_detection(subscriber, push_frame(wanted))
 
     def _push_detection(self, session: _Session, frame: Frame) -> None:
         if len(session.push_buffer) >= self.config.push_queue:
@@ -1086,12 +996,7 @@ class CepServer:
             # of outstanding "push" sentinels both stay unchanged.
             victim = session.push_buffer.popleft()
             session.push_buffer.append(frame)
-            dropped = (
-                len(victim.detections)
-                if isinstance(victim, _BATCH_FRAMES)
-                else 1
-            )
-            self.stats.detections_dropped += dropped
+            self.stats.detections_dropped += len(victim.detections)
             return
         session.push_buffer.append(frame)
         # The push now sits behind any queued ack box; later acks must
@@ -1164,14 +1069,11 @@ class CepServer:
                             frame = session.push_buffer.popleft()
                             encode_frame_into(frame, buffer)
                             frames += 1
-                            # Count detections, not frames: a batch
-                            # carries several firings.
-                            pushed = (
-                                len(frame.detections)
-                                if isinstance(frame, _BATCH_FRAMES)
-                                else 1
+                            # Count detections, not frames: a push
+                            # carries a whole release.
+                            self.stats.detections_pushed += len(
+                                frame.detections
                             )
-                            self.stats.detections_pushed += pushed
                             if self._instr is not None:
                                 self._instr.push_depth.set(
                                     len(session.push_buffer)
@@ -1232,7 +1134,6 @@ class CepServer:
                 {
                     "id": session.session_id,
                     "client": session.client_id,
-                    "codec": session.codec,
                     "subscribed": session.subscribed,
                     "push_buffered": len(session.push_buffer),
                     "last_acked": (

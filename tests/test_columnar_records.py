@@ -618,9 +618,7 @@ def test_hostile_relay_ends_the_worker_session_unapplied(tmp_path, kind):
     async def scenario(durable):
         async with CepServer(durable) as server:
             reader, writer = server.connect_loopback()
-            writer.write(encode_frame(
-                Hello("router@s0", capabilities={"codecs": ["binary"]})
-            ))
+            writer.write(encode_frame(Hello("router@s0")))
             writer.write(_hostile_relay(kind))
             await writer.drain()
             frames, decoder = [], FrameDecoder()
@@ -631,23 +629,18 @@ def test_hostile_relay_ends_the_worker_session_unapplied(tmp_path, kind):
     with DurableEngine(_drill_engine, str(tmp_path / "worker")) as durable:
         frames = asyncio.run(scenario(durable))
         assert [type(f) for f in frames] == [Welcome, ErrorFrame]
-        assert frames[0].capabilities["codec"] == "binary"
         assert frames[1].code == "frame"
         assert durable.next_seq == 0
         assert durable.client_frontiers == {}
     assert list(read_wal(str(tmp_path / "worker" / "wal"))) == []
 
 
-@pytest.mark.parametrize(
-    "codecs", [None, ("json",)], ids=["binary-worker", "json-worker"]
-)
-def test_the_link_relays_columns_to_every_worker(tmp_path, monkeypatch, codecs):
-    """The link sends ``BRELAY`` frames whatever codec the worker's
-    session negotiates: every session decodes every frame type.  Both
-    workers log every reading under its source seq."""
+def test_the_link_relays_columns_to_every_worker(tmp_path, monkeypatch):
+    """The link sends packable sub-batches as ``BRELAY`` frames, and the
+    worker logs every reading under its source seq."""
     import asyncio
 
-    from repro.serve import CepServer, ServeConfig
+    from repro.serve import CepServer
     from repro.serve.cluster import CepRouter, plan_cluster
 
     received = []
@@ -663,7 +656,7 @@ def test_the_link_relays_columns_to_every_worker(tmp_path, monkeypatch, codecs):
     (shard,) = plan.shard_plan.shard_names
 
     async def scenario(durable):
-        worker = CepServer(durable, config=ServeConfig(codecs=codecs))
+        worker = CepServer(durable)
         port = await worker.serve_tcp("127.0.0.1", 0)
         router = CepRouter(plan, {shard: ("127.0.0.1", port)})
         await router.start()
@@ -770,10 +763,10 @@ def _columnar(peer):
 
 
 class TestBinaryPushSessions:
-    def test_only_binary_codec_sessions_that_ask_get_columns(self):
-        """``binary_push`` on a binary-codec session gets BDETBATCH; the
-        same capability on a JSON-codec session, and every older peer,
-        keep the JSON DETBATCH — with equal detections all round."""
+    def test_every_subscriber_gets_columns(self):
+        """Every subscriber is pushed BDETBATCH, whatever its HELLO
+        offers — the capabilities once read are ignored keys now — with
+        equal detections all round."""
         import asyncio
 
         from repro.serve import AsyncClient, CepServer, loopback_connector
@@ -807,24 +800,19 @@ class TestBinaryPushSessions:
                     )
                     await peer.send(Subscribe())
                 ingest = AsyncClient(
-                    loopback_connector(server), codec="binary", batch_size=256,
-                    subscribe=True,
+                    loopback_connector(server), batch_size=256, subscribe=True
                 )
                 async with ingest:
                     await ingest.submit_many(stream)
                     await ingest.flush(timeout=10)
                     for peer in peers.values():
                         await peer.pump_until(
-                            lambda p=peer: len(_columnar(p)) + len(p.detections)
-                            >= len(expected)
+                            lambda p=peer: len(p.detections) >= len(expected)
                         )
                     return peers, list(ingest.detections)
 
         peers, client_detections = asyncio.run(scenario())
-        columns = peers["columns"]
-        assert not columns.detections
-        assert canon_frames(_columnar(columns)) == expected
-        for name in ("json-codec", "older"):
-            assert not _columnar(peers[name])
-            assert canon_frames(peers[name].detections) == expected
+        for peer in peers.values():
+            assert canon_frames(_columnar(peer)) == expected
+            assert _columnar(peer) == peer.detections
         assert canon_frames(client_detections) == expected

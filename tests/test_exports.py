@@ -55,6 +55,13 @@ def test_star_import_resolves(package):
         assert hasattr(module, name), f"{package}.{name} does not resolve"
 
 
+#: What the one session shape deleted from the serving layer.
+SESSION_SHAPE_DELETED = (
+    "MIN_PROTOCOL_VERSION Submit WireCodec JsonCodec register_codec "
+    "codec_names negotiate_codec push_frames"
+).split()
+
+
 @pytest.mark.parametrize(
     "package, deleted",
     [
@@ -68,6 +75,11 @@ def test_star_import_resolves(package):
                 "Engine", "Reorder", "Resilience", "Durability", "Serve", "Cluster"
             )
         ),
+        *(
+            (package, name)
+            for package in ("repro.serve", "repro.serve.protocol")
+            for name in SESSION_SHAPE_DELETED
+        ),
     ],
 )
 def test_deleted_names_stay_deleted(package, deleted):
@@ -80,20 +92,20 @@ def test_deleted_names_stay_deleted(package, deleted):
     assert not hasattr(module, deleted)
 
 
-#: ``repro.serve.__all__`` as of the PR that deleted the names above;
-#: the serving surface is not part of that change.
+#: ``repro.serve.__all__`` since the one session shape: no protocol-v1
+#: frame, no codec registry or negotiation.
 SERVE_SURFACE = """
 Ack AsyncClient Batch BinaryBatch BinaryCodec Bye CepRouter CepServer
 ChaosProxy Client ClientError Cluster ClusterPlan DetectionBatch
 DetectionFrame ErrorFrame FaultSchedule FaultStats FaultyTransport
-FaultyWriter Flush Frame FrameDecoder FrameError Hello JsonCodec
-LoopbackReader LoopbackWriter MAX_FRAME_BYTES MIN_PROTOCOL_VERSION
+FaultyWriter Flush Frame FrameDecoder FrameError Hello
+LoopbackReader LoopbackWriter MAX_FRAME_BYTES
 NetworkFaultPlan PROTOCOL_VERSION Ping Pong RetryConfig RouterStats
-ServeConfig ServeError ShardWorker SlowConsumerPolicy Submit Subscribe
-Welcome WireCodec WorkerLink WorkerProcess cluster_program codec_names
+ServeConfig ServeError ShardWorker SlowConsumerPolicy Subscribe
+Welcome WorkerLink WorkerProcess cluster_program
 decode_frame encode_frame encode_frame_into file_sink get_codec
-loopback_connector loopback_pair negotiate_codec plan_cluster
-register_codec run_cluster_drill run_worker tcp_connector
+loopback_connector loopback_pair plan_cluster
+run_cluster_drill run_worker tcp_connector
 """.split()
 
 

@@ -5,11 +5,11 @@ Between a backend's release and the socket a pushed detection is a
 and through the cluster router alike.  These tests pin what that must
 not change and what it fixed:
 
-* JSON ``DETECTION``/``DETBATCH`` bytes of plain detections equal the
-  ones built the old way — ``detection_payload`` plus ``seq`` and
-  ``ordinal`` per firing — on a JSON-codec session, on a JSON-codec
-  session through the router, and on a binary session whose batches the
-  columns cannot carry (its JSON fallback);
+* JSON ``DETBATCH`` bytes of plain detections equal the ones built the
+  old way — ``detection_payload`` plus ``seq`` and ``ordinal`` per
+  firing — for releases the columns cannot carry (the JSON fallback),
+  directly and through the router, and the columns carry the same
+  detections otherwise;
 * every JSON push of a revision-tagged detection uses one key order,
   :meth:`DetectionFrame.to_payload`'s;
 * the router's worker link is an ordinary binary-push subscriber: it
@@ -38,7 +38,6 @@ from repro.serve.protocol import (
     Batch,
     BinaryDetectionBatch,
     DetectionBatch,
-    DetectionFrame,
     Flush,
     Hello,
     Subscribe,
@@ -46,20 +45,13 @@ from repro.serve.protocol import (
     decode_frame,
     detection_payload,
     encode_frame,
+    received_frames,
 )
 from repro.simulator import simulate_multi_packing
 from repro.store import RfidStore
 
-DETECTION, DETBATCH = 0x08, 0x0C
+DETBATCH = 0x0C
 BATCH = 8
-
-#: The subscribers under test: HELLO capabilities per session.
-SESSIONS = {
-    "json-batch": {"codecs": ["json"], "batch_push": True, "binary_push": True},
-    "json-single": {"codecs": ["json"]},
-    "binary": {"codecs": ["binary"], "batch_push": True, "binary_push": True,
-               "revisions": True},
-}
 
 
 def workload(packable=True):
@@ -97,9 +89,10 @@ def _split(wire):
     return out
 
 
-def expected_pushes(program, stream, *, batch_push, always_batch=False):
-    """The push bytes of one subscriber, built the old way: one
-    ``detection_payload`` per firing plus its ``seq`` and ``ordinal``."""
+def expected_pushes(program, stream):
+    """The JSON push bytes of one subscriber, built the old way: one
+    ``detection_payload`` per firing plus its ``seq`` and ``ordinal``,
+    one ``DETBATCH`` per release."""
     engine = Engine(parse_rules(program), context="chronicle", store=RfidStore())
     releases = []
     for first in range(0, len(stream), BATCH):
@@ -114,10 +107,8 @@ def expected_pushes(program, stream, *, batch_push, always_batch=False):
             payload["seq"] = seq
             payload["ordinal"] = ordinal
             payloads.append(payload)
-        if payloads and (always_batch or (batch_push and len(payloads) > 1)):
+        if payloads:
             wire += frame_bytes(DETBATCH, {"detections": payloads})
-        else:
-            wire += b"".join(frame_bytes(DETECTION, p) for p in payloads)
     return wire
 
 
@@ -143,24 +134,18 @@ class RawPeer:
         """The push frames after WELCOME, and the detections they carry."""
         pushed = [(raw, f) for raw, f in _split(self.data)
                   if not isinstance(f, (Welcome, Ack))]
-        count = sum(
-            len(f.detections) if isinstance(f, (DetectionBatch,
-                                                BinaryDetectionBatch)) else 1
-            for _raw, f in pushed
-        )
+        count = sum(len(received_frames(f)) for _raw, f in pushed)
         return pushed, count
 
 
 async def serve_stream(server, stream, expected_count):
-    """Subscribe every session of :data:`SESSIONS`, submit ``stream`` in
-    batches of :data:`BATCH` and a flush from a JSON ingest peer, and
-    return each subscriber's push frames once all have arrived."""
-    peers = {}
-    for name, offered in SESSIONS.items():
-        peer = peers[name] = RawPeer(server)
-        await peer.send(Hello(client_id=name, capabilities=offered), Subscribe())
+    """Subscribe one session, submit ``stream`` in JSON batches of
+    :data:`BATCH` and a flush from an ingest peer, and return the
+    subscriber's push frames once all have arrived."""
+    subscriber = RawPeer(server)
+    await subscriber.send(Hello(client_id="subscriber"), Subscribe())
     ingest = RawPeer(server)
-    await ingest.send(Hello(client_id="ingest", capabilities={"codecs": ["json"]}))
+    await ingest.send(Hello(client_id="ingest"))
     for first in range(0, len(stream), BATCH):
         await ingest.send(
             Batch(seq=first, observations=tuple(stream[first : first + BATCH]))
@@ -168,13 +153,11 @@ async def serve_stream(server, stream, expected_count):
     await ingest.send(Flush(seq=len(stream)))
     loop = asyncio.get_running_loop()
     deadline = loop.time() + 20
-    while any(peer.pushes()[1] < expected_count for peer in peers.values()):
+    while subscriber.pushes()[1] < expected_count:
         assert loop.time() < deadline, "pushes never arrived"
-        for peer in peers.values():
-            await peer.pump()
-    for peer in peers.values():
-        await peer.pump()  # nothing more may follow
-    return {name: peer.pushes()[0] for name, peer in peers.items()}
+        await subscriber.pump()
+    await subscriber.pump()  # nothing more may follow
+    return subscriber.pushes()[0]
 
 
 def run_direct(program, stream, count):
@@ -224,33 +207,23 @@ class TestPlainPushBytes:
         self, topology, packable, tmp_path, link_frames
     ):
         program, stream = workload(packable)
-        batched = expected_pushes(program, stream, batch_push=True)
-        want = [d for _raw, f in _split(batched) for d in _detections(f)]
+        expected = expected_pushes(program, stream)
+        want = [d for _raw, f in _split(expected) for d in received_frames(f)]
         count = len(want)
-        # Releases of one firing (DETECTION) and of several (DETBATCH).
-        assert {type(f) for _raw, f in _split(batched)} == {
-            DetectionFrame, DetectionBatch
+        # Releases of one firing and of several.
+        assert {len(f.detections) == 1 for _raw, f in _split(expected)} == {
+            True, False
         }
         if topology == "direct":
             pushed = run_direct(program, stream, count)
         else:
             pushed = run_routed(program, stream, count, str(tmp_path / "c"))
-
-        def wire(name):
-            return b"".join(raw for raw, _frame in pushed[name])
-
-        assert wire("json-batch") == batched
-        assert wire("json-single") == expected_pushes(
-            program, stream, batch_push=False
-        )
         if not packable:
-            # The binary session's JSON fallback: one DETBATCH per
-            # release, whatever its size.
-            assert wire("binary") == expected_pushes(
-                program, stream, batch_push=True, always_batch=True
-            )
+            # The JSON fallback: one DETBATCH per release, whatever its
+            # size.
+            assert b"".join(raw for raw, _frame in pushed) == expected
         else:
-            frames = [frame for _raw, frame in pushed["binary"]]
+            frames = [frame for _raw, frame in pushed]
             assert {type(f) for f in frames} == {BinaryDetectionBatch}
             assert [d for f in frames for d in f.detections] == want
         if topology == "router":
@@ -259,12 +232,6 @@ class TestPlainPushBytes:
             assert pushes == (
                 {BinaryDetectionBatch} if packable else {DetectionBatch}
             )
-
-
-def _detections(frame):
-    if isinstance(frame, DetectionBatch):
-        return [DetectionFrame.from_payload(p) for p in frame.detections]
-    return [frame]
 
 
 # -- revision-tagged pushes: one key order ------------------------------------
@@ -325,32 +292,23 @@ class TestRevisionKeyOrder:
                 await worker.close()
 
         pushed = asyncio.run(scenario())
-        kinds = set()
-        for name in ("json-batch", "binary"):
-            for raw, frame in pushed[name]:
-                payloads = json.loads(raw[5:-4])
-                if raw[4] == DETBATCH:
-                    payloads = payloads["detections"]
-                    kinds.add((name, "DETBATCH"))
-                else:
-                    payloads = [payloads]
-                    kinds.add((name, "DETECTION"))
-                for payload in payloads:
-                    assert list(payload) == TAGGED_KEYS
-        # A JSON-codec DETBATCH, a DETECTION and the binary fallback.
-        assert {("json-batch", "DETBATCH"), ("json-batch", "DETECTION"),
-                ("binary", "DETBATCH")} <= kinds
+        sizes = set()
+        for raw, _frame in pushed:
+            # Tagged records take the columns' JSON fallback.
+            assert raw[4] == DETBATCH
+            payloads = json.loads(raw[5:-4])["detections"]
+            sizes.add(len(payloads))
+            for payload in payloads:
+                assert list(payload) == TAGGED_KEYS
+        # A release of one record and one of several.
+        assert 1 in sizes and max(sizes) > 1
 
 
 async def serve_revisions(server, stream):
-    peers = {}
-    for name in ("json-batch", "binary"):
-        peer = peers[name] = RawPeer(server)
-        offered = dict(SESSIONS[name], revisions=True)
-        await peer.send(Hello(client_id=name, capabilities=offered), Subscribe())
+    subscriber = RawPeer(server)
+    await subscriber.send(Hello(client_id="subscriber"), Subscribe())
     producer = AsyncClient(
-        loopback_connector(server), client_id="producer", codec="json",
-        batch_size=1,
+        loopback_connector(server), client_id="producer", batch_size=1
     )
     async with producer:
         # Two readings in one batch, then one at a time: both push sizes.
@@ -362,18 +320,14 @@ async def serve_revisions(server, stream):
         await producer.flush(timeout=10)
     loop = asyncio.get_running_loop()
     deadline = loop.time() + 10
-    while any(
-        not any(_has_final(f) for _raw, f in peer.pushes()[0])
-        for peer in peers.values()
-    ):
+    while not any(_has_final(f) for _raw, f in subscriber.pushes()[0]):
         assert loop.time() < deadline, "finals never arrived"
-        for peer in peers.values():
-            await peer.pump()
-    return {name: peer.pushes()[0] for name, peer in peers.items()}
+        await subscriber.pump()
+    return subscriber.pushes()[0]
 
 
 def _has_final(frame):
-    return any(f.status == "final" for f in _detections(frame))
+    return any(f.status == "final" for f in received_frames(frame))
 
 
 # -- an in-process kill closes what a dying process would ---------------------

@@ -389,8 +389,8 @@ class TestRevisionFanIn:
 
     The router is a pure forwarder: workers tag detection payloads with
     ``(did, rev, status)``, the fan-in sort makes cross-shard merge
-    order deterministic, and per-subscriber gating keeps v1 peers on a
-    finals-only diet.  The headline scenario is the ISSUE one: a late
+    order deterministic, and every subscriber receives the same whole
+    lifecycle.  The headline scenario: a late
     observation submitted on one session retracts a detection that was
     already pushed to a *different* session's subscriber.
     """
@@ -430,11 +430,10 @@ class TestRevisionFanIn:
                 client_id="watcher",
                 subscribe=True,
             )
-            legacy = AsyncClient(
+            second = AsyncClient(
                 tcp_connector("127.0.0.1", port),
-                client_id="legacy",
+                client_id="second",
                 subscribe=True,
-                protocol_version=1,
             )
             producer = AsyncClient(
                 tcp_connector("127.0.0.1", port), client_id="producer"
@@ -443,7 +442,7 @@ class TestRevisionFanIn:
                 tcp_connector("127.0.0.1", port), client_id="latecomer"
             )
             try:
-                async with watcher, legacy, producer, latecomer:
+                async with watcher, second, producer, latecomer:
                     # o1 seen at the dock; a second dock read far past
                     # o1's 5s window lets the speculative engine close
                     # it: "o1 was never cased" fires *provisionally*.
@@ -492,8 +491,8 @@ class TestRevisionFanIn:
                     assert retract.revision == provisional.revision + 1
 
                     # Push the watermark past o2's window close: its
-                    # detection seals, and only *that* final reaches the
-                    # v1 subscriber — stripped of revision keys.
+                    # detection seals, and the final reaches both
+                    # subscribers.
                     await producer.submit_many(
                         [Observation("dock", "o3", 120.0)]
                     )
@@ -506,12 +505,16 @@ class TestRevisionFanIn:
                         message="watermark passage never sealed o2",
                     )
                     await eventually(
-                        lambda: len(legacy.detections) >= 1,
-                        message="v1 subscriber never saw the final",
+                        lambda: any(
+                            f.status == "final"
+                            and f.bindings.get("o") == "o2"
+                            for f in second.detections
+                        ),
+                        message="second subscriber never saw the final",
                     )
                     return (
                         list(watcher.detections),
-                        list(legacy.detections),
+                        list(second.detections),
                     )
             finally:
                 await front.close()
@@ -519,7 +522,7 @@ class TestRevisionFanIn:
                 for server in servers:
                     await server.close()
 
-        frames, legacy_frames = asyncio.run(scenario())
+        frames, second_frames = asyncio.run(scenario())
 
         # Revisions are strictly increasing per detection_id, and every
         # frame from a REVISE worker carries the lifecycle fields.
@@ -541,14 +544,9 @@ class TestRevisionFanIn:
         for keys in by_seq.values():
             assert keys == sorted(keys)
 
-        # The v1 subscriber saw finals only — never o1 (its lifecycle
-        # was provisional -> retract) — and no revision fields at all.
-        assert legacy_frames
-        for frame in legacy_frames:
-            assert frame.bindings.get("o") != "o1"
-            assert frame.detection_id == ""
-            assert frame.status == ""
-            assert frame.revision == 0
+        # The other subscriber saw the same lifecycle, o1's retraction
+        # included, record for record.
+        assert second_frames == frames
 
 
 class TestRetryHintPerAttempt:

@@ -1,14 +1,15 @@
-"""Wire-codec tests: negotiation, binary layout, mixed-version serving.
+"""Wire-codec tests: the one session shape, binary layout, mixed frames.
 
-Covers the protocol-v2 codec surface end to end:
+Covers the ingest codec end to end:
 
-* codec registry and HELLO/WELCOME negotiation (v1 peers keep JSON);
+* the one codec name, and handshakes that fail closed: another protocol
+  version, a retired frame type, an offer of another codec;
 * ``BBATCH`` round-trips for arbitrary unicode ids (property-style),
   the JSON fallback for unpackable batches, and decode hardening;
-* ``DETBATCH`` push batching gated on the ``batch_push`` capability;
-* a mixed-version soak: a raw protocol-v1 JSON peer and a v2 binary
-  client sharing one durable server across a crash/recover cycle, with
-  identical detections and exactly-once frontiers for both;
+* a mixed-frame soak: a client whose readings carry ``extra`` (so every
+  batch it sends is a JSON ``BATCH``) and a ``BBATCH`` client sharing
+  one durable server across a crash/recover cycle, with identical
+  detections and exactly-once frontiers for both;
 * the engine-side :class:`SubmitResult` compatibility contract and the
   client's chunk-granular unacked buffer.
 """
@@ -16,6 +17,8 @@ Covers the protocol-v2 codec surface end to end:
 import asyncio
 import math
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -27,30 +30,25 @@ from repro.core.detector import FunctionRegistry, SubmitResult
 from repro.core.sharding import ShardedEngine
 from repro.resilience.durability import DurableEngine
 from repro.serve import (
+    PROTOCOL_VERSION,
     Ack,
     AsyncClient,
     Batch,
     BinaryBatch,
     CepServer,
-    DetectionBatch,
-    DetectionFrame,
+    ErrorFrame,
     Flush,
     FrameDecoder,
     FrameError,
     Hello,
-    ServeConfig,
-    Submit,
     Subscribe,
     Welcome,
-    codec_names,
     encode_frame,
     get_codec,
     loopback_connector,
-    negotiate_codec,
-    register_codec,
 )
 from repro.serve.client import _FLUSH
-from repro.serve.protocol import WireCodec
+from repro.serve.protocol import BinaryDetectionBatch, received_frames
 from repro.simulator import PackingConfig, simulate_packing
 from repro.store import RfidStore
 
@@ -97,72 +95,131 @@ async def eventually(predicate, timeout=5.0, message="condition not reached"):
         await asyncio.sleep(0.01)
 
 
-# -- negotiation ---------------------------------------------------------------
+def json_batch(seq, observations):
+    """The JSON ``BATCH`` bytes of a batch: the codec's fallback."""
+    return encode_frame(Batch(seq, tuple(observations)))
+
+
+# -- one codec, one session shape ----------------------------------------------
 
 
 class TestCodecRegistry:
     def test_builtin_codecs_registered(self):
-        assert {"json", "binary"} <= set(codec_names())
-        assert get_codec("json").name == "json"
         assert get_codec("binary").name == "binary"
+        with pytest.raises(FrameError, match="unknown wire codec"):
+            get_codec("json")
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(FrameError, match="unknown wire codec"):
             get_codec("brotli-ultra")
 
-    def test_nameless_codec_rejected(self):
-        with pytest.raises(ValueError):
-            register_codec(WireCodec())
-
     def test_client_rejects_typo_codec_at_construction(self):
-        with pytest.raises(FrameError, match="unknown wire codec"):
+        with pytest.raises(ValueError, match="unknown wire codec"):
             AsyncClient(lambda: None, codec="binray")
+        with pytest.raises(ValueError, match="unknown wire codec"):
+            AsyncClient(lambda: None, codec="json")
 
 
-class TestNegotiation:
-    def test_v1_peer_always_gets_json(self):
-        hello = Hello(client_id="legacy", version=1)
-        assert negotiate_codec(hello, ["binary", "json"]) == "json"
+class TestHandshakeFailsClosed:
+    """A peer that is not a protocol-3 peer is refused before it is
+    applied anything or pushed anything it did not ask for."""
 
-    def test_v2_peer_without_offer_gets_json(self):
-        hello = Hello(client_id="quiet", version=2)
-        assert negotiate_codec(hello, ["binary", "json"]) == "json"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_protocol_version_is_refused(self, version, tmp_path):
+        """``ERROR version`` naming protocol 3 is the only answer, and
+        the batch and flush behind the HELLO are never applied or
+        logged."""
+        stream = packing_stream(cases=1)
+        directory = str(tmp_path / "durable")
 
-    def test_server_preference_order_wins(self):
-        hello = Hello(
-            client_id="c",
-            version=2,
-            capabilities={"codecs": ["json", "binary"]},
+        async def scenario():
+            durable = DurableEngine(plain_engine, directory)
+            try:
+                async with CepServer(durable) as server:
+                    peer = RawPeer(server)
+                    await peer.send(
+                        Hello(client_id="old", version=version),
+                        Batch(0, tuple(stream[:4])),
+                        Flush(seq=4),
+                    )
+                    await peer.pump_until(lambda: peer.frames)
+                    return peer.frames, server.stats.submitted
+            finally:
+                durable.close()
+
+        frames, submitted = asyncio.run(scenario())
+        (error,) = frames
+        assert isinstance(error, ErrorFrame) and error.code == "version"
+        assert f"protocol {PROTOCOL_VERSION}" in error.message
+        assert submitted == 0
+        recovered, report = DurableEngine.recover(plain_engine, directory)
+        try:
+            assert report.replayed_records == 0
+            assert recovered.client_frontiers == {}
+        finally:
+            recovered.close()
+
+    def test_retired_submit_frame_type_is_refused(self):
+        """Type 0x03 (the single-observation SUBMIT of older protocols)
+        decodes as unknown: ``ERROR frame``, nothing applied."""
+        body = b'{"seq":0,"obs":{"r":"r1","o":"o1","t":1.0}}'
+        crc = zlib.crc32(bytes((0x03,)) + body)
+        raw = (
+            struct.pack("!I", 1 + len(body)) + bytes((0x03,)) + body
+            + struct.pack("!I", crc)
         )
-        assert negotiate_codec(hello, ["binary", "json"]) == "binary"
 
-    def test_unknown_offers_fall_back_to_json(self):
-        hello = Hello(
-            client_id="c", version=2, capabilities={"codecs": ["zstd-frames"]}
-        )
-        assert negotiate_codec(hello, ["binary", "json"]) == "json"
+        async def scenario():
+            engine = plain_engine()
+            async with CepServer(engine) as server:
+                peer = RawPeer(server)
+                await peer.send(Hello(client_id="submitter"))
+                peer.writer.write(raw)
+                await peer.writer.drain()
+                await peer.pump_until(
+                    lambda: any(isinstance(f, ErrorFrame) for f in peer.frames)
+                )
+                return peer, server, engine
 
-    def test_garbage_offer_shape_falls_back_to_json(self):
-        hello = Hello(
-            client_id="c", version=2, capabilities={"codecs": "binary"}
-        )
-        assert negotiate_codec(hello, ["binary", "json"]) == "json"
+        peer, server, engine = asyncio.run(scenario())
+        welcome, error = peer.frames
+        assert isinstance(welcome, Welcome)
+        assert welcome.capabilities == {"max_batch": 8192}
+        assert error.code == "frame"
+        assert "unknown frame type 0x03" in error.message
+        assert server.stats.submitted == 0
+        assert engine.stats.observations == 0
 
-    @pytest.mark.parametrize("asked,negotiated", [
-        (None, "binary"),
-        ("binary", "binary"),
-        ("json", "json"),
-    ])
-    def test_live_handshake_negotiates(self, asked, negotiated):
+    def test_a_json_codec_offer_still_gets_columns(self):
+        """Capabilities are an open dict the server does not read: a
+        HELLO offering only JSON is pushed ``BDETBATCH`` like any peer."""
+        stream = packing_stream(cases=4, seed=9)
+        expected = canon_engine(plain_engine().run(stream))
+
         async def scenario():
             async with CepServer(plain_engine()) as server:
-                client = AsyncClient(loopback_connector(server), codec=asked)
-                async with client:
-                    assert client.codec == negotiated
-                    await client.submit_many(packing_stream(cases=1))
-                    await client.flush(timeout=10)
+                watcher = RawPeer(server)
+                await watcher.send(
+                    Hello(
+                        client_id="watcher",
+                        capabilities={"codecs": ["json"], "batch_push": False},
+                    ),
+                    Subscribe(),
+                )
+                ingest = AsyncClient(loopback_connector(server), batch_size=256)
+                async with ingest:
+                    await ingest.submit_many(stream)
+                    await ingest.flush(timeout=10)
+                await watcher.pump_until(
+                    lambda: len(watcher.detections) >= len(expected)
+                )
+                return watcher
 
-        asyncio.run(scenario())
+        watcher = asyncio.run(scenario())
+        assert canon_frames(watcher.detections) == expected
+        pushes = [f for f in watcher.frames if received_frames(f)]
+        assert pushes
+        assert {type(f) for f in pushes} == {BinaryDetectionBatch}
 
 
 # -- the binary layout ---------------------------------------------------------
@@ -190,18 +247,19 @@ class TestBinaryBatchRoundTrip:
             max_size=20,
         ),
         seq=st.integers(min_value=0, max_value=2**63),
-        codec_name=st.sampled_from(["json", "binary"]),
+        layout=st.sampled_from(["json", "binary"]),
     )
-    def test_any_unicode_ids_round_trip(self, rows, seq, codec_name):
+    def test_any_unicode_ids_round_trip(self, rows, seq, layout):
         """Reader/object ids — ASCII, CJK, emoji, whatever — survive the
-        wire bit-exactly under both codecs (satellite: the non-ASCII id
-        round-trip fix)."""
+        wire bit-exactly in columns and in the JSON fallback (satellite:
+        the non-ASCII id round-trip fix)."""
         observations = [Observation(r, o, t) for r, o, t in rows]
-        codec = get_codec(codec_name)
-        frame = decode_one(codec.encode_batch(seq, observations))
-        decoded = list(frame.observations) if hasattr(frame, "observations") else [
-            frame.observation
-        ]
+        if layout == "json":
+            data = json_batch(seq, observations)
+        else:
+            data = get_codec("binary").encode_batch(seq, observations)
+        frame = decode_one(data)
+        decoded = list(frame.observations)
         assert [(d.reader, d.obj) for d in decoded] == [
             (r, o) for r, o, _t in rows
         ]
@@ -210,14 +268,15 @@ class TestBinaryBatchRoundTrip:
 
     def test_non_ascii_ids_end_to_end(self):
         """The same ids through a live server: what is acked is what the
-        engine saw, for both codecs."""
+        engine saw, in columns and in the JSON fallback (readings with
+        an ``extra`` payload)."""
         exotic = [
             Observation("читатель-1", "objé-α", 1.0),
             Observation("読み取り機", "🏷️-tag", 2.0),
             Observation("reader‮bidi", "obßject", 3.0),
         ]
 
-        async def scenario(codec):
+        async def scenario(observations):
             engine = plain_engine()
             seen = []
             original = engine.submit_many
@@ -228,15 +287,19 @@ class TestBinaryBatchRoundTrip:
 
             engine.submit_many = spy
             async with CepServer(engine) as server:
-                client = AsyncClient(loopback_connector(server), codec=codec)
+                client = AsyncClient(loopback_connector(server))
                 async with client:
-                    await client.submit_many(exotic)
+                    await client.submit_many(observations)
                     await client.flush(timeout=10)
             return [(o.reader, o.obj, o.timestamp) for o in seen]
 
         want = [(o.reader, o.obj, o.timestamp) for o in exotic]
-        assert asyncio.run(scenario("binary")) == want
-        assert asyncio.run(scenario("json")) == want
+        assert asyncio.run(scenario(exotic)) == want
+        tagged = [
+            Observation(o.reader, o.obj, o.timestamp, {"rssi": -40})
+            for o in exotic
+        ]
+        assert asyncio.run(scenario(tagged)) == want
 
     def test_binary_is_smaller_than_json(self):
         # Unique tags: the id strings dominate, but the framing still wins.
@@ -245,7 +308,7 @@ class TestBinaryBatchRoundTrip:
             for i in range(200)
         ]
         binary = get_codec("binary").encode_batch(0, unique)
-        as_json = get_codec("json").encode_batch(0, unique)
+        as_json = json_batch(0, unique)
         assert isinstance(decode_one(binary), BinaryBatch)
         assert len(binary) < len(as_json)
         # Re-read tags (portals see the same cases repeatedly): interning
@@ -255,7 +318,7 @@ class TestBinaryBatchRoundTrip:
             for i in range(200)
         ]
         binary = get_codec("binary").encode_batch(0, reread)
-        as_json = get_codec("json").encode_batch(0, reread)
+        as_json = json_batch(0, reread)
         assert len(binary) < len(as_json) // 3
 
 
@@ -270,15 +333,16 @@ class TestBinaryFallback:
         assert frame.seq == 5
         assert [o.reader for o in frame.observations] == ["r\0eader", "r2"]
 
-    def test_single_unpackable_falls_back_to_submit(self):
+    def test_single_unpackable_falls_back_to_batch(self):
         frame = decode_one(
             get_codec("binary").encode_batch(
                 9, [Observation("r", "o", 1.0, {"weight": 3})]
             )
         )
-        assert type(frame) is Submit
+        assert type(frame) is Batch
         assert frame.seq == 9
-        assert frame.observation.extra == {"weight": 3}
+        (observation,) = frame.observations
+        assert observation.extra == {"weight": 3}
 
     def test_extra_payload_falls_back_and_survives(self):
         observations = [
@@ -294,7 +358,7 @@ class TestBinaryFallback:
         with pytest.raises(FrameError):
             get_codec("binary").encode_batch(0, bad)
         with pytest.raises(FrameError):
-            get_codec("json").encode_batch(0, bad)
+            json_batch(0, bad)
 
 
 class TestBinaryBatchDecodeHardening:
@@ -347,7 +411,7 @@ class TestBinaryBatchDecodeHardening:
         assert frame.observations == ()
 
 
-# -- detection push batching ---------------------------------------------------
+# -- raw peers and the mixed-frame soak ----------------------------------------
 
 
 class RawPeer:
@@ -360,8 +424,8 @@ class RawPeer:
         self.detections = []
         self.acked = -1
 
-    async def send(self, frame):
-        self.writer.write(encode_frame(frame))
+    async def send(self, *frames):
+        self.writer.write(b"".join(map(encode_frame, frames)))
         await self.writer.drain()
 
     async def pump(self, timeout=0.2):
@@ -373,15 +437,9 @@ class RawPeer:
         for frame in self._decoder.feed(data):
             if isinstance(frame, Ack):
                 self.acked = max(self.acked, frame.seq)
-            elif isinstance(frame, DetectionFrame):
-                self.detections.append(frame)
-            elif isinstance(frame, DetectionBatch):
-                self.frames.append(frame)
-                self.detections.extend(
-                    DetectionFrame.from_payload(p) for p in frame.detections
-                )
-            else:
-                self.frames.append(frame)
+                continue
+            self.frames.append(frame)
+            self.detections.extend(received_frames(frame))
 
     async def pump_until(self, predicate, timeout=5.0):
         deadline = asyncio.get_running_loop().time() + timeout
@@ -390,112 +448,22 @@ class RawPeer:
                 raise AssertionError("raw peer timed out")
             await self.pump()
 
-    def batch_frames(self):
-        return [f for f in self.frames if isinstance(f, DetectionBatch)]
+
+def with_extra(observations):
+    """The same readings with an ``extra`` payload, which the columns
+    cannot carry: every batch of them goes as a JSON ``BATCH``."""
+    return [
+        Observation(o.reader, o.obj, o.timestamp, {"dock": "legacy"})
+        for o in observations
+    ]
 
 
-class TestDetectionBatchPush:
-    def run_with_subscriber(self, capabilities):
-        stream = packing_stream(cases=4, seed=9)
-        expected = canon_engine(plain_engine().run(stream))
-
-        async def scenario():
-            async with CepServer(plain_engine()) as server:
-                watcher = RawPeer(server)
-                await watcher.send(
-                    Hello(client_id="watcher", capabilities=capabilities)
-                )
-                await watcher.pump_until(
-                    lambda: any(isinstance(f, Welcome) for f in watcher.frames)
-                )
-                await watcher.send(Subscribe())
-                ingest = AsyncClient(
-                    loopback_connector(server), codec="binary", batch_size=256
-                )
-                async with ingest:
-                    await ingest.submit_many(stream)
-                    await ingest.flush(timeout=10)
-                await watcher.pump_until(
-                    lambda: len(watcher.detections) >= len(expected)
-                )
-                return watcher
-
-        watcher = asyncio.run(scenario())
-        assert canon_frames(watcher.detections) == expected
-        return watcher
-
-    def test_batch_push_peer_gets_coalesced_frames(self):
-        watcher = self.run_with_subscriber({"batch_push": True})
-        batches = watcher.batch_frames()
-        assert batches, "batch_push subscriber never saw a DETBATCH"
-        assert any(len(b.detections) > 1 for b in batches)
-        # Ordinals disambiguate same-seq detections within a batch.
-        for batch in batches:
-            seqs = [(p["seq"], p["ordinal"]) for p in batch.detections]
-            assert seqs == sorted(seqs)
-
-    def test_peer_without_capability_gets_single_frames(self):
-        watcher = self.run_with_subscriber({})
-        assert watcher.batch_frames() == []
-
-
-# -- mixed-version soak --------------------------------------------------------
-
-
-class V1Peer(RawPeer):
-    """A strict protocol-v1 JSON peer: no capabilities, SUBMIT per obs.
-
-    This is what a pre-codec checkout speaks; the soak test asserts it
-    keeps working, byte-for-byte, against a v2 server sharing its
-    backend with binary-codec sessions.
-    """
-
-    def __init__(self, server, client_id, resume_from=-1):
-        super().__init__(server)
-        self.client_id = client_id
-        self.next_seq = resume_from + 1
-        self.acked = resume_from
-
-    async def handshake(self, subscribe=False):
-        await self.send(
-            Hello(
-                client_id=self.client_id,
-                version=1,
-                resume_from=self.acked,
-            )
-        )
-        await self.pump_until(
-            lambda: any(isinstance(f, Welcome) for f in self.frames)
-        )
-        welcome = next(f for f in self.frames if isinstance(f, Welcome))
-        self.next_seq = max(self.next_seq, welcome.next_seq)
-        if subscribe:
-            await self.send(Subscribe())
-        return welcome
-
-    async def submit_stream(self, observations):
-        for observation in observations:
-            await self.send(Submit(seq=self.next_seq, observation=observation))
-            self.next_seq += 1
-
-    async def drain(self):
-        await self.pump_until(lambda: self.acked >= self.next_seq - 1)
-
-    async def flush(self):
-        seq = self.next_seq
-        self.next_seq += 1
-        await self.send(Flush(seq=seq))
-        await self.pump_until(lambda: self.acked >= seq)
-
-    def assert_never_saw_v2_frames(self):
-        assert not self.batch_frames(), "v1 peer received a DETBATCH"
-
-
-class TestMixedVersionSoak:
-    def test_v1_and_binary_clients_share_a_durable_server(self, tmp_path):
-        """A legacy JSON peer and a binary v2 client interleave on one
-        durable server, survive a crash/recover, and both end with the
-        full, identical detection stream and exactly-once frontiers."""
+class TestMixedFrameSoak:
+    def test_json_and_binary_clients_share_a_durable_server(self, tmp_path):
+        """A client whose batches all fall back to JSON ``BATCH`` and a
+        ``BBATCH`` client interleave on one durable server, survive a
+        crash/recover, and both end with the full, identical detection
+        stream and exactly-once frontiers."""
         stream = packing_stream(cases=8, seed=21)
         expected = canon_engine(plain_engine().run(stream))
         directory = str(tmp_path / "mixed-durable")
@@ -504,29 +472,46 @@ class TestMixedVersionSoak:
         # Detections the first two quarters fire *without* an
         # end-of-stream flush — what subscribers see mid-stream.
         prefix = canon_engine(plain_engine().submit_many(stream[: cuts[1]]))
+        # The frame classes each client's batches arrived as.
+        received = {}
+
+        def spied(server):
+            handle = server._handle_frame
+
+            async def spy(session, frame):
+                if isinstance(frame, Batch):
+                    received.setdefault(session.client_id, set()).add(
+                        type(frame)
+                    )
+                return await handle(session, frame)
+
+            server._handle_frame = spy
+            return server
+
+        def client(server, client_id, resume_from=-1):
+            return AsyncClient(
+                loopback_connector(server),
+                client_id=client_id,
+                subscribe=True,
+                resume_from=resume_from,
+                batch_size=32,
+            )
 
         async def first_life():
             durable = DurableEngine(plain_engine, directory)
             try:
-                async with CepServer(durable) as server:
-                    legacy = V1Peer(server, "legacy-dock")
-                    await legacy.handshake(subscribe=True)
-                    modern = AsyncClient(
-                        loopback_connector(server),
-                        client_id="modern-dock",
-                        codec="binary",
-                        subscribe=True,
-                        batch_size=32,
-                    )
-                    async with modern:
-                        assert modern.codec == "binary"
-                        # Interleaved, strictly ordered ingest:
-                        # v1 takes the first quarter, v2 the second.
-                        await legacy.submit_stream(stream[: cuts[0]])
-                        await legacy.drain()
+                async with spied(CepServer(durable)) as server:
+                    legacy = client(server, "legacy-dock")
+                    modern = client(server, "modern-dock")
+                    async with legacy, modern:
+                        # Interleaved, strictly ordered ingest: the JSON
+                        # client takes the first quarter, the binary one
+                        # the second.
+                        await legacy.submit_many(with_extra(stream[: cuts[0]]))
+                        await legacy.drain(timeout=10)
                         await modern.submit_many(stream[cuts[0] : cuts[1]])
                         await modern.drain(timeout=10)
-                        await legacy.pump_until(
+                        await eventually(
                             lambda: len(legacy.detections) >= len(prefix)
                         )
                         await eventually(
@@ -534,47 +519,42 @@ class TestMixedVersionSoak:
                         )
                         assert canon_frames(legacy.detections) == prefix
                         assert canon_frames(modern.detections) == prefix
-                        legacy.assert_never_saw_v2_frames()
-                        return legacy.acked, modern.last_acked
+                        return legacy.last_acked, modern.last_acked
             finally:
                 durable.close()
 
         async def second_life(legacy_acked, modern_acked):
             durable, _report = DurableEngine.recover(plain_engine, directory)
             try:
-                async with CepServer(durable) as server:
-                    # Frontiers rebuilt from WAL provenance for *both*
-                    # protocol generations.
+                async with spied(CepServer(durable)) as server:
+                    # Frontiers rebuilt from WAL provenance for both the
+                    # JSON records and the batch records.
                     assert server.client_frontier("legacy-dock") == legacy_acked
                     assert server.client_frontier("modern-dock") == modern_acked
-                    legacy = V1Peer(
+                    legacy = client(
                         server, "legacy-dock", resume_from=legacy_acked - 2
                     )
-                    welcome = await legacy.handshake(subscribe=True)
-                    # The server's record wins over the under-reported ack.
-                    assert welcome.next_seq == legacy_acked + 1
-                    modern = AsyncClient(
-                        loopback_connector(server),
-                        client_id="modern-dock",
-                        codec="binary",
-                        subscribe=True,
-                        resume_from=modern_acked,
-                        batch_size=32,
+                    modern = client(
+                        server, "modern-dock", resume_from=modern_acked
                     )
-                    async with modern:
-                        await legacy.submit_stream(stream[cuts[1] : cuts[2]])
-                        await legacy.drain()
+                    async with legacy, modern:
+                        # The server's record wins over the under-reported
+                        # ack.
+                        assert legacy.last_acked == legacy_acked
+                        await legacy.submit_many(
+                            with_extra(stream[cuts[1] : cuts[2]])
+                        )
+                        await legacy.drain(timeout=10)
                         await modern.submit_many(stream[cuts[2] :])
                         await modern.flush(timeout=10)
                         late = len(expected) - len(prefix)
-                        await legacy.pump_until(
+                        await eventually(
                             lambda: len(legacy.detections) >= late
                         )
                         await eventually(
                             lambda: len(modern.detections) >= late
                         )
                         assert server.stats.duplicates_skipped == 0
-                        legacy.assert_never_saw_v2_frames()
                         return (
                             canon_frames(legacy.detections),
                             canon_frames(modern.detections),
@@ -589,54 +569,7 @@ class TestMixedVersionSoak:
         )
         assert prefix + legacy_late == expected
         assert prefix + modern_late == expected
-
-
-# -- CLI plumbing --------------------------------------------------------------
-
-
-class TestServeCliCodecs:
-    def rules_file(self, tmp_path):
-        path = tmp_path / "rules.txt"
-        path.write_text(
-            'DEFINE E1 = observation("r1", o1, t1)\n'
-            'DEFINE E2 = observation("r2", o2, t2)\n'
-            "CREATE RULE contain, containment ON "
-            "TSEQ(TSEQ+(E1, 0.1sec, 1sec); E2, 10sec, 20sec) IF true "
-            "DO BULK INSERT INTO CONTAINMENT VALUES (o1, o2, t2, 'UC')\n"
-        )
-        return str(path)
-
-    def test_unknown_codec_rejected_before_binding(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        code = main(
-            [
-                "serve",
-                "--rules",
-                self.rules_file(tmp_path),
-                "--port",
-                "0",
-                "--codecs",
-                "binary,zstd-frames",
-                "--max-seconds",
-                "0.1",
-            ]
-        )
-        assert code == 2
-        assert "unknown wire codec" in capsys.readouterr().out
-
-    def test_codecs_option_restricts_negotiation(self, tmp_path):
-        """A json-only server makes every v2 client fall back to JSON."""
-        async def scenario():
-            config_server = CepServer(
-                plain_engine(), config=ServeConfig(codecs=("json",))
-            )
-            async with config_server as server:
-                client = AsyncClient(loopback_connector(server), codec=None)
-                async with client:
-                    assert client.codec == "json"
-
-        asyncio.run(scenario())
+        assert received == {"legacy-dock": {Batch}, "modern-dock": {BinaryBatch}}
 
 
 # -- engine-side SubmitResult contract ----------------------------------------

@@ -4,8 +4,8 @@
 the building blocks in isolation: schedule determinism (the property
 that makes a failing chaos run reproducible from its seed), byte
 preservation under fragmentation, CRC detection of injected
-corruption, reset semantics, heartbeat capability gating, idle
-reaping, overload shedding, and the sync client's leak reporting.
+corruption, reset semantics, heartbeats, idle reaping, overload
+shedding, and the sync client's leak reporting.
 """
 
 import asyncio
@@ -18,6 +18,7 @@ from repro.apps import containment_rule, location_rule
 from repro.serve import (
     Ack,
     AsyncClient,
+    Batch,
     CepServer,
     Client,
     ErrorFrame,
@@ -28,7 +29,6 @@ from repro.serve import (
     Hello,
     NetworkFaultPlan,
     ServeConfig,
-    Submit,
     Welcome,
     encode_frame,
     loopback_connector,
@@ -247,21 +247,6 @@ class TestLiveness:
 
         asyncio.run(scenario())
 
-    def test_v1_peer_is_never_pinged(self):
-        async def scenario():
-            config = ServeConfig(heartbeat_interval=0.02)
-            async with CepServer(build_engine(), config=config) as server:
-                client = AsyncClient(
-                    loopback_connector(server), protocol_version=1
-                )
-                async with client:
-                    await asyncio.sleep(0.2)
-                    assert server.stats.pings_sent == 0
-                    assert client.heartbeats == 0
-                    assert server.stats.sessions_active == 1
-
-        asyncio.run(scenario())
-
     def test_idle_session_is_reaped_with_error(self):
         async def scenario():
             config = ServeConfig(idle_deadline=0.1)
@@ -312,7 +297,7 @@ class TestOverloadShedding:
                 await raw.send(Hello(client_id="flood", resume_from=-1))
                 await raw.recv_until(Welcome)
                 for seq in range(4):
-                    await raw.send(Submit(seq=seq, observation=OBS))
+                    await raw.send(Batch(seq, (OBS,)))
                 error = await raw.recv_until(ErrorFrame, timeout=5.0)
                 assert error.code == "overloaded"
                 assert error.retry_after == 0.5

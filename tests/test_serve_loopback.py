@@ -21,6 +21,7 @@ from repro.resilience.durability import DurableEngine
 from repro.serve import (
     Ack,
     AsyncClient,
+    Batch,
     Bye,
     CepServer,
     ClientError,
@@ -30,7 +31,6 @@ from repro.serve import (
     RetryConfig,
     ServeConfig,
     SlowConsumerPolicy,
-    Submit,
     Subscribe,
     Welcome,
     encode_frame,
@@ -216,7 +216,7 @@ class TestProtocolEnforcement:
         async def scenario():
             async with CepServer(plain_engine()) as server:
                 raw = Raw(server)
-                await raw.send(Submit(seq=0, observation=Observation("r", "o", 0)))
+                await raw.send(Batch(0, (Observation("r", "o", 0),)))
                 frame = await raw.recv()
                 assert isinstance(frame, ErrorFrame)
                 assert frame.code == "protocol"
@@ -243,7 +243,7 @@ class TestProtocolEnforcement:
                 first = Raw(server)
                 await first.send(Hello(client_id="dup"))
                 assert isinstance(await first.recv(), Welcome)
-                await first.send(Submit(seq=0, observation=Observation("r", "a", 0)))
+                await first.send(Batch(0, (Observation("r", "a", 0),)))
                 await first.recv_until(Ack)
                 second = Raw(server)
                 await second.send(Hello(client_id="dup"))
@@ -257,7 +257,7 @@ class TestProtocolEnforcement:
                 assert frame.code == "superseded"
                 await eventually(lambda: server.stats.sessions_active == 1)
                 # The survivor keeps working.
-                await second.send(Submit(seq=1, observation=Observation("r", "b", 1)))
+                await second.send(Batch(1, (Observation("r", "b", 1),)))
                 ack = await second.recv_until(Ack)
                 assert ack.seq == 1
 
@@ -269,7 +269,7 @@ class TestProtocolEnforcement:
                 raw = Raw(server)
                 await raw.send(Hello(client_id="gap"))
                 assert isinstance(await raw.recv(), Welcome)
-                await raw.send(Submit(seq=5, observation=Observation("r", "o", 0)))
+                await raw.send(Batch(5, (Observation("r", "o", 0),)))
                 frame = await raw.recv_until(ErrorFrame)
                 assert frame.code == "sequence"
                 await eventually(lambda: server.stats.sessions_active == 0)
@@ -284,12 +284,12 @@ class TestProtocolEnforcement:
                 await raw.send(Hello(client_id="dups"))
                 welcome = await raw.recv()
                 assert welcome.next_seq == 0
-                await raw.send(Submit(seq=0, observation=Observation("r", "a", 0)))
+                await raw.send(Batch(0, (Observation("r", "a", 0),)))
                 ack = await raw.recv_until(Ack)
                 assert ack.seq == 0
                 # Retransmit seq 0 (as a crashed client would), then continue.
-                await raw.send(Submit(seq=0, observation=Observation("r", "a", 0)))
-                await raw.send(Submit(seq=1, observation=Observation("r", "b", 1)))
+                await raw.send(Batch(0, (Observation("r", "a", 0),)))
+                await raw.send(Batch(1, (Observation("r", "b", 1),)))
                 ack = await raw.recv_until(Ack)
                 assert ack.seq == 1
                 assert server.stats.duplicates_skipped == 1
@@ -570,7 +570,10 @@ class TestClientRecordCap:
 
 class TestSlowConsumers:
     def _congest(self, policy):
-        """Run a never-reading subscriber against a small push buffer."""
+        """Run a never-reading subscriber against a small push buffer.
+
+        A release is one push frame, so the ingest batches are small
+        enough that the stream's releases outnumber the buffer."""
         stream = packing_stream()
 
         async def scenario():
@@ -582,7 +585,7 @@ class TestSlowConsumers:
                 await slow.send(Subscribe())
                 await asyncio.sleep(0)  # let the subscription register
                 async with AsyncClient(
-                    loopback_connector(server), client_id="ingest", batch_size=16
+                    loopback_connector(server), client_id="ingest", batch_size=4
                 ) as ingest:
                     await ingest.submit_many(stream)
                     await ingest.flush(timeout=10)
@@ -655,7 +658,7 @@ class TestAckCoalescing:
                 assert isinstance(await raw.recv(), Welcome)
                 for seq in range(50):
                     await raw.send(
-                        Submit(seq=seq, observation=Observation("r", f"o{seq}", seq))
+                        Batch(seq, (Observation("r", f"o{seq}", seq),))
                     )
                 await eventually(lambda: server.client_frontier("burst") == 49)
                 final = await raw.recv_until(Ack)

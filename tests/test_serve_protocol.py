@@ -22,7 +22,6 @@ from repro.serve import (
     Hello,
     Ping,
     Pong,
-    Submit,
     Subscribe,
     Welcome,
     decode_frame,
@@ -39,7 +38,6 @@ OBS = Observation("reader-1", "urn:epc:item:1", 12.5)
 ALL_FRAMES = [
     Hello(client_id="c1", resume_from=41),
     Welcome(session_id="s9", next_seq=42),
-    Submit(seq=7, observation=OBS),
     Batch(seq=3, observations=(OBS, Observation("r2", "o2", 13.0, {"k": 1}))),
     Ack(seq=99),
     Flush(seq=100),
@@ -91,7 +89,7 @@ class TestRoundTrip:
     def test_submit_round_trips_any_observation(
         self, seq, reader, obj, timestamp
     ):
-        frame = Submit(seq=seq, observation=Observation(reader, obj, timestamp))
+        frame = Batch(seq=seq, observations=(Observation(reader, obj, timestamp),))
         decoded, _ = decode_frame(encode_frame(frame))
         assert decoded == frame
 
@@ -142,7 +140,7 @@ class TestCorruption:
         # json.dumps would emit NaN/Infinity tokens only Python's parser
         # accepts, breaking the debuggable-JSON wire contract for other
         # peers — reject them before they reach the wire.
-        frame = Submit(seq=0, observation=Observation("r", "o", value))
+        frame = Batch(seq=0, observations=(Observation("r", "o", value),))
         with pytest.raises(FrameError, match="not JSON-serializable"):
             encode_frame(frame)
 
@@ -208,8 +206,8 @@ class TestFrameDecoder:
 
 class TestRetryAfterCompat:
     def test_absent_retry_after_stays_absent_on_the_wire(self):
-        # v1 peers parse the ERROR payload as a closed two-key dict;
-        # the hint must not appear at all when unset.
+        # The hint must not appear at all when unset: the ERROR payload
+        # stays the closed two-key dict every peer has always parsed.
         frame = ErrorFrame(code="frame", message="bad crc")
         payload = json.loads(encode_frame(frame)[5:-4].decode())
         assert "retry_after" not in payload
@@ -222,14 +220,21 @@ class TestRetryAfterCompat:
         assert decoded.retry_after == 0.25
 
 
-def _ingest_stream(codec_name, observations, batch=5):
+def _encode_batch(layout, seq, chunk):
+    """One batch's bytes: the codec's (``binary``, columns with the JSON
+    fallback) or an all-JSON ``BATCH`` (``json``)."""
+    if layout == "json":
+        return encode_frame(Batch(seq, tuple(chunk)))
+    return get_codec("binary").encode_batch(seq, chunk)
+
+
+def _ingest_stream(layout, observations, batch=5):
     """A realistic client byte stream: HELLO, batches, FLUSH, BYE."""
-    codec = get_codec(codec_name)
     blob = bytearray(encode_frame(Hello(client_id="frag", resume_from=-1)))
     seq = 0
     for start in range(0, len(observations), batch):
         chunk = observations[start : start + batch]
-        blob += codec.encode_batch(seq, chunk)
+        blob += _encode_batch(layout, seq, chunk)
         seq += len(chunk)
     blob += encode_frame(Flush(seq=seq))
     blob += encode_frame(Bye())
@@ -239,9 +244,7 @@ def _ingest_stream(codec_name, observations, batch=5):
 def _decoded_observations(frames):
     out = []
     for frame in frames:
-        if isinstance(frame, Submit):
-            out.append(frame.observation)
-        elif isinstance(frame, Batch):
+        if isinstance(frame, Batch):
             out.extend(frame.observations)
     return out
 
@@ -250,7 +253,7 @@ _FRAG_OBSERVATIONS = [
     Observation(f"reader-{i % 3}", f"urn:epc:item:{i}", float(i)) for i in range(23)
 ] + [
     # One batch the binary codec cannot pack — exercises the JSON
-    # fallback frame inside a negotiated-binary stream.
+    # fallback frame inside a binary stream.
     Observation("reader-x", "urn:epc:item:x", 99.0, {"temp": 21.5})
 ]
 
@@ -264,9 +267,9 @@ class TestAdversarialFragmentation:
     wrong frame.
     """
 
-    @pytest.mark.parametrize("codec_name", ["json", "binary"])
-    def test_byte_at_a_time(self, codec_name):
-        blob = _ingest_stream(codec_name, _FRAG_OBSERVATIONS)
+    @pytest.mark.parametrize("layout", ["json", "binary"])
+    def test_byte_at_a_time(self, layout):
+        blob = _ingest_stream(layout, _FRAG_OBSERVATIONS)
         decoder = FrameDecoder()
         frames = []
         for index in range(len(blob)):
@@ -274,10 +277,10 @@ class TestAdversarialFragmentation:
         assert _decoded_observations(frames) == _FRAG_OBSERVATIONS
         assert decoder.pending_bytes == 0
 
-    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    @pytest.mark.parametrize("layout", ["json", "binary"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_seeded_random_splits(self, codec_name, seed):
-        blob = _ingest_stream(codec_name, _FRAG_OBSERVATIONS)
+    def test_seeded_random_splits(self, layout, seed):
+        blob = _ingest_stream(layout, _FRAG_OBSERVATIONS)
         rng = random.Random(seed)
         decoder = FrameDecoder()
         frames = []
@@ -289,22 +292,21 @@ class TestAdversarialFragmentation:
         assert _decoded_observations(frames) == _FRAG_OBSERVATIONS
         assert decoder.pending_bytes == 0
 
-    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    @pytest.mark.parametrize("layout", ["json", "binary"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_corrupt_frame_mid_stream_never_decodes_wrong(
-        self, codec_name, seed
+        self, layout, seed
     ):
         # Flip one payload byte of a mid-stream frame, then feed the
         # whole blob in random fragments: every frame decoded before
         # the corruption must be genuine, and the corrupt frame must
         # surface as FrameError — not as an altered observation.
         rng = random.Random(seed)
-        codec = get_codec(codec_name)
         pieces = [encode_frame(Hello(client_id="frag", resume_from=-1))]
         seq = 0
         for start in range(0, len(_FRAG_OBSERVATIONS), 5):
             chunk = _FRAG_OBSERVATIONS[start : start + 5]
-            pieces.append(codec.encode_batch(seq, chunk))
+            pieces.append(_encode_batch(layout, seq, chunk))
             seq += len(chunk)
         victim = rng.randrange(1, len(pieces))
         corrupted = bytearray(pieces[victim])

@@ -2,7 +2,7 @@
 
 A :class:`~repro.serve.cluster.Cluster` serves its router backend with
 the one ``CepServer``, so everything ``ServeConfig`` promises a client
-of a single server — the advertised heartbeat, idle reaping, the
+of a single server — the configured heartbeat, idle reaping, the
 client-record cap, the slow-consumer bound — holds for a client of the
 cluster.  And the server's in-order release path keeps many epochs in
 flight: a shard whose worker is down holds every epoch open without
@@ -22,11 +22,10 @@ from repro.serve import (
     Ack,
     Batch,
     Bye,
-    DetectionBatch,
-    DetectionFrame,
     ErrorFrame,
     FrameDecoder,
     Hello,
+    Ping,
     ServeConfig,
     SlowConsumerPolicy,
     Subscribe,
@@ -36,6 +35,7 @@ from repro.serve import (
 from repro.serve.client import AsyncClient, tcp_connector
 from repro.serve.cluster import Cluster
 from repro.serve.drill import cluster_program
+from repro.serve.protocol import received_frames
 from repro.simulator import simulate_multi_packing
 from repro.store import RfidStore
 
@@ -118,19 +118,28 @@ class TestRouterSessions:
     """A router session is a ``CepServer`` session: same liveness, same
     load limits, configured through ``Cluster(router_config=...)``."""
 
-    def test_welcome_advertises_the_configured_heartbeat(self, tmp_path):
+    def test_idle_session_is_pinged_at_the_configured_heartbeat(self, tmp_path):
         async def scenario():
             cluster = one_worker_cluster(tmp_path, heartbeat_interval=0.25)
             try:
                 peer = await RawPeer.tcp(await cluster.start())
+                loop = asyncio.get_running_loop()
+                sent = loop.time()
                 await peer.send(Hello(client_id="hb"))
                 welcome = await peer.recv_until(Welcome)
+                ping = await peer.recv_until(Ping)
+                waited = loop.time() - sent
                 peer.close()
-                return welcome.capabilities["heartbeat"]
+                return welcome, ping, waited, cluster.server.stats.pings_sent
             finally:
                 await cluster.stop()
 
-        assert asyncio.run(scenario()) == 0.25
+        welcome, ping, waited, pings = asyncio.run(scenario())
+        # WELCOME carries no heartbeat key: every session is probed.
+        assert welcome.capabilities == {"max_batch": 8192}
+        assert ping.token >= 1 and pings >= 1
+        # Idle for the interval, then probed within a liveness tick.
+        assert 0.25 <= waited < 2.0
 
     def test_silent_peer_is_reaped_with_error_idle(self, tmp_path):
         async def scenario():
@@ -221,10 +230,8 @@ async def read_until_acked(peer, last):
         frame = await peer.recv(timeout=10.0)
         if isinstance(frame, Ack):
             events.append(("ack", frame.seq))
-        elif isinstance(frame, DetectionBatch):
-            events.extend(("detection", p["seq"]) for p in frame.detections)
-        elif isinstance(frame, DetectionFrame):
-            events.append(("detection", frame.seq))
+        else:
+            events.extend(("detection", d.seq) for d in received_frames(frame))
     return events
 
 
@@ -257,8 +264,7 @@ class TestEpochPipelining:
                 router = cluster.router
                 node, _shard = await hold_shard(cluster)
                 peer = await RawPeer.tcp(port)
-                hello = Hello(client_id="pipe", capabilities={"batch_push": True})
-                await peer.send(hello, Subscribe())
+                await peer.send(Hello(client_id="pipe"), Subscribe())
                 await peer.recv_until(Welcome)
                 await send_batches(peer, stream)
                 await eventually(lambda: router.epochs_open == epochs)
@@ -329,8 +335,7 @@ class TestEpochPipelining:
                 await send_batches(first, stream)
                 await eventually(lambda: router.epochs_open == epochs)
                 second = await RawPeer.tcp(port)
-                hello = Hello(client_id="flaky", capabilities={"batch_push": True})
-                await second.send(hello, Subscribe())
+                await second.send(Hello(client_id="flaky"), Subscribe())
                 welcome = await second.recv_until(Welcome)
                 await send_batches(second, stream)
                 await eventually(lambda: router.epochs_open == 2 * epochs)

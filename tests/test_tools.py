@@ -322,6 +322,39 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "python -m repro cluster: error: " in capsys.readouterr().err
 
+    def test_serve_output(self, tmp_path, capsys):
+        """``serve`` with no traffic: the bound port, then an empty
+        summary on natural exit."""
+        from repro.__main__ import main
+
+        assert main([
+            "serve", "--rules", self._rules_file(tmp_path), "--port", "0",
+            "--max-seconds", "0.1",
+        ]) == 0
+        bound, summary = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"serving on 127\.0\.0\.1:[1-9][0-9]*", bound)
+        assert summary == "served 0 sessions, 0 observations, 0 detections pushed"
+
+    def test_serve_durable_requires_dir(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main([
+            "serve", "--rules", self._rules_file(tmp_path), "--port", "0",
+            "--backend", "durable",
+        ]) == 2
+        assert capsys.readouterr().out == "--backend durable requires --dir\n"
+
+    def test_serve_has_no_codecs_option(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", "--codecs", "binary", "--port", "0",
+                "--max-seconds", "0.1", "--rules", self._rules_file(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --codecs" in capsys.readouterr().err
+
     def test_demo_command(self, capsys):
         from repro.__main__ import main
 
